@@ -177,7 +177,8 @@ def compute_events(
         if all(v < 0 for v in row):
             n_no_events += 1
             continue
-        kept.append(replace(dp, measurement_date=measured))
+        close = series.on_or_before(measured)[1]
+        kept.append(replace(dp, measurement_date=measured, close=close))
         rows.append(row)
     outcomes = (
         np.array(rows, dtype=np.int8)
@@ -429,6 +430,34 @@ def risk_histogram(
             )
         )
     return rows
+
+
+@dataclass
+class ReportBundle:
+    """Every report of one event study, as the report stage writes them."""
+
+    range_reports: dict[tuple[str, float], RangeReport]
+    comparison: ComparisonReport | None
+    histogram: list[HistogramRow]
+    best_delays: dict[tuple[str, float], tuple[int, float] | None]
+
+
+def compute_reports(study: EventStudy, thresholds: Sequence[float]) -> ReportBundle:
+    range_reports: dict[tuple[str, float], RangeReport] = {}
+    best_delays: dict[tuple[str, float], tuple[int, float] | None] = {}
+    for kind in (AGGREGATED, INDIVIDUAL):
+        for threshold in thresholds:
+            report = build_range_report(study, threshold, kind)
+            range_reports[(kind, threshold)] = report
+            best_delays[(kind, threshold)] = best_single_delay(study, threshold, kind)
+    comparison = None
+    if thresholds:
+        top = max(thresholds)
+        comparison = build_comparison_report(
+            range_reports[(AGGREGATED, top)], range_reports[(INDIVIDUAL, top)]
+        )
+    histogram = risk_histogram(study.datapoints)
+    return ReportBundle(range_reports, comparison, histogram, best_delays)
 
 
 # ---------------------------------------------------------------------------

@@ -187,22 +187,3 @@ def average_rank(tables: Iterable[CentralityTable], top_k: int) -> list[RankEntr
     entries.sort(key=lambda e: (e.average_rank, e.canonical_id))
     return entries[:top_k]
 
-
-def kendall_tau(ranks_a: Mapping[str, int], ranks_b: Mapping[str, int]) -> float:
-    """Rank correlation over the common keys (tie-free ranks assumed)."""
-    common = sorted(set(ranks_a) & set(ranks_b))
-    n = len(common)
-    if n < 2:
-        return 1.0
-    concordant = 0
-    discordant = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            da = ranks_a[common[i]] - ranks_a[common[j]]
-            db = ranks_b[common[i]] - ranks_b[common[j]]
-            prod = da * db
-            if prod > 0:
-                concordant += 1
-            elif prod < 0:
-                discordant += 1
-    return (concordant - discordant) / (n * (n - 1) / 2)

@@ -15,7 +15,7 @@ from pathlib import Path
 
 from .errors import DependencyError, NewsriskError, ValidationError
 from .fixtures import FixtureSpec, generate_fixture, write_fixture
-from .pipeline import STAGE_ORDER, STAGES, config_from_file, run_all
+from .pipeline import PIPELINE, STAGES, config_from_file, run_all
 
 log = logging.getLogger("newsrisk")
 
@@ -36,7 +36,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--theta", type=float, help="interaction strength")
     parser.add_argument("--seed", type=int, help="random seed")
     parser.add_argument("--quarters", help="window as FROM..TO, e.g. 2011Q1..2016Q2")
-    parser.add_argument("--threads", type=int, help="worker threads for ranking")
     for name in ("articles", "universe", "prices", "marketcaps"):
         parser.add_argument(f"--{name}", type=Path, help=f"override the {name} path")
 
@@ -50,7 +49,6 @@ def _overrides(args: argparse.Namespace) -> dict:
         "theta": args.theta,
         "seed": args.seed,
         "quarters": args.quarters,
-        "threads": args.threads,
         "articles": args.articles,
         "universe": args.universe,
         "prices": args.prices,
@@ -121,19 +119,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for name in (*STAGE_ORDER, "run"):
-        doc = {
-            "parse": "extract company mentions from the article corpus",
-            "networks": "build quarterly co-occurrence networks",
-            "rank": "score and rank companies by network centrality",
-            "risk": "compute sentiment risk scores over the selected universe",
-            "backtest": "evaluate price declines after each quarter",
-            "report": "render backtest tables and figure data",
-            "run": "run every stage in order",
-        }[name]
-        stage = sub.add_parser(name, help=doc)
-        _add_common(stage)
-        stage.set_defaults(handler=_run_stage)
+    commands = [(stage.name, stage.doc) for stage in PIPELINE]
+    for name, doc in (*commands, ("run", "run every stage in order")):
+        command = sub.add_parser(name, help=doc)
+        _add_common(command)
+        command.set_defaults(handler=_run_stage)
 
     defaults = FixtureSpec()
     fixture = sub.add_parser("fixture", help="generate a synthetic corpus")

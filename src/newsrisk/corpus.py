@@ -25,7 +25,7 @@ from pathlib import Path
 from typing import Iterable, Iterator, Mapping
 
 from .errors import ValidationError
-from .quarters import Quarter, parse_quarter, quarter_of
+from .quarters import Quarter, parse_quarter
 
 log = logging.getLogger(__name__)
 
@@ -464,14 +464,3 @@ def write_marketcaps(path: str | Path, table: MarketCapTable) -> int:
             writer.writerow([cid, quarter.label, repr(cap)])
     return len(rows)
 
-
-def analysis_articles(articles: Iterable[Article]) -> list[Article]:
-    """The articles inside the configured window, i.e. those analysed."""
-    return [a for a in articles if a.in_window]
-
-
-def articles_by_quarter(articles: Iterable[Article]) -> dict[Quarter, list[Article]]:
-    grouped: dict[Quarter, list[Article]] = {}
-    for article in articles:
-        grouped.setdefault(quarter_of(article.published_at), []).append(article)
-    return {q: grouped[q] for q in sorted(grouped)}

@@ -21,11 +21,9 @@ error and raises MatcherCollisionError at compile time.
 
 from __future__ import annotations
 
-import json
 import logging
 import re
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Iterable, Iterator
 
 from .corpus import Article, EntityUniverse
@@ -234,12 +232,6 @@ class MatcherSet:
         return frozenset(m.canonical_id for m in self.iter_matches(text))
 
 
-def compile_matchers(
-    universe: EntityUniverse, config: MatcherConfig | None = None
-) -> MatcherSet:
-    return MatcherSet(universe, config)
-
-
 def article_text(article: Article) -> str:
     return article.title + "\n\n" + article.body
 
@@ -283,25 +275,3 @@ def parse_corpus(
     )
     return {q: grouped[q] for q in sorted(grouped)}
 
-
-def write_match_dump(
-    path: str | Path, matchers: MatcherSet, articles: Iterable[Article]
-) -> int:
-    """Per-article match positions, for eyeballing matcher behaviour."""
-    path = Path(path)
-    n = 0
-    with path.open("w", encoding="utf-8") as fh:
-        for article in articles:
-            matches = list(matchers.iter_matches(article_text(article)))
-            record = {
-                "article_id": article.id,
-                "polarity": article.polarity,
-                "companies": sorted({m.canonical_id for m in matches}),
-                "matches": [
-                    {"company": m.canonical_id, "literal": m.literal, "offset": m.offset}
-                    for m in matches
-                ],
-            }
-            fh.write(json.dumps(record, ensure_ascii=False) + "\n")
-            n += 1
-    return n

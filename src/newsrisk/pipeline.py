@@ -1,13 +1,21 @@
-"""Staged pipeline with file artifact handoff and deterministic manifests.
+"""Staged pipeline: declared artifacts, declared stages, one stage runner.
 
-Stages: parse -> networks -> rank -> risk -> backtest -> report. Each stage
-reads the previous stage's artifacts (never its in-memory state), writes its
-own artifacts atomically (temp file + rename), and records a manifest with
-the config fingerprint, input digests, row counts, and stage parameters.
-Two runs from identical inputs and config produce byte-identical artifacts.
+Stages: parse -> networks -> rank -> risk -> backtest -> report. `PIPELINE`
+declares each stage once: the config input files it loads, the values it
+reads from earlier stages, a compute function over typed values, the
+artifacts it writes and its manifest params. Each artifact is declared once:
+file name, columns and an encoder from the run's values to rows. Values that
+a later stage reads back have one decoder each, in `HANDOFFS`.
 
-`run_study` chains the same computations in memory and returns the results
-without writing artifacts; tests and bulk simulations use it to avoid I/O.
+`run_all` and the per-stage commands (`STAGES`) hand values over through
+files. A stage decodes its upstream artifacts, checking that each exists and
+carries the declared header. It writes its own artifacts atomically (temp
+file + rename) and records a manifest with the config fingerprint, the
+digests of every file it read, row counts, and stage parameters. Two runs
+from identical inputs and config produce byte-identical artifacts.
+
+`run_study` runs the same stage list with the values handed over in memory:
+nothing is encoded, written or hashed. Tests and bulk simulations use it.
 """
 
 from __future__ import annotations
@@ -19,73 +27,30 @@ import json
 import logging
 import os
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field, fields
 from datetime import date
+from functools import partial
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Any, Callable, Iterator, Mapping
+
+import numpy as np
 
 from . import backtest as bt
+from .backtest import compute_reports
 from .centrality import (
-    ABSOLUTE,
-    NORMALIZED,
-    CentralityTable,
-    RankEntry,
-    average_rank,
-    build_tables,
+    ABSOLUTE, NORMALIZED, CentralityTable, RankEntry, average_rank, build_tables,
     information_centrality,
 )
-from .corpus import (
-    EntityUniverse,
-    MarketCapTable,
-    PriceTable,
-    load_articles,
-    load_marketcaps,
-    load_prices,
-    load_universe,
-)
+from .corpus import load_articles, load_marketcaps, load_prices, load_universe
 from .entities import MatcherConfig, MatcherSet, OccurrenceSet, parse_corpus
 from .errors import DependencyError, ValidationError
-from .networks import (
-    MIXED,
-    NETWORK_KINDS,
-    QuarterNetwork,
-    build_networks,
-    network_stats,
-    smooth,
-)
+from .networks import MIXED, NETWORK_KINDS, QuarterNetwork, build_networks, network_stats, smooth
 from .quarters import Quarter, parse_quarter, quarter_range
-from .riskrank import (
-    RiskCalibration,
-    RiskDatapoint,
-    riskrank_quarter,
-    select_universe,
-)
+from .riskrank import RiskCalibration, RiskDatapoint, riskrank_quarter, select_universe
 
 log = logging.getLogger(__name__)
 
-# Artifact file names, one namespace for every stage.
-A_OCCURRENCES = "occurrences.csv"
-A_NETWORK_EDGES = "network_edges.csv"
-A_NETWORK_NODES = "network_nodes.csv"
-A_NETWORK_STATS = "network_stats.csv"
-A_CENTRALITY = "centrality.csv"
-A_AVERAGE_RANK = "average_rank.csv"
-A_TIMESERIES = "centrality_timeseries.csv"
-A_SELECTED = "selected_universe.csv"
-A_RISK = "risk.csv"
-A_VALID_POINTS = "valid_datapoints.csv"
-A_EVENTS = "decline_events.csv"
-A_RANGES_CSV = "backtest_ranges.csv"
-A_RANGES_TXT = "backtest_ranges.txt"
-A_COMPARISON_CSV = "backtest_comparison.csv"
-A_COMPARISON_TXT = "backtest_comparison.txt"
-A_DAILY = "backtest_daily.csv"
-A_BEST_DELAY = "best_delay.csv"
-A_HISTOGRAM = "risk_histogram.csv"
-A_PRICE_SERIES = "risk_price_series.csv"
-
-STAGE_ORDER = ("parse", "networks", "rank", "risk", "backtest", "report")
+MODES = (ABSOLUTE, NORMALIZED)
 
 
 @dataclass
@@ -106,7 +71,6 @@ class RunConfig:
     delay_lo: int = bt.DELAY_LO
     delay_hi: int = bt.DELAY_HI
     seed: int = 7
-    threads: int = 1
 
     def validate(self, require_inputs: bool = True) -> None:
         if self.alpha <= 0:
@@ -124,10 +88,8 @@ class RunConfig:
         for t in self.thresholds:
             if not (0.0 <= t <= 1.0):
                 raise ValidationError(f"threshold outside [0,1]: {t}")
-        if self.threads < 1:
-            raise ValidationError(f"threads must be at least 1, got {self.threads}")
         if require_inputs:
-            for name in ("articles", "universe", "prices", "marketcaps"):
+            for name in LOADERS:
                 path = getattr(self, name)
                 if not Path(path).is_file():
                     raise ValidationError(f"{name} file not found: {path}")
@@ -223,12 +185,524 @@ def config_from_mapping(
         delay_lo=int(delays[0]),
         delay_hi=int(delays[1]),
         seed=int(raw.get("seed", 7)),
-        threads=int(raw.get("threads", 1)),
     )
 
 
 # ---------------------------------------------------------------------------
-# Atomic artifact I/O
+# Artifacts: one declaration per file
+# ---------------------------------------------------------------------------
+
+Values = Mapping[str, Any]
+
+
+@dataclass(frozen=True)
+class Artifact:
+    """One output file.
+
+    `encode(cfg, values)` yields the file's CSV rows, or returns its text when
+    `columns` is None. None cells are written empty and float cells at full
+    precision, so every value round-trips exactly.
+    """
+
+    name: str
+    columns: tuple[str, ...] | None
+    encode: Callable[[RunConfig, Values], Any]
+
+
+def _cell(value: object) -> object:
+    if value is None or value != value:  # NaN rates are undefined, like None
+        return ""
+    return repr(float(value)) if isinstance(value, float) else value
+
+
+def render(artifact: Artifact, cfg: RunConfig, values: Values) -> str:
+    """The file content of `artifact` for a run's values."""
+    encoded = artifact.encode(cfg, values)
+    if artifact.columns is None:
+        return encoded
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(artifact.columns)
+    writer.writerows([_cell(v) for v in row] for row in encoded)
+    return buf.getvalue()
+
+
+#: The risk-score columns every datapoint artifact carries, in order.
+SCORES = ("x_own", "rr_own", "rr_direct", "rr_indirect", "rr_total")
+
+
+def _scores(dp: RiskDatapoint) -> tuple[float, ...]:
+    return tuple(getattr(dp, name) for name in SCORES)
+
+
+def _measured(dp: RiskDatapoint) -> tuple:
+    return (dp.measurement_date.isoformat() if dp.measurement_date else None, dp.close)
+
+
+def _occurrence_rows(cfg: RunConfig, v: Values) -> Iterator[tuple]:
+    occurrences = v["occurrences"]
+    for quarter in sorted(occurrences):
+        for occ in sorted(occurrences[quarter], key=lambda o: o.article_id):
+            yield occ.article_id, quarter.label, occ.polarity, "|".join(sorted(occ.companies))
+
+
+def _each_network(v: Values) -> Iterator[tuple[str, str, QuarterNetwork]]:
+    networks = v["networks"]
+    for quarter in sorted(networks):
+        for kind in NETWORK_KINDS:
+            yield quarter.label, kind, networks[quarter][kind]
+
+
+def _network_stat_rows(cfg: RunConfig, v: Values) -> Iterator[list]:
+    for _, _, network in _each_network(v):
+        stats = network_stats(network)
+        yield [stats[column] for column in NETWORK_STATS.columns]
+
+
+def _series_rows(cfg: RunConfig, v: Values) -> Iterator[tuple]:
+    for mode in MODES:
+        keep = {e.canonical_id for e in v["rank_lists"][(MIXED, mode)]}
+        for table in v["tables"]:
+            if table.polarity == MIXED and table.mode == mode:
+                for cid in sorted(keep & set(table.scores)):
+                    yield mode, table.quarter.label, cid, table.scores[cid]
+
+
+def _risk_rows(cfg: RunConfig, v: Values) -> Iterator[tuple]:
+    calibration = astuple(cfg.calibration)
+    for dp in v["datapoints"]:
+        yield dp.quarter.label, dp.canonical_id, *_scores(dp), *calibration
+
+
+_OUTCOME_CELLS = {1: "true", 0: "false", -1: ""}
+
+
+def _event_rows(cfg: RunConfig, v: Values) -> Iterator[tuple]:
+    study = v["study"]
+    for dp, outcomes in zip(study.datapoints, study.outcomes):
+        for delay, outcome in zip(study.delays, outcomes):
+            yield dp.quarter.label, dp.canonical_id, delay, _OUTCOME_CELLS[int(outcome)]
+
+
+def _report_params(cfg: RunConfig) -> dict[str, object]:
+    cal = cfg.calibration
+    return {
+        "alpha": cfg.alpha,
+        "lambda": cal.lam,
+        "mu": cal.mu,
+        "theta": cal.theta,
+        "top_k": cfg.top_k,
+        "delays": f"{cfg.delay_lo}..{cfg.delay_hi}",
+    }
+
+
+# Report records and the calibration are written as `astuple` of their
+# dataclass, whose fields are declared in the order of the columns.
+def _with_average(report) -> tuple:
+    return (*report.rows, *([report.average] if report.average else []))
+
+
+def _range_rows(cfg: RunConfig, v: Values) -> Iterator[tuple]:
+    for (kind, threshold), report in sorted(v["reports"].range_reports.items()):
+        for row in _with_average(report):
+            yield kind, threshold, *astuple(row), report.n_subset, report.n_benchmark
+
+
+def _comparison_rows(cfg: RunConfig, v: Values) -> Iterator[tuple]:
+    report = v["reports"].comparison
+    for row in _with_average(report) if report else ():
+        yield report.threshold, *astuple(row)
+
+
+def _daily_rows(cfg: RunConfig, v: Values) -> Iterator[tuple]:
+    study = v["study"]
+    benchmark = study.daily_rates()
+    for kind, threshold in sorted(v["reports"].range_reports):
+        subset = study.daily_rates(study.indices_at_threshold(threshold, kind))
+        for offset, delay in enumerate(study.delays):
+            yield kind, threshold, delay, float(subset[offset]), float(benchmark[offset])
+
+
+def _best_delay_rows(cfg: RunConfig, v: Values) -> Iterator[tuple]:
+    study = v["study"]
+    benchmark = study.daily_rates()
+    for (kind, threshold), best in sorted(v["reports"].best_delays.items()):
+        if best is None:
+            continue
+        delay, diff = best
+        rows_idx = study.indices_at_threshold(threshold, kind)
+        offset = delay - study.delay_lo
+        n1 = int(study.defined_counts(rows_idx)[offset])
+        n2 = int(study.defined_counts()[offset])
+        p1 = float(study.daily_rates(rows_idx)[offset]) / 100.0
+        p2 = float(benchmark[offset]) / 100.0
+        stderr = bt.proportion_stderr(p1, n1, p2, n2)
+        yield kind, threshold, delay, p1 * 100.0, p2 * 100.0, diff, stderr, n1, n2
+
+
+def _ranges_text(cfg: RunConfig, v: Values) -> str:
+    reports = v["reports"].range_reports
+    params = _report_params(cfg)
+    return "\n".join(
+        bt.render_range_report(reports[(bt.AGGREGATED, t)], params) for t in sorted(cfg.thresholds)
+    )
+
+
+def _comparison_text(cfg: RunConfig, v: Values) -> str:
+    comparison = v["reports"].comparison
+    return bt.render_comparison_report(comparison, _report_params(cfg)) if comparison else ""
+
+
+OCCURRENCES = Artifact(
+    "occurrences.csv", ("article_id", "quarter", "polarity", "companies"), _occurrence_rows
+)
+NETWORK_EDGES = Artifact(
+    "network_edges.csv",
+    ("quarter", "polarity", "i", "j", "weight"),
+    lambda cfg, v: (
+        (q, kind, i, j, weight)
+        for q, kind, network in _each_network(v)
+        for (i, j), weight in network.edge_weights.items()
+    ),
+)
+NETWORK_NODES = Artifact(
+    "network_nodes.csv",
+    ("quarter", "polarity", "canonical_id", "s"),
+    lambda cfg, v: (
+        (q, kind, node, s)
+        for q, kind, network in _each_network(v)
+        for node, s in network.node_weights.items()
+    ),
+)
+NETWORK_STATS = Artifact(
+    "network_stats.csv",
+    ("quarter", "polarity", "n_nodes", "n_edges", "article_count", "avg_edges_per_node",
+     "max_degree", "max_degree_node"),
+    _network_stat_rows,
+)
+CENTRALITY = Artifact(
+    "centrality.csv",
+    ("quarter", "polarity", "mode", "canonical_id", "score", "rank"),
+    lambda cfg, v: (
+        (t.quarter.label, t.polarity, t.mode, cid, t.scores[cid], t.ranks[cid])
+        for t in v["tables"]
+        for cid in sorted(t.scores)
+    ),
+)
+AVERAGE_RANK = Artifact(
+    "average_rank.csv",
+    ("polarity", "mode", "canonical_id", "average_rank", "quarters_scored"),
+    lambda cfg, v: (
+        (polarity, mode, e.canonical_id, e.average_rank, e.quarters_scored)
+        for (polarity, mode), entries in v["rank_lists"].items()
+        for e in entries
+    ),
+)
+TIMESERIES = Artifact(
+    "centrality_timeseries.csv", ("mode", "quarter", "canonical_id", "score"), _series_rows
+)
+SELECTED = Artifact(
+    "selected_universe.csv", ("canonical_id",), lambda cfg, v: ((c,) for c in v["selected"])
+)
+RISK = Artifact(
+    "risk.csv",
+    ("quarter", "canonical_id", *SCORES, "lambda", "mu", "theta"),
+    _risk_rows,
+)
+VALID_POINTS = Artifact(
+    "valid_datapoints.csv",
+    ("quarter", "canonical_id", "measurement_date", "close", *SCORES),
+    lambda cfg, v: (
+        (dp.quarter.label, dp.canonical_id, *_measured(dp), *_scores(dp))
+        for dp in v["study"].datapoints
+    ),
+)
+EVENTS = Artifact(
+    "decline_events.csv", ("quarter", "canonical_id", "delay", "decreased"), _event_rows
+)
+RANGES_CSV = Artifact(
+    "backtest_ranges.csv",
+    ("kind", "threshold", "days_delay", "subset_rate", "benchmark_rate", "abs_diff", "rel_diff",
+     "benchmark_daily_std", "std_outperformance", "n_subset", "n_benchmark"),
+    _range_rows,
+)
+RANGES_TXT = Artifact("backtest_ranges.txt", None, _ranges_text)
+COMPARISON_CSV = Artifact(
+    "backtest_comparison.csv",
+    ("threshold", "days_delay", "agg_rate", "agg_outperformance", "ind_rate",
+     "ind_outperformance", "outperformance_gap"),
+    _comparison_rows,
+)
+COMPARISON_TXT = Artifact("backtest_comparison.txt", None, _comparison_text)
+DAILY = Artifact(
+    "backtest_daily.csv",
+    ("kind", "threshold", "delay", "subset_rate", "benchmark_rate"),
+    _daily_rows,
+)
+BEST_DELAY = Artifact(
+    "best_delay.csv",
+    ("kind", "threshold", "delay", "subset_rate", "benchmark_rate", "diff", "stderr",
+     "n_subset_defined", "n_benchmark_defined"),
+    _best_delay_rows,
+)
+HISTOGRAM = Artifact(
+    "risk_histogram.csv",
+    ("risk_at_least", "n_aggregated", "pct_aggregated", "n_individual", "pct_individual"),
+    lambda cfg, v: (astuple(row) for row in v["reports"].histogram),
+)
+PRICE_SERIES = Artifact(
+    "risk_price_series.csv",
+    ("canonical_id", "quarter", "measurement_date", "close", *SCORES),
+    lambda cfg, v: (
+        (dp.canonical_id, dp.quarter.label, *_measured(dp), *_scores(dp))
+        for dp in v["study"].datapoints
+    ),
+)
+
+
+# ---------------------------------------------------------------------------
+# Handoffs: the values later stages read back, and their decoders
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Handoff:
+    """A value later stages read back from the artifacts that store it.
+
+    `decode(cfg, values, *tables)` gets the rows of each artifact, in the
+    order of `artifacts`, as dicts keyed by column, and the reading stage's
+    loaded inputs in `values`.
+    """
+
+    artifacts: tuple[Artifact, ...]
+    decode: Callable[..., Any]
+
+
+def _decode_occurrences(cfg, v, rows) -> dict[Quarter, list[OccurrenceSet]]:
+    occurrences: dict[Quarter, list[OccurrenceSet]] = {}
+    for row in rows:
+        quarter = parse_quarter(row["quarter"])
+        companies = frozenset(c for c in row["companies"].split("|") if c)
+        occurrences.setdefault(quarter, []).append(
+            OccurrenceSet(row["article_id"], quarter, row["polarity"], companies)
+        )
+    return {q: occurrences[q] for q in sorted(occurrences)}
+
+
+def _decode_networks(cfg, v, edges, nodes, stats) -> dict[Quarter, dict[str, QuarterNetwork]]:
+    """Networks over the universe in `v`, which every reading stage loads."""
+    universe_ids = tuple(sorted(v["universe"].ids()))
+
+    def key(row: Mapping[str, str]) -> tuple[Quarter, str]:
+        return parse_quarter(row["quarter"]), row["polarity"]
+
+    article_counts = {key(row): int(row["article_count"]) for row in stats}
+    edge_maps: dict[tuple[Quarter, str], dict] = {k: {} for k in article_counts}
+    node_maps: dict[tuple[Quarter, str], dict] = {k: {} for k in article_counts}
+    for row in edges:
+        edge_maps.setdefault(key(row), {})[(row["i"], row["j"])] = int(row["weight"])
+    for row in nodes:
+        node_maps.setdefault(key(row), {})[row["canonical_id"]] = int(row["s"])
+
+    networks: dict[Quarter, dict[str, QuarterNetwork]] = {}
+    for (quarter, kind), edge_weights in edge_maps.items():
+        networks.setdefault(quarter, {})[kind] = QuarterNetwork(
+            quarter=quarter,
+            polarity=kind,
+            nodes=universe_ids,
+            node_weights=dict(sorted(node_maps.get((quarter, kind), {}).items())),
+            edge_weights=dict(sorted(edge_weights.items())),
+            article_count=article_counts.get((quarter, kind), 0),
+        )
+    return {q: networks[q] for q in sorted(networks)}
+
+
+def _decode_rank_lists(cfg, v, rows) -> dict[tuple[str, str], list[RankEntry]]:
+    lists: dict[tuple[str, str], list[RankEntry]] = {
+        (polarity, mode): [] for polarity in NETWORK_KINDS for mode in MODES
+    }
+    for row in rows:
+        entry = RankEntry(
+            row["canonical_id"], float(row["average_rank"]), int(row["quarters_scored"])
+        )
+        lists.setdefault((row["polarity"], row["mode"]), []).append(entry)
+    return lists
+
+
+def _datapoint(row: Mapping[str, str], **measured) -> RiskDatapoint:
+    return RiskDatapoint(
+        canonical_id=row["canonical_id"],
+        quarter=parse_quarter(row["quarter"]),
+        **{name: float(row[name]) for name in SCORES},
+        **measured,
+    )
+
+
+def _decode_study(cfg, v, valid, events) -> bt.EventStudy:
+    datapoints = [
+        _datapoint(
+            row,
+            measurement_date=date.fromisoformat(row["measurement_date"]),
+            close=float(row["close"]),
+        )
+        for row in valid
+    ]
+    index = {(dp.quarter.label, dp.canonical_id): r for r, dp in enumerate(datapoints)}
+    outcomes = np.full((len(datapoints), cfg.delay_hi - cfg.delay_lo + 1), -1, dtype=np.int8)
+    for row in events:
+        key = (row["quarter"], row["canonical_id"])
+        r = index.get(key)
+        if r is None:
+            raise ValidationError(f"event row for unknown datapoint {key} in {EVENTS.name}")
+        if row["decreased"]:
+            outcomes[r, int(row["delay"]) - cfg.delay_lo] = row["decreased"] == "true"
+    return bt.EventStudy(datapoints, outcomes, 0, 0, cfg.delay_lo, cfg.delay_hi)
+
+
+HANDOFFS: dict[str, Handoff] = {
+    "occurrences": Handoff((OCCURRENCES,), _decode_occurrences),
+    "networks": Handoff((NETWORK_EDGES, NETWORK_NODES, NETWORK_STATS), _decode_networks),
+    "rank_lists": Handoff((AVERAGE_RANK,), _decode_rank_lists),
+    "datapoints": Handoff((RISK,), lambda cfg, v, rows: [_datapoint(row) for row in rows]),
+    "study": Handoff((VALID_POINTS, EVENTS), _decode_study),
+}
+
+
+# ---------------------------------------------------------------------------
+# Stages: one declaration each
+# ---------------------------------------------------------------------------
+
+#: How each input file of the config is loaded. Prices are keyed by the
+#: universe, so a stage that loads prices loads the universe first.
+LOADERS: dict[str, Callable[[RunConfig, Values], Any]] = {
+    "articles": lambda cfg, v: load_articles(cfg.articles, window=cfg.window),
+    "universe": lambda cfg, v: load_universe(cfg.universe),
+    "prices": lambda cfg, v: load_prices(cfg.prices, v["universe"]),
+    "marketcaps": lambda cfg, v: load_marketcaps(cfg.marketcaps),
+}
+
+
+@dataclass(frozen=True)
+class Stage:
+    """One pipeline stage.
+
+    `inputs` are config input files (keys of `LOADERS`, in load order) and
+    `reads` are values of earlier stages (keys of `HANDOFFS`). `compute`
+    maps the run's values to this stage's new values, from which `writes`
+    encode; `params` are recorded in the manifest.
+    """
+
+    name: str
+    doc: str
+    inputs: tuple[str, ...]
+    reads: tuple[str, ...]
+    compute: Callable[[RunConfig, Values], dict[str, Any]]
+    writes: tuple[Artifact, ...]
+    params: Callable[[RunConfig, Values], dict[str, object]] = lambda cfg, v: {}
+
+
+def _parse(cfg: RunConfig, v: Values) -> dict[str, Any]:
+    matchers = MatcherSet(v["universe"], v.get("matcher_config"))
+    return {"occurrences": parse_corpus(v["articles"], matchers)}
+
+
+def _networks(cfg: RunConfig, v: Values) -> dict[str, Any]:
+    occurrences, universe_ids = v["occurrences"], v["universe"].ids()
+    networks = {q: build_networks(occurrences[q], q, universe_ids) for q in sorted(occurrences)}
+    return {"networks": networks}
+
+
+def _rank(cfg: RunConfig, v: Values) -> dict[str, Any]:
+    """Absolute and normalized centrality tables for every (quarter, polarity),
+    and the top-k average-rank list for every (polarity, mode)."""
+    tables: list[CentralityTable] = []
+    for quarter, networks in sorted(v["networks"].items()):
+        for kind in NETWORK_KINDS:
+            raw = information_centrality(smooth(networks[kind], cfg.alpha))
+            tables.extend(build_tables(quarter, kind, raw, v["marketcaps"]))
+    rank_lists = {
+        (polarity, mode): average_rank(
+            [t for t in tables if t.polarity == polarity and t.mode == mode], cfg.top_k
+        )
+        for polarity in NETWORK_KINDS
+        for mode in MODES
+    }
+    return {"tables": tables, "rank_lists": rank_lists}
+
+
+def _risk(cfg: RunConfig, v: Values) -> dict[str, Any]:
+    lists, networks, occurrences = v["rank_lists"], v["networks"], v["occurrences"]
+    selected = select_universe(lists[(MIXED, ABSOLUTE)], lists[(MIXED, NORMALIZED)], cfg.top_k)
+    datapoints = [
+        dp
+        for q in sorted(networks)
+        for dp in riskrank_quarter(
+            networks[q][MIXED], occurrences.get(q, []), selected, cfg.calibration
+        )
+    ]
+    return {"selected": selected, "datapoints": datapoints}
+
+
+PIPELINE: tuple[Stage, ...] = (
+    Stage(
+        "parse", "extract company mentions from the article corpus",
+        inputs=("articles", "universe"), reads=(), compute=_parse, writes=(OCCURRENCES,),
+        params=lambda cfg, v: {"quarters": f"{cfg.first_quarter}..{cfg.last_quarter}"},
+    ),
+    Stage(
+        "networks", "build quarterly co-occurrence networks",
+        inputs=("universe",), reads=("occurrences",),
+        compute=_networks, writes=(NETWORK_EDGES, NETWORK_NODES, NETWORK_STATS),
+    ),
+    Stage(
+        "rank", "score and rank companies by network centrality",
+        inputs=("universe", "marketcaps"), reads=("networks",), compute=_rank,
+        writes=(CENTRALITY, AVERAGE_RANK, TIMESERIES),
+        params=lambda cfg, v: {"alpha": cfg.alpha, "top_k": cfg.top_k},
+    ),
+    Stage(
+        "risk", "compute sentiment risk scores over the selected universe",
+        inputs=("universe",), reads=("occurrences", "rank_lists", "networks"), compute=_risk,
+        writes=(SELECTED, RISK),
+        params=lambda cfg, v: {
+            "lambda": cfg.calibration.lam,
+            "mu": cfg.calibration.mu,
+            "theta": cfg.calibration.theta,
+            "top_k": cfg.top_k,
+        },
+    ),
+    Stage(
+        "backtest", "evaluate price declines after each quarter",
+        inputs=("universe", "prices"), reads=("datapoints",),
+        compute=lambda cfg, v: {
+            "study": bt.compute_events(v["datapoints"], v["prices"], cfg.delay_lo, cfg.delay_hi)
+        },
+        writes=(VALID_POINTS, EVENTS),
+        params=lambda cfg, v: {
+            "delay_lo": cfg.delay_lo,
+            "delay_hi": cfg.delay_hi,
+            "n_valid": len(v["study"]),
+            "n_disqualified": v["study"].n_disqualified,
+            "n_no_events": v["study"].n_no_events,
+        },
+    ),
+    Stage(
+        "report", "render backtest tables and figure data",
+        inputs=(), reads=("study",),
+        compute=lambda cfg, v: {"reports": compute_reports(v["study"], cfg.thresholds)},
+        writes=(RANGES_CSV, RANGES_TXT, COMPARISON_CSV, COMPARISON_TXT, DAILY, BEST_DELAY,
+                HISTOGRAM, PRICE_SERIES),
+        params=lambda cfg, v: _report_params(cfg),
+    ),
+)
+
+STAGE_ORDER = tuple(stage.name for stage in PIPELINE)
+#: The stage that writes each artifact, named in dependency errors.
+WRITER = {artifact.name: stage.name for stage in PIPELINE for artifact in stage.writes}
+
+
+# ---------------------------------------------------------------------------
+# The runner: file handoff (run_all, STAGES) and in-memory handoff (run_study)
 # ---------------------------------------------------------------------------
 
 
@@ -247,23 +721,6 @@ def _atomic_write(path: Path, data: str) -> None:
         raise
 
 
-def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence[object]]) -> int:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    n = 0
-    for row in rows:
-        writer.writerow(["" if v is None else v for v in row])
-        n += 1
-    _atomic_write(path, buf.getvalue())
-    return n
-
-
-def _f(value: float | None) -> str | None:
-    """Full-precision float cell (round-trips exactly)."""
-    return None if value is None else repr(float(value))
-
-
 def _sha256(path: Path) -> str:
     digest = hashlib.sha256()
     with path.open("rb") as fh:
@@ -279,857 +736,70 @@ def _file_entry(path: Path) -> dict:
     return {"sha256": _sha256(path), "rows": rows}
 
 
-def _write_manifest(
-    cfg: RunConfig,
-    stage: str,
-    inputs: Sequence[Path],
-    outputs: Sequence[Path],
-    params: Mapping[str, object],
-) -> Path:
+def _rows(cfg: RunConfig, artifact: Artifact) -> Iterator[dict[str, str]]:
+    """An artifact's rows as dicts, checked against its declared columns."""
+    path = cfg.output / artifact.name
+    rerun = f"re-run the {WRITER[artifact.name]!r} command"
+    with path.open("r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        header = tuple(next(reader, ()))
+        if header != artifact.columns:
+            raise DependencyError(
+                f"{artifact.name} has columns {list(header)}, expected "
+                f"{list(artifact.columns)} — {rerun}"
+            )
+        for row in reader:
+            if len(row) != len(header):
+                raise DependencyError(
+                    f"{artifact.name} line {reader.line_num} has {len(row)} cells, "
+                    f"expected {len(header)} — {rerun}"
+                )
+            yield dict(zip(header, row))
+
+
+def read_handoff(cfg: RunConfig, key: str, values: Values) -> Any:
+    """Decode the value `key` from its artifacts in the output directory."""
+    handoff = HANDOFFS[key]
+    return handoff.decode(cfg, values, *(_rows(cfg, a) for a in handoff.artifacts))
+
+
+def run_stage(stage: Stage, cfg: RunConfig) -> list[Path]:
+    """Run one stage with file handoff; returns its artifact and manifest paths."""
+    cfg.validate(require_inputs=True)
+    read = [cfg.output / a.name for key in stage.reads for a in HANDOFFS[key].artifacts]
+    for path in read:
+        if not path.is_file():
+            raise DependencyError(
+                f"stage {stage.name!r} needs {path.name} — "
+                f"run the {WRITER[path.name]!r} command first"
+            )
+    values: dict[str, Any] = {}
+    for name in stage.inputs:
+        values[name] = LOADERS[name](cfg, values)
+    for key in stage.reads:
+        values[key] = read_handoff(cfg, key, values)
+    values.update(stage.compute(cfg, values))
+
+    outputs = []
+    for artifact in stage.writes:
+        path = cfg.output / artifact.name
+        _atomic_write(path, render(artifact, cfg, values))
+        outputs.append(path)
+    inputs = [Path(getattr(cfg, name)) for name in stage.inputs] + read
     manifest = {
-        "stage": stage,
+        "stage": stage.name,
         "config_hash": cfg.fingerprint(),
         "inputs": {p.name: _file_entry(p) for p in sorted(inputs)},
         "outputs": {p.name: _file_entry(p) for p in sorted(outputs)},
-        "params": dict(sorted(params.items())),
+        "params": dict(sorted(stage.params(cfg, values).items())),
     }
-    path = cfg.output / f"{stage}.manifest.json"
-    _atomic_write(path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-    return path
-
-
-def _require(cfg: RunConfig, stage: str, *names: str) -> list[Path]:
-    paths = []
-    for name in names:
-        path = cfg.output / name
-        if not path.is_file():
-            prior = STAGE_ORDER[STAGE_ORDER.index(stage) - 1]
-            raise DependencyError(
-                f"stage {stage!r} needs {name} — run the {prior!r} command first"
-            )
-        paths.append(path)
-    return paths
-
-
-# ---------------------------------------------------------------------------
-# Shared computations (used by both the file stages and run_study)
-# ---------------------------------------------------------------------------
-
-
-def compute_networks(
-    occurrences: Mapping[Quarter, list[OccurrenceSet]],
-    universe_ids: Sequence[str],
-) -> dict[Quarter, dict[str, QuarterNetwork]]:
-    return {
-        quarter: build_networks(occurrences[quarter], quarter, universe_ids)
-        for quarter in sorted(occurrences)
-    }
-
-
-def compute_tables(
-    networks: Mapping[Quarter, Mapping[str, QuarterNetwork]],
-    caps: MarketCapTable,
-    alpha: float,
-    threads: int = 1,
-) -> list[CentralityTable]:
-    """Absolute and normalized centrality tables for every (quarter, polarity)."""
-    jobs = [
-        (quarter, kind, networks[quarter][kind])
-        for quarter in sorted(networks)
-        for kind in NETWORK_KINDS
-    ]
-
-    def solve(job) -> tuple[Quarter, str, dict[str, float]]:
-        quarter, kind, network = job
-        raw = information_centrality(smooth(network, alpha))
-        return quarter, kind, raw
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            solved = list(pool.map(solve, jobs))
-    else:
-        solved = [solve(job) for job in jobs]
-
-    tables: list[CentralityTable] = []
-    for quarter, kind, raw in solved:
-        absolute, normalized = build_tables(quarter, kind, raw, caps)
-        tables.extend((absolute, normalized))
-    return tables
-
-
-def mixed_rank_lists(
-    tables: Sequence[CentralityTable], top_k: int
-) -> tuple[list[RankEntry], list[RankEntry]]:
-    abs_tables = [t for t in tables if t.polarity == MIXED and t.mode == ABSOLUTE]
-    norm_tables = [t for t in tables if t.polarity == MIXED and t.mode == NORMALIZED]
-    return average_rank(abs_tables, top_k), average_rank(norm_tables, top_k)
-
-
-def compute_risk(
-    networks: Mapping[Quarter, Mapping[str, QuarterNetwork]],
-    occurrences: Mapping[Quarter, list[OccurrenceSet]],
-    selected: Sequence[str],
-    calibration: RiskCalibration,
-) -> list[RiskDatapoint]:
-    datapoints: list[RiskDatapoint] = []
-    for quarter in sorted(networks):
-        datapoints.extend(
-            riskrank_quarter(
-                networks[quarter][MIXED],
-                occurrences.get(quarter, []),
-                selected,
-                calibration,
-            )
-        )
-    return datapoints
-
-
-@dataclass
-class ReportBundle:
-    range_reports: dict[tuple[str, float], bt.RangeReport]
-    comparison: bt.ComparisonReport | None
-    histogram: list[bt.HistogramRow]
-    best_delays: dict[tuple[str, float], tuple[int, float] | None]
-
-
-def compute_reports(study: bt.EventStudy, thresholds: Sequence[float]) -> ReportBundle:
-    range_reports: dict[tuple[str, float], bt.RangeReport] = {}
-    best_delays: dict[tuple[str, float], tuple[int, float] | None] = {}
-    for kind in (bt.AGGREGATED, bt.INDIVIDUAL):
-        for threshold in thresholds:
-            report = bt.build_range_report(study, threshold, kind)
-            range_reports[(kind, threshold)] = report
-            best_delays[(kind, threshold)] = bt.best_single_delay(study, threshold, kind)
-    comparison = None
-    if thresholds:
-        top = max(thresholds)
-        comparison = bt.build_comparison_report(
-            range_reports[(bt.AGGREGATED, top)], range_reports[(bt.INDIVIDUAL, top)]
-        )
-    histogram = bt.risk_histogram(study.datapoints)
-    return ReportBundle(
-        range_reports=range_reports,
-        comparison=comparison,
-        histogram=histogram,
-        best_delays=best_delays,
-    )
-
-
-@dataclass
-class StudyResult:
-    """Everything an in-memory end-to-end run produces."""
-
-    config: RunConfig
-    occurrences: dict[Quarter, list[OccurrenceSet]]
-    networks: dict[Quarter, dict[str, QuarterNetwork]]
-    tables: list[CentralityTable]
-    absolute_top: list[RankEntry]
-    normalized_top: list[RankEntry]
-    selected: tuple[str, ...]
-    datapoints: list[RiskDatapoint]
-    study: bt.EventStudy
-    reports: ReportBundle
-
-
-def run_study(cfg: RunConfig, matcher_config: MatcherConfig | None = None) -> StudyResult:
-    """Load inputs and run every stage in memory (no artifacts written)."""
-    cfg.validate(require_inputs=True)
-    universe = load_universe(cfg.universe)
-    articles = load_articles(cfg.articles, window=cfg.window)
-    prices = load_prices(cfg.prices, universe)
-    caps = load_marketcaps(cfg.marketcaps)
-
-    matchers = MatcherSet(universe, matcher_config)
-    occurrences = parse_corpus(articles, matchers)
-    networks = compute_networks(occurrences, universe.ids())
-    tables = compute_tables(networks, caps, cfg.alpha, cfg.threads)
-    absolute_top, normalized_top = mixed_rank_lists(tables, cfg.top_k)
-    selected = select_universe(absolute_top, normalized_top, cfg.top_k)
-    datapoints = compute_risk(networks, occurrences, selected, cfg.calibration)
-    study = bt.compute_events(datapoints, prices, cfg.delay_lo, cfg.delay_hi)
-    reports = compute_reports(study, cfg.thresholds)
-    return StudyResult(
-        config=cfg,
-        occurrences=occurrences,
-        networks=networks,
-        tables=tables,
-        absolute_top=absolute_top,
-        normalized_top=normalized_top,
-        selected=selected,
-        datapoints=datapoints,
-        study=study,
-        reports=reports,
-    )
-
-
-# ---------------------------------------------------------------------------
-# File-based stages
-# ---------------------------------------------------------------------------
-
-
-def stage_parse(cfg: RunConfig, matcher_config: MatcherConfig | None = None) -> list[Path]:
-    cfg.validate(require_inputs=True)
-    universe = load_universe(cfg.universe)
-    articles = load_articles(cfg.articles, window=cfg.window)
-    matchers = MatcherSet(universe, matcher_config)
-    occurrences = parse_corpus(articles, matchers)
-
-    out = cfg.output / A_OCCURRENCES
-    rows = []
-    for quarter in sorted(occurrences):
-        for occ in sorted(occurrences[quarter], key=lambda o: o.article_id):
-            rows.append(
-                (occ.article_id, quarter.label, occ.polarity, "|".join(sorted(occ.companies)))
-            )
-    _write_csv(out, ("article_id", "quarter", "polarity", "companies"), rows)
-    manifest = _write_manifest(
-        cfg,
-        "parse",
-        inputs=[Path(cfg.articles), Path(cfg.universe)],
-        outputs=[out],
-        params={"quarters": f"{cfg.first_quarter}..{cfg.last_quarter}"},
-    )
-    return [out, manifest]
-
-
-def _load_occurrences(path: Path) -> dict[Quarter, list[OccurrenceSet]]:
-    occurrences: dict[Quarter, list[OccurrenceSet]] = {}
-    with path.open("r", encoding="utf-8", newline="") as fh:
-        for row in csv.DictReader(fh):
-            quarter = parse_quarter(row["quarter"])
-            companies = frozenset(c for c in row["companies"].split("|") if c)
-            occurrences.setdefault(quarter, []).append(
-                OccurrenceSet(
-                    article_id=row["article_id"],
-                    quarter=quarter,
-                    polarity=row["polarity"],
-                    companies=companies,
-                )
-            )
-    return {q: occurrences[q] for q in sorted(occurrences)}
-
-
-def stage_networks(cfg: RunConfig) -> list[Path]:
-    cfg.validate(require_inputs=True)
-    (occ_path,) = _require(cfg, "networks", A_OCCURRENCES)
-    universe = load_universe(cfg.universe)
-    occurrences = _load_occurrences(occ_path)
-    networks = compute_networks(occurrences, universe.ids())
-
-    edge_rows, node_rows, stat_rows = [], [], []
-    for quarter in sorted(networks):
-        for kind in NETWORK_KINDS:
-            network = networks[quarter][kind]
-            for (i, j), weight in network.edge_weights.items():
-                edge_rows.append((quarter.label, kind, i, j, weight))
-            for node, s in network.node_weights.items():
-                node_rows.append((quarter.label, kind, node, s))
-            stats = network_stats(network)
-            stat_rows.append(
-                (
-                    quarter.label,
-                    kind,
-                    stats["n_nodes"],
-                    stats["n_edges"],
-                    stats["article_count"],
-                    _f(stats["avg_edges_per_node"]),
-                    stats["max_degree"],
-                    stats["max_degree_node"],
-                )
-            )
-
-    edges = cfg.output / A_NETWORK_EDGES
-    nodes = cfg.output / A_NETWORK_NODES
-    stats_path = cfg.output / A_NETWORK_STATS
-    _write_csv(edges, ("quarter", "polarity", "i", "j", "weight"), edge_rows)
-    _write_csv(nodes, ("quarter", "polarity", "canonical_id", "s"), node_rows)
-    _write_csv(
-        stats_path,
-        (
-            "quarter",
-            "polarity",
-            "n_nodes",
-            "n_edges",
-            "article_count",
-            "avg_edges_per_node",
-            "max_degree",
-            "max_degree_node",
-        ),
-        stat_rows,
-    )
-    manifest = _write_manifest(
-        cfg,
-        "networks",
-        inputs=[occ_path, Path(cfg.universe)],
-        outputs=[edges, nodes, stats_path],
-        params={},
-    )
-    return [edges, nodes, stats_path, manifest]
-
-
-def _load_networks(
-    cfg: RunConfig, universe_ids: Sequence[str], stage: str = "rank"
-) -> dict[Quarter, dict[str, QuarterNetwork]]:
-    edges_path, nodes_path, stats_path = _require(
-        cfg, stage, A_NETWORK_EDGES, A_NETWORK_NODES, A_NETWORK_STATS
-    )
-    nodes = tuple(sorted(universe_ids))
-    edge_maps: dict[tuple[Quarter, str], dict[tuple[str, str], int]] = {}
-    node_maps: dict[tuple[Quarter, str], dict[str, int]] = {}
-    article_counts: dict[tuple[Quarter, str], int] = {}
-
-    with stats_path.open("r", encoding="utf-8", newline="") as fh:
-        for row in csv.DictReader(fh):
-            key = (parse_quarter(row["quarter"]), row["polarity"])
-            article_counts[key] = int(row["article_count"])
-            edge_maps.setdefault(key, {})
-            node_maps.setdefault(key, {})
-    with edges_path.open("r", encoding="utf-8", newline="") as fh:
-        for row in csv.DictReader(fh):
-            key = (parse_quarter(row["quarter"]), row["polarity"])
-            edge_maps.setdefault(key, {})[(row["i"], row["j"])] = int(row["weight"])
-    with nodes_path.open("r", encoding="utf-8", newline="") as fh:
-        for row in csv.DictReader(fh):
-            key = (parse_quarter(row["quarter"]), row["polarity"])
-            node_maps.setdefault(key, {})[row["canonical_id"]] = int(row["s"])
-
-    networks: dict[Quarter, dict[str, QuarterNetwork]] = {}
-    for (quarter, kind), edges in edge_maps.items():
-        networks.setdefault(quarter, {})[kind] = QuarterNetwork(
-            quarter=quarter,
-            polarity=kind,
-            nodes=nodes,
-            node_weights=dict(sorted(node_maps.get((quarter, kind), {}).items())),
-            edge_weights=dict(sorted(edges.items())),
-            article_count=article_counts.get((quarter, kind), 0),
-        )
-    return {q: networks[q] for q in sorted(networks)}
-
-
-def stage_rank(cfg: RunConfig) -> list[Path]:
-    cfg.validate(require_inputs=True)
-    universe = load_universe(cfg.universe)
-    caps = load_marketcaps(cfg.marketcaps)
-    networks = _load_networks(cfg, universe.ids())
-    tables = compute_tables(networks, caps, cfg.alpha, cfg.threads)
-
-    table_rows = []
-    for table in tables:
-        for cid in sorted(table.scores):
-            table_rows.append(
-                (
-                    table.quarter.label,
-                    table.polarity,
-                    table.mode,
-                    cid,
-                    _f(table.scores[cid]),
-                    table.ranks[cid],
-                )
-            )
-
-    rank_rows = []
-    top_by_mode: dict[tuple[str, str], list[RankEntry]] = {}
-    for polarity in NETWORK_KINDS:
-        for mode in (ABSOLUTE, NORMALIZED):
-            subset = [t for t in tables if t.polarity == polarity and t.mode == mode]
-            entries = average_rank(subset, cfg.top_k)
-            top_by_mode[(polarity, mode)] = entries
-            for entry in entries:
-                rank_rows.append(
-                    (
-                        polarity,
-                        mode,
-                        entry.canonical_id,
-                        _f(entry.average_rank),
-                        entry.quarters_scored,
-                    )
-                )
-
-    series_rows = []
-    for mode in (ABSOLUTE, NORMALIZED):
-        keep = {e.canonical_id for e in top_by_mode[(MIXED, mode)]}
-        for table in tables:
-            if table.polarity != MIXED or table.mode != mode:
-                continue
-            for cid in sorted(keep & set(table.scores)):
-                series_rows.append(
-                    (mode, table.quarter.label, cid, _f(table.scores[cid]))
-                )
-
-    centrality_path = cfg.output / A_CENTRALITY
-    rank_path = cfg.output / A_AVERAGE_RANK
-    series_path = cfg.output / A_TIMESERIES
-    _write_csv(
-        centrality_path,
-        ("quarter", "polarity", "mode", "canonical_id", "score", "rank"),
-        table_rows,
-    )
-    _write_csv(
-        rank_path,
-        ("polarity", "mode", "canonical_id", "average_rank", "quarters_scored"),
-        rank_rows,
-    )
-    _write_csv(series_path, ("mode", "quarter", "canonical_id", "score"), series_rows)
-    manifest = _write_manifest(
-        cfg,
-        "rank",
-        inputs=_require(cfg, "rank", A_NETWORK_EDGES, A_NETWORK_NODES, A_NETWORK_STATS)
-        + [Path(cfg.marketcaps)],
-        outputs=[centrality_path, rank_path, series_path],
-        params={"alpha": cfg.alpha, "top_k": cfg.top_k, "threads": cfg.threads},
-    )
-    return [centrality_path, rank_path, series_path, manifest]
-
-
-def _load_rank_entries(path: Path) -> dict[tuple[str, str], list[RankEntry]]:
-    out: dict[tuple[str, str], list[RankEntry]] = {}
-    with path.open("r", encoding="utf-8", newline="") as fh:
-        for row in csv.DictReader(fh):
-            out.setdefault((row["polarity"], row["mode"]), []).append(
-                RankEntry(
-                    canonical_id=row["canonical_id"],
-                    average_rank=float(row["average_rank"]),
-                    quarters_scored=int(row["quarters_scored"]),
-                )
-            )
-    return out
-
-
-def stage_risk(cfg: RunConfig) -> list[Path]:
-    cfg.validate(require_inputs=True)
-    occ_path, rank_path = _require(cfg, "risk", A_OCCURRENCES, A_AVERAGE_RANK)
-    universe = load_universe(cfg.universe)
-    occurrences = _load_occurrences(occ_path)
-    networks = _load_networks(cfg, universe.ids(), stage="risk")
-    rank_lists = _load_rank_entries(rank_path)
-    selected = select_universe(
-        rank_lists.get((MIXED, ABSOLUTE), []),
-        rank_lists.get((MIXED, NORMALIZED), []),
-        cfg.top_k,
-    )
-    datapoints = compute_risk(networks, occurrences, selected, cfg.calibration)
-
-    cal = cfg.calibration
-    risk_rows = [
-        (
-            dp.quarter.label,
-            dp.canonical_id,
-            _f(dp.x_own),
-            _f(dp.rr_own),
-            _f(dp.rr_direct),
-            _f(dp.rr_indirect),
-            _f(dp.rr_total),
-            _f(cal.lam),
-            _f(cal.mu),
-            _f(cal.theta),
-        )
-        for dp in datapoints
-    ]
-    selected_path = cfg.output / A_SELECTED
-    risk_path = cfg.output / A_RISK
-    _write_csv(selected_path, ("canonical_id",), [(cid,) for cid in selected])
-    _write_csv(
-        risk_path,
-        (
-            "quarter",
-            "canonical_id",
-            "x_own",
-            "rr_own",
-            "rr_direct",
-            "rr_indirect",
-            "rr_total",
-            "lambda",
-            "mu",
-            "theta",
-        ),
-        risk_rows,
-    )
-    manifest = _write_manifest(
-        cfg,
-        "risk",
-        inputs=[occ_path, rank_path, cfg.output / A_NETWORK_EDGES, Path(cfg.universe)],
-        outputs=[selected_path, risk_path],
-        params={
-            "lambda": cal.lam,
-            "mu": cal.mu,
-            "theta": cal.theta,
-            "top_k": cfg.top_k,
-        },
-    )
-    return [selected_path, risk_path, manifest]
-
-
-def _load_risk(path: Path) -> list[RiskDatapoint]:
-    datapoints = []
-    with path.open("r", encoding="utf-8", newline="") as fh:
-        for row in csv.DictReader(fh):
-            datapoints.append(
-                RiskDatapoint(
-                    canonical_id=row["canonical_id"],
-                    quarter=parse_quarter(row["quarter"]),
-                    x_own=float(row["x_own"]),
-                    rr_own=float(row["rr_own"]),
-                    rr_direct=float(row["rr_direct"]),
-                    rr_indirect=float(row["rr_indirect"]),
-                    rr_total=float(row["rr_total"]),
-                )
-            )
-    return datapoints
-
-
-def stage_backtest(cfg: RunConfig) -> list[Path]:
-    cfg.validate(require_inputs=True)
-    (risk_path,) = _require(cfg, "backtest", A_RISK)
-    universe = load_universe(cfg.universe)
-    prices = load_prices(cfg.prices, universe)
-    datapoints = _load_risk(risk_path)
-    study = bt.compute_events(datapoints, prices, cfg.delay_lo, cfg.delay_hi)
-
-    valid_rows = [
-        (
-            dp.quarter.label,
-            dp.canonical_id,
-            dp.measurement_date.isoformat() if dp.measurement_date else None,
-            _f(dp.x_own),
-            _f(dp.rr_own),
-            _f(dp.rr_direct),
-            _f(dp.rr_indirect),
-            _f(dp.rr_total),
-        )
-        for dp in study.datapoints
-    ]
-    event_rows = []
-    for r, dp in enumerate(study.datapoints):
-        for c, delay in enumerate(study.delays):
-            outcome = int(study.outcomes[r, c])
-            event_rows.append(
-                (
-                    dp.quarter.label,
-                    dp.canonical_id,
-                    delay,
-                    {1: "true", 0: "false", -1: ""}[outcome],
-                )
-            )
-
-    valid_path = cfg.output / A_VALID_POINTS
-    events_path = cfg.output / A_EVENTS
-    _write_csv(
-        valid_path,
-        (
-            "quarter",
-            "canonical_id",
-            "measurement_date",
-            "x_own",
-            "rr_own",
-            "rr_direct",
-            "rr_indirect",
-            "rr_total",
-        ),
-        valid_rows,
-    )
-    _write_csv(
-        events_path, ("quarter", "canonical_id", "delay", "decreased"), event_rows
-    )
-    manifest = _write_manifest(
-        cfg,
-        "backtest",
-        inputs=[risk_path, Path(cfg.prices)],
-        outputs=[valid_path, events_path],
-        params={
-            "delay_lo": cfg.delay_lo,
-            "delay_hi": cfg.delay_hi,
-            "n_valid": len(study),
-            "n_disqualified": study.n_disqualified,
-            "n_no_events": study.n_no_events,
-        },
-    )
-    return [valid_path, events_path, manifest]
-
-
-def _load_event_study(cfg: RunConfig) -> bt.EventStudy:
-    import numpy as np
-
-    valid_path, events_path = _require(cfg, "report", A_VALID_POINTS, A_EVENTS)
-    datapoints: list[RiskDatapoint] = []
-    index: dict[tuple[str, str], int] = {}
-    with valid_path.open("r", encoding="utf-8", newline="") as fh:
-        for row in csv.DictReader(fh):
-            dp = RiskDatapoint(
-                canonical_id=row["canonical_id"],
-                quarter=parse_quarter(row["quarter"]),
-                x_own=float(row["x_own"]),
-                rr_own=float(row["rr_own"]),
-                rr_direct=float(row["rr_direct"]),
-                rr_indirect=float(row["rr_indirect"]),
-                rr_total=float(row["rr_total"]),
-                measurement_date=date.fromisoformat(row["measurement_date"]),
-            )
-            index[(row["quarter"], row["canonical_id"])] = len(datapoints)
-            datapoints.append(dp)
-
-    n_delays = cfg.delay_hi - cfg.delay_lo + 1
-    outcomes = np.full((len(datapoints), n_delays), -1, dtype=np.int8)
-    with events_path.open("r", encoding="utf-8", newline="") as fh:
-        for row in csv.DictReader(fh):
-            key = (row["quarter"], row["canonical_id"])
-            r = index.get(key)
-            if r is None:
-                raise ValidationError(
-                    f"event row for unknown datapoint {key} in {events_path.name}"
-                )
-            c = int(row["delay"]) - cfg.delay_lo
-            if row["decreased"]:
-                outcomes[r, c] = 1 if row["decreased"] == "true" else 0
-    return bt.EventStudy(
-        datapoints, outcomes, 0, 0, cfg.delay_lo, cfg.delay_hi
-    )
-
-
-def stage_report(cfg: RunConfig) -> list[Path]:
-    cfg.validate(require_inputs=True)
-    study = _load_event_study(cfg)
-    universe = load_universe(cfg.universe)
-    prices = load_prices(cfg.prices, universe)
-    bundle = compute_reports(study, cfg.thresholds)
-    cal = cfg.calibration
-    params = {
-        "alpha": cfg.alpha,
-        "lambda": cal.lam,
-        "mu": cal.mu,
-        "theta": cal.theta,
-        "top_k": cfg.top_k,
-        "delays": f"{cfg.delay_lo}..{cfg.delay_hi}",
-    }
-
-    range_rows = []
-    for (kind, threshold), report in sorted(bundle.range_reports.items()):
-        for row in (*report.rows, *([report.average] if report.average else [])):
-            range_rows.append(
-                (
-                    kind,
-                    _f(threshold),
-                    row.label,
-                    _f(row.subset_rate),
-                    _f(row.benchmark_rate),
-                    _f(row.abs_diff),
-                    _f(row.rel_diff),
-                    _f(row.benchmark_daily_std),
-                    _f(row.std_outperformance),
-                    report.n_subset,
-                    report.n_benchmark,
-                )
-            )
-
-    daily_rows = []
-    benchmark_daily = study.daily_rates()
-    for (kind, threshold), report in sorted(bundle.range_reports.items()):
-        rows_idx = study.indices_at_threshold(threshold, kind)
-        subset_daily = study.daily_rates(rows_idx)
-        for offset, delay in enumerate(study.delays):
-            s = subset_daily[offset]
-            b = benchmark_daily[offset]
-            daily_rows.append(
-                (
-                    kind,
-                    _f(threshold),
-                    delay,
-                    _f(None if s != s else float(s)),
-                    _f(None if b != b else float(b)),
-                )
-            )
-
-    best_rows = []
-    for (kind, threshold), best in sorted(bundle.best_delays.items()):
-        if best is None:
-            continue
-        delay, diff = best
-        rows_idx = study.indices_at_threshold(threshold, kind)
-        offset = delay - study.delay_lo
-        subset_daily = study.daily_rates(rows_idx)
-        n1 = int(study.defined_counts(rows_idx)[offset])
-        n2 = int(study.defined_counts()[offset])
-        p1 = float(subset_daily[offset]) / 100.0
-        p2 = float(benchmark_daily[offset]) / 100.0
-        stderr = bt.proportion_stderr(p1, n1, p2, n2)
-        best_rows.append(
-            (
-                kind,
-                _f(threshold),
-                delay,
-                _f(p1 * 100.0),
-                _f(p2 * 100.0),
-                _f(diff),
-                _f(stderr),
-                n1,
-                n2,
-            )
-        )
-
-    histogram_rows = [
-        (
-            _f(row.edge),
-            row.n_aggregated,
-            _f(row.pct_aggregated),
-            row.n_individual,
-            _f(row.pct_individual),
-        )
-        for row in bundle.histogram
-    ]
-
-    series_rows = []
-    for dp in study.datapoints:
-        series = prices.get(dp.canonical_id)
-        close = None
-        if series is not None and dp.measurement_date is not None:
-            found = series.on_or_before(dp.measurement_date)
-            if found is not None:
-                close = found[1]
-        series_rows.append(
-            (
-                dp.canonical_id,
-                dp.quarter.label,
-                dp.measurement_date.isoformat() if dp.measurement_date else None,
-                _f(close),
-                _f(dp.x_own),
-                _f(dp.rr_own),
-                _f(dp.rr_direct),
-                _f(dp.rr_indirect),
-                _f(dp.rr_total),
-            )
-        )
-
-    text_blocks = [
-        bt.render_range_report(bundle.range_reports[(bt.AGGREGATED, t)], params)
-        for t in sorted(cfg.thresholds)
-    ]
-    ranges_txt = "\n".join(text_blocks)
-    comparison_txt = (
-        bt.render_comparison_report(bundle.comparison, params)
-        if bundle.comparison
-        else ""
-    )
-
-    out = cfg.output
-    paths = {
-        "ranges_csv": out / A_RANGES_CSV,
-        "ranges_txt": out / A_RANGES_TXT,
-        "comparison_csv": out / A_COMPARISON_CSV,
-        "comparison_txt": out / A_COMPARISON_TXT,
-        "daily": out / A_DAILY,
-        "best": out / A_BEST_DELAY,
-        "histogram": out / A_HISTOGRAM,
-        "series": out / A_PRICE_SERIES,
-    }
-    _write_csv(
-        paths["ranges_csv"],
-        (
-            "kind",
-            "threshold",
-            "days_delay",
-            "subset_rate",
-            "benchmark_rate",
-            "abs_diff",
-            "rel_diff",
-            "benchmark_daily_std",
-            "std_outperformance",
-            "n_subset",
-            "n_benchmark",
-        ),
-        range_rows,
-    )
-    _atomic_write(paths["ranges_txt"], ranges_txt)
-    comparison_rows = []
-    if bundle.comparison is not None:
-        rep = bundle.comparison
-        for row in (*rep.rows, *([rep.average] if rep.average else [])):
-            comparison_rows.append(
-                (
-                    _f(rep.threshold),
-                    row.label,
-                    _f(row.agg_rate),
-                    _f(row.agg_outperformance),
-                    _f(row.ind_rate),
-                    _f(row.ind_outperformance),
-                    _f(row.outperformance_gap),
-                )
-            )
-    _write_csv(
-        paths["comparison_csv"],
-        (
-            "threshold",
-            "days_delay",
-            "agg_rate",
-            "agg_outperformance",
-            "ind_rate",
-            "ind_outperformance",
-            "outperformance_gap",
-        ),
-        comparison_rows,
-    )
-    _atomic_write(paths["comparison_txt"], comparison_txt)
-    _write_csv(
-        paths["daily"],
-        ("kind", "threshold", "delay", "subset_rate", "benchmark_rate"),
-        daily_rows,
-    )
-    _write_csv(
-        paths["best"],
-        (
-            "kind",
-            "threshold",
-            "delay",
-            "subset_rate",
-            "benchmark_rate",
-            "diff",
-            "stderr",
-            "n_subset_defined",
-            "n_benchmark_defined",
-        ),
-        best_rows,
-    )
-    _write_csv(
-        paths["histogram"],
-        (
-            "risk_at_least",
-            "n_aggregated",
-            "pct_aggregated",
-            "n_individual",
-            "pct_individual",
-        ),
-        histogram_rows,
-    )
-    _write_csv(
-        paths["series"],
-        (
-            "canonical_id",
-            "quarter",
-            "measurement_date",
-            "close",
-            "x_own",
-            "rr_own",
-            "rr_direct",
-            "rr_indirect",
-            "rr_total",
-        ),
-        series_rows,
-    )
-    manifest = _write_manifest(
-        cfg,
-        "report",
-        inputs=_require(cfg, "report", A_VALID_POINTS, A_EVENTS) + [Path(cfg.prices)],
-        outputs=list(paths.values()),
-        params=params,
-    )
-    return list(paths.values()) + [manifest]
+    manifest_path = cfg.output / f"{stage.name}.manifest.json"
+    _atomic_write(manifest_path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    return outputs + [manifest_path]
 
 
 STAGES: dict[str, Callable[[RunConfig], list[Path]]] = {
-    "parse": stage_parse,
-    "networks": stage_networks,
-    "rank": stage_rank,
-    "risk": stage_risk,
-    "backtest": stage_backtest,
-    "report": stage_report,
+    stage.name: partial(run_stage, stage) for stage in PIPELINE
 }
 
 
@@ -1141,3 +811,32 @@ def run_all(cfg: RunConfig) -> list[Path]:
         log.info("stage=%s artifacts=%d", name, len(artifacts))
         written.extend(artifacts)
     return written
+
+
+@dataclass
+class StudyResult:
+    """Every value an in-memory end-to-end run produces, named as the stages
+    name them, so `render` turns it into the artifacts `run_all` writes."""
+
+    config: RunConfig
+    occurrences: dict[Quarter, list[OccurrenceSet]]
+    networks: dict[Quarter, dict[str, QuarterNetwork]]
+    tables: list[CentralityTable]
+    rank_lists: dict[tuple[str, str], list[RankEntry]]
+    selected: tuple[str, ...]
+    datapoints: list[RiskDatapoint]
+    study: bt.EventStudy
+    reports: bt.ReportBundle
+
+
+def run_study(cfg: RunConfig, matcher_config: MatcherConfig | None = None) -> StudyResult:
+    """Run every stage with in-memory handoff (no artifacts written)."""
+    cfg.validate(require_inputs=True)
+    values: dict[str, Any] = {"matcher_config": matcher_config}
+    for stage in PIPELINE:
+        for name in stage.inputs:
+            if name not in values:
+                values[name] = LOADERS[name](cfg, values)
+        values.update(stage.compute(cfg, values))
+    names = [f.name for f in fields(StudyResult) if f.name != "config"]
+    return StudyResult(config=cfg, **{name: values[name] for name in names})

@@ -104,7 +104,9 @@ class RiskDatapoint:
     rr_direct: float
     rr_indirect: float
     rr_total: float
+    #: Set by the backtest: the last trading day of the quarter and its close.
     measurement_date: date | None = None
+    close: float | None = None
 
 
 def quarter_sentiment(

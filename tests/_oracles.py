@@ -9,26 +9,23 @@ from __future__ import annotations
 
 import math
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 
 from newsrisk.corpus import (
+    Article,
     EntityRecord,
     EntityUniverse,
     MarketCapTable,
     PriceSeries,
     PriceTable,
 )
-from newsrisk.entities import MatcherSet, OccurrenceSet, parse_corpus
+from newsrisk.entities import OccurrenceSet
 from newsrisk.networks import build_networks, smooth
-from newsrisk.pipeline import (
-    compute_networks,
-    compute_risk,
-    compute_tables,
-    mixed_rank_lists,
-)
-from newsrisk.quarters import Quarter, parse_quarter
-from newsrisk.riskrank import PlayerSet, RiskCalibration, select_universe
+from newsrisk.pipeline import PIPELINE, RunConfig
+from newsrisk.quarters import Quarter, parse_quarter, quarter_of
+from newsrisk.riskrank import PlayerSet, RiskCalibration
 from newsrisk import backtest as bt
 
 
@@ -125,6 +122,43 @@ def choquet_integral(players: PlayerSet, x: dict[str, float]) -> float:
         total += (x[p] - previous) * capacity[level]
         previous = x[p]
     return total
+
+
+# ---------------------------------------------------------------------------
+# Article grouping and rank correlation
+# ---------------------------------------------------------------------------
+
+
+def analysis_articles(articles: list[Article]) -> list[Article]:
+    """The articles inside the configured window, i.e. those analysed."""
+    return [a for a in articles if a.in_window]
+
+
+def articles_by_quarter(articles: list[Article]) -> dict[Quarter, list[Article]]:
+    grouped: dict[Quarter, list[Article]] = {}
+    for article in articles:
+        grouped.setdefault(quarter_of(article.published_at), []).append(article)
+    return {q: grouped[q] for q in sorted(grouped)}
+
+
+def kendall_tau(ranks_a: dict[str, int], ranks_b: dict[str, int]) -> float:
+    """Rank correlation over the common keys (tie-free ranks assumed)."""
+    common = sorted(set(ranks_a) & set(ranks_b))
+    n = len(common)
+    if n < 2:
+        return 1.0
+    concordant = 0
+    discordant = 0
+    for i in range(n):
+        for j in range(i + 1, n):
+            da = ranks_a[common[i]] - ranks_a[common[j]]
+            db = ranks_b[common[i]] - ranks_b[common[j]]
+            prod = da * db
+            if prod > 0:
+                concordant += 1
+            elif prod < 0:
+                discordant += 1
+    return (concordant - discordant) / (n * (n - 1) / 2)
 
 
 # ---------------------------------------------------------------------------
@@ -232,15 +266,23 @@ class FixtureStudy:
                 for (cid, label), cap in fixture.marketcaps.items()
             }
         )
-        self.occurrences = parse_corpus(fixture.articles, MatcherSet(self.universe))
-        self.networks = compute_networks(self.occurrences, self.universe.ids())
-        self.tables = compute_tables(self.networks, self.caps, alpha)
-        self.absolute_top, self.normalized_top = mixed_rank_lists(self.tables, top_k)
-        self.selected = select_universe(self.absolute_top, self.normalized_top, top_k)
-        self.datapoints = compute_risk(
-            self.networks, self.occurrences, self.selected, calibration
+        unused = Path("-")  # the inputs are handed over in memory
+        self.config = RunConfig(
+            unused, unused, unused, unused, unused,
+            alpha=alpha, calibration=calibration, top_k=top_k,
+            delay_lo=delay_lo, delay_hi=delay_hi,
         )
-        self.study = bt.compute_events(self.datapoints, self.prices, delay_lo, delay_hi)
+        self.values = {
+            "articles": fixture.articles,
+            "universe": self.universe,
+            "prices": self.prices,
+            "marketcaps": self.caps,
+        }
+        for stage in PIPELINE[:-1]:  # every stage but the report
+            self.values.update(stage.compute(self.config, self.values))
+        self.networks = self.values["networks"]
+        self.tables = self.values["tables"]
+        self.study = self.values["study"]
 
     def range_row(self, threshold: float, kind: str, label: str) -> bt.RangeStat:
         report = bt.build_range_report(self.study, threshold, kind)

@@ -9,7 +9,6 @@ from newsrisk.centrality import (
     average_rank,
     build_tables,
     information_centrality,
-    kendall_tau,
     minmax_rescale,
     normalized_scores,
     rank_scores,
@@ -23,6 +22,7 @@ from _oracles import (
     centrality_denominators,
     centrality_oracle,
     indefinite_network,
+    kendall_tau,
     random_anchored_network,
 )
 
@@ -207,14 +207,17 @@ def test_kendall_tau_reference_points():
 
 
 def test_smoothing_level_barely_moves_fixture_ranks(planted_fixture):
-    from newsrisk.pipeline import compute_tables
+    from dataclasses import replace
+
+    from newsrisk.pipeline import PIPELINE, STAGE_ORDER
 
     from _oracles import FixtureStudy
 
     light = FixtureStudy(planted_fixture, alpha=0.1)
+    rank = PIPELINE[STAGE_ORDER.index("rank")]
     heavy = {
         (t.quarter, t.polarity, t.mode): t
-        for t in compute_tables(light.networks, light.caps, alpha=1.0)
+        for t in rank.compute(replace(light.config, alpha=1.0), light.values)["tables"]
     }
     taus = [
         kendall_tau(table.ranks, heavy[table.quarter, table.polarity, table.mode].ranks)

@@ -12,8 +12,6 @@ from newsrisk.corpus import (
     MarketCapTable,
     PriceSeries,
     PriceTable,
-    analysis_articles,
-    articles_by_quarter,
     load_articles,
     load_marketcaps,
     load_prices,
@@ -25,6 +23,8 @@ from newsrisk.corpus import (
 )
 from newsrisk.errors import ValidationError
 from newsrisk.quarters import Quarter, parse_quarter, quarter_of, quarter_range
+
+from _oracles import analysis_articles, articles_by_quarter
 
 
 def art(i, ts, polarity="positive", body="nothing to see"):

@@ -1,8 +1,11 @@
 """Config handling, the staged file pipeline, manifests, reruns, and the
 command-line entry points."""
 
+import builtins
 import csv
+import io
 import json
+import os
 from pathlib import Path
 
 import pytest
@@ -10,16 +13,16 @@ import pytest
 from newsrisk.cli import main
 from newsrisk.errors import DependencyError, ValidationError
 from newsrisk.pipeline import (
+    PIPELINE,
+    STAGE_ORDER,
+    STAGES,
     RunConfig,
-    compute_networks,
-    compute_tables,
     config_from_file,
     config_from_mapping,
+    read_handoff,
+    render,
     run_all,
     run_study,
-    stage_networks,
-    stage_parse,
-    stage_risk,
 )
 from newsrisk.quarters import Quarter
 
@@ -110,7 +113,6 @@ def test_runconfig_validation(small_fixture_dir, tmp_path):
             "quarter window reversed",
         ),
         (dict(thresholds=(0.5, 1.5)), r"threshold outside \[0,1\]"),
-        (dict(threads=0), "threads must be at least 1"),
     ]
     for overrides, message in cases:
         bad = make_config(small_fixture_dir, tmp_path / "out", **overrides)
@@ -140,9 +142,6 @@ def test_fingerprint_tracks_parameters_not_directories(small_fixture_dir, tmp_pa
     ):
         other = make_config(small_fixture_dir, tmp_path / "a", **overrides)
         assert other.fingerprint() != cfg.fingerprint(), overrides
-    # threads only affect scheduling, never results
-    threaded = make_config(small_fixture_dir, tmp_path / "a", threads=4)
-    assert threaded.fingerprint() == cfg.fingerprint()
 
 
 @pytest.fixture(scope="module")
@@ -208,13 +207,12 @@ def test_all_stages_leave_manifests_and_no_temp_files(staged_run):
 
 def test_network_artifacts_roundtrip(staged_run, small_fixture_dir):
     from newsrisk.corpus import load_universe
-    from newsrisk.pipeline import _load_networks, _load_occurrences
 
     cfg, _ = staged_run
     universe = load_universe(small_fixture_dir / "universe.csv")
-    occurrences = _load_occurrences(cfg.output / "occurrences.csv")
-    recomputed = compute_networks(occurrences, universe.ids())
-    loaded = _load_networks(cfg, universe.ids())
+    values = {"universe": universe, "occurrences": read_handoff(cfg, "occurrences", {})}
+    recomputed = PIPELINE[STAGE_ORDER.index("networks")].compute(cfg, values)["networks"]
+    loaded = read_handoff(cfg, "networks", values)
     assert loaded == recomputed
 
 
@@ -231,33 +229,38 @@ def test_rerun_is_byte_identical(staged_run):
 
 
 def test_staged_risk_matches_in_memory_study(staged_run, small_fixture_dir, tmp_path):
+    """run_study's values, encoded through the artifact declarations, are
+    byte-identical to every artifact run_all wrote."""
     cfg, _ = staged_run
-    study = run_study(make_config(small_fixture_dir, tmp_path / "unused"))
-    with (cfg.output / "risk.csv").open(newline="") as fh:
-        rows = list(csv.DictReader(fh))
-    assert len(rows) == len(study.datapoints)
-    for row, dp in zip(rows, study.datapoints):
-        assert row["quarter"] == dp.quarter.label
-        assert row["canonical_id"] == dp.canonical_id
-        assert float(row["x_own"]) == dp.x_own
-        assert float(row["rr_total"]) == dp.rr_total
-        assert float(row["rr_own"]) == dp.rr_own
-        assert float(row["rr_direct"]) == dp.rr_direct
-        assert float(row["rr_indirect"]) == dp.rr_indirect
+    result = run_study(make_config(small_fixture_dir, tmp_path / "unused"))
+    assert result.datapoints
+    declared = [artifact for stage in PIPELINE for artifact in stage.writes]
+    written = {p.name for p in cfg.output.iterdir() if not p.name.endswith(".manifest.json")}
+    assert {artifact.name for artifact in declared} == written
+    for artifact in declared:
+        on_disk = (cfg.output / artifact.name).read_bytes()
+        assert render(artifact, cfg, vars(result)).encode("utf-8") == on_disk, artifact.name
 
 
-def test_threaded_ranking_matches_serial(staged_run, small_fixture_dir):
-    from newsrisk.corpus import load_marketcaps, load_universe
-    from newsrisk.pipeline import _load_networks, _load_occurrences
+def test_manifests_list_every_file_a_stage_reads(small_fixture_dir, tmp_path, monkeypatch):
+    cfg = make_config(small_fixture_dir, tmp_path / "out")
+    opened: list[str] = []
+    real_open = io.open
 
-    cfg, _ = staged_run
-    universe = load_universe(small_fixture_dir / "universe.csv")
-    caps = load_marketcaps(small_fixture_dir / "marketcaps.csv")
-    occurrences = _load_occurrences(cfg.output / "occurrences.csv")
-    networks = compute_networks(occurrences, universe.ids())
-    serial = compute_tables(networks, caps, 0.1, threads=1)
-    threaded = compute_tables(networks, caps, 0.1, threads=3)
-    assert serial == threaded
+    def recording_open(file, *args, **kwargs):
+        if isinstance(file, (str, os.PathLike)):
+            opened.append(Path(file).name)
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(io, "open", recording_open)
+    monkeypatch.setattr(builtins, "open", recording_open)
+    for stage in STAGE_ORDER:
+        opened.clear()
+        STAGES[stage](cfg)
+        manifest = json.loads((cfg.output / f"{stage}.manifest.json").read_text())
+        read = set(opened) - set(manifest["outputs"]) - {f"{stage}.manifest.json"}
+        assert read, stage
+        assert read <= set(manifest["inputs"]), (stage, sorted(read - set(manifest["inputs"])))
 
 
 def test_missing_upstream_artifacts(small_fixture_dir, tmp_path):
@@ -266,13 +269,13 @@ def test_missing_upstream_artifacts(small_fixture_dir, tmp_path):
         DependencyError,
         match=r"stage 'networks' needs occurrences\.csv — run the 'parse' command first",
     ):
-        stage_networks(cfg)
+        STAGES["networks"](cfg)
 
-    stage_parse(cfg)
+    STAGES["parse"](cfg)
     with pytest.raises(
         DependencyError, match=r"needs average_rank\.csv — run the 'rank' command"
     ):
-        stage_risk(cfg)
+        STAGES["risk"](cfg)
 
 
 def test_cli_stage_flow_and_exit_codes(small_fixture_dir, tmp_path, capsys):
@@ -300,6 +303,18 @@ def test_cli_stage_flow_and_exit_codes(small_fixture_dir, tmp_path, capsys):
     assert main(["backtest", "--config", str(config_path)]) == 0
     assert main(["report", "--config", str(config_path)]) == 0
     assert (tmp_path / "out" / "backtest_ranges.txt").is_file()
+
+    # a stale artifact (as written before the close column existed) exits 2
+    valid = tmp_path / "out" / "valid_datapoints.csv"
+    with valid.open(newline="") as fh:
+        rows = [row[:3] + row[4:] for row in csv.reader(fh)]
+    with valid.open("w", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(rows)
+    capsys.readouterr()
+    assert main(["report", "--config", str(config_path)]) == 2
+    err = capsys.readouterr().err
+    assert "valid_datapoints.csv has columns" in err
+    assert "re-run the 'backtest' command" in err
 
 
 def test_cli_validation_failures(tmp_path, capsys):
