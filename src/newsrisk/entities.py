@@ -13,8 +13,15 @@ unambiguous by construction —
   yields "International Business Machines"; "Apple Inc." yields nothing,
   so a sentence about apple pie matches no company).
 
-All matching literals are combined into one alternation per category with
-longer alternatives first, so the longest literal wins at any text position.
+All matching literals of a category are compiled into one regex, an
+alternation factored into a character trie: literals that share a prefix
+share one branch, so the regex follows the text down one path of the trie
+rather than trying every literal at every position, and its cost stays flat
+as the universe grows. Each node tries its longer continuations before
+ending, so the longest literal still wins at any text position. The guards
+that keep a literal from matching inside a larger word sit on the trie: one
+``(?<!\\w)`` on the branch that holds every literal starting with a word
+character, and ``(?!\\w)`` on each end of a literal that ends with one.
 A literal that would resolve to two different companies is a configuration
 error and raises MatcherCollisionError at compile time.
 """
@@ -83,11 +90,51 @@ def _normalize_name(text: str) -> str:
     return " ".join(text.split()).casefold()
 
 
-def _guarded(pattern: str, literal: str) -> str:
-    """Wrap a literal pattern so it cannot match inside a larger word."""
-    head = r"(?<!\w)" if literal and (literal[0].isalnum() or literal[0] == "_") else ""
-    tail = r"(?!\w)" if literal and (literal[-1].isalnum() or literal[-1] == "_") else ""
-    return head + pattern + tail
+def _is_word(ch: str) -> bool:
+    return ch.isalnum() or ch == "_"
+
+
+def _trie_regex(
+    literals: list[tuple[str, str, list[str]]], flags: int
+) -> re.Pattern[str] | None:
+    """One alternation over every literal, factored into a character trie.
+
+    Each literal is (key, text, tokens): `tokens` are the regex pieces that
+    spell `text`, and `key` ranks literals as a flat alternation sorted by
+    (-len(key), key) would. Each node tries its children best rank first and
+    its own end last, so the longest literal still wins at a text position.
+    The root has two branches: one for literals whose text starts with a word
+    character, behind the head guard, and one for the rest. An end whose text
+    ends with a word character carries the tail guard.
+    """
+    # re.IGNORECASE equates "ı" and "i", which casefold keeps apart; one node
+    # for both keeps the literals that can match a text on one path.
+    fold = str.maketrans("ı", "i") if flags & re.IGNORECASE else {}
+    root: dict = {}
+    for key, text, tokens in literals:
+        node = root
+        head = r"(?<!\w)" if _is_word(text[0]) else ""
+        for token in [head, *tokens]:
+            node = node.setdefault(token.translate(fold), {})
+        node[None] = ((-len(key), key), r"(?!\w)" if _is_word(text[-1]) else "")
+
+    def emit(node: dict) -> tuple[tuple[int, str], str]:
+        branches = []
+        for token, child in node.items():
+            if token is not None:
+                rank, body = emit(child)
+                branches.append((rank, token + body))
+        branches.sort()
+        if None in node:
+            branches.append(node[None])
+        best = min(rank for rank, _ in branches)
+        if len(branches) == 1:
+            return branches[0]
+        return best, "(?:" + "|".join(body for _, body in branches) + ")"
+
+    if not root:
+        return None
+    return re.compile(emit(root)[1], flags)
 
 
 def _stripped_variants(
@@ -170,37 +217,25 @@ class MatcherSet:
                         )
 
         self._name_re = self._compile_names()
-        self._ticker_re = self._compile_tickers(universe)
+        self._ticker_re = self._compile_tickers()
 
     def _compile_names(self) -> re.Pattern[str] | None:
-        if not self.name_map:
-            return None
-        parts = []
-        for key in sorted(self.name_map, key=lambda k: (-len(k), k)):
-            words = key.split(" ")
-            body = r"\s+".join(re.escape(w) for w in words)
-            parts.append(_guarded(body, key))
-        return re.compile("|".join(f"(?:{p})" for p in parts), re.IGNORECASE)
+        literals = []
+        for key in self.name_map:
+            tokens = [re.escape(ch) if ch != " " else r"\s+" for ch in key]
+            literals.append((key, key, tokens))
+        return _trie_regex(literals, re.IGNORECASE)
 
-    def _compile_tickers(self, universe: EntityUniverse) -> re.Pattern[str] | None:
-        parts: list[tuple[str, str]] = []  # (sort key, pattern)
+    def _compile_tickers(self) -> re.Pattern[str] | None:
+        literals = []
         for key in self.exch_map:
             exch, _, tick = key.partition(":")
-            pat = (
-                r"\(\s*"
-                + re.escape(exch)
-                + r"\s*:\s*"
-                + re.escape(tick)
-                + r"\s*\)"
-            )
-            parts.append((key, pat))
+            tokens = [r"\(\s*", *map(re.escape, exch), r"\s*:\s*", *map(re.escape, tick), r"\s*\)"]
+            literals.append((key, f"({key})", tokens))
         for key in self.bare_map:
-            parts.append((key, _guarded(re.escape(key), key)))
-        if not parts:
-            return None
-        parts.sort(key=lambda kp: (-len(kp[0]), kp[0]))
+            literals.append((key, key, [re.escape(ch) for ch in key]))
         flags = 0 if self.config.case_sensitive_tickers else re.IGNORECASE
-        return re.compile("|".join(f"(?:{p})" for _, p in parts), flags)
+        return _trie_regex(literals, flags)
 
     # -- matching ------------------------------------------------------
 

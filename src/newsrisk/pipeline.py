@@ -31,7 +31,7 @@ from dataclasses import astuple, dataclass, field, fields
 from datetime import date
 from functools import partial
 from pathlib import Path
-from typing import Any, Callable, Iterator, Mapping
+from typing import Any, Callable, Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -72,7 +72,9 @@ class RunConfig:
     delay_hi: int = bt.DELAY_HI
     seed: int = 7
 
-    def validate(self, require_inputs: bool = True) -> None:
+    def validate(self, inputs: Iterable[str] | None = None) -> None:
+        """Check the parameters, and that the named input files exist
+        (`None`: every input of `LOADERS`)."""
         if self.alpha <= 0:
             raise ValidationError(f"alpha must be positive, got {self.alpha}")
         if self.top_k < 1:
@@ -88,11 +90,10 @@ class RunConfig:
         for t in self.thresholds:
             if not (0.0 <= t <= 1.0):
                 raise ValidationError(f"threshold outside [0,1]: {t}")
-        if require_inputs:
-            for name in LOADERS:
-                path = getattr(self, name)
-                if not Path(path).is_file():
-                    raise ValidationError(f"{name} file not found: {path}")
+        for name in LOADERS if inputs is None else inputs:
+            path = getattr(self, name)
+            if not Path(path).is_file():
+                raise ValidationError(f"{name} file not found: {path}")
 
     @property
     def quarters(self) -> list[Quarter]:
@@ -721,19 +722,26 @@ def _atomic_write(path: Path, data: str) -> None:
         raise
 
 
-def _sha256(path: Path) -> str:
+def _file_entry(path: Path) -> dict:
+    """SHA-256 and row count of a file, from one binary read.
+
+    Lines are counted as text mode reads them: LF, CRLF and a lone CR each
+    end one, and a last line without an ending counts too.
+    """
     digest = hashlib.sha256()
+    lines = 0
+    last = b""
     with path.open("rb") as fh:
         for chunk in iter(lambda: fh.read(1 << 20), b""):
             digest.update(chunk)
-    return digest.hexdigest()
-
-
-def _file_entry(path: Path) -> dict:
-    with path.open("r", encoding="utf-8") as fh:
-        lines = sum(1 for _ in fh)
+            lines += chunk.count(b"\n") + chunk.count(b"\r") - chunk.count(b"\r\n")
+            if last == b"\r" and chunk.startswith(b"\n"):
+                lines -= 1  # a "\r\n" split across two chunks
+            last = chunk[-1:]
+    if last not in (b"", b"\n", b"\r"):
+        lines += 1
     rows = max(0, lines - 1) if path.suffix == ".csv" else lines
-    return {"sha256": _sha256(path), "rows": rows}
+    return {"sha256": digest.hexdigest(), "rows": rows}
 
 
 def _rows(cfg: RunConfig, artifact: Artifact) -> Iterator[dict[str, str]]:
@@ -765,7 +773,7 @@ def read_handoff(cfg: RunConfig, key: str, values: Values) -> Any:
 
 def run_stage(stage: Stage, cfg: RunConfig) -> list[Path]:
     """Run one stage with file handoff; returns its artifact and manifest paths."""
-    cfg.validate(require_inputs=True)
+    cfg.validate(stage.inputs)
     read = [cfg.output / a.name for key in stage.reads for a in HANDOFFS[key].artifacts]
     for path in read:
         if not path.is_file():
@@ -831,7 +839,7 @@ class StudyResult:
 
 def run_study(cfg: RunConfig, matcher_config: MatcherConfig | None = None) -> StudyResult:
     """Run every stage with in-memory handoff (no artifacts written)."""
-    cfg.validate(require_inputs=True)
+    cfg.validate()
     values: dict[str, Any] = {"matcher_config": matcher_config}
     for stage in PIPELINE:
         for name in stage.inputs:

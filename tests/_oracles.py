@@ -8,6 +8,7 @@ evidence, not tautology.
 from __future__ import annotations
 
 import math
+import re
 from itertools import combinations
 from pathlib import Path
 
@@ -21,7 +22,7 @@ from newsrisk.corpus import (
     PriceSeries,
     PriceTable,
 )
-from newsrisk.entities import OccurrenceSet
+from newsrisk.entities import MatcherConfig, MatcherSet, OccurrenceSet
 from newsrisk.networks import build_networks, smooth
 from newsrisk.pipeline import PIPELINE, RunConfig
 from newsrisk.quarters import Quarter, parse_quarter, quarter_of
@@ -75,6 +76,44 @@ def centrality_denominators(network) -> dict[str, float]:
 def centrality_oracle(network) -> dict[str, float]:
     n = len(network.nodes)
     return {node: n / d for node, d in centrality_denominators(network).items()}
+
+
+# ---------------------------------------------------------------------------
+# Flat-alternation matcher oracle
+# ---------------------------------------------------------------------------
+
+
+def _guarded(pattern: str, literal: str) -> str:
+    """Wrap a literal pattern so it cannot match inside a larger word."""
+    head = r"(?<!\w)" if literal and (literal[0].isalnum() or literal[0] == "_") else ""
+    tail = r"(?!\w)" if literal and (literal[-1].isalnum() or literal[-1] == "_") else ""
+    return head + pattern + tail
+
+
+def flat_matcher(universe: EntityUniverse, config: MatcherConfig | None = None) -> MatcherSet:
+    """A MatcherSet whose regexes are one flat alternation per category,
+    every literal guarded on its own and longer literals first."""
+    matcher = MatcherSet(universe, config)
+    names = []
+    for key in sorted(matcher.name_map, key=lambda k: (-len(k), k)):
+        body = r"\s+".join(re.escape(w) for w in key.split(" "))
+        names.append(_guarded(body, key))
+    matcher._name_re = (
+        re.compile("|".join(f"(?:{p})" for p in names), re.IGNORECASE) if names else None
+    )
+    tickers: list[tuple[str, str]] = []  # (sort key, pattern)
+    for key in matcher.exch_map:
+        exch, _, tick = key.partition(":")
+        pat = r"\(\s*" + re.escape(exch) + r"\s*:\s*" + re.escape(tick) + r"\s*\)"
+        tickers.append((key, pat))
+    for key in matcher.bare_map:
+        tickers.append((key, _guarded(re.escape(key), key)))
+    tickers.sort(key=lambda kp: (-len(kp[0]), kp[0]))
+    flags = 0 if matcher.config.case_sensitive_tickers else re.IGNORECASE
+    matcher._ticker_re = (
+        re.compile("|".join(f"(?:{p})" for _, p in tickers), flags) if tickers else None
+    )
+    return matcher
 
 
 # ---------------------------------------------------------------------------
@@ -236,6 +275,21 @@ def random_mixed_network(rng: np.random.Generator, n_nodes: int, n_articles: int
 # ---------------------------------------------------------------------------
 
 
+def fixture_universe(fixture) -> EntityUniverse:
+    """The entity universe of a generated fixture, built in memory."""
+    return EntityUniverse(
+        EntityRecord(
+            canonical_id=c.canonical_id,
+            display_name=c.display_name,
+            primary_ticker=c.ticker,
+            exchange=c.exchange,
+            name_variants=(c.display_name,),
+            merged_tickers=(c.ticker,),
+        )
+        for c in fixture.companies
+    )
+
+
 class FixtureStudy:
     """The full analysis chain run on a Fixture without touching disk."""
 
@@ -243,17 +297,7 @@ class FixtureStudy:
                  delay_lo=bt.DELAY_LO, delay_hi=bt.DELAY_HI):
         calibration = calibration or RiskCalibration()
         self.fixture = fixture
-        self.universe = EntityUniverse(
-            EntityRecord(
-                canonical_id=c.canonical_id,
-                display_name=c.display_name,
-                primary_ticker=c.ticker,
-                exchange=c.exchange,
-                name_variants=(c.display_name,),
-                merged_tickers=(c.ticker,),
-            )
-            for c in fixture.companies
-        )
+        self.universe = fixture_universe(fixture)
         ticker_to_id = {c.ticker: c.canonical_id for c in fixture.companies}
         self.prices = PriceTable(
             PriceSeries(key=ticker_to_id[t], dates=tuple(d), closes=tuple(cl))

@@ -1,5 +1,6 @@
 """Mention detection: precision on bait text, recall on explicit mentions."""
 
+import random
 from datetime import datetime, timezone
 
 import pytest
@@ -13,8 +14,20 @@ from newsrisk.entities import (
     parse_corpus,
 )
 from newsrisk.errors import MatcherCollisionError
-from newsrisk.fixtures import adversarial_negatives, adversarial_positives
+from newsrisk.fixtures import (
+    FixtureSpec,
+    adversarial_negatives,
+    adversarial_positives,
+    generate_fixture,
+)
 from newsrisk.quarters import Quarter
+
+from _oracles import fixture_universe, flat_matcher
+
+
+@pytest.fixture(scope="module")
+def default_fixture():
+    return generate_fixture(FixtureSpec())
 
 
 @pytest.fixture(scope="module")
@@ -159,3 +172,108 @@ def test_extract_occurrences_reads_title_and_body(matchers):
     occ = extract_occurrences(matchers, article)
     assert occ.companies == {"TELAM"}
     assert occ.quarter == Quarter(2011, 1)
+
+
+# -- the trie-factored regexes against the flat-alternation oracle -----------
+
+ORACLE_CONFIGS = [
+    MatcherConfig(),
+    MatcherConfig(case_sensitive_tickers=False, require_exchange_for_short=False),
+]
+
+#: Literals nested inside longer ones, some ending in a non-word character
+#: ("Apple Inc" inside the adversarial "Apple Inc.", "BRK" inside "BRK.A"),
+#: exchanges nested inside exchanges, names that start with a non-word
+#: character or an underscore, and a name whose key is case-folded ("ß").
+NESTED_RECORDS = [
+    EntityRecord("APPLEX", "Apple Inc", "APLX", "NYSE", ("Apple Inc",), ("APLX",)),
+    EntityRecord("BERK", "Berkshire Hathaway", "BRK", "NYSE", ("Berkshire Hathaway",), ("BRK", "BRK.B")),
+    EntityRecord("BERKA", "Berkshire Class A Co.", "BRK.A", "NYSE", ("Berkshire Class A Co.",), ("BRK.A",)),
+    EntityRecord("SPYX", "Spyx Trust", "SPYX", "NYSEARCA", ("Spyx Trust", "Spyx Trust Fund"), ("SPYX",)),
+    EntityRecord("ATHOME", "@Home Networks Inc", "HOME", "NASDAQ", ("@Home Networks Inc",), ("HOME",)),
+    EntityRecord("UNDER", "_Under Score Inc", "USCO", "NASDAQ", ("_Under Score Inc",), ("USCO",)),
+    EntityRecord("KELVIN", "Straße Kelvin Group", "SKG", "XETRA", ("Straße Kelvin Group",), ("SKG",)),
+]
+
+SEPARATORS = (" ", "  ", "\n", "_", "-", ".", " . ", "\t")
+CASINGS = (str, str.upper, str.lower, str.swapcase, str.title)
+LONG_S, SHARP_S, KELVIN = "\u017f", "\u00df", "\u212a"
+FOLDS = {"s": (LONG_S,), "S": (LONG_S,), "ss": (SHARP_S,), "k": (KELVIN,), "K": (KELVIN,)}
+
+
+@pytest.fixture(scope="module")
+def nested_universe(adversarial_universe):
+    return EntityUniverse([*adversarial_universe, *NESTED_RECORDS])
+
+
+def _random_text(rng, literals):
+    """Whole and truncated literals in any case, with case-fold look-alikes,
+    joined by separators that are and are not word characters."""
+    pieces = []
+    for _ in range(rng.randint(1, 8)):
+        literal = rng.choice(literals)
+        if rng.random() < 0.3:
+            literal = literal[: rng.randint(1, len(literal))]
+        literal = rng.choice(CASINGS)(literal)
+        if rng.random() < 0.3:
+            for plain, folded in FOLDS.items():
+                literal = literal.replace(plain, rng.choice(folded), rng.randint(0, 2))
+        pieces.append(literal)
+        pieces.append(rng.choice(SEPARATORS))
+    return "".join(pieces[:-1] if rng.random() < 0.5 else pieces)
+
+
+def _assert_trie_equals_flat(universe, config, texts):
+    trie, flat = MatcherSet(universe, config), flat_matcher(universe, config)
+    for text in texts:
+        assert list(trie.iter_matches(text)) == list(flat.iter_matches(text)), text
+
+
+@pytest.mark.parametrize("config", ORACLE_CONFIGS, ids=["default", "relaxed"])
+def test_trie_matches_flat_oracle_on_adversarial_and_random_text(nested_universe, config):
+    literals = ["Weißbier", "ſtraſſe", "Kelvin", "apple pie", "GMX", "NYSE", "(NYSE:"]
+    for rec in nested_universe:
+        literals += [*rec.name_variants, *rec.merged_tickers]
+        literals += [f"({rec.exchange}:{t})" for t in rec.merged_tickers]
+        literals += [f"( {rec.exchange} : {t} )" for t in rec.merged_tickers]
+    rng = random.Random(20170619)
+    texts = [_random_text(rng, literals) for _ in range(3000)]
+    texts += adversarial_negatives() + [s for s, _ in adversarial_positives()]
+    texts += [
+        "Apple Inc. and apple inc, then APPLE INC.",
+        "(NYSE:BRK.A) BRK.B BRK BRK.C BRK_A brk.a",
+        "@home networks inc; @Home Networks; _under score",
+        "STRASSE KELVIN, Straße Kelvin group, ſtraſſe kelvin group",
+        "(NYSEARCA:SPYX) (NYSE:SPYX) Spyx Trust Fund",
+    ]
+    _assert_trie_equals_flat(nested_universe, config, texts)
+
+
+@pytest.mark.parametrize("config", ORACLE_CONFIGS, ids=["default", "relaxed"])
+def test_trie_matches_flat_oracle_on_default_fixture(default_fixture, config):
+    texts = [article_text(a) for a in default_fixture.articles]
+    _assert_trie_equals_flat(fixture_universe(default_fixture), config, texts)
+
+
+def test_trie_matches_flat_oracle_on_letters_ignorecase_equates():
+    # "ı" and "i" match the same text under re.IGNORECASE but casefold apart
+    records = [
+        EntityRecord("DOT", "ı. Co", "DOTC", "NYSE", ("ı.",), ("DOTC",)),
+        EntityRecord("IBM", "ıbm xy", "IBMX", "NYSE", ("ıbm xy",), ("IBMX",)),
+        EntityRecord("IZ", "i.z", "IZED", "NYSE", ("i.z",), ("IZED",)),
+    ]
+    texts = ["I.Z", "ı.z", "i.", "IBM XY", "ıbm xy and İ.Z"]
+    for config in ORACLE_CONFIGS:
+        _assert_trie_equals_flat(EntityUniverse(records), config, texts)
+
+
+def test_trie_keeps_the_longest_literal(nested_universe):
+    matcher = MatcherSet(nested_universe)
+    text = "Apple Inc. beat Apple Inc while (NYSE:BRK.A) and BRK.A led BRK."
+    assert [(m.canonical_id, m.literal, m.offset) for m in matcher.iter_matches(text)] == [
+        ("APPLE", "Apple Inc.", 0),
+        ("APPLEX", "Apple Inc", 16),
+        ("BERKA", "(NYSE:BRK.A)", 32),
+        ("BERKA", "BRK.A", 49),
+        ("BERK", "BRK", 59),
+    ]

@@ -3,9 +3,11 @@ command-line entry points."""
 
 import builtins
 import csv
+import hashlib
 import io
 import json
 import os
+import shutil
 from pathlib import Path
 
 import pytest
@@ -17,6 +19,7 @@ from newsrisk.pipeline import (
     STAGE_ORDER,
     STAGES,
     RunConfig,
+    _file_entry,
     config_from_file,
     config_from_mapping,
     read_handoff,
@@ -123,7 +126,10 @@ def test_runconfig_validation(small_fixture_dir, tmp_path):
     missing.prices = tmp_path / "nowhere.csv"
     with pytest.raises(ValidationError, match="prices file not found"):
         missing.validate()
-    missing.validate(require_inputs=False)  # parameter checks only
+    missing.validate(inputs=())  # parameter checks only
+    missing.validate(inputs=("articles", "universe"))
+    with pytest.raises(ValidationError, match="prices file not found"):
+        missing.validate(inputs=("universe", "prices"))
 
 
 def test_fingerprint_tracks_parameters_not_directories(small_fixture_dir, tmp_path):
@@ -261,6 +267,64 @@ def test_manifests_list_every_file_a_stage_reads(small_fixture_dir, tmp_path, mo
         read = set(opened) - set(manifest["outputs"]) - {f"{stage}.manifest.json"}
         assert read, stage
         assert read <= set(manifest["inputs"]), (stage, sorted(read - set(manifest["inputs"])))
+
+
+def _text_mode_rows(path: Path) -> int:
+    """The row count as manifests counted it by reading the file as text."""
+    with path.open("r", encoding="utf-8") as fh:
+        lines = sum(1 for _ in fh)
+    return max(0, lines - 1) if path.suffix == ".csv" else lines
+
+
+def test_file_entry_hashes_and_counts_like_text_mode(tmp_path):
+    chunk = 1 << 20
+    contents = [
+        b"",
+        b"\n",
+        b"a,b\n1,2\n",
+        b"a,b\r\n1,2\r\n",
+        b"a,b\n1,2",
+        b"a,b\r\n1,2",
+        b"a,b\r1,2\r",
+        b"a\r\rb\n\nc\r\n\r",
+        "h\u00e9ader\nr\u00f6w\n".encode("utf-8"),
+        b"x" * (chunk - 1) + b"\r\n" + b"y\r\nz",  # CRLF across two reads
+        b"x" * chunk + b"\n" + b"y" * chunk + b"\r",
+    ]
+    for i, data in enumerate(contents):
+        for suffix in (".csv", ".txt"):
+            path = tmp_path / f"f{i}{suffix}"
+            path.write_bytes(data)
+            entry = _file_entry(path)
+            assert entry == {
+                "sha256": hashlib.sha256(data).hexdigest(),
+                "rows": _text_mode_rows(path),
+            }, (i, suffix)
+
+
+def test_report_runs_without_the_raw_inputs(staged_run, tmp_path, capsys):
+    cfg, _ = staged_run
+    out = tmp_path / "out"
+    shutil.copytree(cfg.output, out)
+    gone = tmp_path / "gone"
+    config_path = tmp_path / "run.json"
+    config_path.write_text(
+        json.dumps(
+            {
+                **{key: str(gone / name) for key, name in BASE_MAPPING.items()},
+                "output": str(out),
+                "quarters": "2011Q1..2011Q3",
+            }
+        )
+    )
+    assert main(["report", "--config", str(config_path)]) == 0
+    assert sorted(p.name for p in out.iterdir()) == sorted(p.name for p in cfg.output.iterdir())
+    for path in out.iterdir():
+        assert path.read_bytes() == (cfg.output / path.name).read_bytes(), path.name
+
+    capsys.readouterr()
+    assert main(["parse", "--config", str(config_path)]) == 1
+    assert f"articles file not found: {gone / 'articles.jsonl'}" in capsys.readouterr().err
 
 
 def test_missing_upstream_artifacts(small_fixture_dir, tmp_path):
