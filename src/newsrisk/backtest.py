@@ -19,14 +19,12 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, replace
-from datetime import date, timedelta
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .corpus import PriceSeries, PriceTable
+from .corpus import PriceTable
 from .errors import ValidationError
-from .quarters import Quarter
 from .riskrank import RiskDatapoint
 
 log = logging.getLogger(__name__)
@@ -69,52 +67,31 @@ def risk_value(datapoint: RiskDatapoint, kind: str) -> float:
     raise ValidationError(f"unknown risk kind {kind!r}")
 
 
-def measurement_date(quarter: Quarter, series: PriceSeries) -> date | None:
-    """Last trading day within the quarter, or None if the quarter has none."""
-    found = series.on_or_before(quarter.end_date)
-    if found is None:
-        return None
-    day, _ = found
-    return day if day >= quarter.start_date else None
-
-
-def decline_event(series: PriceSeries, measured: date, delay: int) -> bool | None:
-    """Strict decline at `delay` calendar days after the measurement.
-
-    The delayed price is the most recent close at or before measured+delay;
-    if no trading day after the measurement qualifies, the event is
-    undefined (None).
-    """
-    base = series.on_or_before(measured)
-    if base is None:
-        return None
-    hit = series.on_or_before(measured + timedelta(days=delay))
-    if hit is None or hit[0] <= measured:
-        return None
-    return hit[1] < base[1]
-
-
 class EventStudy:
     """Decline outcomes for every valid datapoint at every delay.
 
     outcomes[r, c] is 1 (declined), 0 (did not), or -1 (undefined) for
     datapoint r at delay DELAY_LO + c. A datapoint is valid when a
     measurement date exists and at least one delay event is defined;
-    the rest are counted, not silently dropped.
+    the rest are counted by reason, not silently dropped: no price series
+    (`n_no_series`), no trading day in the quarter (`n_no_quarter_day`),
+    no defined event (`n_no_events`).
     """
 
     def __init__(
         self,
         datapoints: Sequence[RiskDatapoint],
         outcomes: np.ndarray,
-        n_disqualified: int,
+        n_no_series: int,
+        n_no_quarter_day: int,
         n_no_events: int,
         delay_lo: int = DELAY_LO,
         delay_hi: int = DELAY_HI,
     ):
         self.datapoints = tuple(datapoints)
         self.outcomes = outcomes
-        self.n_disqualified = n_disqualified
+        self.n_no_series = n_no_series
+        self.n_no_quarter_day = n_no_quarter_day
         self.n_no_events = n_no_events
         self.delay_lo = delay_lo
         self.delay_hi = delay_hi
@@ -154,44 +131,53 @@ def compute_events(
     delay_lo: int = DELAY_LO,
     delay_hi: int = DELAY_HI,
 ) -> EventStudy:
-    """Fill measurement dates and evaluate every delay for every datapoint."""
+    """Fill measurement dates and evaluate every delay for every datapoint.
+
+    The measurement index m is the last trading day at or before the quarter
+    end; the delayed index of each delay is the last trading day at or before
+    dates[m] + delay, found for all delays by one search. An event is defined
+    where that index lies past m.
+    """
     if not (0 < delay_lo <= delay_hi):
         raise ValidationError(f"bad delay bounds [{delay_lo}, {delay_hi}]")
+    delays = np.arange(delay_lo, delay_hi + 1)
     kept: list[RiskDatapoint] = []
-    rows: list[list[int]] = []
-    n_disqualified = 0
-    n_no_events = 0
+    rows: list[np.ndarray] = []
+    n_no_series = n_no_quarter_day = n_no_events = 0
     for dp in datapoints:
         series = prices.get(dp.canonical_id)
         if series is None:
-            n_disqualified += 1
+            n_no_series += 1
             continue
-        measured = measurement_date(dp.quarter, series)
-        if measured is None:
-            n_disqualified += 1
+        dates, closes = series.dates, series.closes
+        m = int(dates.searchsorted(np.datetime64(dp.quarter.end_date, "D"), "right")) - 1
+        if m < 0 or dates[m] < np.datetime64(dp.quarter.start_date, "D"):
+            n_no_quarter_day += 1
             continue
-        row = []
-        for delay in range(delay_lo, delay_hi + 1):
-            event = decline_event(series, measured, delay)
-            row.append(-1 if event is None else int(event))
-        if all(v < 0 for v in row):
+        hit = dates.searchsorted(dates[m] + delays, "right") - 1
+        defined = hit > m
+        if not defined.any():
             n_no_events += 1
             continue
-        close = series.on_or_before(measured)[1]
-        kept.append(replace(dp, measurement_date=measured, close=close))
-        rows.append(row)
+        rows.append(np.where(defined, closes[hit] < closes[m], -1).astype(np.int8))
+        kept.append(
+            replace(dp, measurement_date=dates[m].item(), close=float(closes[m]))
+        )
     outcomes = (
         np.array(rows, dtype=np.int8)
         if rows
-        else np.empty((0, delay_hi - delay_lo + 1), dtype=np.int8)
+        else np.empty((0, delays.size), dtype=np.int8)
     )
     log.info(
-        "event study datapoints=%d disqualified=%d no_defined_events=%d",
+        "event study datapoints=%d no_series=%d no_quarter_day=%d no_defined_events=%d",
         len(kept),
-        n_disqualified,
+        n_no_series,
+        n_no_quarter_day,
         n_no_events,
     )
-    return EventStudy(kept, outcomes, n_disqualified, n_no_events, delay_lo, delay_hi)
+    return EventStudy(
+        kept, outcomes, n_no_series, n_no_quarter_day, n_no_events, delay_lo, delay_hi
+    )
 
 
 @dataclass(frozen=True)

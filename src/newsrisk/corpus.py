@@ -6,7 +6,8 @@ File formats:
   universe    CSV: canonical_id, display_name, primary_ticker, exchange,
               name_variants (pipe-separated), merged_tickers (pipe-separated);
               share classes appear as extra rows with the same canonical_id
-  prices      CSV: ticker, date (YYYY-MM-DD), adjusted_close
+  prices      CSV: ticker, date (YYYY-MM-DD), adjusted_close; three fields a
+              row, dates strictly increasing per ticker, finite positive closes
   marketcaps  CSV: canonical_id, quarter (YYYYQN), market_cap_usd_billions
 
 Everything returned by the loaders is immutable by convention and safe for
@@ -18,11 +19,13 @@ from __future__ import annotations
 import csv
 import json
 import logging
-from bisect import bisect_right
+from array import array
 from dataclasses import dataclass
 from datetime import date, datetime, timezone
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping
+
+import numpy as np
 
 from .errors import ValidationError
 from .quarters import Quarter, parse_quarter
@@ -118,20 +121,23 @@ class EntityUniverse:
         return self.records.get(canonical_id)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PriceSeries:
-    """Adjusted closes for one company, dates strictly increasing."""
+    """Adjusted closes for one company, as two read-only arrays.
+
+    `dates` is datetime64[D], strictly increasing; `closes` is float64. Any
+    sequences given are converted (a sequence of `date` works for `dates`).
+    """
 
     key: str
-    dates: tuple[date, ...]
-    closes: tuple[float, ...]
+    dates: np.ndarray
+    closes: np.ndarray
 
-    def on_or_before(self, day: date) -> tuple[date, float] | None:
-        """Most recent (date, close) at or before `day`, if any."""
-        idx = bisect_right(self.dates, day)
-        if idx == 0:
-            return None
-        return self.dates[idx - 1], self.closes[idx - 1]
+    def __post_init__(self) -> None:
+        for name, dtype in (("dates", "datetime64[D]"), ("closes", np.float64)):
+            values = np.asarray(getattr(self, name), dtype=dtype).view()
+            values.flags.writeable = False
+            object.__setattr__(self, name, values)
 
 
 class PriceTable:
@@ -303,47 +309,94 @@ def load_universe(path: str | Path) -> EntityUniverse:
     return universe
 
 
+#: `date.toordinal()` of 1970-01-01, day 0 of datetime64[D].
+_EPOCH_ORDINAL = date(1970, 1, 1).toordinal()
+
+
 def load_prices(path: str | Path, universe: EntityUniverse | None = None) -> PriceTable:
     """Load daily adjusted closes.
 
     When a universe is given, series are re-keyed by canonical_id; for a
     company with several share-class series the primary ticker's series wins.
     Missing companies are permitted (the backtest disqualifies them later).
+
+    Rows stream into typed buffers, each ticker coded to a small int; one
+    stable sort then groups them by ticker, and the price and date-order
+    checks run over whole columns. A malformed file raises ValidationError
+    naming the first faulty line.
     """
     path = Path(path)
-    per_ticker: dict[str, tuple[list[date], list[float]]] = {}
+    names: dict[str, int] = {}  # ticker -> code
+    codes: dict[str, int] = {}  # ticker cell as written -> code
+    ordinals: dict[str, int] = {}  # date cell as written -> date ordinal
+    tickers, days, closes, lines = array("i"), array("i"), array("d"), array("l")
+    # (row, check, line, message) of each fault found; the first row is reported.
+    # A row that does not parse ends the reading, so it comes after every other.
+    faults: list[tuple[int, int, int, str]] = []
     with path.open("r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        _check_columns(reader.fieldnames, PRICE_COLUMNS, path)
-        for lineno, row in enumerate(reader, start=2):
-            ticker = row["ticker"].strip()
+        reader = csv.reader(fh)
+        _check_columns(next(reader, None), PRICE_COLUMNS, path)
+        for row in reader:
+            if len(row) != len(PRICE_COLUMNS):
+                if not row:
+                    continue  # blank line
+                message = f"expected {len(PRICE_COLUMNS)} fields, got {len(row)}"
+                faults.append((len(lines), 0, reader.line_num, message))
+                break
+            ticker, day, close = row
+            code = codes.get(ticker)
+            if code is None:
+                code = codes[ticker] = names.setdefault(ticker.strip(), len(names))
+            ordinal = ordinals.get(day)
+            if ordinal is None:
+                try:
+                    ordinal = date.fromisoformat(day.strip()).toordinal()
+                except ValueError:
+                    faults.append((len(lines), 0, reader.line_num, f"bad date {day!r}"))
+                    break
+                ordinals[day] = ordinal
             try:
-                day = date.fromisoformat(row["date"].strip())
+                value = float(close)
             except ValueError:
-                raise ValidationError(
-                    f"{path.name}:{lineno}: bad date {row['date']!r}"
-                ) from None
-            try:
-                close = float(row["adjusted_close"])
-            except ValueError:
-                raise ValidationError(
-                    f"{path.name}:{lineno}: bad price {row['adjusted_close']!r}"
-                ) from None
-            if close <= 0:
-                raise ValidationError(
-                    f"{path.name}:{lineno}: non-positive price {close} for {ticker}"
-                )
-            dates, closes = per_ticker.setdefault(ticker, ([], []))
-            if dates and day <= dates[-1]:
-                raise ValidationError(
-                    f"{path.name}:{lineno}: dates for {ticker} not strictly increasing"
-                )
-            dates.append(day)
-            closes.append(close)
+                faults.append((len(lines), 0, reader.line_num, f"bad price {close!r}"))
+                break
+            tickers.append(code)
+            days.append(ordinal)
+            closes.append(value)
+            lines.append(reader.line_num)
+
+    ticker_of = list(names)
+    file_closes = np.asarray(closes)
+    bad = np.flatnonzero(~(np.isfinite(file_closes) & (file_closes > 0)))
+    if bad.size:
+        row = bad[0]
+        kind = "non-positive price" if np.isfinite(closes[row]) else "bad price"
+        message = f"{kind} {closes[row]} for {ticker_of[tickers[row]]}"
+        faults.append((row, 0, lines[row], message))
+    codes_col = np.asarray(tickers)
+    order = np.argsort(codes_col, kind="stable")
+    codes_col, days_col = codes_col[order], np.asarray(days)[order]
+    repeat = np.flatnonzero((codes_col[1:] == codes_col[:-1]) & (days_col[1:] <= days_col[:-1]))
+    if repeat.size:
+        row = order[repeat + 1].min()
+        message = f"dates for {ticker_of[tickers[row]]} not strictly increasing"
+        faults.append((row, 1, lines[row], message))
+    if faults:
+        _, _, line, message = min(faults)
+        raise ValidationError(f"{path.name}:{line}: {message}")
+
+    closes_col = file_closes[order]
+    days_col = (days_col - _EPOCH_ORDINAL).astype("datetime64[D]")
+    starts = np.flatnonzero(np.diff(codes_col, prepend=-1))
+    ends = np.append(starts[1:], len(codes_col))
+    per_ticker = {
+        ticker_of[codes_col[lo]]: (days_col[lo:hi], closes_col[lo:hi])
+        for lo, hi in zip(starts, ends)
+    }
 
     chosen: dict[str, PriceSeries] = {}
     for ticker in sorted(per_ticker):
-        dates, closes = per_ticker[ticker]
+        dates, values = per_ticker[ticker]
         key = ticker
         if universe is not None:
             cid = universe.ticker_to_id.get(ticker)
@@ -352,7 +405,7 @@ def load_prices(path: str | Path, universe: EntityUniverse | None = None) -> Pri
                 primary = universe.records[cid].primary_ticker
                 if key in chosen and ticker != primary:
                     continue  # keep the earlier (or primary) series
-        chosen[key] = PriceSeries(key=key, dates=tuple(dates), closes=tuple(closes))
+        chosen[key] = PriceSeries(key=key, dates=dates, closes=values)
     table = PriceTable(chosen.values())
     log.info("loaded prices file=%s series=%d", path.name, len(table))
     return table
@@ -395,8 +448,8 @@ def _check_columns(found, expected, path: Path) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Writers. write(load(x)) reproduces the normalized form of x, which makes
-# the loaders round-trippable and gives the fixture generator one code path.
+# Writer. Loading what write_articles wrote gives back the same articles; the
+# fixture generator writes its corpus through it.
 # ---------------------------------------------------------------------------
 
 
@@ -418,49 +471,3 @@ def write_articles(path: str | Path, articles: Iterable[Article]) -> int:
             fh.write(json.dumps(record, ensure_ascii=False) + "\n")
             n += 1
     return n
-
-
-def write_universe(path: str | Path, universe: EntityUniverse) -> int:
-    path = Path(path)
-    with path.open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(UNIVERSE_COLUMNS)
-        for rec in universe:
-            merged = [t for t in rec.merged_tickers if t != rec.primary_ticker]
-            writer.writerow(
-                [
-                    rec.canonical_id,
-                    rec.display_name,
-                    rec.primary_ticker,
-                    rec.exchange,
-                    "|".join(rec.name_variants),
-                    "|".join(merged),
-                ]
-            )
-    return len(universe)
-
-
-def write_prices(path: str | Path, table: PriceTable) -> int:
-    path = Path(path)
-    n = 0
-    with path.open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(PRICE_COLUMNS)
-        for key in sorted(table.series):
-            series = table.series[key]
-            for day, close in zip(series.dates, series.closes):
-                writer.writerow([key, day.isoformat(), repr(close)])
-                n += 1
-    return n
-
-
-def write_marketcaps(path: str | Path, table: MarketCapTable) -> int:
-    path = Path(path)
-    rows = sorted(table.entries.items(), key=lambda kv: (kv[0][0], kv[0][1]))
-    with path.open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(MARKETCAP_COLUMNS)
-        for (cid, quarter), cap in rows:
-            writer.writerow([cid, quarter.label, repr(cap)])
-    return len(rows)
-

@@ -8,11 +8,13 @@ file name, columns and an encoder from the run's values to rows. Values that
 a later stage reads back have one decoder each, in `HANDOFFS`.
 
 `run_all` and the per-stage commands (`STAGES`) hand values over through
-files. A stage decodes its upstream artifacts, checking that each exists and
-carries the declared header. It writes its own artifacts atomically (temp
-file + rename) and records a manifest with the config fingerprint, the
-digests of every file it read, row counts, and stage parameters. Two runs
-from identical inputs and config produce byte-identical artifacts.
+files; `run_all` also hands each loaded input file to every later stage that
+reads it, so each file is parsed once per run. A stage decodes its upstream
+artifacts, checking that each exists and carries the declared header. It
+writes its own artifacts atomically (temp file + rename) and records a
+manifest with the config fingerprint, the digests of every file it read, row
+counts, and stage parameters. Two runs from identical inputs and config
+produce byte-identical artifacts.
 
 `run_study` runs the same stage list with the values handed over in memory:
 nothing is encoded, written or hashed. Tests and bulk simulations use it.
@@ -557,7 +559,7 @@ def _decode_study(cfg, v, valid, events) -> bt.EventStudy:
             raise ValidationError(f"event row for unknown datapoint {key} in {EVENTS.name}")
         if row["decreased"]:
             outcomes[r, int(row["delay"]) - cfg.delay_lo] = row["decreased"] == "true"
-    return bt.EventStudy(datapoints, outcomes, 0, 0, cfg.delay_lo, cfg.delay_hi)
+    return bt.EventStudy(datapoints, outcomes, 0, 0, 0, cfg.delay_lo, cfg.delay_hi)
 
 
 HANDOFFS: dict[str, Handoff] = {
@@ -683,7 +685,8 @@ PIPELINE: tuple[Stage, ...] = (
             "delay_lo": cfg.delay_lo,
             "delay_hi": cfg.delay_hi,
             "n_valid": len(v["study"]),
-            "n_disqualified": v["study"].n_disqualified,
+            "n_no_series": v["study"].n_no_series,
+            "n_no_quarter_day": v["study"].n_no_quarter_day,
             "n_no_events": v["study"].n_no_events,
         },
     ),
@@ -771,8 +774,22 @@ def read_handoff(cfg: RunConfig, key: str, values: Values) -> Any:
     return handoff.decode(cfg, values, *(_rows(cfg, a) for a in handoff.artifacts))
 
 
-def run_stage(stage: Stage, cfg: RunConfig) -> list[Path]:
-    """Run one stage with file handoff; returns its artifact and manifest paths."""
+def _load_inputs(cfg: RunConfig, stage: Stage, loaded: dict[str, Any]) -> None:
+    """Load into `loaded` each input of `stage` it does not hold yet."""
+    for name in stage.inputs:
+        if name not in loaded:
+            loaded[name] = LOADERS[name](cfg, loaded)
+
+
+def run_stage(
+    stage: Stage, cfg: RunConfig, loaded: dict[str, Any] | None = None
+) -> list[Path]:
+    """Run one stage with file handoff; returns its artifact and manifest paths.
+
+    `loaded` holds config inputs already loaded, and gains the ones this
+    stage loads; `run_all` passes one dict to every stage, so each input
+    file is parsed once per run.
+    """
     cfg.validate(stage.inputs)
     read = [cfg.output / a.name for key in stage.reads for a in HANDOFFS[key].artifacts]
     for path in read:
@@ -781,9 +798,9 @@ def run_stage(stage: Stage, cfg: RunConfig) -> list[Path]:
                 f"stage {stage.name!r} needs {path.name} — "
                 f"run the {WRITER[path.name]!r} command first"
             )
-    values: dict[str, Any] = {}
-    for name in stage.inputs:
-        values[name] = LOADERS[name](cfg, values)
+    loaded = {} if loaded is None else loaded
+    _load_inputs(cfg, stage, loaded)
+    values: dict[str, Any] = {name: loaded[name] for name in stage.inputs}
     for key in stage.reads:
         values[key] = read_handoff(cfg, key, values)
     values.update(stage.compute(cfg, values))
@@ -806,18 +823,24 @@ def run_stage(stage: Stage, cfg: RunConfig) -> list[Path]:
     return outputs + [manifest_path]
 
 
-STAGES: dict[str, Callable[[RunConfig], list[Path]]] = {
+STAGES: dict[str, Callable[..., list[Path]]] = {
     stage.name: partial(run_stage, stage) for stage in PIPELINE
 }
 
 
 def run_all(cfg: RunConfig) -> list[Path]:
-    """Every stage in order; returns all artifact paths."""
+    """Every stage in order; returns all artifact paths.
+
+    Each input file is loaded once and kept until the last stage that reads it.
+    """
     written: list[Path] = []
-    for name in STAGE_ORDER:
-        artifacts = STAGES[name](cfg)
-        log.info("stage=%s artifacts=%d", name, len(artifacts))
+    loaded: dict[str, Any] = {}
+    for i, stage in enumerate(PIPELINE):
+        artifacts = STAGES[stage.name](cfg, loaded)
+        log.info("stage=%s artifacts=%d", stage.name, len(artifacts))
         written.extend(artifacts)
+        needed = {name for later in PIPELINE[i + 1 :] for name in later.inputs}
+        loaded = {name: value for name, value in loaded.items() if name in needed}
     return written
 
 
@@ -842,9 +865,7 @@ def run_study(cfg: RunConfig, matcher_config: MatcherConfig | None = None) -> St
     cfg.validate()
     values: dict[str, Any] = {"matcher_config": matcher_config}
     for stage in PIPELINE:
-        for name in stage.inputs:
-            if name not in values:
-                values[name] = LOADERS[name](cfg, values)
+        _load_inputs(cfg, stage, values)
         values.update(stage.compute(cfg, values))
     names = [f.name for f in fields(StudyResult) if f.name != "config"]
     return StudyResult(config=cfg, **{name: values[name] for name in names})

@@ -7,14 +7,22 @@ evidence, not tautology.
 
 from __future__ import annotations
 
+import csv
 import math
 import re
+from bisect import bisect_right
+from dataclasses import dataclass, replace
+from datetime import date, timedelta
 from itertools import combinations
 from pathlib import Path
+from typing import Iterable, Mapping
 
 import numpy as np
 
 from newsrisk.corpus import (
+    MARKETCAP_COLUMNS,
+    PRICE_COLUMNS,
+    UNIVERSE_COLUMNS,
     Article,
     EntityRecord,
     EntityUniverse,
@@ -23,10 +31,11 @@ from newsrisk.corpus import (
     PriceTable,
 )
 from newsrisk.entities import MatcherConfig, MatcherSet, OccurrenceSet
+from newsrisk.errors import ValidationError
 from newsrisk.networks import build_networks, smooth
 from newsrisk.pipeline import PIPELINE, RunConfig
 from newsrisk.quarters import Quarter, parse_quarter, quarter_of
-from newsrisk.riskrank import PlayerSet, RiskCalibration
+from newsrisk.riskrank import PlayerSet, RiskCalibration, RiskDatapoint
 from newsrisk import backtest as bt
 
 
@@ -114,6 +123,176 @@ def flat_matcher(universe: EntityUniverse, config: MatcherConfig | None = None) 
         re.compile("|".join(f"(?:{p})" for _, p in tickers), flags) if tickers else None
     )
     return matcher
+
+
+# ---------------------------------------------------------------------------
+# Row-at-a-time price loader and scalar event oracle
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class ScalarSeries:
+    """One price series as tuples of `date` and float, searched by bisection."""
+
+    key: str
+    dates: tuple[date, ...]
+    closes: tuple[float, ...]
+
+    def on_or_before(self, day: date) -> tuple[date, float] | None:
+        """Most recent (date, close) at or before `day`, if any."""
+        idx = bisect_right(self.dates, day)
+        if idx == 0:
+            return None
+        return self.dates[idx - 1], self.closes[idx - 1]
+
+
+def scalar_series(series: PriceSeries) -> ScalarSeries:
+    return ScalarSeries(series.key, tuple(series.dates.tolist()), tuple(series.closes.tolist()))
+
+
+def load_prices_by_row(
+    path: str | Path, universe: EntityUniverse | None = None
+) -> dict[str, ScalarSeries]:
+    """`load_prices` one `csv.DictReader` row at a time, for well-formed files."""
+    path = Path(path)
+    per_ticker: dict[str, tuple[list[date], list[float]]] = {}
+    with path.open("r", encoding="utf-8", newline="") as fh:
+        reader = csv.DictReader(fh)
+        if reader.fieldnames != list(PRICE_COLUMNS):
+            raise ValidationError(f"{path.name}: columns {reader.fieldnames}")
+        for lineno, row in enumerate(reader, start=2):
+            ticker = row["ticker"].strip()
+            day = date.fromisoformat(row["date"].strip())
+            close = float(row["adjusted_close"])
+            if close <= 0:
+                raise ValidationError(f"{path.name}:{lineno}: non-positive price")
+            dates, closes = per_ticker.setdefault(ticker, ([], []))
+            if dates and day <= dates[-1]:
+                raise ValidationError(f"{path.name}:{lineno}: dates not strictly increasing")
+            dates.append(day)
+            closes.append(close)
+    chosen: dict[str, ScalarSeries] = {}
+    for ticker in sorted(per_ticker):
+        dates, closes = per_ticker[ticker]
+        key = ticker
+        if universe is not None:
+            cid = universe.ticker_to_id.get(ticker)
+            if cid is not None:
+                key = cid
+                primary = universe.records[cid].primary_ticker
+                if key in chosen and ticker != primary:
+                    continue  # keep the earlier (or primary) series
+        chosen[key] = ScalarSeries(key, tuple(dates), tuple(closes))
+    return dict(sorted(chosen.items()))
+
+
+def measurement_date(quarter: Quarter, series: ScalarSeries) -> date | None:
+    """Last trading day within the quarter, or None if the quarter has none."""
+    found = series.on_or_before(quarter.end_date)
+    if found is None:
+        return None
+    day, _ = found
+    return day if day >= quarter.start_date else None
+
+
+def decline_event(series: ScalarSeries, measured: date, delay: int) -> bool | None:
+    """Strict decline at `delay` calendar days after the measurement.
+
+    The delayed price is the most recent close at or before measured+delay;
+    if no trading day after the measurement qualifies, the event is
+    undefined (None).
+    """
+    base = series.on_or_before(measured)
+    if base is None:
+        return None
+    hit = series.on_or_before(measured + timedelta(days=delay))
+    if hit is None or hit[0] <= measured:
+        return None
+    return hit[1] < base[1]
+
+
+def scalar_events(
+    datapoints: Iterable[RiskDatapoint],
+    table: Mapping[str, ScalarSeries],
+    delay_lo: int,
+    delay_hi: int,
+) -> tuple[list[RiskDatapoint], list[list[int]], tuple[int, int, int]]:
+    """`compute_events` one delay at a time: kept datapoints, outcome rows,
+    and the (no series, no quarter day, no events) counters."""
+    kept: list[RiskDatapoint] = []
+    rows: list[list[int]] = []
+    n_no_series = n_no_quarter_day = n_no_events = 0
+    for dp in datapoints:
+        series = table.get(dp.canonical_id)
+        if series is None:
+            n_no_series += 1
+            continue
+        measured = measurement_date(dp.quarter, series)
+        if measured is None:
+            n_no_quarter_day += 1
+            continue
+        row = []
+        for delay in range(delay_lo, delay_hi + 1):
+            event = decline_event(series, measured, delay)
+            row.append(-1 if event is None else int(event))
+        if all(v < 0 for v in row):
+            n_no_events += 1
+            continue
+        close = series.on_or_before(measured)[1]
+        kept.append(replace(dp, measurement_date=measured, close=close))
+        rows.append(row)
+    return kept, rows, (n_no_series, n_no_quarter_day, n_no_events)
+
+
+# ---------------------------------------------------------------------------
+# Writers for the universe, price and market-cap files
+# ---------------------------------------------------------------------------
+
+
+def write_universe(path: str | Path, universe: EntityUniverse) -> int:
+    path = Path(path)
+    with path.open("w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(UNIVERSE_COLUMNS)
+        for rec in universe:
+            merged = [t for t in rec.merged_tickers if t != rec.primary_ticker]
+            writer.writerow(
+                [
+                    rec.canonical_id,
+                    rec.display_name,
+                    rec.primary_ticker,
+                    rec.exchange,
+                    "|".join(rec.name_variants),
+                    "|".join(merged),
+                ]
+            )
+    return len(universe)
+
+
+def write_prices(path: str | Path, table: PriceTable) -> int:
+    path = Path(path)
+    n = 0
+    with path.open("w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(PRICE_COLUMNS)
+        for key in sorted(table.series):
+            series = table.series[key]
+            for day, close in zip(series.dates.tolist(), series.closes):
+                # repr of a numpy float64 is "np.float64(...)" in numpy 2
+                writer.writerow([key, day.isoformat(), repr(float(close))])
+                n += 1
+    return n
+
+
+def write_marketcaps(path: str | Path, table: MarketCapTable) -> int:
+    path = Path(path)
+    rows = sorted(table.entries.items(), key=lambda kv: (kv[0][0], kv[0][1]))
+    with path.open("w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(MARKETCAP_COLUMNS)
+        for (cid, quarter), cap in rows:
+            writer.writerow([cid, quarter.label, repr(cap)])
+    return len(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -300,7 +479,7 @@ class FixtureStudy:
         self.universe = fixture_universe(fixture)
         ticker_to_id = {c.ticker: c.canonical_id for c in fixture.companies}
         self.prices = PriceTable(
-            PriceSeries(key=ticker_to_id[t], dates=tuple(d), closes=tuple(cl))
+            PriceSeries(key=ticker_to_id[t], dates=d, closes=cl)
             for t, (d, cl) in fixture.prices.items()
             if t in ticker_to_id  # share-class series resolve to the primary
         )

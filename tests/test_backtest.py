@@ -1,16 +1,26 @@
 """Decline-event bookkeeping, threshold subsets, range summaries, and the
 plain-text report rendering."""
 
-from datetime import date
+from datetime import date, timedelta
 
 import numpy as np
 import pytest
 
 import newsrisk.backtest as bt
-from newsrisk.corpus import PriceSeries, PriceTable
+from newsrisk.corpus import PriceSeries, PriceTable, load_prices, load_universe
 from newsrisk.errors import ValidationError
-from newsrisk.quarters import Quarter
+from newsrisk.fixtures import FixtureSpec, generate_fixture, write_fixture
+from newsrisk.quarters import Quarter, quarter_range
 from newsrisk.riskrank import RiskDatapoint
+
+from _oracles import (
+    FixtureStudy,
+    decline_event,
+    load_prices_by_row,
+    measurement_date,
+    scalar_events,
+    scalar_series,
+)
 
 Q1 = Quarter(2012, 1)
 
@@ -64,35 +74,40 @@ def hand_study():
     return bt.compute_events(datapoints, prices, delay_lo=3, delay_hi=5)
 
 
+# The scalar reference that compute_events is checked against, on hand cases.
+
+
 def test_measurement_date_cases():
-    assert bt.measurement_date(Q1, AAA) == date(2012, 3, 30)
-    assert bt.measurement_date(Q1, DDD) is None  # starts after the quarter
-    assert bt.measurement_date(Quarter(2013, 2), AAA) == date(2012, 4, 4) or True
+    aaa, ddd = scalar_series(AAA), scalar_series(DDD)
+    assert measurement_date(Q1, aaa) == date(2012, 3, 30)
+    assert measurement_date(Q1, ddd) is None  # starts after the quarter
     # a series that ended before the quarter began yields nothing
-    assert bt.measurement_date(Quarter(2013, 1), AAA) is None
+    assert measurement_date(Quarter(2013, 1), aaa) is None
 
 
 def test_decline_event_strictness_and_lookback():
+    aaa, eee = scalar_series(AAA), scalar_series(EEE)
     measured = date(2012, 3, 30)
-    assert bt.decline_event(AAA, measured, 3) is True  # 99 < 100
-    assert bt.decline_event(AAA, measured, 4) is False  # 101
-    assert bt.decline_event(AAA, measured, 5) is False  # equal close: not strict
+    assert decline_event(aaa, measured, 3) is True  # 99 < 100
+    assert decline_event(aaa, measured, 4) is False  # 101
+    assert decline_event(aaa, measured, 5) is False  # equal close: not strict
     # delays past the last trading day fall back to it (2012-04-04, equal)
-    assert bt.decline_event(AAA, measured, 6) is False
-    assert bt.decline_event(AAA, measured, 8) is False  # lands on a Saturday
+    assert decline_event(aaa, measured, 6) is False
+    assert decline_event(aaa, measured, 8) is False  # lands on a Saturday
     # the same backward lookup across a weekend, seen from EEE's decline
-    assert bt.decline_event(EEE, measured, 9) is True
+    assert decline_event(eee, measured, 9) is True
     # delay lands before any post-measurement trading day: undefined
-    assert bt.decline_event(AAA, measured, 1) is None
-    assert bt.decline_event(AAA, measured, 2) is None
+    assert decline_event(aaa, measured, 1) is None
+    assert decline_event(aaa, measured, 2) is None
     # measurement precedes the series entirely
-    assert bt.decline_event(AAA, date(2012, 3, 1), 3) is None
+    assert decline_event(aaa, date(2012, 3, 1), 3) is None
 
 
 def test_event_matrix_and_counters(hand_study):
     study = hand_study
     assert [d.canonical_id for d in study.datapoints] == ["AAA", "EEE"]
-    assert study.n_disqualified == 2  # CCC (no series), DDD (no in-quarter day)
+    assert study.n_no_series == 1  # CCC
+    assert study.n_no_quarter_day == 1  # DDD
     assert study.n_no_events == 1  # BBB
     assert study.outcomes.tolist() == [[1, 0, 0], [-1, -1, 1]]
     assert all(d.measurement_date == date(2012, 3, 30) for d in study.datapoints)
@@ -124,6 +139,81 @@ def test_threshold_tolerates_float_dust():
     )
     assert study.indices_at_threshold(1.0, bt.AGGREGATED).tolist() == [0]
     assert study.indices_at_threshold(1.0, bt.INDIVIDUAL).tolist() == [0]
+
+
+def assert_events_match_oracle(datapoints, prices, delay_lo, delay_hi):
+    """compute_events equals the scalar reference; returns the study."""
+    study = bt.compute_events(datapoints, prices, delay_lo, delay_hi)
+    table = {key: scalar_series(s) for key, s in prices.series.items()}
+    kept, rows, counters = scalar_events(datapoints, table, delay_lo, delay_hi)
+    assert study.datapoints == tuple(kept)
+    assert study.outcomes.dtype == np.int8
+    assert study.outcomes.shape == (len(kept), delay_hi - delay_lo + 1)
+    assert study.outcomes.tolist() == rows
+    assert (study.n_no_series, study.n_no_quarter_day, study.n_no_events) == counters
+    return study
+
+
+def test_events_match_oracle_on_the_default_fixture(tmp_path):
+    """Every risk datapoint of FixtureSpec(), on prices loaded from its file
+    by both loaders."""
+    fixture = generate_fixture(FixtureSpec())
+    write_fixture(fixture, tmp_path)
+    universe = load_universe(tmp_path / "universe.csv")
+    prices = load_prices(tmp_path / "prices.csv", universe)
+    reference = load_prices_by_row(tmp_path / "prices.csv", universe)
+    assert {key: scalar_series(s) for key, s in prices.series.items()} == reference
+    datapoints = FixtureStudy(fixture).values["datapoints"]
+    assert len(datapoints) > 100
+    study = assert_events_match_oracle(datapoints, prices, bt.DELAY_LO, bt.DELAY_HI)
+    assert len(study) == len(datapoints)
+
+
+def random_series(rng, key, shape):
+    """A weekday series over 2011-2012 with random gaps; `shape` picks a
+    single row, a late start, an early end, quarter bounds only, or the whole
+    span."""
+    first, last = date(2010, 12, 1), date(2013, 4, 30)
+    if shape == "bounds":
+        # a quarter whose only trading day is its first or its last day
+        quarters = quarter_range(Quarter(2010, 4), Quarter(2013, 1))
+        days = [q.start_date if rng.random() < 0.5 else q.end_date for q in quarters]
+        return PriceSeries(key=key, dates=days, closes=rng.choice([9.5, 10.0], size=len(days)))
+    span = (last - first).days
+    start, end = first, last
+    if shape == "late":
+        start = first + timedelta(days=int(rng.integers(30, span)))
+    elif shape == "early":
+        end = first + timedelta(days=int(rng.integers(0, span - 30)))
+    gap = float(rng.choice([0.0, 0.1, 0.5, 0.9]))
+    days = [
+        start + timedelta(days=d)
+        for d in range((end - start).days + 1)
+        if (start + timedelta(days=d)).weekday() < 5 and rng.random() >= gap
+    ]
+    if shape == "single" or not days:
+        days = [start + timedelta(days=int(rng.integers(0, (end - start).days + 1)))]
+    # few distinct closes, so equal closes (not a decline) are common
+    closes = rng.choice([9.5, 10.0, 10.5, 11.0], size=len(days))
+    return PriceSeries(key=key, dates=days, closes=closes)
+
+
+@pytest.mark.parametrize("delay_lo, delay_hi", [(3, 90), (1, 5), (90, 90)])
+def test_events_match_oracle_on_random_series(delay_lo, delay_hi):
+    rng = np.random.default_rng(delay_lo * 100 + delay_hi)
+    shapes = ("full", "late", "early", "single", "bounds")
+    prices = PriceTable(random_series(rng, f"S{i:02d}", shapes[i % 5]) for i in range(80))
+    quarters = quarter_range(Quarter(2011, 1), Quarter(2012, 4))
+    datapoints = [
+        dp(key, float(rng.random()), float(rng.random()), quarter)
+        for key in [*prices.series, "MISSING"]
+        for quarter in quarters
+    ]
+    study = assert_events_match_oracle(datapoints, prices, delay_lo, delay_hi)
+    # every branch is exercised (a kept row of one delay has no undefined cell)
+    assert study.n_no_series and study.n_no_quarter_day and study.n_no_events
+    outcomes = {0, 1} if delay_lo == delay_hi else {-1, 0, 1}
+    assert set(np.unique(study.outcomes).tolist()) == outcomes
 
 
 def test_compute_events_rejects_bad_bounds():

@@ -1,8 +1,9 @@
 """Loaders, writers, and calendar-quarter bucketing."""
 
 import json
-from datetime import date, datetime, timezone
+from datetime import date, datetime, timedelta, timezone
 
+import numpy as np
 import pytest
 
 from newsrisk.corpus import (
@@ -17,14 +18,19 @@ from newsrisk.corpus import (
     load_prices,
     load_universe,
     write_articles,
-    write_marketcaps,
-    write_prices,
-    write_universe,
 )
 from newsrisk.errors import ValidationError
 from newsrisk.quarters import Quarter, parse_quarter, quarter_of, quarter_range
 
-from _oracles import analysis_articles, articles_by_quarter
+from _oracles import (
+    analysis_articles,
+    articles_by_quarter,
+    load_prices_by_row,
+    scalar_series,
+    write_marketcaps,
+    write_prices,
+    write_universe,
+)
 
 
 def art(i, ts, polarity="positive", body="nothing to see"):
@@ -281,7 +287,8 @@ def series(key, start, closes):
 
 
 def test_price_series_on_or_before():
-    s = series("X", date(2011, 3, 28), [10.0, 11.0, 12.0, 13.0, 14.0])
+    # the reference lookup the backtest oracle uses, over a package series
+    s = scalar_series(series("X", date(2011, 3, 28), [10.0, 11.0, 12.0, 13.0, 14.0]))
     assert s.on_or_before(date(2011, 3, 30)) == (date(2011, 3, 30), 12.0)
     # april 2nd 2011 is a saturday: falls back to friday's close
     assert s.on_or_before(date(2011, 4, 2)) == (date(2011, 4, 1), 14.0)
@@ -301,7 +308,7 @@ def test_prices_round_trip_and_rekeying(tmp_path):
 
     plain = load_prices(path)
     assert set(plain.series) == {"ACME", "BLTW", "UNKNOWN"}
-    assert plain.get("ACME").closes == (50.0, 50.5)
+    assert plain.get("ACME").closes.tolist() == [50.0, 50.5]
 
     uni = EntityUniverse(
         [
@@ -312,7 +319,7 @@ def test_prices_round_trip_and_rekeying(tmp_path):
     rekeyed = load_prices(path, uni)
     # BLTW resolves to its canonical id, the unknown ticker stays raw
     assert set(rekeyed.series) == {"ACME", "BOLT", "UNKNOWN"}
-    assert rekeyed.get("BOLT").closes == (8.0, 8.1)
+    assert rekeyed.get("BOLT").closes.tolist() == [8.0, 8.1]
 
 
 def test_prices_primary_series_wins(tmp_path):
@@ -329,7 +336,7 @@ def test_prices_primary_series_wins(tmp_path):
     )
     loaded = load_prices(path, uni)
     # AAA sorts first but AAB is the primary ticker, so AAB's series is kept
-    assert loaded.get("CO").closes == (99.0,)
+    assert loaded.get("CO").closes.tolist() == [99.0]
 
 
 def test_prices_validation(tmp_path):
@@ -352,6 +359,87 @@ def test_prices_validation(tmp_path):
     path.write_text("ticker,date,adjusted_close\nX,2011-01-03,-4\n", encoding="utf-8")
     with pytest.raises(ValidationError, match="non-positive price"):
         load_prices(path)
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        ("X,2011-01-03\n", ":2: expected 3 fields, got 2"),
+        ("X,2011-01-03,10.0,11.0\n", ":2: expected 3 fields, got 4"),
+        ("X,2011-01-03,10.0\nX\n", ":3: expected 3 fields, got 1"),
+        ("X,2011-01-03,nan\n", ":2: bad price nan for X"),
+        ("X,2011-01-03,10.0\nX,2011-01-04,inf\n", ":3: bad price inf for X"),
+        ("X,2011-01-03,-Infinity\n", ":2: bad price -inf for X"),
+        # blank lines are skipped, and still counted
+        ("\nX,2011-01-03,0\n", ":3: non-positive price 0.0 for X"),
+        # two faults: the one on the earlier line is reported
+        ("X,2011-01-03,nan\nX,2011-01-04\n", ":2: bad price nan"),
+        ("X,2011-01-04,1\nX,2011-01-03,1\nY,2011-13-01,1\n", ":3: dates for X not strictly"),
+        ("Y,2011-01-03,1\nX,2011-01-05,1\nY,2011-01-04,0\nX,2011-01-04,2\n",
+         ":4: non-positive price 0.0 for Y"),
+        ("Y,2011-01-03,1\nX,2011-01-05,1\nX,2011-01-04,2\nY,2011-01-04,0\n",
+         ":4: dates for X not strictly"),
+        ("X,2011-01-03,1\nX,2011-01-03,-1\n", ":3: non-positive price -1.0"),
+        ("Y,2011-01-03,1\nY,2011-01-03,1\nX,2011-01-03,zero\n", ":3: dates for Y not strictly"),
+        ("X,2011-01-03,0\nY,2011-01-03,1,\n", ":2: non-positive price"),
+        ("X,2011-01-03,0\nX,2011-01-04,nan\n", ":2: non-positive price 0.0"),
+        ("Y,2011-01-04,1\nX,2011-01-04,1\nX,2011-01-03,1\nY,2011-01-03,1\n",
+         ":4: dates for X not strictly"),
+    ],
+)
+def test_prices_report_the_first_faulty_line(tmp_path, rows, message):
+    path = tmp_path / "prices.csv"
+    path.write_text("ticker,date,adjusted_close\n" + rows, encoding="utf-8")
+    with pytest.raises(ValidationError, match=f"^prices.csv{message}"):
+        load_prices(path)
+
+
+def test_prices_match_the_row_loader(tmp_path):
+    """Interleaved tickers, share classes and loose cells load as the
+    row-at-a-time reference loads them."""
+    rng = np.random.default_rng(5)
+    tickers = ["AAA", "AAB", "BBB", "CCA", "CCB", "RAW", "ONE"]
+    sizes = {"ONE": 1}
+    pending = {}
+    for t in tickers:
+        n = sizes.get(t, int(rng.integers(2, 60)))
+        days = sorted(rng.choice(400, size=n, replace=False).tolist())
+        pending[t] = [
+            (date(2011, 1, 3) + timedelta(days=d), float(rng.lognormal(3.0, 1.0)))
+            for d in days
+        ]
+    cells = [
+        lambda c: repr(c),
+        lambda c: f" {c:.2f}",
+        lambda c: f"{c:e}",
+        lambda c: str(int(c) + 1),
+    ]
+    lines = ["ticker,date,adjusted_close"]
+    while pending:
+        t = str(rng.choice(sorted(pending)))
+        day, close = pending[t].pop(0)
+        if not pending[t]:
+            del pending[t]
+        ticker = f" {t} " if rng.random() < 0.2 else t
+        stamp = f"{day.isoformat()} " if rng.random() < 0.2 else day.isoformat()
+        lines.append(f"{ticker},{stamp},{cells[int(rng.integers(len(cells)))](close)}")
+    path = tmp_path / "prices.csv"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    uni = EntityUniverse(
+        [
+            EntityRecord("A", "A Co", "AAB", "NYSE", ("A Co",), ("AAB", "AAA")),
+            EntityRecord("B", "B Co", "BBB", "NYSE", ("B Co",), ("BBB",)),
+            EntityRecord("C", "C Co", "CCX", "NYSE", ("C Co",), ("CCX", "CCB", "CCA")),
+            EntityRecord("O", "O Co", "ONE", "NYSE", ("O Co",), ("ONE",)),
+        ]
+    )
+    for universe in (None, uni):
+        loaded = load_prices(path, universe)
+        expected = load_prices_by_row(path, universe)
+        assert list(loaded.series) == list(expected)
+        for key, reference in expected.items():
+            assert scalar_series(loaded.get(key)) == reference, key
+    assert set(load_prices(path, uni).series) == {"A", "B", "C", "O", "RAW"}
 
 
 # -- market caps ------------------------------------------------------------

@@ -216,8 +216,8 @@ def test_files_roundtrip_through_loaders(small_fixture, small_fixture_dir):
     assert len(prices) == SMALL_SPEC.n_companies
     series = prices.get(paired.canonical_id)
     dates, closes = small_fixture.prices[paired.ticker]
-    assert series.dates == tuple(dates)
-    assert series.closes == tuple(closes)
+    assert series.dates.tolist() == dates
+    assert series.closes.tolist() == closes
 
     caps = load_marketcaps(small_fixture_dir / "marketcaps.csv")
     assert len(caps) == len(small_fixture.marketcaps)

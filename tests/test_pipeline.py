@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+from newsrisk import pipeline
 from newsrisk.cli import main
 from newsrisk.errors import DependencyError, ValidationError
 from newsrisk.pipeline import (
@@ -246,6 +247,54 @@ def test_staged_risk_matches_in_memory_study(staged_run, small_fixture_dir, tmp_
     for artifact in declared:
         on_disk = (cfg.output / artifact.name).read_bytes()
         assert render(artifact, cfg, vars(result)).encode("utf-8") == on_disk, artifact.name
+
+
+def test_run_all_loads_each_input_once(small_fixture_dir, tmp_path, monkeypatch):
+    """run_all hands loaded inputs to later stages; the files it writes,
+    manifests included, equal those of the stage commands run one by one."""
+    calls: dict[str, int] = {}
+
+    def counting(name, load):
+        def wrapped(cfg, values):
+            calls[name] = calls.get(name, 0) + 1
+            return load(cfg, values)
+
+        return wrapped
+
+    for name, load in pipeline.LOADERS.items():
+        monkeypatch.setitem(pipeline.LOADERS, name, counting(name, load))
+    one_by_one = make_config(small_fixture_dir, tmp_path / "stages")
+    for stage in STAGE_ORDER:
+        STAGES[stage](one_by_one)
+    assert calls == {"articles": 1, "universe": 5, "prices": 1, "marketcaps": 1}
+    calls.clear()
+    held: dict[str, list[str]] = {}  # the inputs each stage is handed
+
+    def recording(name, run):
+        def wrapped(cfg, loaded):
+            held[name] = sorted(loaded)
+            return run(cfg, loaded)
+
+        return wrapped
+
+    for name, run in list(STAGES.items()):
+        monkeypatch.setitem(STAGES, name, recording(name, run))
+    cfg = make_config(small_fixture_dir, tmp_path / "all")
+    run_all(cfg)
+    assert calls == {name: 1 for name in pipeline.LOADERS}
+    # an input is dropped after the last stage that reads it
+    assert held == {
+        "parse": [],
+        "networks": ["universe"],
+        "rank": ["universe"],
+        "risk": ["universe"],
+        "backtest": ["universe"],
+        "report": [],
+    }
+    expected = sorted(p.name for p in one_by_one.output.iterdir())
+    assert sorted(p.name for p in cfg.output.iterdir()) == expected
+    for name in expected:
+        assert (cfg.output / name).read_bytes() == (one_by_one.output / name).read_bytes(), name
 
 
 def test_manifests_list_every_file_a_stage_reads(small_fixture_dir, tmp_path, monkeypatch):
