@@ -75,16 +75,18 @@ class EventStudy:
     measurement date exists and at least one delay event is defined;
     the rest are counted by reason, not silently dropped: no price series
     (`n_no_series`), no trading day in the quarter (`n_no_quarter_day`),
-    no defined event (`n_no_events`).
+    no defined event (`n_no_events`). The counters are None in a study
+    decoded from artifacts, which do not store them (the backtest manifest
+    records them).
     """
 
     def __init__(
         self,
         datapoints: Sequence[RiskDatapoint],
         outcomes: np.ndarray,
-        n_no_series: int,
-        n_no_quarter_day: int,
-        n_no_events: int,
+        n_no_series: int | None = None,
+        n_no_quarter_day: int | None = None,
+        n_no_events: int | None = None,
         delay_lo: int = DELAY_LO,
         delay_hi: int = DELAY_HI,
     ):

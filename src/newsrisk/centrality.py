@@ -1,14 +1,35 @@
 """Information centrality, market-cap normalization, and rankings.
 
-Centrality follows the information-centrality (current-flow) construction:
-build the dense matrix B with B(i,i) = 1 + S_hat(i) and B(i,j) = 1 - w_hat(i,j),
-invert it, and score node i as
+Centrality follows the information-centrality (current-flow) construction on
+the smoothed complete network: B(i,i) = 1 + S_hat(i), B(i,j) = 1 - w_hat(i,j),
+and node i scores
 
     I(i) = n / (n*C(i,i) + trace(C) - 2 * rowsum_i(C)),   C = B^-1.
 
 Edge and node weights are rescaled to [0,1] first (w_hat = w'/max w',
 S_hat = S/max S) so that off-diagonal entries stay in [0,1] no matter how
-large raw co-mention counts get; without this B can become indefinite.
+large raw co-mention counts get.
+
+B is never built. With w_max = alpha + the largest co-mention count,
+c0 = 1 - alpha/w_max and E the raw counts, smoothing makes B a diagonal plus
+a rank-(k+1) update, where K is the set of k companies that have an edge:
+
+    B = D + U M U^T,  D = diag(S_hat + alpha/w_max),  U = [1 | e_K],
+    M = blockdiag(c0, -E_KK / w_max).
+
+The Sherman-Morrison-Woodbury identity (Hager 1989, "Updating the inverse of
+a matrix") gives C = D^-1 - D^-1 U Z U^T D^-1 with Z = (I + M U^T D^-1 U)^-1 M,
+so diag(C), C*1 and the denominators cost O(n*k + k^3) and no n x n array
+exists. Only D and the (k+1)^2 capacitance matrix I + M U^T D^-1 U are
+solved; its determinant is det(B)/det(D), so it is singular exactly when B
+is. The condition cap applies to the exact 1-norm condition number
+||B||_1 * ||C||_1, both norms computed from the structured form.
+
+Companies without an edge that share S_hat are exchangeable, and their
+scores are computed by the same floating-point operations from the same
+inputs, so they come out bit-equal; their order is then decided by the
+canonical_id tie-break alone. Exact ties among companies that have an edge
+may differ in the last bits, because the capacitance solve pivots.
 
 Scores are then min-max rescaled to [0,1] within the quarter ("absolute"
 mode) and optionally divided by quarter-end market cap in USD billions
@@ -35,7 +56,7 @@ log = logging.getLogger(__name__)
 ABSOLUTE = "absolute"
 NORMALIZED = "normalized"
 
-#: Reject inversions whose 1-norm condition estimate exceeds this.
+#: Reject networks whose 1-norm condition number exceeds this.
 CONDITION_CAP = 1e12
 
 
@@ -56,7 +77,8 @@ def information_centrality(
     """Centrality per node of a smoothed complete network.
 
     Raises ConditioningError, naming the quarter and polarity, when the
-    matrix is singular or its condition estimate exceeds the cap.
+    matrix is singular, its condition number exceeds the cap, or a
+    denominator is not positive.
     """
     nodes = network.nodes
     n = len(nodes)
@@ -67,34 +89,91 @@ def information_centrality(
         log.warning("single-node network %s: centrality undefined, scoring 0", context)
         return {nodes[0]: 0.0}
 
-    weights = network.weights
-    w_max = float(weights.max())
+    edges, counts = network.edge_index, network.edge_counts
+    w_max = network.alpha + (float(counts.max()) if len(counts) else 0.0)
     if w_max <= 0:
         raise ConditioningError(f"{context}: no positive pair weights")
-    w_hat = weights / w_max
     s_max = float(network.node_weights.max())
     s_hat = network.node_weights / s_max if s_max > 0 else np.zeros(n)
+    a = network.alpha / w_max
+    c0 = 1.0 - a
+    inv_d = 1.0 / (s_hat + a)
 
-    b = 1.0 - w_hat
-    np.fill_diagonal(b, 1.0 + s_hat)
+    # Capacitance I + M G with G = U^T D^-1 U. Index 0 is the all-ones
+    # direction and index slot[i] the edge-holding node i; column 0 of G is
+    # g0 below, column slot[i] is inv_d[i] * (e_0 + e_slot[i]).
+    has_edge = np.zeros(n, dtype=bool)
+    has_edge[edges.ravel()] = True
+    slot = np.cumsum(has_edge)
+    inv_dk = inv_d[has_edge]
+    k = len(inv_dk)
+    m = np.zeros((k + 1, k + 1))
+    m[0, 0] = c0
+    i, j = slot[edges[:, 0]], slot[edges[:, 1]]
+    m[i, j] = m[j, i] = -counts / w_max
+    g0 = np.concatenate(([inv_d.sum()], inv_dk))
+    cap = np.empty_like(m)
+    cap[:, 0] = m @ g0
+    np.multiply(m[:, 1:] + m[:, :1], inv_dk, out=cap[:, 1:])
+    cap[np.diag_indices(k + 1)] += 1.0
     try:
-        c = np.linalg.inv(b)
+        z = np.linalg.solve(cap, m)
     except np.linalg.LinAlgError:
         raise ConditioningError(f"{context}: centrality matrix is singular") from None
-    condition = np.linalg.norm(b, 1) * np.linalg.norm(c, 1)
+
+    # Row i of D^-1 U is inv_d[i] * (e_0 + e_slot[i]) on K, inv_d[i] * e_0 off it.
+    diag = inv_d - z[0, 0] * inv_d * inv_d
+    diag[has_edge] -= (z[0, 1:] + z[1:, 0] + np.diagonal(z)[1:]) * inv_dk * inv_dk
+    v = z @ g0
+    row_sums = inv_d * (1.0 - v[0])
+    row_sums[has_edge] -= inv_dk * v[1:]
+
+    condition = _norm1_b(network, s_hat, c0, w_max) * _norm1_c(inv_d, has_edge, z)
     if not np.isfinite(condition) or condition > condition_cap:
         raise ConditioningError(
-            f"{context}: condition estimate {condition:.3e} exceeds cap {condition_cap:.0e}"
+            f"{context}: condition number {condition:.3e} exceeds cap {condition_cap:.0e}"
         )
 
-    diag = np.diag(c)
-    trace = float(diag.sum())
-    row_sums = c.sum(axis=1)
-    denom = n * diag + trace - 2.0 * row_sums
+    denom = n * diag + diag.sum() - 2.0 * row_sums
     if not np.all(np.isfinite(denom)) or np.any(denom <= 0):
         raise ConditioningError(f"{context}: non-positive centrality denominator")
     scores = n / denom
-    return {node: float(scores[i]) for i, node in enumerate(nodes)}
+    return dict(zip(nodes, scores.tolist()))
+
+
+def _norm1_b(network: SmoothedNetwork, s_hat: np.ndarray, c0: float, w_max: float) -> float:
+    """||B||_1 in O(n + edges): column j holds 1 + S_hat(j), c0 - E(i,j)/w_max
+    for each neighbour i and c0 for every other node."""
+    n = len(s_hat)
+    ends = network.edge_index.ravel()
+    degree = np.bincount(ends, minlength=n)
+    on_edges = np.repeat(np.abs(c0 - network.edge_counts / w_max), 2)
+    columns = np.abs(1.0 + s_hat) + (n - 1 - degree) * abs(c0)
+    return float((columns + np.bincount(ends, weights=on_edges, minlength=n)).max())
+
+
+def _norm1_c(inv_d: np.ndarray, has_edge: np.ndarray, z: np.ndarray) -> float:
+    """||C||_1 in O(n + k^2), with C = D^-1 - Y Z Y^T and Y = D^-1 U.
+
+    Column j off K is (e_j - h) / d_j for the shared h = Y Z e_0. Column j
+    on K is (e_j - Y w) / d_j with w = Z (e_0 + e_slot[j]): every node off K
+    gets w_0 / d_i in it, so those entries sum through one scalar.
+    """
+    inv_dk = inv_d[has_edge]
+    h = z[0, 0] * inv_d
+    h[has_edge] += z[1:, 0] * inv_dk
+    abs_h = np.abs(h)
+    columns = (np.abs(1.0 - h) + (abs_h.sum() - abs_h)) * inv_d
+
+    # t[q, p]: entry of on-K column p at on-K row q, minus 1 on the diagonal
+    w0 = z[0, 0] + z[0, 1:]
+    t = z[1:, 1:] + z[1:, :1]
+    t += w0
+    t *= inv_dk[:, None]
+    t[np.diag_indices_from(t)] -= 1.0
+    np.abs(t, out=t)
+    columns[has_edge] = (np.abs(w0) * inv_d[~has_edge].sum() + t.sum(axis=0)) * inv_dk
+    return float(columns.max())
 
 
 def minmax_rescale(scores: Mapping[str, float]) -> dict[str, float]:

@@ -154,7 +154,9 @@ class MatcherSet:
 
     def __init__(self, universe: EntityUniverse, config: MatcherConfig | None = None):
         self.config = config or MatcherConfig()
-        #: normalized name literal -> canonical_id
+        #: name literal -> canonical_id: each name's case-folded key, which
+        #: matched text resolves through, and its lower-cased spelling when
+        #: that differs from the key
         self.name_map: dict[str, str] = {}
         #: bare ticker literal (as matched) -> canonical_id
         self.bare_map: dict[str, str] = {}
@@ -190,6 +192,11 @@ class MatcherSet:
                         continue
                     seen_keys.add(key)
                     self._claim(self.name_map, key, rec.canonical_id, "name")
+                    # re.IGNORECASE folds one character into one, so "ß" never
+                    # matches the "ss" of its key: the spelling is a literal too.
+                    spelling = " ".join(candidate).lower()
+                    if spelling != key:
+                        self._claim(self.name_map, spelling, rec.canonical_id, "name")
 
         for rec in universe:
             for ticker in rec.merged_tickers:

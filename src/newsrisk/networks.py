@@ -9,7 +9,9 @@ counts articles mentioning both i and j.
 
 Smoothing adds a constant alpha to every unordered pair, producing a
 complete real-weighted graph (node weights untouched) so that downstream
-matrix computations are well-defined even for sparse quarters.
+matrix computations are well-defined even for sparse quarters. The smoothed
+graph is held as alpha plus the sparse co-mention counts; nothing stores its
+n^2 pair weights.
 """
 
 from __future__ import annotations
@@ -70,15 +72,20 @@ class QuarterNetwork:
 
 @dataclass(frozen=True)
 class SmoothedNetwork:
-    """Complete graph after additive smoothing; weights is (n, n) with zero
-    diagonal and w(i,j) + alpha off-diagonal, aligned with `nodes`."""
+    """Complete graph after additive smoothing, aligned with `nodes`.
+
+    Every unordered pair weighs alpha plus its co-mention count. Only the
+    pairs with a count are stored: row e of `edge_index` holds the positions
+    (i < j) of pair e in `nodes`, and `edge_counts[e]` its raw count.
+    """
 
     quarter: Quarter
     polarity: str
     nodes: tuple[str, ...]
-    weights: np.ndarray
     node_weights: np.ndarray
     alpha: float
+    edge_index: np.ndarray
+    edge_counts: np.ndarray
 
 
 def build_networks(
@@ -141,22 +148,17 @@ def smooth(network: QuarterNetwork, alpha: float) -> SmoothedNetwork:
     if not alpha > 0:
         raise ValidationError(f"smoothing alpha must be positive, got {alpha}")
     nodes = network.nodes
-    n = len(nodes)
     index = {node: i for i, node in enumerate(nodes)}
-    weights = np.full((n, n), float(alpha))
-    np.fill_diagonal(weights, 0.0)
-    for (i, j), count in network.edge_weights.items():
-        a, b = index[i], index[j]
-        weights[a, b] += count
-        weights[b, a] += count
-    node_weights = np.array([float(network.weight(i)) for i in nodes])
+    pairs = network.edge_weights
+    edge_index = np.array([(index[i], index[j]) for i, j in pairs], dtype=np.intp)
     return SmoothedNetwork(
         quarter=network.quarter,
         polarity=network.polarity,
         nodes=nodes,
-        weights=weights,
-        node_weights=node_weights,
+        node_weights=np.array([float(network.weight(i)) for i in nodes]),
         alpha=float(alpha),
+        edge_index=edge_index.reshape(len(pairs), 2),
+        edge_counts=np.array(list(pairs.values()), dtype=float),
     )
 
 

@@ -559,7 +559,7 @@ def _decode_study(cfg, v, valid, events) -> bt.EventStudy:
             raise ValidationError(f"event row for unknown datapoint {key} in {EVENTS.name}")
         if row["decreased"]:
             outcomes[r, int(row["delay"]) - cfg.delay_lo] = row["decreased"] == "true"
-    return bt.EventStudy(datapoints, outcomes, 0, 0, 0, cfg.delay_lo, cfg.delay_hi)
+    return bt.EventStudy(datapoints, outcomes, delay_lo=cfg.delay_lo, delay_hi=cfg.delay_hi)
 
 
 HANDOFFS: dict[str, Handoff] = {

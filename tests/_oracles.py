@@ -1,8 +1,11 @@
 """Independent reference implementations the tests check the package against.
 
-Everything here is deliberately written from scratch with plain Python
-arithmetic (no numpy linear algebra), so agreement with the package is
-evidence, not tautology.
+Everything here is deliberately written from scratch, mostly with plain
+Python arithmetic, so agreement with the package is evidence, not tautology.
+The centrality oracles build the dense smoothed matrix the package never
+builds: `dense_centrality` inverts it with numpy (fast enough for fixture
+networks), `centrality_oracle` with pure-Python Gauss-Jordan, and
+`exact_centrality` in rational arithmetic.
 """
 
 from __future__ import annotations
@@ -10,6 +13,7 @@ from __future__ import annotations
 import csv
 import math
 import re
+from fractions import Fraction
 from bisect import bisect_right
 from dataclasses import dataclass, replace
 from datetime import date, timedelta
@@ -65,17 +69,45 @@ def invert_matrix(rows: list[list[float]]) -> list[list[float]]:
     return [row[n:] for row in aug]
 
 
+def smoothed_weights(network) -> np.ndarray:
+    """The dense (n, n) pair weights of a smoothed network: alpha plus the
+    co-mention count off the diagonal, zero on it."""
+    n = len(network.nodes)
+    weights = np.full((n, n), network.alpha)
+    np.fill_diagonal(weights, 0.0)
+    for (a, b), count in zip(network.edge_index.tolist(), network.edge_counts.tolist()):
+        weights[a, b] += count
+        weights[b, a] += count
+    return weights
+
+
+def centrality_matrix(network) -> np.ndarray:
+    """B = 1 - w_hat with diagonal 1 + S_hat, built densely."""
+    weights = smoothed_weights(network)
+    s_max = float(network.node_weights.max())
+    s_hat = network.node_weights / s_max if s_max > 0 else np.zeros(len(weights))
+    b = 1.0 - weights / float(weights.max())
+    np.fill_diagonal(b, 1.0 + s_hat)
+    return b
+
+
+def dense_centrality(network) -> tuple[dict[str, float], float]:
+    """Scores by the direct dense inverse, and the 1-norm condition number
+    ||B||_1 * ||B^-1||_1."""
+    b = centrality_matrix(network)
+    c = np.linalg.inv(b)
+    n = len(b)
+    diag = np.diag(c)
+    scores = n / (n * diag + diag.sum() - 2.0 * c.sum(axis=1))
+    condition = float(np.linalg.norm(b, 1) * np.linalg.norm(c, 1))
+    return dict(zip(network.nodes, scores.tolist())), condition
+
+
 def centrality_denominators(network) -> dict[str, float]:
     """Per-node denominator n*C(i,i) + tr(C) - 2*rowsum_i(C) from scratch."""
     nodes = network.nodes
     n = len(nodes)
-    w_max = float(network.weights.max())
-    s_max = float(network.node_weights.max())
-    b = [[1.0 - float(network.weights[i][j]) / w_max for j in range(n)] for i in range(n)]
-    for i in range(n):
-        s_hat = float(network.node_weights[i]) / s_max if s_max > 0 else 0.0
-        b[i][i] = 1.0 + s_hat
-    c = invert_matrix(b)
+    c = invert_matrix(centrality_matrix(network).tolist())
     trace = sum(c[i][i] for i in range(n))
     return {
         node: n * c[i][i] + trace - 2.0 * sum(c[i]) for i, node in enumerate(nodes)
@@ -85,6 +117,41 @@ def centrality_denominators(network) -> dict[str, float]:
 def centrality_oracle(network) -> dict[str, float]:
     n = len(network.nodes)
     return {node: n / d for node, d in centrality_denominators(network).items()}
+
+
+def exact_centrality(network) -> dict[str, Fraction]:
+    """Scores in rational arithmetic: B from the exact values of alpha and
+    the counts, inverted by Gauss-Jordan over `Fraction`. Small n only."""
+    nodes = network.nodes
+    n = len(nodes)
+    alpha = Fraction(network.alpha)
+    counts = {
+        frozenset(pair): Fraction(count)
+        for pair, count in zip(network.edge_index.tolist(), network.edge_counts.tolist())
+    }
+    w_max = alpha + max(counts.values(), default=Fraction(0))
+    s = [Fraction(x) for x in network.node_weights.tolist()]
+    s_max = max(s)
+    aug = []
+    for i in range(n):
+        row = [
+            1 + (s[i] / s_max if s_max else 0) if i == j
+            else 1 - (alpha + counts.get(frozenset((i, j)), 0)) / w_max
+            for j in range(n)
+        ]
+        aug.append(row + [Fraction(int(i == j)) for j in range(n)])
+    for col in range(n):
+        pivot = next(r for r in range(col, n) if aug[r][col] != 0)
+        aug[col], aug[pivot] = aug[pivot], aug[col]
+        scale = aug[col][col]
+        aug[col] = [v / scale for v in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col] != 0:
+                f = aug[r][col]
+                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
+    c = [row[n:] for row in aug]
+    trace = sum(c[i][i] for i in range(n))
+    return {node: n / (n * c[i][i] + trace - 2 * sum(c[i])) for i, node in enumerate(nodes)}
 
 
 # ---------------------------------------------------------------------------
@@ -416,6 +483,49 @@ def random_anchored_network(rng: np.random.Generator, max_base: int = 8):
     net = build_networks(occs, _Q, nodes)["negative"]
     alpha = float(rng.choice([0.1, 0.5, 1.0]))
     return smooth(net, alpha)
+
+
+def random_tied_occurrences(
+    rng: np.random.Generator, max_nodes: int = 20
+) -> tuple[list[str], list[OccurrenceSet]]:
+    """Nodes and articles of a random solvable network with exact ties.
+
+    Beside an anchored random core (as in `random_anchored_network`), some
+    companies only ever appear alone, once or twice, and some never appear:
+    companies without an edge and with equal counts are exchangeable.
+    """
+    n_core = int(rng.integers(1, 8))
+    n_alone = int(rng.integers(0, 6))
+    n_silent = int(rng.integers(0, max_nodes - 2 - n_core - n_alone + 1))
+    core = [f"c{i:02d}" for i in range(n_core)]
+    alone = [f"s{i:02d}" for i in range(n_alone)]
+    nodes = core + alone + [f"z{i:02d}" for i in range(n_silent)] + ["xa", "xb"]
+    m = int(rng.integers(1, 26))
+    occs = random_occurrences(rng, core, m)
+    for node in alone:
+        for a in range(int(rng.integers(1, 3))):
+            occs.append(OccurrenceSet(f"{node}-{a}", _Q, "negative", frozenset([node])))
+    for a in range(m + 2):
+        occs.append(OccurrenceSet(f"x{a:04d}", _Q, "negative", frozenset(["xa", "xb"])))
+    return nodes, occs
+
+
+def truth_networks(fixture, alpha: float = 0.1):
+    """Every smoothed (quarter, polarity) network of a fixture, built from
+    its planted mentions."""
+    by_quarter: dict[Quarter, list[OccurrenceSet]] = {}
+    for article in fixture.articles:
+        quarter = quarter_of(article.published_at)
+        by_quarter.setdefault(quarter, []).append(
+            OccurrenceSet(
+                article.id, quarter, article.polarity,
+                frozenset(fixture.truth.mentions[article.id]),
+            )
+        )
+    ids = [c.canonical_id for c in fixture.companies]
+    for quarter in sorted(by_quarter):
+        for network in build_networks(by_quarter[quarter], quarter, ids).values():
+            yield smooth(network, alpha)
 
 
 def indefinite_network(k_triangle: int = 1, k_pair: int = 20, alpha: float = 0.1):

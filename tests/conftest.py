@@ -4,12 +4,9 @@ from pathlib import Path
 import pytest
 
 from newsrisk.corpus import UNIVERSE_COLUMNS, load_universe
-from newsrisk.fixtures import (
-    ADVERSARIAL_UNIVERSE_ROWS,
-    FixtureSpec,
-    generate_fixture,
-    write_fixture,
-)
+from newsrisk.fixtures import FixtureSpec, generate_fixture, write_fixture
+
+from _adversarial import ADVERSARIAL_UNIVERSE_ROWS
 
 
 @pytest.fixture(scope="session")

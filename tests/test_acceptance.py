@@ -17,8 +17,6 @@ from newsrisk.entities import MatcherSet, OccurrenceSet
 from newsrisk.errors import ConditioningError
 from newsrisk.fixtures import (
     FixtureSpec,
-    adversarial_negatives,
-    adversarial_positives,
     generate_fixture,
     write_fixture,
 )
@@ -34,6 +32,7 @@ from newsrisk.pipeline import config_from_mapping, run_all, run_study
 from newsrisk.quarters import Quarter, quarter_of
 from newsrisk.riskrank import RiskCalibration, build_players, riskrank_node
 
+from _adversarial import adversarial_negatives, adversarial_positives
 from _oracles import (
     centrality_denominators,
     centrality_oracle,

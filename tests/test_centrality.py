@@ -1,5 +1,8 @@
-"""Information centrality against an independent dense-inverse oracle,
-plus rescaling, normalization, ranking, and rank-correlation units."""
+"""Information centrality against independent dense-inverse and exact
+rational oracles, plus rescaling, normalization, ranking, and
+rank-correlation units."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,15 +18,21 @@ from newsrisk.centrality import (
 )
 from newsrisk.corpus import MarketCapTable
 from newsrisk.errors import ConditioningError
-from newsrisk.networks import NEGATIVE, QuarterNetwork, SmoothedNetwork, smooth
+from newsrisk.entities import OccurrenceSet
+from newsrisk.fixtures import FixtureSpec, generate_fixture
+from newsrisk.networks import NEGATIVE, QuarterNetwork, SmoothedNetwork, build_networks, smooth
 from newsrisk.quarters import Quarter
 
 from _oracles import (
     centrality_denominators,
     centrality_oracle,
+    dense_centrality,
+    exact_centrality,
     indefinite_network,
     kendall_tau,
     random_anchored_network,
+    random_tied_occurrences,
+    truth_networks,
 )
 
 Q = Quarter(2012, 3)
@@ -116,19 +125,149 @@ def test_condition_cap_is_enforced():
         information_centrality(network, condition_cap=1.0)
 
 
+NO_EDGES = (np.zeros((0, 2), dtype=np.intp), np.zeros(0))
+
+
 def test_degenerate_sizes():
-    empty = SmoothedNetwork(Q, NEGATIVE, (), np.zeros((0, 0)), np.zeros(0), 0.1)
+    empty = SmoothedNetwork(Q, NEGATIVE, (), np.zeros(0), 0.1, *NO_EDGES)
     assert information_centrality(empty) == {}
-    single = SmoothedNetwork(Q, NEGATIVE, ("solo",), np.zeros((1, 1)), np.ones(1), 0.1)
+    single = SmoothedNetwork(Q, NEGATIVE, ("solo",), np.ones(1), 0.1, *NO_EDGES)
     assert information_centrality(single) == {"solo": 0.0}
 
 
 def test_zero_weight_matrix_is_rejected():
-    dead = SmoothedNetwork(
-        Q, NEGATIVE, ("a", "b"), np.zeros((2, 2)), np.ones(2), 0.1
-    )
+    dead = SmoothedNetwork(Q, NEGATIVE, ("a", "b"), np.ones(2), 0.0, *NO_EDGES)
     with pytest.raises(ConditioningError, match="no positive pair weights"):
         information_centrality(dead)
+
+
+#: FixtureSpec() and the benchmark's three fixture shapes (dense-news,
+#: wide-universe, seed-sweep) at seed 1.
+REFERENCE_SPECS = (
+    FixtureSpec(),
+    FixtureSpec(seed=1, n_companies=150, n_quarters=2, n_articles=900),
+    FixtureSpec(
+        seed=1, n_companies=1000, n_quarters=2, n_articles=44, clusters_per_quarter=2,
+        cluster_size=2, cluster_articles=3, anchor_positive_articles=6,
+        anchor_negative_articles=4,
+    ),
+    FixtureSpec(seed=1),
+)
+
+
+@pytest.mark.parametrize("spec", REFERENCE_SPECS, ids=lambda s: f"{s.n_companies}x{s.seed}")
+def test_fixture_networks_match_the_dense_inverse(spec):
+    for network in truth_networks(generate_fixture(spec)):
+        want, condition = dense_centrality(network)
+        got = information_centrality(network)
+        assert got.keys() == want.keys()
+        for node in want:
+            assert got[node] == pytest.approx(want[node], rel=1e-10, abs=0)
+        # the condition number agrees with ||B||_1 * ||B^-1||_1 to 1e-12
+        information_centrality(network, condition_cap=condition * (1 + 1e-12))
+        with pytest.raises(ConditioningError, match="exceeds cap"):
+            information_centrality(network, condition_cap=condition * (1 - 1e-12))
+
+
+def test_same_networks_rejected_for_the_same_reasons():
+    fixture = generate_fixture(
+        FixtureSpec(seed=1, mention_count_weights=(0.6, 0.25, 0.1, 0.05))
+    )
+    rejected = []
+    for network in truth_networks(fixture):
+        try:
+            information_centrality(network)
+        except ConditioningError as exc:
+            rejected.append(str(exc))
+    assert rejected == [
+        "2011Q2/mixed: non-positive centrality denominator",
+        "2012Q1/mixed: non-positive centrality denominator",
+        "2012Q2/negative: non-positive centrality denominator",
+    ]
+
+
+def _tie_classes(network, exact):
+    """Nodes grouped by exact score, and the nodes that have an edge."""
+    classes: dict = {}
+    for node, value in exact.items():
+        classes.setdefault(value, []).append(node)
+    with_edge = {network.nodes[i] for i in np.unique(network.edge_index).tolist()}
+    return list(classes.values()), with_edge
+
+
+def _assert_exact_order(network, got, exact):
+    """Scores to 1e-12 of the rational solve, ranks in exact order, and
+    exchangeable companies bit-equal and ordered by canonical_id."""
+    for node, value in exact.items():
+        assert got[node] == pytest.approx(float(value), rel=1e-12, abs=0)
+    ranks = rank_scores(got)
+    classes, with_edge = _tie_classes(network, exact)
+    for a in exact:
+        for b in exact:
+            if exact[a] > exact[b]:
+                assert ranks[a] < ranks[b]
+    for members in classes:
+        if len(members) > 1 and not with_edge & set(members):
+            assert len({got[m] for m in members}) == 1
+            assert sorted(members, key=ranks.get) == sorted(members)
+
+
+def test_rational_oracle_on_tied_networks():
+    rng = np.random.default_rng(7301)
+    tied = 0
+    for _ in range(30):
+        nodes, occurrences = random_tied_occurrences(rng)
+        network = smooth(build_networks(occurrences, Q, nodes)[NEGATIVE], alpha=0.1)
+        assert len(network.nodes) <= 20
+        exact = exact_centrality(network)
+        _assert_exact_order(network, information_centrality(network), exact)
+        tied += len(exact) - len(set(exact.values()))
+    assert tied > 30  # the generator produces ties worth checking
+
+
+def test_relabeling_permutes_ranks_and_keeps_tie_breaks_by_id():
+    rng = np.random.default_rng(5150)
+    for _ in range(10):
+        nodes, occurrences = random_tied_occurrences(rng)
+        rename = dict(zip(nodes, rng.permutation([f"id{i:02d}" for i in range(len(nodes))])))
+        relabeled = [
+            OccurrenceSet(o.article_id, o.quarter, o.polarity,
+                          frozenset(rename[c] for c in o.companies))
+            for o in occurrences
+        ]
+        runs = []
+        for names, occs in ((nodes, occurrences), (list(rename.values()), relabeled)):
+            network = smooth(build_networks(occs, Q, names)[NEGATIVE], alpha=0.1)
+            exact = exact_centrality(network)
+            got = information_centrality(network)
+            _assert_exact_order(network, got, exact)
+            runs.append((network, exact, rank_scores(got)))
+        (network, exact, before), (_, _, after) = runs
+        classes, _ = _tie_classes(network, exact)
+        for members in classes:
+            # a tied class keeps its block of ranks; a lone node keeps its rank
+            assert {before[m] for m in members} == {after[rename[m]] for m in members}
+
+
+def test_solving_a_wide_sparse_network_builds_no_dense_matrix():
+    nodes = [f"c{i:04d}" for i in range(5000)]
+    occurrences = [
+        OccurrenceSet(f"p{i}", Q, NEGATIVE, frozenset(nodes[3 * i : 3 * i + 2]))
+        for i in range(10)
+    ]
+    occurrences += [
+        OccurrenceSet(f"x{i}", Q, NEGATIVE, frozenset(nodes[-2:])) for i in range(5)
+    ]
+    network = build_networks(occurrences, Q, nodes)[NEGATIVE]
+    tracemalloc.start()
+    try:
+        scores = information_centrality(smooth(network, alpha=0.1))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(scores) == 5000
+    assert len(network.edge_weights) == 11
+    assert peak < 20e6  # one dense 5 000^2 float64 array is 200 MB
 
 
 def test_minmax_rescale():

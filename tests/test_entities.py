@@ -16,12 +16,11 @@ from newsrisk.entities import (
 from newsrisk.errors import MatcherCollisionError
 from newsrisk.fixtures import (
     FixtureSpec,
-    adversarial_negatives,
-    adversarial_positives,
     generate_fixture,
 )
 from newsrisk.quarters import Quarter
 
+from _adversarial import adversarial_negatives, adversarial_positives
 from _oracles import fixture_universe, flat_matcher
 
 
@@ -265,6 +264,19 @@ def test_trie_matches_flat_oracle_on_letters_ignorecase_equates():
     texts = ["I.Z", "ı.z", "i.", "IBM XY", "ıbm xy and İ.Z"]
     for config in ORACLE_CONFIGS:
         _assert_trie_equals_flat(EntityUniverse(records), config, texts)
+
+
+def test_names_match_their_own_spelling_when_casefold_lengthens_them():
+    kelvin = next(r for r in NESTED_RECORDS if r.canonical_id == "KELVIN")
+    matcher = MatcherSet(EntityUniverse([kelvin]))
+    for text in (
+        "Straße Kelvin Group rose",
+        "STRAẞE KELVIN GROUP rose",
+        "Strasse Kelvin Group rose",
+        "ſtraſſe kelvin group rose",
+    ):
+        assert matcher.match_ids(text) == {"KELVIN"}, text
+    assert matcher.match_ids("Straß Kelvin Group rose") == frozenset()
 
 
 def test_trie_keeps_the_longest_literal(nested_universe):

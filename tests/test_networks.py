@@ -15,6 +15,8 @@ from newsrisk.networks import (
 )
 from newsrisk.quarters import Quarter
 
+from _oracles import smoothed_weights
+
 Q = Quarter(2012, 3)
 UNIVERSE = ("AAA", "BBB", "CCC", "DDD")
 
@@ -116,19 +118,20 @@ def test_unknown_company_rejected():
 def test_smoothing_adds_alpha_to_every_pair(nets):
     alpha = 0.1
     sm = smooth(nets[NEGATIVE], alpha)
-    n = len(sm.nodes)
-    assert sm.weights.shape == (n, n)
-    assert np.allclose(sm.weights, sm.weights.T)
-    assert np.all(np.diag(sm.weights) == 0.0)
     idx = {node: k for k, node in enumerate(sm.nodes)}
+    assert sm.edge_index.tolist() == [[idx["AAA"], idx["CCC"]]]
+    assert sm.edge_counts.tolist() == [1.0]
+    weights = smoothed_weights(sm)
+    n = len(sm.nodes)
+    assert weights.shape == (n, n)
+    assert np.allclose(weights, weights.T)
+    assert np.all(np.diag(weights) == 0.0)
     for a in range(n):
         for b in range(n):
             if a == b:
                 continue
             i, j = sm.nodes[a], sm.nodes[b]
-            assert sm.weights[a, b] == pytest.approx(
-                nets[NEGATIVE].edge(i, j) + alpha
-            )
+            assert weights[a, b] == pytest.approx(nets[NEGATIVE].edge(i, j) + alpha)
     # node weights pass through unsmoothed
     assert sm.node_weights[idx["AAA"]] == 1.0
     assert sm.node_weights[idx["DDD"]] == 0.0

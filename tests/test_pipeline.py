@@ -10,6 +10,7 @@ import os
 import shutil
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from newsrisk import pipeline
@@ -247,6 +248,28 @@ def test_staged_risk_matches_in_memory_study(staged_run, small_fixture_dir, tmp_
     for artifact in declared:
         on_disk = (cfg.output / artifact.name).read_bytes()
         assert render(artifact, cfg, vars(result)).encode("utf-8") == on_disk, artifact.name
+
+
+def test_decoded_study_agrees_with_the_in_memory_one(staged_run, small_fixture_dir, tmp_path):
+    """The study the report stage decodes equals run_study's in every field
+    the artifacts store; the drop counters live in the backtest manifest."""
+    cfg, _ = staged_run
+    decoded = read_handoff(cfg, "study", {})
+    computed = run_study(make_config(small_fixture_dir, tmp_path / "unused")).study
+    counters = ("n_no_series", "n_no_quarter_day", "n_no_events")
+    assert vars(decoded).keys() == vars(computed).keys()
+    for name, value in vars(decoded).items():
+        if name in counters:
+            assert value is None
+        elif name == "outcomes":
+            assert value.dtype == computed.outcomes.dtype
+            assert np.array_equal(value, computed.outcomes)
+        else:
+            assert value == getattr(computed, name), name
+    params = json.loads((cfg.output / "backtest.manifest.json").read_text())["params"]
+    assert {name: params[name] for name in counters} == {
+        name: getattr(computed, name) for name in counters
+    }
 
 
 def test_run_all_loads_each_input_once(small_fixture_dir, tmp_path, monkeypatch):
