@@ -10,7 +10,8 @@ class ValidationError(NewsriskError):
 
 
 class DependencyError(NewsriskError):
-    """A pipeline stage was invoked before its upstream artifacts exist (exit code 2)."""
+    """A stage's upstream artifacts are missing, stale or inconsistent with
+    its config, and the stage that writes them must run (exit code 2)."""
 
 
 class MatcherCollisionError(ValidationError):

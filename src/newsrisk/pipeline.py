@@ -4,13 +4,16 @@ Stages: parse -> networks -> rank -> risk -> backtest -> report. `PIPELINE`
 declares each stage once: the config input files it loads, the values it
 reads from earlier stages, a compute function over typed values, the
 artifacts it writes and its manifest params. Each artifact is declared once:
-file name, columns and an encoder from the run's values to rows. Values that
-a later stage reads back have one decoder each, in `HANDOFFS`.
+file name, columns and an encoder from the run's values to one sequence per
+column, which `render` formats column by column. Values that a later stage
+reads back have one decoder each, in `HANDOFFS`, over the artifacts' columns
+as `read_columns` streams them from the files.
 
 `run_all` and the per-stage commands (`STAGES`) hand values over through
 files; `run_all` also hands each loaded input file to every later stage that
 reads it, so each file is parsed once per run. A stage decodes its upstream
-artifacts, checking that each exists and carries the declared header. It
+artifacts, checking that each exists, carries the declared header and has
+one cell per column on every row. It
 writes its own artifacts atomically (temp file + rename) and records a
 manifest with the config fingerprint, the digests of every file it read, row
 counts, and stage parameters. Two runs from identical inputs and config
@@ -28,12 +31,16 @@ import io
 import json
 import logging
 import os
+import sys
 import tempfile
+from array import array
 from dataclasses import astuple, dataclass, field, fields
 from datetime import date
 from functools import partial
+from itertools import chain, islice, repeat
+from operator import attrgetter
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator, Mapping
+from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -202,9 +209,11 @@ Values = Mapping[str, Any]
 class Artifact:
     """One output file.
 
-    `encode(cfg, values)` yields the file's CSV rows, or returns its text when
-    `columns` is None. None cells are written empty and float cells at full
-    precision, so every value round-trips exactly.
+    `encode(cfg, values)` returns one sequence per declared column, all of
+    one length (lists, tuples or numpy arrays), or the file's text when
+    `columns` is None. `render` formats each column at once: strings with
+    CSV-minimal quoting, floats by `repr`, None and NaN empty, anything else
+    by `str`, so every value round-trips exactly.
     """
 
     name: str
@@ -212,10 +221,50 @@ class Artifact:
     encode: Callable[[RunConfig, Values], Any]
 
 
-def _cell(value: object) -> object:
+def _csv_quotes(char: str) -> bool:
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow([char])
+    return buf.getvalue() != char + "\n"
+
+
+#: The characters that make a cell quoted, as `csv.writer` decides on this
+#: Python (whether a lone carriage return counts differs between versions).
+_QUOTED = "".join(filter(_csv_quotes, ',"\n\r'))
+_FLOATS = {float, np.float64}
+#: Rows joined or parsed at a time, so that only a bounded slice of a file
+#: is held as one object per cell or per row.
+_CHUNK = 1024
+
+
+def _needs_quotes(text: str) -> bool:
+    return any(char in text for char in _QUOTED)
+
+
+def _quote(cell: str) -> str:
+    return '"' + cell.replace('"', '""') + '"' if _needs_quotes(cell) else cell
+
+
+def _text(value: object) -> str:
     if value is None or value != value:  # NaN rates are undefined, like None
         return ""
-    return repr(float(value)) if isinstance(value, float) else value
+    if isinstance(value, float):
+        return float.__repr__(value)
+    return value if isinstance(value, str) else str(value)
+
+
+def _cells(column: Sequence) -> Sequence[str]:
+    """A column's cells as text; a column of one type is formatted in one pass."""
+    if isinstance(column, np.ndarray):
+        column = column.tolist()
+    kinds = set(map(type, column))
+    if kinds <= _FLOATS:
+        cells = list(map(float.__repr__, column))
+        return [cell if cell != "nan" else "" for cell in cells] if "nan" in cells else cells
+    if kinds == {int}:
+        return list(map(int.__repr__, column))
+    if not kinds <= {str}:
+        column = list(map(_text, column))
+    return list(map(_quote, column)) if _needs_quotes("".join(column)) else column
 
 
 def render(artifact: Artifact, cfg: RunConfig, values: Values) -> str:
@@ -223,30 +272,44 @@ def render(artifact: Artifact, cfg: RunConfig, values: Values) -> str:
     encoded = artifact.encode(cfg, values)
     if artifact.columns is None:
         return encoded
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(artifact.columns)
-    writer.writerows([_cell(v) for v in row] for row in encoded)
-    return buf.getvalue()
+    columns = [_cells(column) for column in encoded]
+    if len(columns) != len(artifact.columns) or len(set(map(len, columns))) > 1:
+        lengths = [len(column) for column in columns]
+        raise ValueError(f"{artifact.name}: {len(artifact.columns)} columns, encoded {lengths}")
+    if len(columns) == 1:  # a lone empty cell is quoted, or its row would be blank
+        columns = [['""' if cell == "" else cell for cell in columns[0]]]
+    rows = zip(*columns)
+    pieces = [",".join(map(_quote, artifact.columns))]
+    while chunk := list(islice(rows, _CHUNK)):
+        pieces.append("\n".join(map(",".join, chunk)))
+    return "\n".join(pieces) + "\n"
 
 
 #: The risk-score columns every datapoint artifact carries, in order.
 SCORES = ("x_own", "rr_own", "rr_direct", "rr_indirect", "rr_total")
 
 
-def _scores(dp: RiskDatapoint) -> tuple[float, ...]:
-    return tuple(getattr(dp, name) for name in SCORES)
+def _repeat(values: Iterable, counts: Iterable[int]) -> list:
+    """Each value repeated its count of times: a group's cell on each of its rows."""
+    return list(chain.from_iterable(map(repeat, values, counts)))
 
 
-def _measured(dp: RiskDatapoint) -> tuple:
-    return (dp.measurement_date.isoformat() if dp.measurement_date else None, dp.close)
+def _fields(records: Sequence, cls: type) -> list[list]:
+    """One column per field of the dataclass `cls`, in declaration order."""
+    return [[getattr(r, f.name) for r in records] for f in fields(cls)]
 
 
-def _occurrence_rows(cfg: RunConfig, v: Values) -> Iterator[tuple]:
+def _occurrence_columns(cfg: RunConfig, v: Values) -> tuple[list, ...]:
     occurrences = v["occurrences"]
-    for quarter in sorted(occurrences):
-        for occ in sorted(occurrences[quarter], key=lambda o: o.article_id):
-            yield occ.article_id, quarter.label, occ.polarity, "|".join(sorted(occ.companies))
+    quarters = sorted(occurrences)
+    groups = [sorted(occurrences[q], key=attrgetter("article_id")) for q in quarters]
+    occs = list(chain.from_iterable(groups))
+    return (
+        [occ.article_id for occ in occs],
+        _repeat([q.label for q in quarters], map(len, groups)),
+        [occ.polarity for occ in occs],
+        ["|".join(sorted(occ.companies)) for occ in occs],
+    )
 
 
 def _each_network(v: Values) -> Iterator[tuple[str, str, QuarterNetwork]]:
@@ -256,35 +319,107 @@ def _each_network(v: Values) -> Iterator[tuple[str, str, QuarterNetwork]]:
             yield quarter.label, kind, networks[quarter][kind]
 
 
-def _network_stat_rows(cfg: RunConfig, v: Values) -> Iterator[list]:
-    for _, _, network in _each_network(v):
-        stats = network_stats(network)
-        yield [stats[column] for column in NETWORK_STATS.columns]
+def _network_maps(v: Values, attr: str) -> tuple[list, list, list, list]:
+    """Quarter and polarity columns, then the keys and values of the mapping
+    `attr` of every network."""
+    nets = list(_each_network(v))
+    maps = [getattr(network, attr) for _, _, network in nets]
+    sizes = list(map(len, maps))
+    return (
+        _repeat([q for q, _, _ in nets], sizes),
+        _repeat([kind for _, kind, _ in nets], sizes),
+        list(chain.from_iterable(maps)),
+        list(chain.from_iterable(m.values() for m in maps)),
+    )
 
 
-def _series_rows(cfg: RunConfig, v: Values) -> Iterator[tuple]:
+def _edge_columns(cfg: RunConfig, v: Values) -> tuple[list, ...]:
+    quarters, kinds, pairs, weights = _network_maps(v, "edge_weights")
+    return quarters, kinds, [i for i, _ in pairs], [j for _, j in pairs], weights
+
+
+def _network_stat_columns(cfg: RunConfig, v: Values) -> list[list]:
+    stats = [network_stats(network) for _, _, network in _each_network(v)]
+    return [[s[column] for s in stats] for column in NETWORK_STATS.columns]
+
+
+def _centrality_columns(cfg: RunConfig, v: Values) -> tuple[list, ...]:
+    tables = v["tables"]
+    ids = [sorted(t.scores) for t in tables]
+    sizes = list(map(len, ids))
+    return (
+        _repeat([t.quarter.label for t in tables], sizes),
+        _repeat([t.polarity for t in tables], sizes),
+        _repeat([t.mode for t in tables], sizes),
+        list(chain.from_iterable(ids)),
+        [t.scores[cid] for t, cids in zip(tables, ids) for cid in cids],
+        [t.ranks[cid] for t, cids in zip(tables, ids) for cid in cids],
+    )
+
+
+def _average_rank_columns(cfg: RunConfig, v: Values) -> tuple[list, ...]:
+    lists = v["rank_lists"]
+    sizes = list(map(len, lists.values()))
+    entries = list(chain.from_iterable(lists.values()))
+    return (
+        _repeat([polarity for polarity, _ in lists], sizes),
+        _repeat([mode for _, mode in lists], sizes),
+        *_fields(entries, RankEntry),
+    )
+
+
+def _series_columns(cfg: RunConfig, v: Values) -> tuple[list, ...]:
+    groups = []
     for mode in MODES:
         keep = {e.canonical_id for e in v["rank_lists"][(MIXED, mode)]}
-        for table in v["tables"]:
-            if table.polarity == MIXED and table.mode == mode:
-                for cid in sorted(keep & set(table.scores)):
-                    yield mode, table.quarter.label, cid, table.scores[cid]
+        groups += [
+            (table, sorted(keep & set(table.scores)))
+            for table in v["tables"]
+            if table.polarity == MIXED and table.mode == mode
+        ]
+    sizes = [len(ids) for _, ids in groups]
+    return (
+        _repeat([table.mode for table, _ in groups], sizes),
+        _repeat([table.quarter.label for table, _ in groups], sizes),
+        list(chain.from_iterable(ids for _, ids in groups)),
+        [table.scores[cid] for table, ids in groups for cid in ids],
+    )
 
 
-def _risk_rows(cfg: RunConfig, v: Values) -> Iterator[tuple]:
-    calibration = astuple(cfg.calibration)
-    for dp in v["datapoints"]:
-        yield dp.quarter.label, dp.canonical_id, *_scores(dp), *calibration
+def _datapoint_columns(
+    columns: Sequence[str], datapoints: Sequence[RiskDatapoint], cfg: RunConfig
+) -> list[list]:
+    """The named columns of a datapoint artifact; the calibration columns
+    repeat the run's calibration on every row."""
+    calibration = dict(zip(("lambda", "mu", "theta"), astuple(cfg.calibration)))
+
+    def column(name: str) -> list:
+        if name == "quarter":
+            return [dp.quarter.label for dp in datapoints]
+        if name == "measurement_date":
+            return [dp.measurement_date and dp.measurement_date.isoformat() for dp in datapoints]
+        if name in calibration:
+            return [calibration[name]] * len(datapoints)
+        return [getattr(dp, name) for dp in datapoints]
+
+    return [column(name) for name in columns]
 
 
-_OUTCOME_CELLS = {1: "true", 0: "false", -1: ""}
+#: decline_events.csv cells of the outcome codes -1, 0 and 1, at code + 1.
+_OUTCOME_CELLS = np.array(["", "false", "true"], dtype=object)
 
 
-def _event_rows(cfg: RunConfig, v: Values) -> Iterator[tuple]:
+def _event_columns(cfg: RunConfig, v: Values) -> tuple[Sequence, ...]:
+    """One row per datapoint and delay, delays inner: the cells of each
+    datapoint and of each delay repeat, and come from small tables."""
     study = v["study"]
-    for dp, outcomes in zip(study.datapoints, study.outcomes):
-        for delay, outcome in zip(study.delays, outcomes):
-            yield dp.quarter.label, dp.canonical_id, delay, _OUTCOME_CELLS[int(outcome)]
+    delays = [str(d) for d in study.delays]
+    return (
+        _repeat([dp.quarter.label for dp in study.datapoints], repeat(len(delays))),
+        _repeat([dp.canonical_id for dp in study.datapoints], repeat(len(delays))),
+        delays * len(study),
+        _OUTCOME_CELLS[study.outcomes.ravel() + 1],
+    )
 
 
 def _report_params(cfg: RunConfig) -> dict[str, object]:
@@ -299,31 +434,45 @@ def _report_params(cfg: RunConfig) -> dict[str, object]:
     }
 
 
-# Report records and the calibration are written as `astuple` of their
-# dataclass, whose fields are declared in the order of the columns.
+# Report records and the calibration are written field by field, in the
+# order their dataclass declares them, which is the order of the columns.
 def _with_average(report) -> tuple:
     return (*report.rows, *([report.average] if report.average else []))
 
 
-def _range_rows(cfg: RunConfig, v: Values) -> Iterator[tuple]:
-    for (kind, threshold), report in sorted(v["reports"].range_reports.items()):
-        for row in _with_average(report):
-            yield kind, threshold, *astuple(row), report.n_subset, report.n_benchmark
+def _range_columns(cfg: RunConfig, v: Values) -> tuple[list, ...]:
+    keys = sorted(v["reports"].range_reports)
+    reports = [v["reports"].range_reports[key] for key in keys]
+    rows = [_with_average(report) for report in reports]
+    sizes = list(map(len, rows))
+    return (
+        _repeat([kind for kind, _ in keys], sizes),
+        _repeat([threshold for _, threshold in keys], sizes),
+        *_fields(list(chain.from_iterable(rows)), bt.RangeStat),
+        _repeat([report.n_subset for report in reports], sizes),
+        _repeat([report.n_benchmark for report in reports], sizes),
+    )
 
 
-def _comparison_rows(cfg: RunConfig, v: Values) -> Iterator[tuple]:
+def _comparison_columns(cfg: RunConfig, v: Values) -> tuple[list, ...]:
     report = v["reports"].comparison
-    for row in _with_average(report) if report else ():
-        yield report.threshold, *astuple(row)
+    rows = _with_average(report) if report else ()
+    thresholds = [report.threshold] * len(rows) if report else []
+    return (thresholds, *_fields(rows, bt.ComparisonRow))
 
 
-def _daily_rows(cfg: RunConfig, v: Values) -> Iterator[tuple]:
+def _daily_columns(cfg: RunConfig, v: Values) -> tuple[list, ...]:
     study = v["study"]
-    benchmark = study.daily_rates()
-    for kind, threshold in sorted(v["reports"].range_reports):
-        subset = study.daily_rates(study.indices_at_threshold(threshold, kind))
-        for offset, delay in enumerate(study.delays):
-            yield kind, threshold, delay, float(subset[offset]), float(benchmark[offset])
+    keys = sorted(v["reports"].range_reports)
+    n = len(study.delays)
+    subsets = [study.daily_rates(study.indices_at_threshold(t, kind)) for kind, t in keys]
+    return (
+        _repeat([kind for kind, _ in keys], repeat(n)),
+        _repeat([threshold for _, threshold in keys], repeat(n)),
+        list(study.delays) * len(keys),
+        list(chain.from_iterable(rates.tolist() for rates in subsets)),
+        study.daily_rates().tolist() * len(keys),
+    )
 
 
 def _best_delay_rows(cfg: RunConfig, v: Values) -> Iterator[tuple]:
@@ -357,109 +506,85 @@ def _comparison_text(cfg: RunConfig, v: Values) -> str:
 
 
 OCCURRENCES = Artifact(
-    "occurrences.csv", ("article_id", "quarter", "polarity", "companies"), _occurrence_rows
+    "occurrences.csv", ("article_id", "quarter", "polarity", "companies"), _occurrence_columns
 )
 NETWORK_EDGES = Artifact(
-    "network_edges.csv",
-    ("quarter", "polarity", "i", "j", "weight"),
-    lambda cfg, v: (
-        (q, kind, i, j, weight)
-        for q, kind, network in _each_network(v)
-        for (i, j), weight in network.edge_weights.items()
-    ),
+    "network_edges.csv", ("quarter", "polarity", "i", "j", "weight"), _edge_columns
 )
 NETWORK_NODES = Artifact(
     "network_nodes.csv",
     ("quarter", "polarity", "canonical_id", "s"),
-    lambda cfg, v: (
-        (q, kind, node, s)
-        for q, kind, network in _each_network(v)
-        for node, s in network.node_weights.items()
-    ),
+    lambda cfg, v: _network_maps(v, "node_weights"),
 )
 NETWORK_STATS = Artifact(
     "network_stats.csv",
     ("quarter", "polarity", "n_nodes", "n_edges", "article_count", "avg_edges_per_node",
      "max_degree", "max_degree_node"),
-    _network_stat_rows,
+    _network_stat_columns,
 )
 CENTRALITY = Artifact(
     "centrality.csv",
     ("quarter", "polarity", "mode", "canonical_id", "score", "rank"),
-    lambda cfg, v: (
-        (t.quarter.label, t.polarity, t.mode, cid, t.scores[cid], t.ranks[cid])
-        for t in v["tables"]
-        for cid in sorted(t.scores)
-    ),
+    _centrality_columns,
 )
 AVERAGE_RANK = Artifact(
     "average_rank.csv",
     ("polarity", "mode", "canonical_id", "average_rank", "quarters_scored"),
-    lambda cfg, v: (
-        (polarity, mode, e.canonical_id, e.average_rank, e.quarters_scored)
-        for (polarity, mode), entries in v["rank_lists"].items()
-        for e in entries
-    ),
+    _average_rank_columns,
 )
 TIMESERIES = Artifact(
-    "centrality_timeseries.csv", ("mode", "quarter", "canonical_id", "score"), _series_rows
+    "centrality_timeseries.csv", ("mode", "quarter", "canonical_id", "score"), _series_columns
 )
 SELECTED = Artifact(
-    "selected_universe.csv", ("canonical_id",), lambda cfg, v: ((c,) for c in v["selected"])
+    "selected_universe.csv", ("canonical_id",), lambda cfg, v: (list(v["selected"]),)
 )
 RISK = Artifact(
     "risk.csv",
     ("quarter", "canonical_id", *SCORES, "lambda", "mu", "theta"),
-    _risk_rows,
+    lambda cfg, v: _datapoint_columns(RISK.columns, v["datapoints"], cfg),
 )
 VALID_POINTS = Artifact(
     "valid_datapoints.csv",
     ("quarter", "canonical_id", "measurement_date", "close", *SCORES),
-    lambda cfg, v: (
-        (dp.quarter.label, dp.canonical_id, *_measured(dp), *_scores(dp))
-        for dp in v["study"].datapoints
-    ),
+    lambda cfg, v: _datapoint_columns(VALID_POINTS.columns, v["study"].datapoints, cfg),
 )
 EVENTS = Artifact(
-    "decline_events.csv", ("quarter", "canonical_id", "delay", "decreased"), _event_rows
+    "decline_events.csv", ("quarter", "canonical_id", "delay", "decreased"), _event_columns
 )
 RANGES_CSV = Artifact(
     "backtest_ranges.csv",
     ("kind", "threshold", "days_delay", "subset_rate", "benchmark_rate", "abs_diff", "rel_diff",
      "benchmark_daily_std", "std_outperformance", "n_subset", "n_benchmark"),
-    _range_rows,
+    _range_columns,
 )
 RANGES_TXT = Artifact("backtest_ranges.txt", None, _ranges_text)
 COMPARISON_CSV = Artifact(
     "backtest_comparison.csv",
     ("threshold", "days_delay", "agg_rate", "agg_outperformance", "ind_rate",
      "ind_outperformance", "outperformance_gap"),
-    _comparison_rows,
+    _comparison_columns,
 )
 COMPARISON_TXT = Artifact("backtest_comparison.txt", None, _comparison_text)
 DAILY = Artifact(
     "backtest_daily.csv",
     ("kind", "threshold", "delay", "subset_rate", "benchmark_rate"),
-    _daily_rows,
+    _daily_columns,
 )
 BEST_DELAY = Artifact(
     "best_delay.csv",
     ("kind", "threshold", "delay", "subset_rate", "benchmark_rate", "diff", "stderr",
      "n_subset_defined", "n_benchmark_defined"),
-    _best_delay_rows,
+    lambda cfg, v: list(zip(*_best_delay_rows(cfg, v))) or [()] * len(BEST_DELAY.columns),
 )
 HISTOGRAM = Artifact(
     "risk_histogram.csv",
     ("risk_at_least", "n_aggregated", "pct_aggregated", "n_individual", "pct_individual"),
-    lambda cfg, v: (astuple(row) for row in v["reports"].histogram),
+    lambda cfg, v: _fields(v["reports"].histogram, bt.HistogramRow),
 )
 PRICE_SERIES = Artifact(
     "risk_price_series.csv",
     ("canonical_id", "quarter", "measurement_date", "close", *SCORES),
-    lambda cfg, v: (
-        (dp.canonical_id, dp.quarter.label, *_measured(dp), *_scores(dp))
-        for dp in v["study"].datapoints
-    ),
+    lambda cfg, v: _datapoint_columns(PRICE_SERIES.columns, v["study"].datapoints, cfg),
 )
 
 
@@ -469,25 +594,139 @@ PRICE_SERIES = Artifact(
 
 
 @dataclass(frozen=True)
+class Cells:
+    """How a typed column is read: the `array` typecode it is stored in, the
+    parser of one cell, and what a cell must be."""
+
+    typecode: str
+    parse: Callable[[str], Any]
+    expected: str
+
+    def fits(self, cell: str) -> bool:
+        try:
+            array(self.typecode, [self.parse(cell)])
+        except (KeyError, ValueError, OverflowError):
+            return False
+        return True
+
+
+INTEGER = Cells("q", int, "an integer")
+NUMBER = Cells("d", float, "a number")
+#: The decreased cells of decline_events.csv as outcome codes, the inverse
+#: of `_OUTCOME_CELLS`.
+OUTCOME = Cells(
+    "b",
+    {cell: code - 1 for code, cell in enumerate(_OUTCOME_CELLS)}.__getitem__,
+    "'true', 'false' or empty",
+)
+
+
+class Columns:
+    """One artifact's cells by column, streamed from its file.
+
+    A column named in the reader's `types` is a typed `array`; any other is
+    a list of str, each distinct cell one shared object. `error` names the
+    file line of a data row (0-based).
+    """
+
+    def __init__(self, path: Path, columns: tuple[str, ...], types: Mapping[str, Cells]):
+        self.path = path
+        self.data = {
+            name: array(types[name].typecode) if name in types else [] for name in columns
+        }
+
+    def __getitem__(self, name: str) -> Sequence:
+        return self.data[name]
+
+    def __len__(self) -> int:
+        return len(next(iter(self.data.values())))
+
+    def error(self, row: int, problem: str) -> DependencyError:
+        """`problem` at data row `row`, placed at the file line that ends it."""
+        with self.path.open("r", encoding="utf-8", newline="") as fh:
+            reader = csv.reader(fh)
+            for _ in islice(reader, row + 2):  # the header, then rows 0..row
+                pass
+            line = reader.line_num
+        return DependencyError(
+            f"{self.path.name} line {line} {problem} — re-run the "
+            f"{WRITER[self.path.name]!r} command"
+        )
+
+    def parsed(self, name: str, parse: Callable[[str], Any]) -> list:
+        """Column `name` through `parse`, called once per distinct cell; the
+        first cell it rejects with ValueError names its line."""
+        cells = self.data[name]
+        values = {}
+        for cell in dict.fromkeys(cells):
+            try:
+                values[cell] = parse(cell)
+            except ValueError as exc:
+                raise self.error(cells.index(cell), f"has bad {name} {cell!r}: {exc}") from None
+        return list(map(values.__getitem__, cells))
+
+    def quarters(self) -> list[Quarter]:
+        return self.parsed("quarter", parse_quarter)
+
+
+def read_columns(cfg: RunConfig, artifact: Artifact, types: Mapping[str, Cells]) -> Columns:
+    """An artifact's columns, checked against its declared header and cell
+    counts, streamed a chunk of rows at a time."""
+    path = cfg.output / artifact.name
+    table = Columns(path, artifact.columns, types)
+    width = len(artifact.columns)
+    with path.open("r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        header = tuple(next(reader, ()))
+        if header != artifact.columns:
+            raise DependencyError(
+                f"{artifact.name} has columns {list(header)}, expected "
+                f"{list(artifact.columns)} — re-run the {WRITER[artifact.name]!r} command"
+            )
+        done = 0
+        while chunk := list(islice(reader, _CHUNK)):
+            if set(map(len, chunk)) != {width}:
+                bad = next(i for i, row in enumerate(chunk) if len(row) != width)
+                raise table.error(done + bad, f"has {len(chunk[bad])} cells, expected {width}")
+            for name, cells in zip(artifact.columns, zip(*chunk)):
+                kind = types.get(name)
+                if kind is None:
+                    table.data[name].extend(map(sys.intern, cells))
+                    continue
+                try:  # each distinct cell is parsed once: delays and outcomes repeat
+                    parsed = {cell: kind.parse(cell) for cell in set(cells)}
+                    table.data[name].fromlist(list(map(parsed.__getitem__, cells)))
+                except (KeyError, ValueError, OverflowError):
+                    bad = next(i for i, cell in enumerate(cells) if not kind.fits(cell))
+                    raise table.error(
+                        done + bad, f"has {name} {cells[bad]!r}, expected {kind.expected}"
+                    ) from None
+            done += len(chunk)
+    return table
+
+
+@dataclass(frozen=True)
 class Handoff:
     """A value later stages read back from the artifacts that store it.
 
-    `decode(cfg, values, *tables)` gets the rows of each artifact, in the
-    order of `artifacts`, as dicts keyed by column, and the reading stage's
-    loaded inputs in `values`.
+    `decode(cfg, values, *tables)` gets the `Columns` of each artifact, in
+    the order of `artifacts`, and the reading stage's loaded inputs in
+    `values`. `types` says how each typed column is read.
     """
 
     artifacts: tuple[Artifact, ...]
     decode: Callable[..., Any]
+    types: Mapping[str, Cells] = field(default_factory=dict)
 
 
-def _decode_occurrences(cfg, v, rows) -> dict[Quarter, list[OccurrenceSet]]:
+def _decode_occurrences(cfg, v, table: Columns) -> dict[Quarter, list[OccurrenceSet]]:
     occurrences: dict[Quarter, list[OccurrenceSet]] = {}
-    for row in rows:
-        quarter = parse_quarter(row["quarter"])
-        companies = frozenset(c for c in row["companies"].split("|") if c)
+    for article_id, quarter, polarity, ids in zip(
+        table["article_id"], table.quarters(), table["polarity"], table["companies"]
+    ):
+        companies = frozenset(filter(None, ids.split("|")))
         occurrences.setdefault(quarter, []).append(
-            OccurrenceSet(row["article_id"], quarter, row["polarity"], companies)
+            OccurrenceSet(article_id, quarter, polarity, companies)
         )
     return {q: occurrences[q] for q in sorted(occurrences)}
 
@@ -496,16 +735,16 @@ def _decode_networks(cfg, v, edges, nodes, stats) -> dict[Quarter, dict[str, Qua
     """Networks over the universe in `v`, which every reading stage loads."""
     universe_ids = tuple(sorted(v["universe"].ids()))
 
-    def key(row: Mapping[str, str]) -> tuple[Quarter, str]:
-        return parse_quarter(row["quarter"]), row["polarity"]
+    def keys(table: Columns) -> Iterator[tuple[Quarter, str]]:
+        return zip(table.quarters(), table["polarity"])
 
-    article_counts = {key(row): int(row["article_count"]) for row in stats}
+    article_counts = dict(zip(keys(stats), stats["article_count"]))
     edge_maps: dict[tuple[Quarter, str], dict] = {k: {} for k in article_counts}
     node_maps: dict[tuple[Quarter, str], dict] = {k: {} for k in article_counts}
-    for row in edges:
-        edge_maps.setdefault(key(row), {})[(row["i"], row["j"])] = int(row["weight"])
-    for row in nodes:
-        node_maps.setdefault(key(row), {})[row["canonical_id"]] = int(row["s"])
+    for key, i, j, weight in zip(keys(edges), edges["i"], edges["j"], edges["weight"]):
+        edge_maps.setdefault(key, {})[(i, j)] = weight
+    for key, node, s in zip(keys(nodes), nodes["canonical_id"], nodes["s"]):
+        node_maps.setdefault(key, {})[node] = s
 
     networks: dict[Quarter, dict[str, QuarterNetwork]] = {}
     for (quarter, kind), edge_weights in edge_maps.items():
@@ -520,54 +759,88 @@ def _decode_networks(cfg, v, edges, nodes, stats) -> dict[Quarter, dict[str, Qua
     return {q: networks[q] for q in sorted(networks)}
 
 
-def _decode_rank_lists(cfg, v, rows) -> dict[tuple[str, str], list[RankEntry]]:
+def _decode_rank_lists(cfg, v, table: Columns) -> dict[tuple[str, str], list[RankEntry]]:
     lists: dict[tuple[str, str], list[RankEntry]] = {
         (polarity, mode): [] for polarity in NETWORK_KINDS for mode in MODES
     }
-    for row in rows:
-        entry = RankEntry(
-            row["canonical_id"], float(row["average_rank"]), int(row["quarters_scored"])
-        )
-        lists.setdefault((row["polarity"], row["mode"]), []).append(entry)
+    for polarity, mode, *entry in zip(
+        table["polarity"], table["mode"], table["canonical_id"], table["average_rank"],
+        table["quarters_scored"],
+    ):
+        lists.setdefault((polarity, mode), []).append(RankEntry(*entry))
     return lists
 
 
-def _datapoint(row: Mapping[str, str], **measured) -> RiskDatapoint:
-    return RiskDatapoint(
-        canonical_id=row["canonical_id"],
-        quarter=parse_quarter(row["quarter"]),
-        **{name: float(row[name]) for name in SCORES},
-        **measured,
-    )
-
-
-def _decode_study(cfg, v, valid, events) -> bt.EventStudy:
-    datapoints = [
-        _datapoint(
-            row,
-            measurement_date=date.fromisoformat(row["measurement_date"]),
-            close=float(row["close"]),
-        )
-        for row in valid
+def _decode_datapoints(table: Columns, *measured: Sequence) -> list[RiskDatapoint]:
+    """Datapoints from their id, quarter and score columns; `measured` are
+    the measurement date and close columns, when the artifact has them."""
+    scores = [table[name] for name in SCORES]
+    return [
+        RiskDatapoint(*cells)
+        for cells in zip(table["canonical_id"], table.quarters(), *scores, *measured)
     ]
+
+
+def _decode_study(cfg, v, valid: Columns, events: Columns) -> bt.EventStudy:
+    """The outcome matrix is filled by one assignment from the row index,
+    delay and outcome code of every event row. Each datapoint must have
+    exactly one row per delay of the configured window."""
+    dates = valid.parsed("measurement_date", date.fromisoformat)
+    datapoints = _decode_datapoints(valid, dates, valid["close"])
     index = {(dp.quarter.label, dp.canonical_id): r for r, dp in enumerate(datapoints)}
-    outcomes = np.full((len(datapoints), cfg.delay_hi - cfg.delay_lo + 1), -1, dtype=np.int8)
-    for row in events:
-        key = (row["quarter"], row["canonical_id"])
-        r = index.get(key)
-        if r is None:
-            raise ValidationError(f"event row for unknown datapoint {key} in {EVENTS.name}")
-        if row["decreased"]:
-            outcomes[r, int(row["delay"]) - cfg.delay_lo] = row["decreased"] == "true"
-    return bt.EventStudy(datapoints, outcomes, delay_lo=cfg.delay_lo, delay_hi=cfg.delay_hi)
+    lo, hi = cfg.delay_lo, cfg.delay_hi
+    width = hi - lo + 1
+    offsets = np.frombuffer(events["delay"], dtype=np.int64) - lo
+    outside = (offsets < 0) | (offsets >= width)
+    if outside.any():
+        bad = int(np.argmax(outside))
+        raise events.error(
+            bad, f"has delay {lo + offsets[bad]}, outside the configured delays {lo}..{hi}"
+        )
+    keys = zip(events["quarter"], events["canonical_id"])
+    rows = np.fromiter(map(index.get, keys, repeat(-1)), dtype=np.intp, count=len(events))
+
+    def key(row: int) -> tuple[str, str]:
+        return events["quarter"][row], events["canonical_id"][row]
+
+    if (rows < 0).any():
+        bad = int(np.argmax(rows < 0))
+        raise events.error(bad, f"has an event row for unknown datapoint {key(bad)}")
+    cells = rows * width + offsets
+    order = np.argsort(cells, kind="stable")
+    repeated = order[1:][cells[order[1:]] == cells[order[:-1]]]
+    if repeated.size:
+        bad = int(repeated.min())
+        raise events.error(bad, f"repeats delay {lo + offsets[bad]} of datapoint {key(bad)}")
+    if cells.size != len(datapoints) * width:
+        counts = np.bincount(cells, minlength=len(datapoints) * width)
+        r, d = divmod(int(np.argmin(counts)), width)
+        held = (datapoints[r].quarter.label, datapoints[r].canonical_id)
+        raise valid.error(
+            r, f"holds datapoint {held}, which has no {EVENTS.name} row for delay {lo + d}"
+        )
+    outcomes = np.full((len(datapoints), width), -1, dtype=np.int8)
+    outcomes[rows, offsets] = np.frombuffer(events["decreased"], dtype=np.int8)
+    return bt.EventStudy(datapoints, outcomes, delay_lo=lo, delay_hi=hi)
 
 
 HANDOFFS: dict[str, Handoff] = {
     "occurrences": Handoff((OCCURRENCES,), _decode_occurrences),
-    "networks": Handoff((NETWORK_EDGES, NETWORK_NODES, NETWORK_STATS), _decode_networks),
-    "rank_lists": Handoff((AVERAGE_RANK,), _decode_rank_lists),
-    "datapoints": Handoff((RISK,), lambda cfg, v, rows: [_datapoint(row) for row in rows]),
-    "study": Handoff((VALID_POINTS, EVENTS), _decode_study),
+    "networks": Handoff(
+        (NETWORK_EDGES, NETWORK_NODES, NETWORK_STATS), _decode_networks,
+        dict.fromkeys(("weight", "s", "article_count"), INTEGER),
+    ),
+    "rank_lists": Handoff(
+        (AVERAGE_RANK,), _decode_rank_lists, {"average_rank": NUMBER, "quarters_scored": INTEGER}
+    ),
+    "datapoints": Handoff(
+        (RISK,), lambda cfg, v, table: _decode_datapoints(table), dict.fromkeys(SCORES, NUMBER)
+    ),
+    "study": Handoff(
+        (VALID_POINTS, EVENTS),
+        _decode_study,
+        {**dict.fromkeys((*SCORES, "close"), NUMBER), "delay": INTEGER, "decreased": OUTCOME},
+    ),
 }
 
 
@@ -747,31 +1020,11 @@ def _file_entry(path: Path) -> dict:
     return {"sha256": digest.hexdigest(), "rows": rows}
 
 
-def _rows(cfg: RunConfig, artifact: Artifact) -> Iterator[dict[str, str]]:
-    """An artifact's rows as dicts, checked against its declared columns."""
-    path = cfg.output / artifact.name
-    rerun = f"re-run the {WRITER[artifact.name]!r} command"
-    with path.open("r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = tuple(next(reader, ()))
-        if header != artifact.columns:
-            raise DependencyError(
-                f"{artifact.name} has columns {list(header)}, expected "
-                f"{list(artifact.columns)} — {rerun}"
-            )
-        for row in reader:
-            if len(row) != len(header):
-                raise DependencyError(
-                    f"{artifact.name} line {reader.line_num} has {len(row)} cells, "
-                    f"expected {len(header)} — {rerun}"
-                )
-            yield dict(zip(header, row))
-
-
 def read_handoff(cfg: RunConfig, key: str, values: Values) -> Any:
     """Decode the value `key` from its artifacts in the output directory."""
     handoff = HANDOFFS[key]
-    return handoff.decode(cfg, values, *(_rows(cfg, a) for a in handoff.artifacts))
+    tables = [read_columns(cfg, a, handoff.types) for a in handoff.artifacts]
+    return handoff.decode(cfg, values, *tables)
 
 
 def _load_inputs(cfg: RunConfig, stage: Stage, loaded: dict[str, Any]) -> None:

@@ -1,5 +1,13 @@
-"""Adversarial parser corpus: a crafted universe and sentences with known
-expected matches, for the entity-matching tests."""
+"""Adversarial inputs: a crafted universe and sentences with known expected
+matches, for the entity-matching tests, and run values whose artifact cells
+are hard to write, for the artifact codec tests."""
+
+from dataclasses import fields, replace
+from itertools import cycle
+
+import numpy as np
+
+from newsrisk.backtest import EventStudy, ReportBundle
 
 ADVERSARIAL_UNIVERSE_ROWS = [
     ["APPLE", "Apple Inc.", "AAPL", "NASDAQ", "Apple Inc.|Apple Incorporated", ""],
@@ -130,3 +138,117 @@ def adversarial_positives() -> list[tuple[str, frozenset[str]]]:
         )
     )
     return cases
+
+
+# ---------------------------------------------------------------------------
+# Artifact cells
+# ---------------------------------------------------------------------------
+
+#: Float cells: signed zero, the smallest subnormal, a float past 2**53, a
+#: sum with rounding dust, one that repr writes in exponent form, NaN, None,
+#: and numpy scalars.
+ADVERSARIAL_FLOATS = (
+    -0.0, 5e-324, 1e16, 0.1 + 0.2, 1e-7, float("nan"), None,
+    np.float64(0.1), np.float64(-1.5e-300), 2.5,
+)
+#: Spellings of an id that need quoting, or keep edge spaces or quotes.
+_ID_FORMS = ("{},a", '{}"q', "{}\nline", " {}", "{} ", '"{}"', "{}\rcr", "{}")
+
+
+def adversarial_values(values: dict) -> dict:
+    """A run's values with every canonical and article id respelled to need
+    quoting (commas, quotes, line breaks, edge spaces), float cells drawn
+    from `ADVERSARIAL_FLOATS`, and integer cells as numpy int64 scalars.
+    Datapoint risk and outcomes stay, so the report encoders still compute;
+    `selected` gains an empty id, the lone empty cell of its row."""
+    floats = cycle(ADVERSARIAL_FLOATS)
+    ids: dict[str, str] = {}
+
+    def respell(cid: str) -> str:
+        if cid not in ids:
+            ids[cid] = _ID_FORMS[len(ids) % len(_ID_FORMS)].format(cid)
+        return ids[cid]
+
+    def scramble(record, keep=(), **changes):
+        new = {}
+        for f in fields(record):
+            value = getattr(record, f.name)
+            if f.name in keep or f.name in changes:
+                continue
+            if isinstance(value, float):
+                new[f.name] = next(floats)
+            elif isinstance(value, int) and not isinstance(value, bool):
+                new[f.name] = np.int64(value)
+        return replace(record, **new, **changes)
+
+    def datapoint(dp, dated=True):
+        return scramble(
+            dp,
+            keep=("x_own", "rr_total"),
+            canonical_id=respell(dp.canonical_id),
+            measurement_date=dp.measurement_date if dated else None,
+        )
+
+    def report(r):
+        return scramble(
+            r, keep=("threshold",),
+            rows=tuple(map(scramble, r.rows)),
+            average=r.average and scramble(r.average),
+        )
+
+    study = values["study"]
+    reports = values["reports"]
+    return {
+        "occurrences": {
+            q: [
+                replace(
+                    o,
+                    article_id=respell(o.article_id),
+                    companies=frozenset(map(respell, o.companies)),
+                )
+                for o in occs
+            ]
+            for q, occs in values["occurrences"].items()
+        },
+        "networks": {
+            q: {
+                kind: scramble(
+                    n,
+                    nodes=tuple(map(respell, n.nodes)),
+                    node_weights={respell(c): np.int64(w) for c, w in n.node_weights.items()},
+                    edge_weights={
+                        (respell(i), respell(j)): np.int64(w)
+                        for (i, j), w in n.edge_weights.items()
+                    },
+                )
+                for kind, n in nets.items()
+            }
+            for q, nets in values["networks"].items()
+        },
+        "tables": [
+            replace(
+                t,
+                scores={respell(c): next(floats) for c in t.scores},
+                ranks={respell(c): np.int64(r) for c, r in t.ranks.items()},
+            )
+            for t in values["tables"]
+        ],
+        "rank_lists": {
+            key: [scramble(e, canonical_id=respell(e.canonical_id)) for e in entries]
+            for key, entries in values["rank_lists"].items()
+        },
+        "selected": (*map(respell, values["selected"]), ""),
+        "datapoints": [datapoint(dp) for dp in values["datapoints"]],
+        "study": EventStudy(
+            [datapoint(dp, dated=r % 3 > 0) for r, dp in enumerate(study.datapoints)],
+            study.outcomes,
+            delay_lo=study.delay_lo,
+            delay_hi=study.delay_hi,
+        ),
+        "reports": ReportBundle(
+            range_reports={k: report(r) for k, r in reports.range_reports.items()},
+            comparison=reports.comparison and report(reports.comparison),
+            histogram=[scramble(row) for row in reports.histogram],
+            best_delays=reports.best_delays,
+        ),
+    }

@@ -11,6 +11,7 @@ networks), `centrality_oracle` with pure-Python Gauss-Jordan, and
 from __future__ import annotations
 
 import csv
+import io
 import math
 import re
 from fractions import Fraction
@@ -360,6 +361,32 @@ def write_marketcaps(path: str | Path, table: MarketCapTable) -> int:
         for (cid, quarter), cap in rows:
             writer.writerow([cid, quarter.label, repr(cap)])
     return len(rows)
+
+
+# ---------------------------------------------------------------------------
+# Per-row artifact writer
+# ---------------------------------------------------------------------------
+
+
+def _cell(value: object) -> object:
+    if value is None or value != value:  # NaN rates are undefined, like None
+        return ""
+    return repr(float(value)) if isinstance(value, float) else value
+
+
+def render_by_row(artifact, cfg: RunConfig, values: Mapping) -> str:
+    """An artifact's file content written row by row through `csv.writer`:
+    None and NaN cells empty, floats by `repr`, every other cell as
+    `csv.writer` formats it. The columnar `pipeline.render` must match it
+    byte for byte."""
+    encoded = artifact.encode(cfg, values)
+    if artifact.columns is None:
+        return encoded
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(artifact.columns)
+    writer.writerows([_cell(v) for v in row] for row in zip(*encoded))
+    return buf.getvalue()
 
 
 # ---------------------------------------------------------------------------

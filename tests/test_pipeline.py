@@ -7,6 +7,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import shutil
 from pathlib import Path
 
@@ -541,3 +542,157 @@ def test_cli_fixture_rejects_bad_window(tmp_path):
         )
         == 1
     )
+
+
+# ---------------------------------------------------------------------------
+# The artifact codec
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def default_values():
+    """Every value a run of `FixtureSpec()` encodes, report included."""
+    from newsrisk.fixtures import FixtureSpec, generate_fixture
+
+    from _oracles import FixtureStudy
+
+    study = FixtureStudy(generate_fixture(FixtureSpec()))
+    values = dict(study.values)
+    values.update(PIPELINE[-1].compute(study.config, values))
+    return study.config, values
+
+
+@pytest.mark.parametrize("cells", ["fixture", "adversarial"])
+def test_render_matches_the_per_row_writer(default_values, cells):
+    """The columnar render writes every artifact byte for byte as csv.writer
+    does row by row, on real values and on cells that are hard to write."""
+    from _adversarial import adversarial_values
+    from _oracles import render_by_row
+
+    cfg, values = default_values
+    if cells == "adversarial":
+        values = adversarial_values(values)
+    for stage in PIPELINE:
+        for artifact in stage.writes:
+            expected = render_by_row(artifact, cfg, values)
+            assert render(artifact, cfg, values) == expected, artifact.name
+    if cells == "adversarial":
+        assert '""' in render(pipeline.SELECTED, cfg, values).splitlines()
+
+
+def _rewrite_line(path: Path, line: int, text: str) -> None:
+    lines = path.read_text(encoding="utf-8").split("\n")
+    lines[line - 1] = text
+    path.write_text("\n".join(lines), encoding="utf-8")
+
+
+@pytest.fixture
+def copied_run(staged_run, tmp_path):
+    """A copy of the staged run's output, and its config pointed at it."""
+    cfg, _ = staged_run
+    out = tmp_path / "out"
+    shutil.copytree(cfg.output, out)
+    return make_config(Path(cfg.articles).parent, out)
+
+
+@pytest.mark.parametrize("chunk", [7, pipeline._CHUNK])
+def test_a_row_with_the_wrong_cell_count_names_its_line(copied_run, monkeypatch, chunk):
+    monkeypatch.setattr(pipeline, "_CHUNK", chunk)
+    events = copied_run.output / "decline_events.csv"
+    _rewrite_line(events, 30, "2011Q1,C0001,5")
+    with pytest.raises(
+        DependencyError,
+        match=r"^decline_events\.csv line 30 has 3 cells, expected 4 — "
+        r"re-run the 'backtest' command$",
+    ):
+        read_handoff(copied_run, "study", {})
+
+
+def test_line_numbers_count_the_lines_of_quoted_cells(copied_run):
+    """A record whose quoted cell spans two lines shifts the lines after it."""
+    occurrences = copied_run.output / "occurrences.csv"
+    _rewrite_line(occurrences, 2, '"two\nline id",2011Q1,positive,C0001')
+    _rewrite_line(occurrences, 4, "a2,2011Q1,positive")
+    with pytest.raises(DependencyError, match=r"occurrences\.csv line 4 has 3 cells, expected 4"):
+        read_handoff(copied_run, "occurrences", {})
+
+
+@pytest.mark.parametrize(
+    "fault, message",
+    [
+        ("unknown", r"line 7 has an event row for unknown datapoint \('2011Q1', 'C9999'\)"),
+        ("outcome", r"line 7 has decreased 'maybe', expected 'true', 'false' or empty"),
+        ("delay", r"line 7 has delay 'x3', expected an integer"),
+        ("repeat", r"line 8 repeats delay \d+ of datapoint"),
+    ],
+)
+def test_a_broken_event_row_is_rejected(copied_run, fault, message):
+    """Each fault of decline_events.csv names its line and the stage to re-run."""
+    events = copied_run.output / "decline_events.csv"
+    quarter, cid, delay, _ = events.read_text(encoding="utf-8").split("\n")[6].split(",")
+    broken = {
+        "unknown": (7, "2011Q1,C9999,3,true"),
+        "outcome": (7, f"{quarter},{cid},{delay},maybe"),
+        "delay": (7, f"{quarter},{cid},x3,true"),
+        "repeat": (8, f"{quarter},{cid},{delay},"),  # line 8 repeats the delay of line 7
+    }
+    _rewrite_line(events, *broken[fault])
+    with pytest.raises(DependencyError, match=r"^decline_events\.csv " + message) as caught:
+        read_handoff(copied_run, "study", {})
+    assert str(caught.value).endswith("re-run the 'backtest' command")
+
+
+@pytest.mark.parametrize(
+    "column, cell, message",
+    [
+        ("close", "abc", r"line 3 has close 'abc', expected a number"),
+        ("measurement_date", "soon", r"line 3 has bad measurement_date 'soon'"),
+        ("quarter", "2011Q5", r"line 3 has bad quarter '2011Q5'"),
+    ],
+)
+def test_a_broken_datapoint_cell_is_rejected(copied_run, column, cell, message):
+    valid = copied_run.output / "valid_datapoints.csv"
+    header, *rows = valid.read_text(encoding="utf-8").split("\n")
+    cells = rows[1].split(",")
+    cells[header.split(",").index(column)] = cell
+    _rewrite_line(valid, 3, ",".join(cells))
+    with pytest.raises(DependencyError, match=r"^valid_datapoints\.csv " + message) as caught:
+        read_handoff(copied_run, "study", {})
+    assert str(caught.value).endswith("re-run the 'backtest' command")
+
+
+@pytest.mark.parametrize(
+    "delays, message",
+    [
+        ([5, 90], r"decline_events\.csv line 2 has delay 3, outside the configured delays 5\.\.90"),
+        ([5, 60], r"decline_events\.csv line 2 has delay 3, outside the configured delays 5\.\.60"),
+        (
+            [1, 90],
+            r"valid_datapoints\.csv line 2 holds datapoint \('2011Q1', '\w+'\), which has "
+            r"no decline_events\.csv row for delay 1",
+        ),
+    ],
+)
+def test_report_rejects_events_of_another_delay_window(
+    staged_run, tmp_path, capsys, delays, message
+):
+    """The backtest wrote delays 3..90; a report over another window exits 2
+    instead of mixing windows."""
+    cfg, _ = staged_run
+    out = tmp_path / "out"
+    shutil.copytree(cfg.output, out)
+    config_path = tmp_path / "run.json"
+    config_path.write_text(
+        json.dumps(
+            {
+                **{key: str(Path(getattr(cfg, key))) for key in BASE_MAPPING},
+                "output": str(out),
+                "quarters": "2011Q1..2011Q3",
+                "delays": delays,
+            }
+        )
+    )
+    assert main(["report", "--config", str(config_path)]) == 2
+    err = capsys.readouterr().err
+    assert re.search(message, err), err
+    assert "re-run the 'backtest' command" in err
