@@ -269,8 +269,20 @@ def build_range_report(
     ranges: Sequence[tuple[int, int]] = REPORT_RANGES,
 ) -> RangeReport:
     rows_idx = study.indices_at_threshold(threshold, kind)
-    subset_daily = study.daily_rates(rows_idx)
-    benchmark_daily = study.daily_rates()
+    return _range_report(
+        study, threshold, kind, rows_idx.size, study.daily_rates(rows_idx), study.daily_rates(), ranges
+    )
+
+
+def _range_report(
+    study: EventStudy,
+    threshold: float,
+    kind: str,
+    n_subset: int,
+    subset_daily: np.ndarray,
+    benchmark_daily: np.ndarray,
+    ranges: Sequence[tuple[int, int]] = REPORT_RANGES,
+) -> RangeReport:
     rows: list[RangeStat] = []
     for lo, hi in ranges:
         stat = range_stat(f"{lo} to {hi}", lo, hi, subset_daily, benchmark_daily, study.delay_lo)
@@ -287,7 +299,7 @@ def build_range_report(
     return RangeReport(
         kind=kind,
         threshold=threshold,
-        n_subset=int(rows_idx.size),
+        n_subset=int(n_subset),
         n_benchmark=len(study),
         rows=tuple(rows),
         average=average_row(rows),
@@ -366,10 +378,14 @@ def best_single_delay(
     Ties go to the smallest delay; None when no delay has both rates.
     """
     rows = study.indices_at_threshold(threshold, kind)
-    subset_daily = study.daily_rates(rows)
-    benchmark_daily = study.daily_rates()
+    return _best_delay(study.delays, study.daily_rates(rows), study.daily_rates())
+
+
+def _best_delay(
+    delays: range, subset_daily: np.ndarray, benchmark_daily: np.ndarray
+) -> tuple[int, float] | None:
     best: tuple[int, float] | None = None
-    for offset, delay in enumerate(study.delays):
+    for offset, delay in enumerate(delays):
         s, b = subset_daily[offset], benchmark_daily[offset]
         if math.isnan(s) or math.isnan(b):
             continue
@@ -428,16 +444,27 @@ class ReportBundle:
     comparison: ComparisonReport | None
     histogram: list[HistogramRow]
     best_delays: dict[tuple[str, float], tuple[int, float] | None]
+    #: The study rows of each (kind, threshold) subset, and their daily rates.
+    subset_rows: dict[tuple[str, float], np.ndarray]
+    subset_daily: dict[tuple[str, float], np.ndarray]
+    benchmark_daily: np.ndarray
 
 
 def compute_reports(study: EventStudy, thresholds: Sequence[float]) -> ReportBundle:
+    benchmark_daily = study.daily_rates()
+    subset_rows: dict[tuple[str, float], np.ndarray] = {}
+    subset_daily: dict[tuple[str, float], np.ndarray] = {}
     range_reports: dict[tuple[str, float], RangeReport] = {}
     best_delays: dict[tuple[str, float], tuple[int, float] | None] = {}
     for kind in (AGGREGATED, INDIVIDUAL):
         for threshold in thresholds:
-            report = build_range_report(study, threshold, kind)
-            range_reports[(kind, threshold)] = report
-            best_delays[(kind, threshold)] = best_single_delay(study, threshold, kind)
+            key = (kind, threshold)
+            rows = subset_rows[key] = study.indices_at_threshold(threshold, kind)
+            daily = subset_daily[key] = study.daily_rates(rows)
+            range_reports[key] = _range_report(
+                study, threshold, kind, rows.size, daily, benchmark_daily
+            )
+            best_delays[key] = _best_delay(study.delays, daily, benchmark_daily)
     comparison = None
     if thresholds:
         top = max(thresholds)
@@ -445,7 +472,9 @@ def compute_reports(study: EventStudy, thresholds: Sequence[float]) -> ReportBun
             range_reports[(AGGREGATED, top)], range_reports[(INDIVIDUAL, top)]
         )
     histogram = risk_histogram(study.datapoints)
-    return ReportBundle(range_reports, comparison, histogram, best_delays)
+    return ReportBundle(
+        range_reports, comparison, histogram, best_delays, subset_rows, subset_daily, benchmark_daily
+    )
 
 
 # ---------------------------------------------------------------------------

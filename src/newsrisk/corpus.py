@@ -6,8 +6,11 @@ File formats:
   universe    CSV: canonical_id, display_name, primary_ticker, exchange,
               name_variants (pipe-separated), merged_tickers (pipe-separated);
               share classes appear as extra rows with the same canonical_id
-  prices      CSV: ticker, date (YYYY-MM-DD), adjusted_close; three fields a
-              row, dates strictly increasing per ticker, finite positive closes
+  prices      CSV: ticker, date, adjusted_close; three fields a row. Dates
+              are exactly YYYY-MM-DD and strictly increasing per ticker.
+              Closes are finite and positive in numpy's float syntax:
+              Python's float() without `_` separators or non-ASCII digits
+              (`1.5`, `2e3`, `.5`). Whitespace around any cell is ignored.
   marketcaps  CSV: canonical_id, quarter (YYYYQN), market_cap_usd_billions
 
 Everything returned by the loaders is immutable by convention and safe for
@@ -19,11 +22,13 @@ from __future__ import annotations
 import csv
 import json
 import logging
-from array import array
+import math
+import re
+import warnings
 from dataclasses import dataclass
 from datetime import date, datetime, timezone
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -312,6 +317,119 @@ def load_universe(path: str | Path) -> EntityUniverse:
 #: `date.toordinal()` of 1970-01-01, day 0 of datetime64[D].
 _EPOCH_ORDINAL = date(1970, 1, 1).toordinal()
 
+#: Rows of prices.csv that one `np.loadtxt` call parses. Each cell of a chunk
+#: is a `str` until the chunk is coded, and the allocator keeps the pages they
+#: took. On a 2-vCPU VM, 4096-row chunks raised a whole run's peak RSS by about
+#: 0.5 MB over a row-at-a-time loader. 512-row chunks stay below it, and parse
+#: a 203 000-row file within 10 % of the time 4096-row chunks take.
+_PRICE_CHUNK = 512
+_PRICE_ROW = np.dtype([("t", object), ("d", object), ("c", "f8")])
+_ISO_DAY = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
+
+
+def _day_ordinal(cell: str) -> int:
+    """`date.toordinal()` of a `YYYY-MM-DD` cell; ValueError on any other form."""
+    text = cell.strip()
+    if not _ISO_DAY.fullmatch(text):
+        raise ValueError(f"not a YYYY-MM-DD date: {cell!r}")
+    return date.fromisoformat(text).toordinal()
+
+
+def _close_value(cell: str) -> float:
+    """A close cell as `np.loadtxt` reads it: `float()` syntax, but ASCII
+    only and without `_` digit separators."""
+    text = cell.strip()
+    if not text.isascii() or "_" in text:
+        raise ValueError(f"not a number: {cell!r}")
+    return float(text)
+
+
+class _Memo(dict):
+    """`convert(cell)` by cell as written; each distinct cell is converted once."""
+
+    def __init__(self, convert: Callable[[str], int]):
+        super().__init__()
+        self.convert = convert
+
+    def __missing__(self, cell: str) -> int:
+        value = self[cell] = self.convert(cell)
+        return value
+
+
+def _price_columns(lines: Iterator[str]) -> tuple[list[str], np.ndarray, np.ndarray, np.ndarray]:
+    """Tickers, and the code, date ordinal and close of every row grouped by ticker.
+
+    `np.loadtxt` parses the rows a chunk at a time; each distinct ticker and
+    date cell goes through Python once. Raises ValueError, without naming a
+    line, when any row is faulty.
+    """
+    names: dict[str, int] = {}  # ticker -> code
+    codes = _Memo(lambda cell: names.setdefault(cell.strip(), len(names)))
+    ordinals = _Memo(_day_ordinal)
+    parts: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+    while not parts or len(parts[-1][2]) == _PRICE_CHUNK:
+        with warnings.catch_warnings():
+            # loadtxt warns when a call finds no rows and when it skips a blank line
+            warnings.simplefilter("ignore", UserWarning)
+            chunk = np.loadtxt(
+                lines,
+                dtype=_PRICE_ROW,
+                delimiter=",",
+                quotechar='"',
+                comments=None,
+                ndmin=1,
+                max_rows=_PRICE_CHUNK,
+            )
+        parts.append(
+            (
+                np.fromiter(map(codes.__getitem__, chunk["t"]), np.int32, len(chunk)),
+                np.fromiter(map(ordinals.__getitem__, chunk["d"]), np.int32, len(chunk)),
+                chunk["c"].copy(),  # a view would keep every str of the chunk alive
+            )
+        )
+    code_col, day_col, close_col = map(np.concatenate, zip(*parts))
+    if not (np.isfinite(close_col) & (close_col > 0)).all():
+        raise ValueError("non-finite or non-positive close")
+    order = np.argsort(code_col, kind="stable")
+    code_col, day_col, close_col = code_col[order], day_col[order], close_col[order]
+    if ((code_col[1:] == code_col[:-1]) & (day_col[1:] <= day_col[:-1])).any():
+        raise ValueError("dates not strictly increasing")
+    return list(names), code_col, day_col, close_col
+
+
+def _first_fault(path: Path) -> str | None:
+    """`line: message` for the first faulty row of a prices file.
+
+    Reads row by row in file order, and runs only once the columnar parse
+    has failed. A price fault beats a date-order fault on the same line.
+    """
+    last_day: dict[str, int] = {}
+    with path.open("r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        next(reader, None)
+        for row in reader:
+            if len(row) != len(PRICE_COLUMNS):
+                if not row:
+                    continue  # blank line
+                return f"{reader.line_num}: expected {len(PRICE_COLUMNS)} fields, got {len(row)}"
+            ticker, day, close = row
+            ticker = ticker.strip()
+            try:
+                ordinal = _day_ordinal(day)
+            except ValueError:
+                return f"{reader.line_num}: bad date {day!r}"
+            try:
+                value = _close_value(close)
+            except ValueError:
+                return f"{reader.line_num}: bad price {close!r}"
+            if not (math.isfinite(value) and value > 0):
+                kind = "non-positive price" if math.isfinite(value) else "bad price"
+                return f"{reader.line_num}: {kind} {value} for {ticker}"
+            if last_day.get(ticker, 0) >= ordinal:  # ordinals start at 1
+                return f"{reader.line_num}: dates for {ticker} not strictly increasing"
+            last_day[ticker] = ordinal
+    return None
+
 
 def load_prices(path: str | Path, universe: EntityUniverse | None = None) -> PriceTable:
     """Load daily adjusted closes.
@@ -320,72 +438,21 @@ def load_prices(path: str | Path, universe: EntityUniverse | None = None) -> Pri
     company with several share-class series the primary ticker's series wins.
     Missing companies are permitted (the backtest disqualifies them later).
 
-    Rows stream into typed buffers, each ticker coded to a small int; one
-    stable sort then groups them by ticker, and the price and date-order
-    checks run over whole columns. A malformed file raises ValidationError
-    naming the first faulty line.
+    numpy's C parser reads the rows in bounded chunks, each ticker coded to a
+    small int; one stable sort then groups them by ticker, and the price and
+    date-order checks run over whole columns. A malformed file raises
+    ValidationError naming its first faulty line, found by a row-by-row
+    re-read that runs only then.
     """
     path = Path(path)
-    names: dict[str, int] = {}  # ticker -> code
-    codes: dict[str, int] = {}  # ticker cell as written -> code
-    ordinals: dict[str, int] = {}  # date cell as written -> date ordinal
-    tickers, days, closes, lines = array("i"), array("i"), array("d"), array("l")
-    # (row, check, line, message) of each fault found; the first row is reported.
-    # A row that does not parse ends the reading, so it comes after every other.
-    faults: list[tuple[int, int, int, str]] = []
     with path.open("r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        _check_columns(next(reader, None), PRICE_COLUMNS, path)
-        for row in reader:
-            if len(row) != len(PRICE_COLUMNS):
-                if not row:
-                    continue  # blank line
-                message = f"expected {len(PRICE_COLUMNS)} fields, got {len(row)}"
-                faults.append((len(lines), 0, reader.line_num, message))
-                break
-            ticker, day, close = row
-            code = codes.get(ticker)
-            if code is None:
-                code = codes[ticker] = names.setdefault(ticker.strip(), len(names))
-            ordinal = ordinals.get(day)
-            if ordinal is None:
-                try:
-                    ordinal = date.fromisoformat(day.strip()).toordinal()
-                except ValueError:
-                    faults.append((len(lines), 0, reader.line_num, f"bad date {day!r}"))
-                    break
-                ordinals[day] = ordinal
-            try:
-                value = float(close)
-            except ValueError:
-                faults.append((len(lines), 0, reader.line_num, f"bad price {close!r}"))
-                break
-            tickers.append(code)
-            days.append(ordinal)
-            closes.append(value)
-            lines.append(reader.line_num)
+        _check_columns(next(csv.reader(fh), None), PRICE_COLUMNS, path)
+        try:
+            ticker_of, codes_col, days_col, closes_col = _price_columns(fh)
+        except ValueError as exc:
+            fault = _first_fault(path) or f" {exc}"
+            raise ValidationError(f"{path.name}:{fault}") from None
 
-    ticker_of = list(names)
-    file_closes = np.asarray(closes)
-    bad = np.flatnonzero(~(np.isfinite(file_closes) & (file_closes > 0)))
-    if bad.size:
-        row = bad[0]
-        kind = "non-positive price" if np.isfinite(closes[row]) else "bad price"
-        message = f"{kind} {closes[row]} for {ticker_of[tickers[row]]}"
-        faults.append((row, 0, lines[row], message))
-    codes_col = np.asarray(tickers)
-    order = np.argsort(codes_col, kind="stable")
-    codes_col, days_col = codes_col[order], np.asarray(days)[order]
-    repeat = np.flatnonzero((codes_col[1:] == codes_col[:-1]) & (days_col[1:] <= days_col[:-1]))
-    if repeat.size:
-        row = order[repeat + 1].min()
-        message = f"dates for {ticker_of[tickers[row]]} not strictly increasing"
-        faults.append((row, 1, lines[row], message))
-    if faults:
-        _, _, line, message = min(faults)
-        raise ValidationError(f"{path.name}:{line}: {message}")
-
-    closes_col = file_closes[order]
     days_col = (days_col - _EPOCH_ORDINAL).astype("datetime64[D]")
     starts = np.flatnonzero(np.diff(codes_col, prepend=-1))
     ends = np.append(starts[1:], len(codes_col))

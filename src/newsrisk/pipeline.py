@@ -462,32 +462,31 @@ def _comparison_columns(cfg: RunConfig, v: Values) -> tuple[list, ...]:
 
 
 def _daily_columns(cfg: RunConfig, v: Values) -> tuple[list, ...]:
-    study = v["study"]
-    keys = sorted(v["reports"].range_reports)
+    study, reports = v["study"], v["reports"]
+    keys = sorted(reports.range_reports)
     n = len(study.delays)
-    subsets = [study.daily_rates(study.indices_at_threshold(t, kind)) for kind, t in keys]
     return (
         _repeat([kind for kind, _ in keys], repeat(n)),
         _repeat([threshold for _, threshold in keys], repeat(n)),
         list(study.delays) * len(keys),
-        list(chain.from_iterable(rates.tolist() for rates in subsets)),
-        study.daily_rates().tolist() * len(keys),
+        list(chain.from_iterable(reports.subset_daily[key].tolist() for key in keys)),
+        reports.benchmark_daily.tolist() * len(keys),
     )
 
 
 def _best_delay_rows(cfg: RunConfig, v: Values) -> Iterator[tuple]:
-    study = v["study"]
-    benchmark = study.daily_rates()
-    for (kind, threshold), best in sorted(v["reports"].best_delays.items()):
+    study, reports = v["study"], v["reports"]
+    benchmark_defined = study.defined_counts()
+    for key, best in sorted(reports.best_delays.items()):
         if best is None:
             continue
+        kind, threshold = key
         delay, diff = best
-        rows_idx = study.indices_at_threshold(threshold, kind)
         offset = delay - study.delay_lo
-        n1 = int(study.defined_counts(rows_idx)[offset])
-        n2 = int(study.defined_counts()[offset])
-        p1 = float(study.daily_rates(rows_idx)[offset]) / 100.0
-        p2 = float(benchmark[offset]) / 100.0
+        n1 = int(study.defined_counts(reports.subset_rows[key])[offset])
+        n2 = int(benchmark_defined[offset])
+        p1 = float(reports.subset_daily[key][offset]) / 100.0
+        p2 = float(reports.benchmark_daily[offset]) / 100.0
         stderr = bt.proportion_stderr(p1, n1, p2, n2)
         yield kind, threshold, delay, p1 * 100.0, p2 * 100.0, diff, stderr, n1, n2
 

@@ -7,7 +7,7 @@ from itertools import cycle
 
 import numpy as np
 
-from newsrisk.backtest import EventStudy, ReportBundle
+from newsrisk.backtest import EventStudy
 
 ADVERSARIAL_UNIVERSE_ROWS = [
     ["APPLE", "Apple Inc.", "AAPL", "NASDAQ", "Apple Inc.|Apple Incorporated", ""],
@@ -245,10 +245,10 @@ def adversarial_values(values: dict) -> dict:
             delay_lo=study.delay_lo,
             delay_hi=study.delay_hi,
         ),
-        "reports": ReportBundle(
+        "reports": replace(
+            reports,
             range_reports={k: report(r) for k, r in reports.range_reports.items()},
             comparison=reports.comparison and report(reports.comparison),
             histogram=[scramble(row) for row in reports.histogram],
-            best_delays=reports.best_delays,
         ),
     }

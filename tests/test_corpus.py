@@ -1,12 +1,14 @@
 """Loaders, writers, and calendar-quarter bucketing."""
 
 import json
+import warnings
 from datetime import date, datetime, timedelta, timezone
 
 import numpy as np
 import pytest
 
 from newsrisk.corpus import (
+    _PRICE_CHUNK,
     Article,
     EntityRecord,
     EntityUniverse,
@@ -385,6 +387,14 @@ def test_prices_validation(tmp_path):
         ("X,2011-01-03,0\nX,2011-01-04,nan\n", ":2: non-positive price 0.0"),
         ("Y,2011-01-04,1\nX,2011-01-04,1\nX,2011-01-03,1\nY,2011-01-03,1\n",
          ":4: dates for X not strictly"),
+        # dates are YYYY-MM-DD only, whatever `date.fromisoformat` accepts
+        ("X,20110103,1\n", ":2: bad date '20110103'"),
+        ("X,2011-W01-1,1\n", ":2: bad date '2011-W01-1'"),
+        ("X,2011-01-03,1\nX,2011-01-0٤,1\n", ":3: bad date '2011-01-0٤'"),
+        # closes follow numpy's float syntax, not `float()`'s
+        ("X,2011-01-03,1\nX,2011-01-04,1_0\n", ":3: bad price '1_0'"),
+        ("X,2011-01-03,٤\n", ":2: bad price '٤'"),
+        ("X,2011-01-03,1\n   \nX,2011-01-04,1\n", ":3: expected 3 fields, got 1"),
     ],
 )
 def test_prices_report_the_first_faulty_line(tmp_path, rows, message):
@@ -440,6 +450,117 @@ def test_prices_match_the_row_loader(tmp_path):
         for key, reference in expected.items():
             assert scalar_series(loaded.get(key)) == reference, key
     assert set(load_prices(path, uni).series) == {"A", "B", "C", "O", "RAW"}
+
+
+def _load_prices_strictly(path, universe=None):
+    """`load_prices` with every warning raised as an error."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return load_prices(path, universe)
+
+
+def _assert_loads_like_the_row_loader(path, universe=None):
+    loaded = _load_prices_strictly(path, universe)
+    expected = load_prices_by_row(path, universe)
+    assert list(loaded.series) == list(expected)
+    for key, reference in expected.items():
+        assert scalar_series(loaded.get(key)) == reference, key
+    return loaded
+
+
+@pytest.mark.parametrize(
+    "body, keys",
+    [
+        ("X,2011-01-03,1.5\r\nY,2011-01-03,2\r\n\r\nX,2011-01-04,1.75\r\n", ["X", "Y"]),
+        ('"A,""B",2011-01-03,1.5\nX,2011-01-03,2\n"A,""B",2011-01-04,3\n', ['A,"B', "X"]),
+        ("ABCDEFGHIJKLMNOPQRSTUVWXYZ,2011-01-03,1\n", ["ABCDEFGHIJKLMNOPQRSTUVWXYZ"]),
+        ("#X,2011-01-03,1\n#X,2011-01-04,2\n", ["#X"]),
+        ("", []),
+        ("\n\n", []),
+        (" Ünï ,2011-01-03 , 4.5 \n", ["Ünï"]),
+    ],
+    ids=["crlf", "quoted", "long-ticker", "hash-ticker", "header-only", "blank-only", "loose"],
+)
+def test_prices_parse_cells_as_the_row_loader_does(tmp_path, body, keys):
+    path = tmp_path / "prices.csv"
+    path.write_bytes(("ticker,date,adjusted_close\n" + body).encode("utf-8"))
+    assert list(_assert_loads_like_the_row_loader(path).series) == keys
+
+
+@pytest.mark.parametrize("rows", [2 * _PRICE_CHUNK, 2 * _PRICE_CHUNK + 5])
+def test_prices_spanning_several_chunks_load_as_the_row_loader_does(tmp_path, rows):
+    """Interleaved tickers over three parse chunks, the last full or not,
+    with blank lines after the last row."""
+    tickers = ["AAA", "AAB", "BBB"]
+    lines = ["ticker,date,adjusted_close"]
+    for i in range(rows):
+        day = date(2011, 1, 3) + timedelta(days=i // len(tickers))
+        lines.append(f"{tickers[i % len(tickers)]},{day.isoformat()},{1.0 + i / 7}")
+    path = tmp_path / "prices.csv"
+    path.write_text("\n".join(lines) + "\n\n\n", encoding="utf-8")
+    uni = EntityUniverse(
+        [EntityRecord("A", "A Co", "AAB", "NYSE", ("A Co",), ("AAB", "AAA"))]
+    )
+    for universe in (None, uni):
+        _assert_loads_like_the_row_loader(path, universe)
+    assert len(_load_prices_strictly(path).get("BBB").dates) == -(-(rows - 2) // 3)
+
+
+def test_price_cells_follow_numpy_float_syntax(tmp_path):
+    """A close loads exactly when numpy's parser reads it, to the same value;
+    otherwise the error names the line."""
+    rng = np.random.default_rng(8)
+    alphabet = list("0123456789.eE+-_ ") + ["nan", "inf", "Infinity", "x", " ", "٤", "\t"]
+    cells = ["1_0", " 2.5 ", "+.5", "5.", "1e5", "0x10", "-0", "1e400", "", "  "]
+    cells += ["".join(rng.choice(alphabet, size=int(rng.integers(1, 6)))) for _ in range(300)]
+    path = tmp_path / "prices.csv"
+    for cell in cells:
+        try:
+            value = float(np.loadtxt([f"{cell},1"], delimiter=",", comments=None, ndmin=2)[0, 0])
+        except ValueError:
+            value = None
+        path.write_text(f"ticker,date,adjusted_close\nX,2011-01-03,{cell}\n", encoding="utf-8")
+        if value is not None and np.isfinite(value) and value > 0:
+            assert _load_prices_strictly(path).get("X").closes.tolist() == [value], cell
+        else:
+            with pytest.raises(ValidationError, match="^prices.csv:2: "):
+                _load_prices_strictly(path)
+
+
+#: One fault of each kind, planted in place of a (ticker, date, close) row.
+#: Each returns the new line and the message expected for it.
+PLANTED_FAULTS = {
+    "fields": lambda t, d, c, prev: (f"{t},{d}", "expected 3 fields, got 2"),
+    "date": lambda t, d, c, prev: (f"{t},{d.replace('-', '')},{c}", f"bad date {d.replace('-', '')!r}"),
+    "price": lambda t, d, c, prev: (f"{t},{d},1_0", "bad price '1_0'"),
+    "non-finite": lambda t, d, c, prev: (f"{t},{d},-inf", f"bad price -inf for {t}"),
+    "non-positive": lambda t, d, c, prev: (f"{t},{d},-{c}", f"non-positive price -{c} for {t}"),
+    "date-order": lambda t, d, c, prev: (f"{t},{prev},{c}", f"dates for {t} not strictly increasing"),
+}
+
+
+def test_planted_price_faults_report_the_earliest_line(tmp_path, small_fixture_dir):
+    source = (small_fixture_dir / "prices.csv").read_text(encoding="utf-8").splitlines()
+    # rows whose ticker also has the row above, so a date-order fault can be planted
+    candidates = [
+        i for i in range(2, len(source)) if source[i].split(",")[0] == source[i - 1].split(",")[0]
+    ]
+    rng = np.random.default_rng(13)
+    path = tmp_path / "prices.csv"
+    for trial in range(24):
+        lines = list(source)
+        planted = {}
+        for index in rng.choice(candidates, size=1 + trial % 2, replace=False).tolist():
+            kind = str(rng.choice(sorted(PLANTED_FAULTS)))
+            ticker, day, close = lines[index].split(",")
+            previous_day = lines[index - 1].split(",")[1]
+            lines[index], message = PLANTED_FAULTS[kind](ticker, day, close, previous_day)
+            planted[index + 1] = message
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        line = min(planted)
+        with pytest.raises(ValidationError) as caught:
+            _load_prices_strictly(path)
+        assert str(caught.value) == f"prices.csv:{line}: {planted[line]}", planted
 
 
 # -- market caps ------------------------------------------------------------
