@@ -401,33 +401,42 @@ def _first_fault(path: Path) -> str | None:
     """`line: message` for the first faulty row of a prices file.
 
     Reads row by row in file order, and runs only once the columnar parse
-    has failed. A price fault beats a date-order fault on the same line.
+    has failed. A price fault beats a date-order fault on the same line. A
+    row `csv.reader` cannot read is a fault too: numpy reads cells longer
+    than `csv.field_size_limit()`, which the row reader refuses.
     """
-    last_day: dict[str, int] = {}
     with path.open("r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        next(reader, None)
-        for row in reader:
-            if len(row) != len(PRICE_COLUMNS):
-                if not row:
-                    continue  # blank line
-                return f"{reader.line_num}: expected {len(PRICE_COLUMNS)} fields, got {len(row)}"
-            ticker, day, close = row
-            ticker = ticker.strip()
-            try:
-                ordinal = _day_ordinal(day)
-            except ValueError:
-                return f"{reader.line_num}: bad date {day!r}"
-            try:
-                value = _close_value(close)
-            except ValueError:
-                return f"{reader.line_num}: bad price {close!r}"
-            if not (math.isfinite(value) and value > 0):
-                kind = "non-positive price" if math.isfinite(value) else "bad price"
-                return f"{reader.line_num}: {kind} {value} for {ticker}"
-            if last_day.get(ticker, 0) >= ordinal:  # ordinals start at 1
-                return f"{reader.line_num}: dates for {ticker} not strictly increasing"
-            last_day[ticker] = ordinal
+        try:
+            return _first_faulty_row(reader)
+        except csv.Error as exc:
+            return f"{reader.line_num}: {exc}"
+
+
+def _first_faulty_row(reader) -> str | None:
+    last_day: dict[str, int] = {}
+    next(reader, None)
+    for row in reader:
+        if len(row) != len(PRICE_COLUMNS):
+            if not row:
+                continue  # blank line
+            return f"{reader.line_num}: expected {len(PRICE_COLUMNS)} fields, got {len(row)}"
+        ticker, day, close = row
+        ticker = ticker.strip()
+        try:
+            ordinal = _day_ordinal(day)
+        except ValueError:
+            return f"{reader.line_num}: bad date {day!r}"
+        try:
+            value = _close_value(close)
+        except ValueError:
+            return f"{reader.line_num}: bad price {close!r}"
+        if not (math.isfinite(value) and value > 0):
+            kind = "non-positive price" if math.isfinite(value) else "bad price"
+            return f"{reader.line_num}: {kind} {value} for {ticker}"
+        if last_day.get(ticker, 0) >= ordinal:  # ordinals start at 1
+            return f"{reader.line_num}: dates for {ticker} not strictly increasing"
+        last_day[ticker] = ordinal
     return None
 
 

@@ -9,25 +9,24 @@ column, which `render` formats column by column. Values that a later stage
 reads back have one decoder each, in `HANDOFFS`, over the artifacts' columns
 as `read_columns` streams them from the files.
 
-`run_all` and the per-stage commands (`STAGES`) hand values over through
-files; `run_all` also hands each loaded input file to every later stage that
-reads it, so each file is parsed once per run. A stage decodes its upstream
-artifacts, checking that each exists, carries the declared header and has
-one cell per column on every row. It
-writes its own artifacts atomically (temp file + rename) and records a
-manifest with the config fingerprint, the digests of every file it read, row
-counts, and stage parameters. Two runs from identical inputs and config
-produce byte-identical artifacts.
+`run_all` runs every stage and hands each stage's values to the later ones
+in memory, as `run_study` does: each input file is loaded and hashed once,
+and an artifact's manifest entry comes from the bytes written. A per-stage
+command (`STAGES`) decodes its upstream artifacts instead, checking that
+each exists, carries the declared header and has one cell per column on
+every row. Every stage writes its artifacts atomically (temp file + rename)
+and records a manifest with the config fingerprint, the digests of every
+file it read, row counts, and stage parameters. Two runs from identical
+inputs and config produce byte-identical artifacts.
 
-`run_study` runs the same stage list with the values handed over in memory:
-nothing is encoded, written or hashed. Tests and bulk simulations use it.
+`run_study` runs the same stage list without writing: nothing is encoded,
+written or hashed. Tests and bulk simulations use it.
 """
 
 from __future__ import annotations
 
 import csv
 import hashlib
-import io
 import json
 import logging
 import os
@@ -221,15 +220,10 @@ class Artifact:
     encode: Callable[[RunConfig, Values], Any]
 
 
-def _csv_quotes(char: str) -> bool:
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerow([char])
-    return buf.getvalue() != char + "\n"
-
-
-#: The characters that make a cell quoted, as `csv.writer` decides on this
-#: Python (whether a lone carriage return counts differs between versions).
-_QUOTED = "".join(filter(_csv_quotes, ',"\n\r'))
+#: The characters that make a cell quoted: `csv.writer`'s minimal quoting,
+#: and a lone carriage return on every Python version (3.11's `csv.writer`
+#: leaves it bare, but `csv.reader` ends a record there).
+_QUOTED = ',"\n\r'
 _FLOATS = {float, np.float64}
 #: Rows joined or parsed at a time, so that only a bounded slice of a file
 #: is held as one object per cell or per row.
@@ -978,15 +972,15 @@ WRITER = {artifact.name: stage.name for stage in PIPELINE for artifact in stage.
 
 
 # ---------------------------------------------------------------------------
-# The runner: file handoff (run_all, STAGES) and in-memory handoff (run_study)
+# The runner: run_all, the stage commands (STAGES) and run_study
 # ---------------------------------------------------------------------------
 
 
-def _atomic_write(path: Path, data: str) -> None:
+def _atomic_write(path: Path, data: bytes) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
+        with os.fdopen(fd, "wb") as fh:
             fh.write(data)
         os.replace(tmp, path)
     except BaseException:
@@ -997,8 +991,14 @@ def _atomic_write(path: Path, data: str) -> None:
         raise
 
 
-def _file_entry(path: Path) -> dict:
-    """SHA-256 and row count of a file, from one binary read.
+def _chunks(path: Path) -> Iterator[bytes]:
+    with path.open("rb") as fh:
+        yield from iter(lambda: fh.read(1 << 20), b"")
+
+
+def _file_entry(path: Path, data: bytes | None = None) -> dict:
+    """SHA-256 and row count of the file at `path`: of `data`, the bytes
+    just written there, when given, else from one binary read.
 
     Lines are counted as text mode reads them: LF, CRLF and a lone CR each
     end one, and a last line without an ending counts too.
@@ -1006,13 +1006,12 @@ def _file_entry(path: Path) -> dict:
     digest = hashlib.sha256()
     lines = 0
     last = b""
-    with path.open("rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            digest.update(chunk)
-            lines += chunk.count(b"\n") + chunk.count(b"\r") - chunk.count(b"\r\n")
-            if last == b"\r" and chunk.startswith(b"\n"):
-                lines -= 1  # a "\r\n" split across two chunks
-            last = chunk[-1:]
+    for chunk in _chunks(path) if data is None else [data]:
+        digest.update(chunk)
+        lines += chunk.count(b"\n") + chunk.count(b"\r") - chunk.count(b"\r\n")
+        if last == b"\r" and chunk.startswith(b"\n"):
+            lines -= 1  # a "\r\n" split across two chunks
+        last = chunk[-1:]
     if last not in (b"", b"\n", b"\r"):
         lines += 1
     rows = max(0, lines - 1) if path.suffix == ".csv" else lines
@@ -1034,44 +1033,59 @@ def _load_inputs(cfg: RunConfig, stage: Stage, loaded: dict[str, Any]) -> None:
 
 
 def run_stage(
-    stage: Stage, cfg: RunConfig, loaded: dict[str, Any] | None = None
+    stage: Stage,
+    cfg: RunConfig,
+    loaded: dict[str, Any] | None = None,
+    entries: dict[Path, dict] | None = None,
 ) -> list[Path]:
-    """Run one stage with file handoff; returns its artifact and manifest paths.
+    """Run one stage, writing its artifacts; returns their and its manifest's paths.
 
-    `loaded` holds config inputs already loaded, and gains the ones this
-    stage loads; `run_all` passes one dict to every stage, so each input
-    file is parsed once per run.
+    `loaded` holds the values already in hand, config inputs and earlier
+    stages' values alike, and gains the inputs this stage loads and the
+    values it computes. A value this stage reads that `loaded` lacks is
+    decoded from its artifacts. `entries` holds the manifest entry of each
+    file hashed so far, by path, and gains this stage's. `run_all` passes
+    the same two dicts to every stage; a stage command passes neither.
     """
     cfg.validate(stage.inputs)
+    loaded = {} if loaded is None else loaded
+    entries = {} if entries is None else entries
     read = [cfg.output / a.name for key in stage.reads for a in HANDOFFS[key].artifacts]
     for path in read:
-        if not path.is_file():
+        if path not in entries and not path.is_file():
             raise DependencyError(
                 f"stage {stage.name!r} needs {path.name} — "
                 f"run the {WRITER[path.name]!r} command first"
             )
-    loaded = {} if loaded is None else loaded
     _load_inputs(cfg, stage, loaded)
+    inputs = [Path(getattr(cfg, name)) for name in stage.inputs] + read
+    for path in inputs:
+        if path not in entries:
+            entries[path] = _file_entry(path)
     values: dict[str, Any] = {name: loaded[name] for name in stage.inputs}
     for key in stage.reads:
-        values[key] = read_handoff(cfg, key, values)
-    values.update(stage.compute(cfg, values))
+        values[key] = loaded[key] if key in loaded else read_handoff(cfg, key, values)
+    computed = stage.compute(cfg, values)
+    values.update(computed)
+    loaded.update(computed)
 
     outputs = []
     for artifact in stage.writes:
         path = cfg.output / artifact.name
-        _atomic_write(path, render(artifact, cfg, values))
+        data = render(artifact, cfg, values).encode("utf-8")
+        _atomic_write(path, data)
+        entries[path] = _file_entry(path, data)
         outputs.append(path)
-    inputs = [Path(getattr(cfg, name)) for name in stage.inputs] + read
     manifest = {
         "stage": stage.name,
         "config_hash": cfg.fingerprint(),
-        "inputs": {p.name: _file_entry(p) for p in sorted(inputs)},
-        "outputs": {p.name: _file_entry(p) for p in sorted(outputs)},
+        "inputs": {p.name: entries[p] for p in sorted(inputs)},
+        "outputs": {p.name: entries[p] for p in sorted(outputs)},
         "params": dict(sorted(stage.params(cfg, values).items())),
     }
     manifest_path = cfg.output / f"{stage.name}.manifest.json"
-    _atomic_write(manifest_path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
+    _atomic_write(manifest_path, text.encode("utf-8"))
     return outputs + [manifest_path]
 
 
@@ -1083,15 +1097,18 @@ STAGES: dict[str, Callable[..., list[Path]]] = {
 def run_all(cfg: RunConfig) -> list[Path]:
     """Every stage in order; returns all artifact paths.
 
-    Each input file is loaded once and kept until the last stage that reads it.
+    The stages hand their values to each other in memory, as in `run_study`,
+    and each file is hashed once. An input file is loaded once, and every
+    value is kept until the last stage that loads or reads it.
     """
     written: list[Path] = []
     loaded: dict[str, Any] = {}
+    entries: dict[Path, dict] = {}
     for i, stage in enumerate(PIPELINE):
-        artifacts = STAGES[stage.name](cfg, loaded)
+        artifacts = STAGES[stage.name](cfg, loaded, entries)
         log.info("stage=%s artifacts=%d", stage.name, len(artifacts))
         written.extend(artifacts)
-        needed = {name for later in PIPELINE[i + 1 :] for name in later.inputs}
+        needed = {name for later in PIPELINE[i + 1 :] for name in (*later.inputs, *later.reads)}
         loaded = {name: value for name, value in loaded.items() if name in needed}
     return written
 

@@ -374,19 +374,26 @@ def _cell(value: object) -> object:
     return repr(float(value)) if isinstance(value, float) else value
 
 
+def _csv_row(cells: Iterable) -> str:
+    """One row as `csv.writer` writes it, ended by a line feed. The writer's
+    line terminator is CR LF, so a cell holding a lone carriage return is
+    quoted on every Python version, as `csv.reader` needs to read it back."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\r\n").writerow(cells)
+    return buf.getvalue()[:-2] + "\n"
+
+
 def render_by_row(artifact, cfg: RunConfig, values: Mapping) -> str:
     """An artifact's file content written row by row through `csv.writer`:
     None and NaN cells empty, floats by `repr`, every other cell as
-    `csv.writer` formats it. The columnar `pipeline.render` must match it
-    byte for byte."""
+    `csv.writer` formats it, a lone carriage return quoted. The columnar
+    `pipeline.render` must match it byte for byte."""
     encoded = artifact.encode(cfg, values)
     if artifact.columns is None:
         return encoded
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(artifact.columns)
-    writer.writerows([_cell(v) for v in row] for row in zip(*encoded))
-    return buf.getvalue()
+    rows = [_csv_row(artifact.columns)]
+    rows += [_csv_row([_cell(v) for v in row]) for row in zip(*encoded)]
+    return "".join(rows)
 
 
 # ---------------------------------------------------------------------------

@@ -404,6 +404,21 @@ def test_prices_report_the_first_faulty_line(tmp_path, rows, message):
         load_prices(path)
 
 
+def test_a_cell_past_the_csv_field_limit_names_its_line(tmp_path):
+    """numpy reads a cell longer than `csv.field_size_limit()`; when the file
+    has a fault, the row-by-row scan that names it stops at that cell's line
+    with a ValidationError, not a bare `csv.Error`."""
+    path = tmp_path / "prices.csv"
+    long_row = "T" * 200_000 + ",2011-01-03,1\n"
+    path.write_text("ticker,date,adjusted_close\n" + long_row, encoding="utf-8")
+    assert len(load_prices(path)) == 1
+    path.write_text(
+        "ticker,date,adjusted_close\n" + long_row + "X,2011-01-03,0\n", encoding="utf-8"
+    )
+    with pytest.raises(ValidationError, match=r"^prices\.csv:2: field larger than field limit"):
+        load_prices(path)
+
+
 def test_prices_match_the_row_loader(tmp_path):
     """Interleaved tickers, share classes and loose cells load as the
     row-at-a-time reference loads them."""

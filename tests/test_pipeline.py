@@ -3,6 +3,7 @@ command-line entry points."""
 
 import builtins
 import csv
+import dataclasses
 import hashlib
 import io
 import json
@@ -25,6 +26,7 @@ from newsrisk.pipeline import (
     _file_entry,
     config_from_file,
     config_from_mapping,
+    read_columns,
     read_handoff,
     render,
     run_all,
@@ -274,30 +276,43 @@ def test_decoded_study_agrees_with_the_in_memory_one(staged_run, small_fixture_d
 
 
 def test_run_all_loads_each_input_once(small_fixture_dir, tmp_path, monkeypatch):
-    """run_all hands loaded inputs to later stages; the files it writes,
+    """run_all hands loaded inputs and computed values to later stages, so
+    it decodes no artifact and hashes each file once; the files it writes,
     manifests included, equal those of the stage commands run one by one."""
     calls: dict[str, int] = {}
+    hashed: dict[Path, int] = {}
 
-    def counting(name, load):
-        def wrapped(cfg, values):
+    def counting(name, call):
+        def wrapped(*args):
             calls[name] = calls.get(name, 0) + 1
-            return load(cfg, values)
+            return call(*args)
 
         return wrapped
 
+    def hashing(path, *data):
+        hashed[path] = hashed.get(path, 0) + 1
+        return file_entry(path, *data)
+
     for name, load in pipeline.LOADERS.items():
         monkeypatch.setitem(pipeline.LOADERS, name, counting(name, load))
+    monkeypatch.setattr(pipeline, "read_handoff", counting("read_handoff", read_handoff))
+    file_entry = pipeline._file_entry
+    monkeypatch.setattr(pipeline, "_file_entry", hashing)
     one_by_one = make_config(small_fixture_dir, tmp_path / "stages")
     for stage in STAGE_ORDER:
         STAGES[stage](one_by_one)
-    assert calls == {"articles": 1, "universe": 5, "prices": 1, "marketcaps": 1}
+    reads = sum(len(stage.reads) for stage in PIPELINE)
+    loads = {"articles": 1, "universe": 5, "prices": 1, "marketcaps": 1}
+    assert calls == {**loads, "read_handoff": reads}
+    assert hashed[Path(one_by_one.universe)] == 5
     calls.clear()
-    held: dict[str, list[str]] = {}  # the inputs each stage is handed
+    hashed.clear()
+    held: dict[str, list[str]] = {}  # the values each stage is handed
 
     def recording(name, run):
-        def wrapped(cfg, loaded):
+        def wrapped(cfg, loaded, entries):
             held[name] = sorted(loaded)
-            return run(cfg, loaded)
+            return run(cfg, loaded, entries)
 
         return wrapped
 
@@ -305,16 +320,56 @@ def test_run_all_loads_each_input_once(small_fixture_dir, tmp_path, monkeypatch)
         monkeypatch.setitem(STAGES, name, recording(name, run))
     cfg = make_config(small_fixture_dir, tmp_path / "all")
     run_all(cfg)
-    assert calls == {name: 1 for name in pipeline.LOADERS}
-    # an input is dropped after the last stage that reads it
+    assert calls == {name: 1 for name in pipeline.LOADERS}  # and no read_handoff
     assert held == {
         "parse": [],
-        "networks": ["universe"],
-        "rank": ["universe"],
-        "risk": ["universe"],
-        "backtest": ["universe"],
-        "report": [],
+        "networks": ["occurrences", "universe"],
+        "rank": ["networks", "occurrences", "universe"],
+        "risk": ["networks", "occurrences", "rank_lists", "universe"],
+        "backtest": ["datapoints", "universe"],
+        "report": ["study"],
     }
+    # a value is dropped after the last stage that loads or reads it
+    for name in {name for names in held.values() for name in names}:
+        users = [stage.name for stage in PIPELINE if name in (*stage.inputs, *stage.reads)]
+        holders = [stage for stage in STAGE_ORDER if name in held[stage]]
+        assert holders[-1] == users[-1], name
+    # every file a manifest lists, and no other, is hashed once
+    listed = {Path(getattr(cfg, name)) for name in pipeline.LOADERS}
+    listed |= {cfg.output / a.name for stage in PIPELINE for a in stage.writes}
+    assert hashed == dict.fromkeys(listed, 1)
+    expected = sorted(p.name for p in one_by_one.output.iterdir())
+    assert sorted(p.name for p in cfg.output.iterdir()) == expected
+    for name in expected:
+        assert (cfg.output / name).read_bytes() == (one_by_one.output / name).read_bytes(), name
+
+
+def test_ids_with_a_carriage_return_pass_through_the_stage_commands(small_fixture_dir, tmp_path):
+    """Canonical and article ids holding a lone carriage return are written
+    quoted, so the stage commands read them back and write what run_all
+    writes."""
+    fixture = tmp_path / "fixture"
+    shutil.copytree(small_fixture_dir, fixture)
+    for name in ("universe.csv", "marketcaps.csv"):  # canonical ids come first
+        with (fixture / name).open(encoding="utf-8", newline="") as fh:
+            header, *rows = csv.reader(fh)
+        with (fixture / name).open("w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n", quoting=csv.QUOTE_ALL)
+            writer.writerow(header)
+            writer.writerows([f"{cid}\rcr", *rest] for cid, *rest in rows)
+    articles = fixture / "articles.jsonl"
+    records = [json.loads(line) for line in articles.read_text(encoding="utf-8").splitlines()]
+    articles.write_text(
+        "".join(json.dumps({**r, "id": f"{r['id']}\rcr"}) + "\n" for r in records),
+        encoding="utf-8",
+    )
+    one_by_one = make_config(fixture, tmp_path / "stages")
+    for stage in STAGE_ORDER:
+        STAGES[stage](one_by_one)
+    cfg = make_config(fixture, tmp_path / "all")
+    run_all(cfg)
+    for artifact in (pipeline.OCCURRENCES, pipeline.RISK):
+        assert b'\rcr"' in (cfg.output / artifact.name).read_bytes(), artifact.name
     expected = sorted(p.name for p in one_by_one.output.iterdir())
     assert sorted(p.name for p in cfg.output.iterdir()) == expected
     for name in expected:
@@ -373,6 +428,7 @@ def test_file_entry_hashes_and_counts_like_text_mode(tmp_path):
                 "sha256": hashlib.sha256(data).hexdigest(),
                 "rows": _text_mode_rows(path),
             }, (i, suffix)
+            assert _file_entry(path, data) == entry, (i, suffix)  # the bytes just written
 
 
 def test_report_runs_without_the_raw_inputs(staged_run, tmp_path, capsys):
@@ -578,6 +634,28 @@ def test_render_matches_the_per_row_writer(default_values, cells):
             assert render(artifact, cfg, values) == expected, artifact.name
     if cells == "adversarial":
         assert '""' in render(pipeline.SELECTED, cfg, values).splitlines()
+
+
+def test_adversarial_text_cells_read_back_unchanged(default_values, tmp_path):
+    """Every text cell render writes, ids holding a lone carriage return
+    among them, comes back from read_columns as it was encoded."""
+    from _adversarial import adversarial_values
+
+    cfg, values = default_values
+    cfg = dataclasses.replace(cfg, output=tmp_path)
+    values = adversarial_values(values)
+    for stage in PIPELINE:
+        for artifact in stage.writes:
+            if artifact.columns is None:
+                continue
+            (tmp_path / artifact.name).write_bytes(render(artifact, cfg, values).encode("utf-8"))
+            table = read_columns(cfg, artifact, {})
+            for name, column in zip(artifact.columns, artifact.encode(cfg, values)):
+                column = list(column)
+                if all(isinstance(cell, str) for cell in column):
+                    assert table[name] == column, (artifact.name, name)
+    article_ids = read_columns(cfg, pipeline.OCCURRENCES, {})["article_id"]
+    assert any(cell.endswith("\rcr") for cell in article_ids)
 
 
 def _rewrite_line(path: Path, line: int, text: str) -> None:
