@@ -29,7 +29,7 @@ from .corpus import (
     load_prices,
     load_universe,
 )
-from .entities import MatcherConfig, MatcherSet, OccurrenceSet, parse_corpus
+from .entities import MatcherSet, OccurrenceSet, parse_corpus
 from .errors import (
     ConditioningError,
     DependencyError,

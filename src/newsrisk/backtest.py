@@ -370,17 +370,6 @@ def build_comparison_report(
     )
 
 
-def best_single_delay(
-    study: EventStudy, threshold: float, kind: str
-) -> tuple[int, float] | None:
-    """Delay with the largest subset-minus-benchmark daily rate difference.
-
-    Ties go to the smallest delay; None when no delay has both rates.
-    """
-    rows = study.indices_at_threshold(threshold, kind)
-    return _best_delay(study.delays, study.daily_rates(rows), study.daily_rates())
-
-
 def _best_delay(
     delays: range, subset_daily: np.ndarray, benchmark_daily: np.ndarray
 ) -> tuple[int, float] | None:

@@ -71,9 +71,7 @@ class CentralityTable:
     ranks: Mapping[str, int]
 
 
-def information_centrality(
-    network: SmoothedNetwork, condition_cap: float = CONDITION_CAP
-) -> dict[str, float]:
+def information_centrality(network: SmoothedNetwork) -> dict[str, float]:
     """Centrality per node of a smoothed complete network.
 
     Raises ConditioningError, naming the quarter and polarity, when the
@@ -129,9 +127,9 @@ def information_centrality(
     row_sums[has_edge] -= inv_dk * v[1:]
 
     condition = _norm1_b(network, s_hat, c0, w_max) * _norm1_c(inv_d, has_edge, z)
-    if not np.isfinite(condition) or condition > condition_cap:
+    if not np.isfinite(condition) or condition > CONDITION_CAP:
         raise ConditioningError(
-            f"{context}: condition number {condition:.3e} exceeds cap {condition_cap:.0e}"
+            f"{context}: condition number {condition:.3e} exceeds cap {CONDITION_CAP:.0e}"
         )
 
     denom = n * diag + diag.sum() - 2.0 * row_sums

@@ -34,7 +34,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--lambda", dest="lam", type=float, help="importance split")
     parser.add_argument("--mu", type=float, help="indirect-neighbor share")
     parser.add_argument("--theta", type=float, help="interaction strength")
-    parser.add_argument("--seed", type=int, help="random seed")
     parser.add_argument("--quarters", help="window as FROM..TO, e.g. 2011Q1..2016Q2")
     for name in ("articles", "universe", "prices", "marketcaps"):
         parser.add_argument(f"--{name}", type=Path, help=f"override the {name} path")
@@ -47,7 +46,6 @@ def _overrides(args: argparse.Namespace) -> dict:
         "lambda": args.lam,
         "mu": args.mu,
         "theta": args.theta,
-        "seed": args.seed,
         "quarters": args.quarters,
         "articles": args.articles,
         "universe": args.universe,
@@ -100,7 +98,6 @@ def _run_fixture(args: argparse.Namespace) -> int:
         "marketcaps": paths["marketcaps"].name,
         "output": "out",
         "quarters": f"{quarters[0]}..{quarters[-1]}",
-        "seed": spec.seed,
     }
     config_path = Path(args.output) / "run_config.json"
     config_path.write_text(

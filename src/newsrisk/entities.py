@@ -39,7 +39,8 @@ from .quarters import Quarter, quarter_of
 
 log = logging.getLogger(__name__)
 
-DEFAULT_LEGAL_SUFFIXES = (
+#: Trailing words that stripped name variants drop, compared case-folded.
+LEGAL_SUFFIXES = (
     "Inc",
     "Inc.",
     "Corp",
@@ -51,22 +52,11 @@ DEFAULT_LEGAL_SUFFIXES = (
     "PLC",
     "Company",
 )
-
-
-@dataclass(frozen=True)
-class MatcherConfig:
-    """Knobs for mention detection.
-
-    short_ticker_max_len: tickers at most this long never match bare, they
-    need the exchange-qualified form. min_stripped_words: a suffix-stripped
-    name variant is kept only if at least this many words remain.
-    """
-
-    case_sensitive_tickers: bool = True
-    short_ticker_max_len: int = 2
-    require_exchange_for_short: bool = True
-    legal_suffixes: tuple[str, ...] = DEFAULT_LEGAL_SUFFIXES
-    min_stripped_words: int = 2
+#: Tickers at most this long never match bare: they need the exchange-qualified form.
+SHORT_TICKER_MAX_LEN = 2
+#: A suffix-stripped name variant is kept only if at least this many words remain.
+MIN_STRIPPED_WORDS = 2
+_SUFFIX_KEYS = frozenset(s.casefold() for s in LEGAL_SUFFIXES)
 
 
 @dataclass(frozen=True)
@@ -137,23 +127,19 @@ def _trie_regex(
     return re.compile(emit(root)[1], flags)
 
 
-def _stripped_variants(
-    words: tuple[str, ...], config: MatcherConfig
-) -> Iterator[tuple[str, ...]]:
+def _stripped_variants(words: tuple[str, ...]) -> Iterator[tuple[str, ...]]:
     """Progressively drop trailing legal suffixes, keeping viable remainders."""
-    suffixes = {s.casefold() for s in config.legal_suffixes}
     current = list(words)
-    while len(current) > 1 and current[-1].casefold() in suffixes:
+    while len(current) > 1 and current[-1].casefold() in _SUFFIX_KEYS:
         current = current[:-1]
-        if len(current) >= config.min_stripped_words:
+        if len(current) >= MIN_STRIPPED_WORDS:
             yield tuple(current)
 
 
 class MatcherSet:
     """Compiled mention matchers for one entity universe."""
 
-    def __init__(self, universe: EntityUniverse, config: MatcherConfig | None = None):
-        self.config = config or MatcherConfig()
+    def __init__(self, universe: EntityUniverse):
         #: name literal -> canonical_id: each name's case-folded key, which
         #: matched text resolves through, and its lower-cased spelling when
         #: that differs from the key
@@ -177,7 +163,6 @@ class MatcherSet:
         table[key] = cid
 
     def _build(self, universe: EntityUniverse) -> None:
-        cfg = self.config
         # Names first, then tickers, so the single cross-namespace check
         # below sees every (name, ticker) pair.
         for rec in universe:
@@ -186,7 +171,7 @@ class MatcherSet:
                 words = tuple(variant.split())
                 if not words:
                     continue
-                for candidate in (words, *(_stripped_variants(words, cfg))):
+                for candidate in (words, *_stripped_variants(words)):
                     key = _normalize_name(" ".join(candidate))
                     if key in seen_keys:
                         continue
@@ -210,12 +195,8 @@ class MatcherSet:
                         rec.canonical_id,
                         "qualified ticker",
                     )
-                allow_bare = len(ticker) > cfg.short_ticker_max_len or not (
-                    cfg.require_exchange_for_short
-                )
-                if allow_bare:
-                    bare_key = ticker if cfg.case_sensitive_tickers else ticker.casefold()
-                    self._claim(self.bare_map, bare_key, rec.canonical_id, "ticker")
+                if len(ticker) > SHORT_TICKER_MAX_LEN:
+                    self._claim(self.bare_map, ticker, rec.canonical_id, "ticker")
                     name_owner = self.name_map.get(ticker.casefold())
                     if name_owner is not None and name_owner != rec.canonical_id:
                         raise MatcherCollisionError(
@@ -241,8 +222,7 @@ class MatcherSet:
             literals.append((key, f"({key})", tokens))
         for key in self.bare_map:
             literals.append((key, key, [re.escape(ch) for ch in key]))
-        flags = 0 if self.config.case_sensitive_tickers else re.IGNORECASE
-        return _trie_regex(literals, flags)
+        return _trie_regex(literals, 0)
 
     # -- matching ------------------------------------------------------
 
@@ -251,8 +231,7 @@ class MatcherSet:
             inner = text.strip("()")
             exch, _, tick = inner.partition(":")
             return self.exch_map.get(f"{exch.strip()}:{tick.strip()}")
-        key = text if self.config.case_sensitive_tickers else text.casefold()
-        return self.bare_map.get(key)
+        return self.bare_map.get(text)
 
     def iter_matches(self, text: str) -> Iterator[Match]:
         """Every mention in `text`, in order of position."""

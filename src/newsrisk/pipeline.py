@@ -50,7 +50,7 @@ from .centrality import (
     information_centrality,
 )
 from .corpus import load_articles, load_marketcaps, load_prices, load_universe
-from .entities import MatcherConfig, MatcherSet, OccurrenceSet, parse_corpus
+from .entities import MatcherSet, OccurrenceSet, parse_corpus
 from .errors import DependencyError, ValidationError
 from .networks import MIXED, NETWORK_KINDS, QuarterNetwork, build_networks, network_stats, smooth
 from .quarters import Quarter, parse_quarter, quarter_range
@@ -78,12 +78,11 @@ class RunConfig:
     thresholds: tuple[float, ...] = bt.REPORT_THRESHOLDS
     delay_lo: int = bt.DELAY_LO
     delay_hi: int = bt.DELAY_HI
-    seed: int = 7
 
     def validate(self, inputs: Iterable[str] | None = None) -> None:
         """Check the parameters, and that the named input files exist
         (`None`: every input of `LOADERS`)."""
-        if self.alpha <= 0:
+        if not self.alpha > 0:
             raise ValidationError(f"alpha must be positive, got {self.alpha}")
         if self.top_k < 1:
             raise ValidationError(f"top_k must be at least 1, got {self.top_k}")
@@ -126,7 +125,6 @@ class RunConfig:
             "top_k": self.top_k,
             "thresholds": list(self.thresholds),
             "delays": [self.delay_lo, self.delay_hi],
-            "seed": self.seed,
         }
         blob = json.dumps(payload, sort_keys=True).encode("utf-8")
         return hashlib.sha256(blob).hexdigest()
@@ -159,6 +157,12 @@ def config_from_mapping(
         p = Path(str(value))
         return p if p.is_absolute() else base / p
 
+    def number(key: str, value: object, kind: type = float):
+        try:
+            return kind(value)
+        except (TypeError, ValueError, OverflowError):
+            raise ValidationError(f"{key} must be a number, got {value!r}") from None
+
     quarters = str(raw.get("quarters", "2011Q1..2016Q2"))
     try:
         first_label, _, last_label = quarters.partition("..")
@@ -168,9 +172,9 @@ def config_from_mapping(
         raise ValidationError(str(exc)) from None
 
     calibration = RiskCalibration(
-        lam=float(raw.get("lambda", 0.5)),
-        mu=float(raw.get("mu", 0.5)),
-        theta=float(raw.get("theta", 0.5)),
+        lam=number("lambda", raw.get("lambda", 0.5)),
+        mu=number("mu", raw.get("mu", 0.5)),
+        theta=number("theta", raw.get("theta", 0.5)),
     )
     delays = raw.get("delays", [bt.DELAY_LO, bt.DELAY_HI])
     if not (isinstance(delays, (list, tuple)) and len(delays) == 2):
@@ -187,13 +191,12 @@ def config_from_mapping(
         output=path_of("output"),
         first_quarter=first,
         last_quarter=last,
-        alpha=float(raw.get("alpha", 0.1)),
+        alpha=number("alpha", raw.get("alpha", 0.1)),
         calibration=calibration,
-        top_k=int(raw.get("top_k", 50)),
-        thresholds=tuple(float(t) for t in thresholds),
-        delay_lo=int(delays[0]),
-        delay_hi=int(delays[1]),
-        seed=int(raw.get("seed", 7)),
+        top_k=number("top_k", raw.get("top_k", 50), int),
+        thresholds=tuple(number("thresholds", t) for t in thresholds),
+        delay_lo=number("delays", delays[0], int),
+        delay_hi=number("delays", delays[1], int),
     )
 
 
@@ -871,7 +874,7 @@ class Stage:
 
 
 def _parse(cfg: RunConfig, v: Values) -> dict[str, Any]:
-    matchers = MatcherSet(v["universe"], v.get("matcher_config"))
+    matchers = MatcherSet(v["universe"])
     return {"occurrences": parse_corpus(v["articles"], matchers)}
 
 
@@ -1129,10 +1132,10 @@ class StudyResult:
     reports: bt.ReportBundle
 
 
-def run_study(cfg: RunConfig, matcher_config: MatcherConfig | None = None) -> StudyResult:
+def run_study(cfg: RunConfig) -> StudyResult:
     """Run every stage with in-memory handoff (no artifacts written)."""
     cfg.validate()
-    values: dict[str, Any] = {"matcher_config": matcher_config}
+    values: dict[str, Any] = {}
     for stage in PIPELINE:
         _load_inputs(cfg, stage, values)
         values.update(stage.compute(cfg, values))

@@ -35,7 +35,7 @@ from newsrisk.corpus import (
     PriceSeries,
     PriceTable,
 )
-from newsrisk.entities import MatcherConfig, MatcherSet, OccurrenceSet
+from newsrisk.entities import MatcherSet, OccurrenceSet
 from newsrisk.errors import ValidationError
 from newsrisk.networks import build_networks, smooth
 from newsrisk.pipeline import PIPELINE, RunConfig
@@ -167,10 +167,10 @@ def _guarded(pattern: str, literal: str) -> str:
     return head + pattern + tail
 
 
-def flat_matcher(universe: EntityUniverse, config: MatcherConfig | None = None) -> MatcherSet:
+def flat_matcher(universe: EntityUniverse) -> MatcherSet:
     """A MatcherSet whose regexes are one flat alternation per category,
     every literal guarded on its own and longer literals first."""
-    matcher = MatcherSet(universe, config)
+    matcher = MatcherSet(universe)
     names = []
     for key in sorted(matcher.name_map, key=lambda k: (-len(k), k)):
         body = r"\s+".join(re.escape(w) for w in key.split(" "))
@@ -186,9 +186,8 @@ def flat_matcher(universe: EntityUniverse, config: MatcherConfig | None = None) 
     for key in matcher.bare_map:
         tickers.append((key, _guarded(re.escape(key), key)))
     tickers.sort(key=lambda kp: (-len(kp[0]), kp[0]))
-    flags = 0 if matcher.config.case_sensitive_tickers else re.IGNORECASE
     matcher._ticker_re = (
-        re.compile("|".join(f"(?:{p})" for _, p in tickers), flags) if tickers else None
+        re.compile("|".join(f"(?:{p})" for _, p in tickers)) if tickers else None
     )
     return matcher
 

@@ -334,7 +334,8 @@ def test_comparison_requires_matching_thresholds(hand_study):
 
 def test_best_single_delay_prefers_smallest_tie(hand_study):
     # diffs at delays 3,4,5 are 0, 0, -50: the tie at 0 resolves to delay 3
-    assert bt.best_single_delay(hand_study, 0.5, bt.AGGREGATED) == (3, 0.0)
+    best_delays = bt.compute_reports(hand_study, (0.5,)).best_delays
+    assert best_delays[(bt.AGGREGATED, 0.5)] == (3, 0.0)
 
 
 def test_best_single_delay_lands_in_the_drift_window():
@@ -346,7 +347,7 @@ def test_best_single_delay_lands_in_the_drift_window():
         FixtureSpec(seed=7, drift_pct_per_day=-1.0, drift_window=(21, 30))
     )
     run = FixtureStudy(fixture)
-    best = bt.best_single_delay(run.study, 1.0, bt.AGGREGATED)
+    best = bt.compute_reports(run.study, (1.0,)).best_delays[(bt.AGGREGATED, 1.0)]
     assert best is not None
     delay, diff = best
     assert 21 <= delay <= 30

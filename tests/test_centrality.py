@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from newsrisk import centrality
 from newsrisk.centrality import (
     CentralityTable,
     average_rank,
@@ -118,11 +119,12 @@ def test_indefinite_matrix_is_rejected_and_oracle_agrees():
     assert min(denominators.values()) <= 0
 
 
-def test_condition_cap_is_enforced():
+def test_condition_cap_is_enforced(monkeypatch):
     rng = np.random.default_rng(7)
     network = random_anchored_network(rng)
+    monkeypatch.setattr(centrality, "CONDITION_CAP", 1.0)
     with pytest.raises(ConditioningError, match="exceeds cap"):
-        information_centrality(network, condition_cap=1.0)
+        information_centrality(network)
 
 
 NO_EDGES = (np.zeros((0, 2), dtype=np.intp), np.zeros(0))
@@ -156,7 +158,7 @@ REFERENCE_SPECS = (
 
 
 @pytest.mark.parametrize("spec", REFERENCE_SPECS, ids=lambda s: f"{s.n_companies}x{s.seed}")
-def test_fixture_networks_match_the_dense_inverse(spec):
+def test_fixture_networks_match_the_dense_inverse(spec, monkeypatch):
     for network in truth_networks(generate_fixture(spec)):
         want, condition = dense_centrality(network)
         got = information_centrality(network)
@@ -164,9 +166,12 @@ def test_fixture_networks_match_the_dense_inverse(spec):
         for node in want:
             assert got[node] == pytest.approx(want[node], rel=1e-10, abs=0)
         # the condition number agrees with ||B||_1 * ||B^-1||_1 to 1e-12
-        information_centrality(network, condition_cap=condition * (1 + 1e-12))
+        monkeypatch.setattr(centrality, "CONDITION_CAP", condition * (1 + 1e-12))
+        information_centrality(network)
+        monkeypatch.setattr(centrality, "CONDITION_CAP", condition * (1 - 1e-12))
         with pytest.raises(ConditioningError, match="exceeds cap"):
-            information_centrality(network, condition_cap=condition * (1 - 1e-12))
+            information_centrality(network)
+        monkeypatch.undo()
 
 
 def test_same_networks_rejected_for_the_same_reasons():

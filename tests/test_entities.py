@@ -7,7 +7,6 @@ import pytest
 
 from newsrisk.corpus import Article, EntityRecord, EntityUniverse
 from newsrisk.entities import (
-    MatcherConfig,
     MatcherSet,
     article_text,
     extract_occurrences,
@@ -124,13 +123,6 @@ def test_qualified_ticker_collision_raises():
         MatcherSet(EntityUniverse(records))
 
 
-def test_short_tickers_allowed_bare_when_configured(adversarial_universe):
-    relaxed = MatcherSet(
-        adversarial_universe, MatcherConfig(require_exchange_for_short=False)
-    )
-    assert relaxed.match_ids("GM posted results") == {"GENMOT"}
-
-
 def _article(i, ts, polarity, text):
     return Article(
         id=f"A{i}",
@@ -175,10 +167,8 @@ def test_extract_occurrences_reads_title_and_body(matchers):
 
 # -- the trie-factored regexes against the flat-alternation oracle -----------
 
-ORACLE_CONFIGS = [
-    MatcherConfig(),
-    MatcherConfig(case_sensitive_tickers=False, require_exchange_for_short=False),
-]
+#: The matcher has one policy; its oracle cases carry the id `default`.
+ORACLE_POLICIES = ["default"]
 
 #: Literals nested inside longer ones, some ending in a non-word character
 #: ("Apple Inc" inside the adversarial "Apple Inc.", "BRK" inside "BRK.A"),
@@ -222,14 +212,14 @@ def _random_text(rng, literals):
     return "".join(pieces[:-1] if rng.random() < 0.5 else pieces)
 
 
-def _assert_trie_equals_flat(universe, config, texts):
-    trie, flat = MatcherSet(universe, config), flat_matcher(universe, config)
+def _assert_trie_equals_flat(universe, texts):
+    trie, flat = MatcherSet(universe), flat_matcher(universe)
     for text in texts:
         assert list(trie.iter_matches(text)) == list(flat.iter_matches(text)), text
 
 
-@pytest.mark.parametrize("config", ORACLE_CONFIGS, ids=["default", "relaxed"])
-def test_trie_matches_flat_oracle_on_adversarial_and_random_text(nested_universe, config):
+@pytest.mark.parametrize("policy", ORACLE_POLICIES)
+def test_trie_matches_flat_oracle_on_adversarial_and_random_text(nested_universe, policy):
     literals = ["Weißbier", "ſtraſſe", "Kelvin", "apple pie", "GMX", "NYSE", "(NYSE:"]
     for rec in nested_universe:
         literals += [*rec.name_variants, *rec.merged_tickers]
@@ -245,13 +235,13 @@ def test_trie_matches_flat_oracle_on_adversarial_and_random_text(nested_universe
         "STRASSE KELVIN, Straße Kelvin group, ſtraſſe kelvin group",
         "(NYSEARCA:SPYX) (NYSE:SPYX) Spyx Trust Fund",
     ]
-    _assert_trie_equals_flat(nested_universe, config, texts)
+    _assert_trie_equals_flat(nested_universe, texts)
 
 
-@pytest.mark.parametrize("config", ORACLE_CONFIGS, ids=["default", "relaxed"])
-def test_trie_matches_flat_oracle_on_default_fixture(default_fixture, config):
+@pytest.mark.parametrize("policy", ORACLE_POLICIES)
+def test_trie_matches_flat_oracle_on_default_fixture(default_fixture, policy):
     texts = [article_text(a) for a in default_fixture.articles]
-    _assert_trie_equals_flat(fixture_universe(default_fixture), config, texts)
+    _assert_trie_equals_flat(fixture_universe(default_fixture), texts)
 
 
 def test_trie_matches_flat_oracle_on_letters_ignorecase_equates():
@@ -262,8 +252,7 @@ def test_trie_matches_flat_oracle_on_letters_ignorecase_equates():
         EntityRecord("IZ", "i.z", "IZED", "NYSE", ("i.z",), ("IZED",)),
     ]
     texts = ["I.Z", "ı.z", "i.", "IBM XY", "ıbm xy and İ.Z"]
-    for config in ORACLE_CONFIGS:
-        _assert_trie_equals_flat(EntityUniverse(records), config, texts)
+    _assert_trie_equals_flat(EntityUniverse(records), texts)
 
 
 def test_names_match_their_own_spelling_when_casefold_lengthens_them():

@@ -33,6 +33,7 @@ from newsrisk.pipeline import (
     run_study,
 )
 from newsrisk.quarters import Quarter
+from newsrisk.riskrank import RiskCalibration
 
 
 BASE_MAPPING = {
@@ -87,18 +88,30 @@ def test_config_from_mapping_errors(tmp_path):
         config_from_mapping({**BASE_MAPPING, "thresholds": 0.5}, tmp_path)
     with pytest.raises(ValidationError, match="bad quarter label"):
         config_from_mapping({**BASE_MAPPING, "quarters": "20Q1..2012"}, tmp_path)
+    for key, value in (
+        ("alpha", "x"),
+        ("alpha", None),
+        ("lambda", [0.5]),
+        ("top_k", "many"),
+        ("top_k", float("inf")),
+        ("thresholds", ["a"]),
+        ("delays", [3, "x"]),
+    ):
+        with pytest.raises(ValidationError, match=f"^{key} must be a number"):
+            config_from_mapping({**BASE_MAPPING, key: value}, tmp_path)
 
 
 def test_config_from_file_and_overrides(tmp_path):
     config_path = tmp_path / "run.json"
-    config_path.write_text(json.dumps({**BASE_MAPPING, "alpha": 0.2}))
+    # unknown keys, such as the "seed" older configs carry, are ignored
+    config_path.write_text(json.dumps({**BASE_MAPPING, "alpha": 0.2, "mu": 0.3, "seed": 7}))
     cfg = config_from_file(config_path)
     assert cfg.alpha == 0.2
     assert cfg.articles == tmp_path / "articles.jsonl"
 
-    cfg = config_from_file(config_path, {"alpha": 0.7, "seed": None})
+    cfg = config_from_file(config_path, {"alpha": 0.7, "mu": None})
     assert cfg.alpha == 0.7  # explicit override wins
-    assert cfg.seed == 7  # None overrides are ignored
+    assert cfg.calibration.mu == 0.3  # None overrides are ignored
 
     with pytest.raises(ValidationError, match="cannot read config"):
         config_from_file(tmp_path / "absent.json")
@@ -113,6 +126,7 @@ def test_runconfig_validation(small_fixture_dir, tmp_path):
 
     cases = [
         (dict(alpha=0.0), "alpha must be positive"),
+        (dict(alpha=float("nan")), "alpha must be positive"),
         (dict(top_k=0), "top_k must be at least 1"),
         (dict(delay_lo=0), "delay bounds"),
         (dict(delay_lo=10, delay_hi=5), "delay bounds"),
@@ -137,22 +151,40 @@ def test_runconfig_validation(small_fixture_dir, tmp_path):
         missing.validate(inputs=("universe", "prices"))
 
 
-def test_fingerprint_tracks_parameters_not_directories(small_fixture_dir, tmp_path):
-    cfg = make_config(small_fixture_dir, tmp_path / "a")
-    moved = make_config(small_fixture_dir, tmp_path / "b")
-    moved.articles = tmp_path / "elsewhere" / "articles.jsonl"
-    assert cfg.fingerprint() == moved.fingerprint()  # basenames only
+def _other(value):
+    """A different value of the same type as a RunConfig parameter."""
+    if isinstance(value, float):
+        return value / 2
+    if isinstance(value, int):
+        return value + 1
+    if isinstance(value, tuple):
+        return value[:-1]
+    if isinstance(value, Quarter):
+        return value.next()
+    raise TypeError(f"no other value for {value!r}")
 
-    for overrides in (
-        dict(alpha=0.2),
-        dict(top_k=10),
-        dict(last_quarter=Quarter(2011, 2)),
-        dict(delay_hi=60),
-        dict(seed=8),
-        dict(thresholds=(0.9,)),
-    ):
-        other = make_config(small_fixture_dir, tmp_path / "a", **overrides)
-        assert other.fingerprint() != cfg.fingerprint(), overrides
+
+def test_fingerprint_tracks_parameters_not_directories(small_fixture_dir, tmp_path):
+    """Every field of RunConfig and of its RiskCalibration changes the hash,
+    except where a file lives: input files count by basename only."""
+    cfg = make_config(small_fixture_dir, tmp_path / "a")
+    base = cfg.fingerprint()
+    changed = []
+    for f in dataclasses.fields(RunConfig):
+        value = getattr(cfg, f.name)
+        if isinstance(value, Path):
+            moved = dataclasses.replace(cfg, **{f.name: tmp_path / "elsewhere" / value.name})
+            assert moved.fingerprint() == base, f.name
+            if f.name in pipeline.LOADERS:
+                changed.append({f.name: value.with_name(f"other-{value.name}")})
+        elif isinstance(value, RiskCalibration):
+            for g in dataclasses.fields(RiskCalibration):
+                other = dataclasses.replace(value, **{g.name: _other(getattr(value, g.name))})
+                changed.append({f.name: other})
+        else:
+            changed.append({f.name: _other(value)})
+    for overrides in changed:
+        assert dataclasses.replace(cfg, **overrides).fingerprint() != base, overrides
 
 
 @pytest.fixture(scope="module")
@@ -522,6 +554,13 @@ def test_cli_validation_failures(tmp_path, capsys):
     config_path.write_text(json.dumps({**BASE_MAPPING, "alpha": -1}))
     assert main(["run", "--config", str(config_path)]) == 1
     assert "alpha must be positive" in capsys.readouterr().err
+    # a malformed value is named, not raised as a traceback
+    config_path.write_text(json.dumps({**BASE_MAPPING, "delays": [3, "x"]}))
+    assert main(["run", "--config", str(config_path)]) == 1
+    assert "delays must be a number, got 'x'" in capsys.readouterr().err
+    # --seed belongs to `fixture` only: the pipeline has no randomness
+    assert main(["run", "--config", str(config_path), "--seed", "3"]) == 1
+    assert "unrecognized arguments: --seed" in capsys.readouterr().err
 
 
 def test_cli_fixture_then_full_run(tmp_path, capsys):
@@ -560,6 +599,7 @@ def test_cli_fixture_then_full_run(tmp_path, capsys):
 
     run_config = json.loads((data_dir / "run_config.json").read_text())
     assert run_config["quarters"] == "2011Q1..2011Q2"
+    assert "seed" not in run_config
 
     assert main(["run", "--config", str(data_dir / "run_config.json")]) == 0
     out = data_dir / "out"
