@@ -7,7 +7,7 @@ artifacts it writes and its manifest params. Each artifact is declared once:
 file name, columns and an encoder from the run's values to one sequence per
 column, which `render` formats column by column. Values that a later stage
 reads back have one decoder each, in `HANDOFFS`, over the artifacts' columns
-as `read_columns` streams them from the files.
+as `read_columns` reads them, with the reader that loads the CSV inputs.
 
 `run_all` runs every stage and hands each stage's values to the later ones
 in memory, as `run_study` does: each input file is loaded and hashed once,
@@ -25,14 +25,12 @@ written or hashed. Tests and bulk simulations use it.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import json
 import logging
 import os
 import sys
 import tempfile
-from array import array
 from dataclasses import astuple, dataclass, field, fields
 from datetime import date
 from functools import partial
@@ -49,7 +47,10 @@ from .centrality import (
     ABSOLUTE, NORMALIZED, CentralityTable, RankEntry, average_rank, build_tables,
     information_centrality,
 )
-from .corpus import load_articles, load_marketcaps, load_prices, load_universe
+from .corpus import (
+    Dialect, Kind, Table, float_cell, load_articles, load_marketcaps, load_prices, load_universe,
+    read_table,
+)
 from .entities import MatcherSet, OccurrenceSet, parse_corpus
 from .errors import DependencyError, ValidationError
 from .networks import MIXED, NETWORK_KINDS, QuarterNetwork, build_networks, network_stats, smooth
@@ -159,9 +160,14 @@ def config_from_mapping(
 
     def number(key: str, value: object, kind: type = float):
         try:
-            return kind(value)
+            if isinstance(value, bool):
+                raise TypeError  # JSON's true and false are not numbers
+            result = kind(value)
         except (TypeError, ValueError, OverflowError):
             raise ValidationError(f"{key} must be a number, got {value!r}") from None
+        if kind is int and isinstance(value, float) and result != value:
+            raise ValidationError(f"{key} must be an integer, got {value!r}")
+        return result
 
     quarters = str(raw.get("quarters", "2011Q1..2016Q2"))
     try:
@@ -228,8 +234,8 @@ class Artifact:
 #: leaves it bare, but `csv.reader` ends a record there).
 _QUOTED = ',"\n\r'
 _FLOATS = {float, np.float64}
-#: Rows joined or parsed at a time, so that only a bounded slice of a file
-#: is held as one object per cell or per row.
+#: Rows `render` joins at a time, so that only a bounded slice of a file is
+#: held as one object per row.
 _CHUNK = 1024
 
 
@@ -589,136 +595,64 @@ PRICE_SERIES = Artifact(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Cells:
-    """How a typed column is read: the `array` typecode it is stored in, the
-    parser of one cell, and what a cell must be."""
-
-    typecode: str
-    parse: Callable[[str], Any]
-    expected: str
-
-    def fits(self, cell: str) -> bool:
-        try:
-            array(self.typecode, [self.parse(cell)])
-        except (KeyError, ValueError, OverflowError):
-            return False
-        return True
+def _artifact_error(path: Path, line: int | None, problem: str) -> DependencyError:
+    where = path.name if line is None else f"{path.name} line {line}"
+    return DependencyError(f"{where} {problem} — re-run the {WRITER[path.name]!r} command")
 
 
-INTEGER = Cells("q", int, "an integer")
-NUMBER = Cells("d", float, "a number")
-#: The decreased cells of decline_events.csv as outcome codes, the inverse
-#: of `_OUTCOME_CELLS`.
-OUTCOME = Cells(
-    "b",
-    {cell: code - 1 for code, cell in enumerate(_OUTCOME_CELLS)}.__getitem__,
-    "'true', 'false' or empty",
+#: How a fault of an artifact is worded: `decline_events.csv line 7 has
+#: delay 'x3', expected an integer — re-run the 'backtest' command`.
+ARTIFACT = Dialect(
+    "has columns {found}, expected {expected}", "has {got} cells, expected {expected}",
+    _artifact_error,
 )
+TEXT = Kind(sys.intern)
+#: How each typed column of an artifact that a stage reads back is read.
+KINDS: dict[str, Kind] = {
+    "quarter": Kind(parse_quarter, "has bad {name} {cell!r}: {error}"),
+    "measurement_date": Kind(date.fromisoformat, "has bad {name} {cell!r}: {error}"),
+    **dict.fromkeys(
+        ("weight", "s", "article_count", "quarters_scored", "delay"),
+        Kind(np.int64, "has {name} {cell!r}, expected an integer", np.int64),
+    ),
+    **dict.fromkeys(
+        (*SCORES, "close", "average_rank"),
+        Kind(float_cell, "has {name} {cell!r}, expected a number", np.float64),
+    ),
+    # outcome codes, the inverse of `_OUTCOME_CELLS`
+    "decreased": Kind(
+        {cell: code - 1 for code, cell in enumerate(_OUTCOME_CELLS)}.__getitem__,
+        "has {name} {cell!r}, expected 'true', 'false' or empty",
+        np.int8,
+    ),
+}
 
 
-class Columns:
-    """One artifact's cells by column, streamed from its file.
-
-    A column named in the reader's `types` is a typed `array`; any other is
-    a list of str, each distinct cell one shared object. `error` names the
-    file line of a data row (0-based).
-    """
-
-    def __init__(self, path: Path, columns: tuple[str, ...], types: Mapping[str, Cells]):
-        self.path = path
-        self.data = {
-            name: array(types[name].typecode) if name in types else [] for name in columns
-        }
-
-    def __getitem__(self, name: str) -> Sequence:
-        return self.data[name]
-
-    def __len__(self) -> int:
-        return len(next(iter(self.data.values())))
-
-    def error(self, row: int, problem: str) -> DependencyError:
-        """`problem` at data row `row`, placed at the file line that ends it."""
-        with self.path.open("r", encoding="utf-8", newline="") as fh:
-            reader = csv.reader(fh)
-            for _ in islice(reader, row + 2):  # the header, then rows 0..row
-                pass
-            line = reader.line_num
-        return DependencyError(
-            f"{self.path.name} line {line} {problem} — re-run the "
-            f"{WRITER[self.path.name]!r} command"
-        )
-
-    def parsed(self, name: str, parse: Callable[[str], Any]) -> list:
-        """Column `name` through `parse`, called once per distinct cell; the
-        first cell it rejects with ValueError names its line."""
-        cells = self.data[name]
-        values = {}
-        for cell in dict.fromkeys(cells):
-            try:
-                values[cell] = parse(cell)
-            except ValueError as exc:
-                raise self.error(cells.index(cell), f"has bad {name} {cell!r}: {exc}") from None
-        return list(map(values.__getitem__, cells))
-
-    def quarters(self) -> list[Quarter]:
-        return self.parsed("quarter", parse_quarter)
-
-
-def read_columns(cfg: RunConfig, artifact: Artifact, types: Mapping[str, Cells]) -> Columns:
-    """An artifact's columns, checked against its declared header and cell
-    counts, streamed a chunk of rows at a time."""
-    path = cfg.output / artifact.name
-    table = Columns(path, artifact.columns, types)
-    width = len(artifact.columns)
-    with path.open("r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = tuple(next(reader, ()))
-        if header != artifact.columns:
-            raise DependencyError(
-                f"{artifact.name} has columns {list(header)}, expected "
-                f"{list(artifact.columns)} — re-run the {WRITER[artifact.name]!r} command"
-            )
-        done = 0
-        while chunk := list(islice(reader, _CHUNK)):
-            if set(map(len, chunk)) != {width}:
-                bad = next(i for i, row in enumerate(chunk) if len(row) != width)
-                raise table.error(done + bad, f"has {len(chunk[bad])} cells, expected {width}")
-            for name, cells in zip(artifact.columns, zip(*chunk)):
-                kind = types.get(name)
-                if kind is None:
-                    table.data[name].extend(map(sys.intern, cells))
-                    continue
-                try:  # each distinct cell is parsed once: delays and outcomes repeat
-                    parsed = {cell: kind.parse(cell) for cell in set(cells)}
-                    table.data[name].fromlist(list(map(parsed.__getitem__, cells)))
-                except (KeyError, ValueError, OverflowError):
-                    bad = next(i for i, cell in enumerate(cells) if not kind.fits(cell))
-                    raise table.error(
-                        done + bad, f"has {name} {cells[bad]!r}, expected {kind.expected}"
-                    ) from None
-            done += len(chunk)
-    return table
+def read_columns(cfg: RunConfig, artifact: Artifact, types: Mapping[str, Kind]) -> Table:
+    """An artifact's columns, under its declared header; a column that
+    `types` does not name is text."""
+    kinds = {name: types.get(name, TEXT) for name in artifact.columns}
+    return read_table(cfg.output / artifact.name, kinds, ARTIFACT)
 
 
 @dataclass(frozen=True)
 class Handoff:
     """A value later stages read back from the artifacts that store it.
 
-    `decode(cfg, values, *tables)` gets the `Columns` of each artifact, in
+    `decode(cfg, values, *tables)` gets the `Table` of each artifact, in
     the order of `artifacts`, and the reading stage's loaded inputs in
-    `values`. `types` says how each typed column is read.
+    `values`, its columns typed by `KINDS`. After `decode`, `read_handoff`
+    raises for a row that could not be read, if any.
     """
 
     artifacts: tuple[Artifact, ...]
     decode: Callable[..., Any]
-    types: Mapping[str, Cells] = field(default_factory=dict)
 
 
-def _decode_occurrences(cfg, v, table: Columns) -> dict[Quarter, list[OccurrenceSet]]:
+def _decode_occurrences(cfg, v, table: Table) -> dict[Quarter, list[OccurrenceSet]]:
     occurrences: dict[Quarter, list[OccurrenceSet]] = {}
     for article_id, quarter, polarity, ids in zip(
-        table["article_id"], table.quarters(), table["polarity"], table["companies"]
+        table["article_id"], table["quarter"], table["polarity"], table["companies"]
     ):
         companies = frozenset(filter(None, ids.split("|")))
         occurrences.setdefault(quarter, []).append(
@@ -731,15 +665,15 @@ def _decode_networks(cfg, v, edges, nodes, stats) -> dict[Quarter, dict[str, Qua
     """Networks over the universe in `v`, which every reading stage loads."""
     universe_ids = tuple(sorted(v["universe"].ids()))
 
-    def keys(table: Columns) -> Iterator[tuple[Quarter, str]]:
-        return zip(table.quarters(), table["polarity"])
+    def keys(table: Table) -> Iterator[tuple[Quarter, str]]:
+        return zip(table["quarter"], table["polarity"])
 
-    article_counts = dict(zip(keys(stats), stats["article_count"]))
+    article_counts = dict(zip(keys(stats), stats["article_count"].tolist()))
     edge_maps: dict[tuple[Quarter, str], dict] = {k: {} for k in article_counts}
     node_maps: dict[tuple[Quarter, str], dict] = {k: {} for k in article_counts}
-    for key, i, j, weight in zip(keys(edges), edges["i"], edges["j"], edges["weight"]):
+    for key, i, j, weight in zip(keys(edges), edges["i"], edges["j"], edges["weight"].tolist()):
         edge_maps.setdefault(key, {})[(i, j)] = weight
-    for key, node, s in zip(keys(nodes), nodes["canonical_id"], nodes["s"]):
+    for key, node, s in zip(keys(nodes), nodes["canonical_id"], nodes["s"].tolist()):
         node_maps.setdefault(key, {})[node] = s
 
     networks: dict[Quarter, dict[str, QuarterNetwork]] = {}
@@ -755,88 +689,77 @@ def _decode_networks(cfg, v, edges, nodes, stats) -> dict[Quarter, dict[str, Qua
     return {q: networks[q] for q in sorted(networks)}
 
 
-def _decode_rank_lists(cfg, v, table: Columns) -> dict[tuple[str, str], list[RankEntry]]:
+def _decode_rank_lists(cfg, v, table: Table) -> dict[tuple[str, str], list[RankEntry]]:
     lists: dict[tuple[str, str], list[RankEntry]] = {
         (polarity, mode): [] for polarity in NETWORK_KINDS for mode in MODES
     }
     for polarity, mode, *entry in zip(
-        table["polarity"], table["mode"], table["canonical_id"], table["average_rank"],
-        table["quarters_scored"],
+        table["polarity"], table["mode"], table["canonical_id"], table["average_rank"].tolist(),
+        table["quarters_scored"].tolist(),
     ):
         lists.setdefault((polarity, mode), []).append(RankEntry(*entry))
     return lists
 
 
-def _decode_datapoints(table: Columns, *measured: Sequence) -> list[RiskDatapoint]:
+def _decode_datapoints(table: Table, *measured: Sequence) -> list[RiskDatapoint]:
     """Datapoints from their id, quarter and score columns; `measured` are
     the measurement date and close columns, when the artifact has them."""
-    scores = [table[name] for name in SCORES]
+    scores = [table[name].tolist() for name in SCORES]
     return [
         RiskDatapoint(*cells)
-        for cells in zip(table["canonical_id"], table.quarters(), *scores, *measured)
+        for cells in zip(table["canonical_id"], table["quarter"], *scores, *measured)
     ]
 
 
-def _decode_study(cfg, v, valid: Columns, events: Columns) -> bt.EventStudy:
+def _decode_study(cfg, v, valid: Table, events: Table) -> bt.EventStudy:
     """The outcome matrix is filled by one assignment from the row index,
     delay and outcome code of every event row. Each datapoint must have
     exactly one row per delay of the configured window."""
-    dates = valid.parsed("measurement_date", date.fromisoformat)
-    datapoints = _decode_datapoints(valid, dates, valid["close"])
-    index = {(dp.quarter.label, dp.canonical_id): r for r, dp in enumerate(datapoints)}
+    valid.raise_first()  # a cut-off valid table would make later event rows look unknown
+    datapoints = _decode_datapoints(valid, valid["measurement_date"], valid["close"].tolist())
+    index = {(dp.quarter, dp.canonical_id): r for r, dp in enumerate(datapoints)}
     lo, hi = cfg.delay_lo, cfg.delay_hi
     width = hi - lo + 1
-    offsets = np.frombuffer(events["delay"], dtype=np.int64) - lo
-    outside = (offsets < 0) | (offsets >= width)
-    if outside.any():
-        bad = int(np.argmax(outside))
-        raise events.error(
-            bad, f"has delay {lo + offsets[bad]}, outside the configured delays {lo}..{hi}"
-        )
-    keys = zip(events["quarter"], events["canonical_id"])
-    rows = np.fromiter(map(index.get, keys, repeat(-1)), dtype=np.intp, count=len(events))
-
-    def key(row: int) -> tuple[str, str]:
-        return events["quarter"][row], events["canonical_id"][row]
-
-    if (rows < 0).any():
-        bad = int(np.argmax(rows < 0))
-        raise events.error(bad, f"has an event row for unknown datapoint {key(bad)}")
+    offsets = events["delay"] - lo
+    keys = list(zip(events["quarter"], events["canonical_id"]))
+    rows = np.fromiter(map(index.get, keys, repeat(-1)), dtype=np.intp, count=len(keys))
     cells = rows * width + offsets
     order = np.argsort(cells, kind="stable")
-    repeated = order[1:][cells[order[1:]] == cells[order[:-1]]]
-    if repeated.size:
-        bad = int(repeated.min())
-        raise events.error(bad, f"repeats delay {lo + offsets[bad]} of datapoint {key(bad)}")
-    if cells.size != len(datapoints) * width:
-        counts = np.bincount(cells, minlength=len(datapoints) * width)
-        r, d = divmod(int(np.argmin(counts)), width)
-        held = (datapoints[r].quarter.label, datapoints[r].canonical_id)
-        raise valid.error(
-            r, f"holds datapoint {held}, which has no {EVENTS.name} row for delay {lo + d}"
-        )
+    repeats = np.zeros(len(cells), dtype=bool)
+    repeats[order[1:][cells[order[1:]] == cells[order[:-1]]]] = True
+
+    def key(row: int) -> tuple[str, str]:
+        return keys[row][0].label, keys[row][1]
+
+    # The cell of a row outside the window or of an unknown datapoint means
+    # nothing, but that row is flagged itself, before any row it repeats.
+    events.raise_first(
+        (
+            (offsets < 0) | (offsets >= width),
+            lambda r: f"has delay {lo + offsets[r]}, outside the configured delays {lo}..{hi}",
+        ),
+        (rows < 0, lambda r: f"has an event row for unknown datapoint {key(r)}"),
+        (repeats, lambda r: f"repeats delay {lo + offsets[r]} of datapoint {key(r)}"),
+    )
+    counts = np.bincount(cells, minlength=len(datapoints) * width).reshape(-1, width)
+
+    def missing(row: int) -> str:
+        held = (datapoints[row].quarter.label, datapoints[row].canonical_id)
+        delay = lo + int(np.argmin(counts[row]))
+        return f"holds datapoint {held}, which has no {EVENTS.name} row for delay {delay}"
+
+    valid.raise_first((counts.min(axis=1) == 0, missing))
     outcomes = np.full((len(datapoints), width), -1, dtype=np.int8)
-    outcomes[rows, offsets] = np.frombuffer(events["decreased"], dtype=np.int8)
+    outcomes[rows, offsets] = events["decreased"]
     return bt.EventStudy(datapoints, outcomes, delay_lo=lo, delay_hi=hi)
 
 
 HANDOFFS: dict[str, Handoff] = {
     "occurrences": Handoff((OCCURRENCES,), _decode_occurrences),
-    "networks": Handoff(
-        (NETWORK_EDGES, NETWORK_NODES, NETWORK_STATS), _decode_networks,
-        dict.fromkeys(("weight", "s", "article_count"), INTEGER),
-    ),
-    "rank_lists": Handoff(
-        (AVERAGE_RANK,), _decode_rank_lists, {"average_rank": NUMBER, "quarters_scored": INTEGER}
-    ),
-    "datapoints": Handoff(
-        (RISK,), lambda cfg, v, table: _decode_datapoints(table), dict.fromkeys(SCORES, NUMBER)
-    ),
-    "study": Handoff(
-        (VALID_POINTS, EVENTS),
-        _decode_study,
-        {**dict.fromkeys((*SCORES, "close"), NUMBER), "delay": INTEGER, "decreased": OUTCOME},
-    ),
+    "networks": Handoff((NETWORK_EDGES, NETWORK_NODES, NETWORK_STATS), _decode_networks),
+    "rank_lists": Handoff((AVERAGE_RANK,), _decode_rank_lists),
+    "datapoints": Handoff((RISK,), lambda cfg, v, table: _decode_datapoints(table)),
+    "study": Handoff((VALID_POINTS, EVENTS), _decode_study),
 }
 
 
@@ -1024,8 +947,11 @@ def _file_entry(path: Path, data: bytes | None = None) -> dict:
 def read_handoff(cfg: RunConfig, key: str, values: Values) -> Any:
     """Decode the value `key` from its artifacts in the output directory."""
     handoff = HANDOFFS[key]
-    tables = [read_columns(cfg, a, handoff.types) for a in handoff.artifacts]
-    return handoff.decode(cfg, values, *tables)
+    tables = [read_columns(cfg, a, KINDS) for a in handoff.artifacts]
+    value = handoff.decode(cfg, values, *tables)
+    for table in tables:
+        table.raise_first()
+    return value
 
 
 def _load_inputs(cfg: RunConfig, stage: Stage, loaded: dict[str, Any]) -> None:

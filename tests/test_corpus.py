@@ -7,11 +7,14 @@ from datetime import date, datetime, timedelta, timezone
 import numpy as np
 import pytest
 
+from newsrisk import corpus
 from newsrisk.corpus import (
-    _PRICE_CHUNK,
+    _CHUNK,
+    INPUT,
     Article,
     EntityRecord,
     EntityUniverse,
+    Kind,
     MarketCapTable,
     PriceSeries,
     PriceTable,
@@ -19,6 +22,7 @@ from newsrisk.corpus import (
     load_marketcaps,
     load_prices,
     load_universe,
+    read_table,
     write_articles,
 )
 from newsrisk.errors import ValidationError
@@ -246,6 +250,31 @@ def test_universe_validation_errors(tmp_path):
 
     path.write_text("a,b\n1,2\n", encoding="utf-8")
     with pytest.raises(ValidationError, match="expected columns"):
+        load_universe(path)
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        ("ACME,Acme\n", ":2: expected 6 fields, got 2"),
+        ("ACME,Acme,ACME,NYSE,Acme,,ACX\n", ":2: expected 6 fields, got 7"),
+        ("ACME,Acme,,NYSE,Acme,\n", ":2: empty primary_ticker"),
+        ("ACME,Acme,ACME,NYSE, | ,\n", ":2: empty name_variants for 'ACME'"),
+        # blank lines and the lines of a quoted cell count
+        ("ACME,Acme,ACME,NYSE,Acme,\n\n,Bolt,BOLT,NYSE,Bolt,\n", ":4: empty canonical_id"),
+        ('ACME,"Acme\nIndustrial",ACME,NYSE,Acme,\n,Bolt,BOLT,NYSE,Bolt,\n',
+         ":4: empty canonical_id"),
+        ('ACME,"Acme, Inc",ACME,NYSE,Acme,\nBOLT,Bolt\n', ":3: expected 6 fields, got 2"),
+        # two faults: the one on the earlier line is reported
+        ("ACME,Acme,ACME,NYSE,,\nBOLT,Bolt\n", ":2: empty name_variants for 'ACME'"),
+        ("ACME,Acme\n,Bolt,BOLT,NYSE,Bolt,\n", ":2: expected 6 fields, got 2"),
+        (",Acme,,NYSE,,\n", ":2: empty canonical_id"),
+    ],
+)
+def test_universe_reports_the_first_faulty_line(tmp_path, rows, message):
+    path = tmp_path / "universe.csv"
+    path.write_text(UNIVERSE_CSV.splitlines()[0] + "\n" + rows, encoding="utf-8")
+    with pytest.raises(ValidationError, match=f"^universe.csv{message}$"):
         load_universe(path)
 
 
@@ -502,7 +531,7 @@ def test_prices_parse_cells_as_the_row_loader_does(tmp_path, body, keys):
     assert list(_assert_loads_like_the_row_loader(path).series) == keys
 
 
-@pytest.mark.parametrize("rows", [2 * _PRICE_CHUNK, 2 * _PRICE_CHUNK + 5])
+@pytest.mark.parametrize("rows", [2 * _CHUNK, 2 * _CHUNK + 5])
 def test_prices_spanning_several_chunks_load_as_the_row_loader_does(tmp_path, rows):
     """Interleaved tickers over three parse chunks, the last full or not,
     with blank lines after the last row."""
@@ -540,6 +569,28 @@ def test_price_cells_follow_numpy_float_syntax(tmp_path):
         else:
             with pytest.raises(ValidationError, match="^prices.csv:2: "):
                 _load_prices_strictly(path)
+
+
+@pytest.mark.parametrize("chunk", [1, _CHUNK])
+def test_the_row_scan_reads_what_numpy_reads(tmp_path, monkeypatch, chunk):
+    """Wherever numpy's parser reads a file, the row-by-row scan that names
+    faults reads the same rows from it and finds none: stray and doubled
+    quotes, line breaks inside and outside quoted cells, and blank lines."""
+    monkeypatch.setattr(corpus, "_CHUNK", chunk)
+    rng = np.random.default_rng(21)
+    alphabet = ["a", "b", ",", '"', '""', "\r", "\n", "\r\n", " ", "\t", "é", "#"]
+    kinds = {"x": Kind(str), "y": Kind(str)}
+    path = tmp_path / "cells.csv"
+    read_by_numpy = 0
+    for _ in range(3000):
+        body = "".join(rng.choice(alphabet, size=int(rng.integers(0, 16))))
+        path.write_bytes(("x,y\n" + body).encode("utf-8"))
+        table = read_table(path, kinds, INPUT)
+        if table.ends is None:  # numpy read every row
+            read_by_numpy += 1
+            scan = corpus._scan(path, kinds, INPUT)
+            assert (scan.fault, scan) == (None, table), body
+    assert read_by_numpy > 300
 
 
 #: One fault of each kind, planted in place of a (ticker, date, close) row.
@@ -611,4 +662,44 @@ def test_marketcaps_validation(tmp_path):
         "canonical_id,quarter,market_cap_usd_billions\nA,2011Q1,-5\n", encoding="utf-8"
     )
     with pytest.raises(ValidationError, match="non-positive market cap"):
+        load_marketcaps(path)
+
+    for cap in (float("nan"), float("inf")):
+        with pytest.raises(ValidationError, match="non-finite market cap"):
+            MarketCapTable({("A", Quarter(2011, 1)): cap})
+    for cell, message in (
+        ("nan", ":2: non-finite market cap nan for A"),
+        ("-inf", ":2: non-finite market cap -inf for A"),
+        ("1_0", ":2: bad market cap '1_0'"),
+        ("٤", ":2: bad market cap '٤'"),
+    ):
+        path.write_text(
+            f"canonical_id,quarter,market_cap_usd_billions\nA,2011Q1,{cell}\n", encoding="utf-8"
+        )
+        with pytest.raises(ValidationError, match=f"^caps.csv{message}$"):
+            load_marketcaps(path)
+    path.write_text(
+        "canonical_id,quarter,market_cap_usd_billions\nA,2011Q1, 2e3 \n", encoding="utf-8"
+    )
+    assert load_marketcaps(path).get("A", Quarter(2011, 1)) == 2000.0
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        ("A,2011Q1\n", ":2: expected 3 fields, got 2"),
+        ("A,2011Q1,5,6\n", ":2: expected 3 fields, got 4"),
+        # blank lines and the lines of a quoted cell count
+        ("A,2011Q1,5\n\nB,2011Q1,-1\n", ":4: non-positive market cap -1.0 for B"),
+        ('"A\nB",2011Q1,5\nC,2011T1,1\n', ":4: bad quarter label '2011T1', expected YYYYQN"),
+        # two faults: the one on the earlier line is reported
+        ("A,2011Q1,0\nB,2011Q1\n", ":2: non-positive market cap 0.0 for A"),
+        ("A,2011Q1,5\nB,2011Q1,x\nC,2011Q1,-1\n", ":3: bad market cap 'x'"),
+        ("A,2011Q1,5\nB,2011Q1,nan\nC,2011Q1\n", ":3: non-finite market cap nan for B"),
+    ],
+)
+def test_marketcaps_reports_the_first_faulty_line(tmp_path, rows, message):
+    path = tmp_path / "marketcaps.csv"
+    path.write_text("canonical_id,quarter,market_cap_usd_billions\n" + rows, encoding="utf-8")
+    with pytest.raises(ValidationError, match=f"^marketcaps.csv{message}$"):
         load_marketcaps(path)

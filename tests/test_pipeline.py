@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from newsrisk import pipeline
+from newsrisk import corpus, pipeline
 from newsrisk.cli import main
 from newsrisk.errors import DependencyError, ValidationError
 from newsrisk.pipeline import (
@@ -96,9 +96,19 @@ def test_config_from_mapping_errors(tmp_path):
         ("top_k", float("inf")),
         ("thresholds", ["a"]),
         ("delays", [3, "x"]),
+        ("alpha", True),
+        ("lambda", False),
+        ("top_k", True),
+        ("thresholds", [0.5, True]),
+        ("delays", [3, True]),
     ):
         with pytest.raises(ValidationError, match=f"^{key} must be a number"):
             config_from_mapping({**BASE_MAPPING, key: value}, tmp_path)
+    for key, value in (("top_k", 2.9), ("delays", [3.7, 90]), ("delays", [3, 90.2])):
+        with pytest.raises(ValidationError, match=f"^{key} must be an integer, got"):
+            config_from_mapping({**BASE_MAPPING, key: value}, tmp_path)
+    cfg = config_from_mapping({**BASE_MAPPING, "top_k": 7.0, "delays": ["2", 30]}, tmp_path)
+    assert (cfg.top_k, cfg.delay_lo, cfg.delay_hi) == (7, 2, 30)
 
 
 def test_config_from_file_and_overrides(tmp_path):
@@ -713,9 +723,9 @@ def copied_run(staged_run, tmp_path):
     return make_config(Path(cfg.articles).parent, out)
 
 
-@pytest.mark.parametrize("chunk", [7, pipeline._CHUNK])
+@pytest.mark.parametrize("chunk", [7, corpus._CHUNK])
 def test_a_row_with_the_wrong_cell_count_names_its_line(copied_run, monkeypatch, chunk):
-    monkeypatch.setattr(pipeline, "_CHUNK", chunk)
+    monkeypatch.setattr(corpus, "_CHUNK", chunk)
     events = copied_run.output / "decline_events.csv"
     _rewrite_line(events, 30, "2011Q1,C0001,5")
     with pytest.raises(
