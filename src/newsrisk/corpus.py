@@ -10,8 +10,11 @@ File formats:
               YYYY-MM-DD and strictly increasing per ticker.
   marketcaps  CSV: canonical_id, quarter (YYYYQN), market_cap_usd_billions
 
-Every CSV file is read by `read_table`, whose cell grammar the README's
-"Input formats" states; the loaders ignore whitespace around a cell.
+Every CSV file the package reads, input or artifact, is read by
+`read_table`, whose cell grammar the README's "Input formats" states; the
+loaders ignore whitespace around a cell. Every CSV file it writes, artifact
+or fixture, is formatted by `format_table`. A file that is not UTF-8 is
+refused with the line that holds its first undecodable byte.
 
 Everything returned by the loaders is immutable by convention and safe for
 unrestricted concurrent reads.
@@ -26,8 +29,10 @@ import math
 import re
 import warnings
 from array import array
+from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import date, datetime, timezone
+from itertools import islice
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -208,7 +213,7 @@ def load_articles(
     articles: list[Article] = []
     seen: set[str] = set()
     win_start, win_end = window
-    with path.open("r", encoding="utf-8") as fh:
+    with path.open("r", encoding="utf-8") as fh, _decoding(path, _input_error):
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
@@ -309,10 +314,10 @@ class Table(dict):
     line that ends each row, and the fault's, once a scan has counted them.
     """
 
-    def __init__(self, path: Path, kinds: Mapping[str, Kind], dialect: Dialect,
-                 columns: dict[str, Any], ends=None, fault=None):
+    def __init__(self, path: Path, dialect: Dialect, columns: dict[str, Any],
+                 ends=None, fault=None):
         super().__init__(columns)
-        self.path, self.kinds, self.dialect = path, kinds, dialect
+        self.path, self.dialect = path, dialect
         self.ends: Sequence[int] | None = ends
         self.fault: tuple[int, str] | None = fault
 
@@ -322,15 +327,15 @@ class Table(dict):
         and the problem of a flagged row. On one row, a row that cannot be
         read comes first, then the checks in the order given."""
         flagged = [(int(np.argmax(f)), i) for i, (f, _) in enumerate(checks) if np.any(f)]
-        if not flagged and self.fault is None:
-            return
-        if self.ends is None:  # numpy read the rows, and counted no lines
-            scan = _scan(self.path, self.kinds, self.dialect)
-            self.ends, self.fault = scan.ends, scan.fault
         if self.fault is not None:
             flagged.append((self.fault[0], -1))
+        if not flagged:
+            return
         row, i = min(flagged)
         problem = self.fault[1] if i < 0 else checks[i][1](row)
+        if self.ends is None:  # numpy read the rows, and counted no lines
+            line, unreadable = _end_line(self.path, row)
+            raise self.dialect.error(self.path, line, unreadable or problem)
         raise self.dialect.error(self.path, self.ends[row], problem)
 
 
@@ -341,15 +346,34 @@ def read_table(path: Path, kinds: Mapping[str, Kind], dialect: Dialect) -> Table
     cell of a column that is not float64 goes through Python once. When a
     row stops it, `_scan` reads the file again row by row.
     """
-    with path.open("r", encoding="utf-8", newline="") as fh:
+    with path.open("r", encoding="utf-8", newline="") as fh, _decoding(path, dialect.error):
         header = next(csv.reader(fh), None)
         if header != list(kinds):
             problem = dialect.header.format(found=header, expected=list(kinds))
             raise dialect.error(path, None, problem)
         try:
-            return Table(path, kinds, dialect, _parse(fh, kinds))
+            return Table(path, dialect, _parse(fh, kinds))
         except ValueError:
             return _scan(path, kinds, dialect)
+
+
+@contextmanager
+def _decoding(path: Path, error: Callable[[Path, int | None, str], Exception]) -> Iterator[None]:
+    """Raise `error` naming the line that holds the first byte of `path`
+    that is not UTF-8, for a UnicodeDecodeError met while reading it. The
+    text layer decodes ahead of the line being read, so the line is found
+    by a scan of the file's bytes, which runs on this path only."""
+    try:
+        yield
+    except UnicodeDecodeError:
+        data = path.read_bytes()
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            line = len((data[: exc.start] + b"x").splitlines())  # the line the byte is on
+            problem = f"has byte 0x{data[exc.start]:02x}, which is not UTF-8 ({exc.reason})"
+            raise error(path, line, problem) from None
+        raise
 
 
 def _parse(lines: Iterator[str], kinds: Mapping[str, Kind]) -> dict[str, Any]:
@@ -399,15 +423,31 @@ def _scan(path: Path, kinds: Mapping[str, Kind], dialect: Dialect) -> Table:
                 for column, value in zip(columns, row):
                     column.append(value)
                 ends.append(reader.line_num)
+        except UnicodeDecodeError:
+            raise
         except (csv.Error, ValueError) as exc:
             fault = (len(ends), str(exc))
             ends.append(reader.line_num)
     return Table(
-        path, kinds, dialect,
+        path, dialect,
         {name: _column(kind, [np.fromiter(values, kind.dtype, len(values))])
          for (name, kind), values in zip(kinds.items(), columns)},
         ends, fault,
     )
+
+
+def _end_line(path: Path, row: int) -> tuple[int, str | None]:
+    """The line that ends data row `row`, counted as `_scan` counts it, but
+    keeping no cells; or the line and problem of a row up to it that
+    `csv.reader` cannot read."""
+    with path.open("r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            for _ in islice(filter(None, reader), row + 2):  # the header, then rows
+                pass
+        except csv.Error as exc:
+            return reader.line_num, str(exc)
+    return reader.line_num, None
 
 
 class _Memo(dict):
@@ -442,6 +482,67 @@ INPUT = Dialect(
     "expected columns {expected}, found {found}", "expected {expected} fields, got {got}",
     _input_error,
 )
+
+
+# ---------------------------------------------------------------------------
+# The CSV formatter. Every CSV file the package writes, each artifact and each
+# fixture input, is formatted by `format_table`, a column at a time.
+# ---------------------------------------------------------------------------
+
+#: The characters that make a cell quoted: `csv.writer`'s minimal quoting,
+#: and a lone carriage return on every Python version (3.11's `csv.writer`
+#: leaves it bare, but `csv.reader` ends a record there).
+_QUOTED = ',"\n\r'
+_FLOATS = {float, np.float64}
+#: Rows `format_table` joins at a time, so that only a bounded slice of a
+#: file is held as one object per row.
+_JOIN_ROWS = 1024
+
+
+def _needs_quotes(text: str) -> bool:
+    return any(char in text for char in _QUOTED)
+
+
+def _quote(cell: str) -> str:
+    return '"' + cell.replace('"', '""') + '"' if _needs_quotes(cell) else cell
+
+
+def _text(value: object) -> str:
+    if value is None or value != value:  # NaN rates are undefined, like None
+        return ""
+    if isinstance(value, float):
+        return float.__repr__(value)
+    return value if isinstance(value, str) else str(value)
+
+
+def _cells(column: Sequence) -> Sequence[str]:
+    """A column's cells as text; a column of one type is formatted in one pass."""
+    if isinstance(column, np.ndarray):
+        column = column.tolist()
+    kinds = set(map(type, column))
+    if kinds <= _FLOATS:
+        cells = list(map(float.__repr__, column))
+        return [cell if cell != "nan" else "" for cell in cells] if "nan" in cells else cells
+    if kinds == {int}:
+        return list(map(int.__repr__, column))
+    if not kinds <= {str}:
+        column = list(map(_text, column))
+    return list(map(_quote, column)) if _needs_quotes("".join(column)) else column
+
+
+def format_table(header: Sequence[str], columns: Iterable[Sequence]) -> str:
+    """A CSV file's text: the header, then a row per index of `columns`,
+    which are lists, tuples or numpy arrays of one length. Strings get
+    CSV-minimal quoting, floats `repr`, None and NaN an empty cell, anything
+    else `str`, so every value reads back exactly."""
+    cells = [_cells(column) for column in columns]
+    if len(cells) == 1:  # a lone empty cell is quoted, or its row would be blank
+        cells = [['""' if cell == "" else cell for cell in cells[0]]]
+    rows = zip(*cells)
+    pieces = [",".join(map(_quote, header))]
+    while chunk := list(islice(rows, _JOIN_ROWS)):
+        pieces.append("\n".join(map(",".join, chunk)))
+    return "\n".join(pieces) + "\n"
 
 
 # ---------------------------------------------------------------------------

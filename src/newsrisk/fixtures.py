@@ -15,7 +15,9 @@ Two properties are engineered, not emergent:
 * When a drift is configured, every company-quarter whose true relative
   sentiment is 1 gets a planted log-price drift over a calendar-day window
   after that quarter's measurement date, followed by a symmetric recovery
-  (a transient dip, so later windows are not contaminated).
+  (a transient dip, so later windows are not contaminated). A drifted
+  company's daily log steps are one array over calendar days; its planted
+  path is their `cumsum`, read on the trading days.
 * Two "anchor" companies appear ONLY in joint articles about both of them,
   and every other article mentions at most two companies. That makes each
   company's total pairwise link weight at most its own article count, while
@@ -27,6 +29,11 @@ Two properties are engineered, not emergent:
   or more companies would break the accounting (they add two-plus units of
   link weight per unit of article count), which is why the default mention
   distribution stops at two.
+
+Every ticker trades on one calendar, the weekdays from a week before the
+first quarter to 97 days after the last, held as `datetime64[D]`; a
+ticker's closes are one float64 array over it. The CSV files are written a
+column at a time by `corpus.format_table`, which writes the artifacts.
 
 Prices follow a slow random-walk trend plus INDEPENDENT per-day noise:
 log P(t) = log P0 + trend(t) + eps(t) + planted(t). The i.i.d. eps term
@@ -44,8 +51,8 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass, field
-from datetime import date, datetime, time, timedelta, timezone
+from dataclasses import asdict, dataclass, field
+from datetime import datetime, time, timedelta, timezone
 from math import log1p
 from pathlib import Path
 
@@ -56,6 +63,7 @@ from .corpus import (
     PRICE_COLUMNS,
     UNIVERSE_COLUMNS,
     Article,
+    format_table,
     write_articles,
 )
 from .errors import ValidationError
@@ -187,19 +195,15 @@ class Fixture:
     companies: list[FixtureCompany]
     universe_rows: list[list[str]]
     articles: list[Article]
-    #: ticker -> (trading dates, closes)
-    prices: dict[str, tuple[list[date], list[float]]]
+    #: the spec's `n_quarters` quarters from `start`
+    quarters: list[Quarter]
+    #: the trading days every ticker shares, datetime64[D]
+    calendar: np.ndarray
+    #: ticker -> float64 closes, one per day of `calendar`
+    prices: dict[str, np.ndarray]
     #: (canonical_id, quarter label) -> cap in USD billions
     marketcaps: dict[tuple[str, str], float]
     truth: FixtureTruth
-
-    @property
-    def quarters(self) -> list[Quarter]:
-        first = self.spec.start
-        last = first
-        for _ in range(self.spec.n_quarters - 1):
-            last = last.next()
-        return quarter_range(first, last)
 
 
 def _make_word(rng: np.random.Generator, used: set[str]) -> str:
@@ -323,16 +327,6 @@ def _compose_article(
     )
 
 
-def _weekdays(first: date, last: date) -> list[date]:
-    days = []
-    day = first
-    while day <= last:
-        if day.weekday() < 5:
-            days.append(day)
-        day += timedelta(days=1)
-    return days
-
-
 def generate_fixture(spec: FixtureSpec) -> Fixture:
     """Build the full synthetic dataset for one spec, deterministically."""
     rng = np.random.default_rng(spec.seed)
@@ -340,13 +334,8 @@ def generate_fixture(spec: FixtureSpec) -> Fixture:
     by_id = {c.canonical_id: c for c in companies}
     truth = FixtureTruth(seed=spec.seed)
 
-    quarters = quarter_range(
-        spec.start,
-        Quarter(
-            spec.start.year + (spec.start.index - 1 + spec.n_quarters - 1) // 4,
-            (spec.start.index - 1 + spec.n_quarters - 1) % 4 + 1,
-        ),
-    )
+    last = spec.start.index - 1 + spec.n_quarters - 1
+    quarters = quarter_range(spec.start, Quarter(spec.start.year + last // 4, last % 4 + 1))
 
     # --- articles -----------------------------------------------------
     articles: list[Article] = []
@@ -437,64 +426,46 @@ def generate_fixture(spec: FixtureSpec) -> Fixture:
         truth.all_negative[quarter.label] = doomed
 
     # --- prices --------------------------------------------------------
-    first_day = quarters[0].start_date - timedelta(days=7)
-    last_day = quarters[-1].end_date + timedelta(days=97)
-    trading_days = _weekdays(first_day, last_day)
-    for quarter in quarters:
-        measured = max(d for d in trading_days if d <= quarter.end_date)
-        truth.measurement_dates[quarter.label] = measured.isoformat()
+    days = np.arange(
+        np.datetime64(quarters[0].start_date, "D") - 7,
+        np.datetime64(quarters[-1].end_date, "D") + 98,
+    )
+    trading = np.flatnonzero(np.is_busday(days))  # calendar-day index of each trading day
+    calendar = days[trading]
+    quarter_ends = np.array([q.end_date for q in quarters], dtype="datetime64[D]")
+    measured = np.searchsorted(calendar, quarter_ends, side="right") - 1
+    for quarter, day in zip(quarters, calendar[measured]):
+        truth.measurement_dates[quarter.label] = str(day)
 
     drift_log = log1p(spec.drift_pct_per_day / 100.0) if spec.drift_pct_per_day else 0.0
     lo, hi = spec.drift_window
     window_len = hi - lo + 1
 
-    drift_days: dict[str, dict[date, float]] = {}
+    steps: dict[str, np.ndarray] = {}  # cid -> log drift added on each calendar day
     if drift_log:
-        for quarter in quarters:
-            measured = date.fromisoformat(truth.measurement_dates[quarter.label])
+        for quarter, day in zip(quarters, trading[measured]):
             for cid in truth.all_negative[quarter.label]:
-                per_day = drift_days.setdefault(cid, {})
-                for offset in range(lo, hi + 1):
-                    per_day[measured + timedelta(days=offset)] = (
-                        per_day.get(measured + timedelta(days=offset), 0.0) + drift_log
-                    )
-                for offset in range(hi + 1, hi + 1 + window_len):
-                    per_day[measured + timedelta(days=offset)] = (
-                        per_day.get(measured + timedelta(days=offset), 0.0) - drift_log
-                    )
+                step = steps.setdefault(cid, np.zeros(len(days)))
+                step[day + lo : day + hi + 1] += drift_log
+                step[day + hi + 1 : day + hi + 1 + window_len] -= drift_log
                 truth.drifted.append([cid, quarter.label])
 
-    prices: dict[str, tuple[list[date], list[float]]] = {}
-    n_days = len(trading_days)
+    prices: dict[str, np.ndarray] = {}
+    n_days = len(calendar)
     sigma_trend = spec.trend_vol_pct / 100.0
     sigma_noise = spec.daily_noise_pct / 100.0
-    measurement_days = {
-        date.fromisoformat(v) for v in truth.measurement_dates.values()
-    }
-    noiseless = np.array([d in measurement_days for d in trading_days])
     for company in companies:
         p0 = float(np.exp(rng.uniform(np.log(20.0), np.log(400.0))))
         trend = rng.normal(0.0, sigma_trend, n_days).cumsum()
         noise = rng.normal(0.0, sigma_noise, n_days)
-        noise[noiseless] = 0.0
-        planted = np.zeros(n_days)
-        per_day = drift_days.get(company.canonical_id)
-        if per_day:
-            cumulative = 0.0
-            previous = first_day - timedelta(days=1)
-            for i, day in enumerate(trading_days):
-                step = previous + timedelta(days=1)
-                while step <= day:
-                    cumulative += per_day.get(step, 0.0)
-                    step += timedelta(days=1)
-                planted[i] = cumulative
-                previous = day
-        log_prices = np.log(p0) + trend + noise + planted
-        closes = [float(v) for v in np.exp(log_prices)]
-        prices[company.ticker] = (list(trading_days), closes)
+        noise[measured] = 0.0
+        step = steps.get(company.canonical_id)
+        planted = np.cumsum(step)[trading] if step is not None else 0.0
+        closes = np.exp(np.log(p0) + trend + noise + planted)
+        prices[company.ticker] = closes
         if company.extra_ticker:
-            shifted = [round(v * 1.02, 6) for v in closes]
-            prices[company.extra_ticker] = (list(trading_days), shifted)
+            # Python's round, which is correctly rounded, unlike np.round
+            prices[company.extra_ticker] = np.array([round(v * 1.02, 6) for v in closes.tolist()])
 
     # --- market caps ----------------------------------------------------
     marketcaps: dict[tuple[str, str], float] = {}
@@ -530,6 +501,8 @@ def generate_fixture(spec: FixtureSpec) -> Fixture:
         companies=companies,
         universe_rows=_universe_rows(companies),
         articles=articles,
+        quarters=quarters,
+        calendar=calendar,
         prices=prices,
         marketcaps=marketcaps,
         truth=truth,
@@ -538,56 +511,28 @@ def generate_fixture(spec: FixtureSpec) -> Fixture:
 
 def write_fixture(fixture: Fixture, out_dir: str | Path) -> dict[str, Path]:
     """Write articles.jsonl, universe.csv, prices.csv, marketcaps.csv, truth.json."""
-    import csv
-
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    paths = {
-        "articles": out / "articles.jsonl",
-        "universe": out / "universe.csv",
-        "prices": out / "prices.csv",
-        "marketcaps": out / "marketcaps.csv",
-        "truth": out / "truth.json",
-    }
+    names = ("articles.jsonl", "universe.csv", "prices.csv", "marketcaps.csv", "truth.json")
+    paths = {name.partition(".")[0]: out / name for name in names}
 
     write_articles(paths["articles"], fixture.articles)
 
-    with paths["universe"].open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(UNIVERSE_COLUMNS)
-        writer.writerows(fixture.universe_rows)
+    tickers = sorted(fixture.prices)
+    days = np.datetime_as_string(fixture.calendar).tolist()
+    caps = [(cid, label, cap) for (cid, label), cap in sorted(fixture.marketcaps.items())]
+    tables = {
+        "universe": (UNIVERSE_COLUMNS, list(zip(*fixture.universe_rows))),
+        "prices": (PRICE_COLUMNS, (
+            [ticker for ticker in tickers for _ in days],
+            days * len(tickers),
+            np.concatenate([fixture.prices[ticker] for ticker in tickers]),
+        )),
+        "marketcaps": (MARKETCAP_COLUMNS, list(zip(*caps))),
+    }
+    for name, (header, columns) in tables.items():
+        paths[name].write_bytes(format_table(header, columns).encode("utf-8"))
 
-    with paths["prices"].open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(PRICE_COLUMNS)
-        for ticker in sorted(fixture.prices):
-            dates, closes = fixture.prices[ticker]
-            for day, close in zip(dates, closes):
-                writer.writerow([ticker, day.isoformat(), repr(close)])
-
-    with paths["marketcaps"].open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(MARKETCAP_COLUMNS)
-        for (cid, qlabel), cap in sorted(fixture.marketcaps.items()):
-            writer.writerow([cid, qlabel, repr(cap)])
-
-    truth = fixture.truth
-    with paths["truth"].open("w", encoding="utf-8") as fh:
-        json.dump(
-            {
-                "seed": truth.seed,
-                "n_positive": truth.n_positive,
-                "n_negative": truth.n_negative,
-                "mentions": truth.mentions,
-                "clusters": truth.clusters,
-                "anchors": truth.anchors,
-                "all_negative": truth.all_negative,
-                "drifted": truth.drifted,
-                "measurement_dates": truth.measurement_dates,
-            },
-            fh,
-            indent=2,
-            sort_keys=True,
-        )
-        fh.write("\n")
+    truth = json.dumps(asdict(fixture.truth), indent=2, sort_keys=True)
+    paths["truth"].write_text(truth + "\n", encoding="utf-8")
     return paths

@@ -5,9 +5,10 @@ declares each stage once: the config input files it loads, the values it
 reads from earlier stages, a compute function over typed values, the
 artifacts it writes and its manifest params. Each artifact is declared once:
 file name, columns and an encoder from the run's values to one sequence per
-column, which `render` formats column by column. Values that a later stage
-reads back have one decoder each, in `HANDOFFS`, over the artifacts' columns
-as `read_columns` reads them, with the reader that loads the CSV inputs.
+column, which `render` formats with `corpus.format_table`. Values that a
+later stage reads back have one decoder each, in `HANDOFFS`, over the
+artifacts' columns as `read_columns` reads them, with the reader that loads
+the CSV inputs.
 
 `run_all` runs every stage and hands each stage's values to the later ones
 in memory, as `run_study` does: each input file is loaded and hashed once,
@@ -34,7 +35,7 @@ import tempfile
 from dataclasses import astuple, dataclass, field, fields
 from datetime import date
 from functools import partial
-from itertools import chain, islice, repeat
+from itertools import chain, repeat
 from operator import attrgetter
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
@@ -48,8 +49,8 @@ from .centrality import (
     information_centrality,
 )
 from .corpus import (
-    Dialect, Kind, Table, float_cell, load_articles, load_marketcaps, load_prices, load_universe,
-    read_table,
+    Dialect, Kind, Table, float_cell, format_table, load_articles, load_marketcaps, load_prices,
+    load_universe, read_table,
 )
 from .entities import MatcherSet, OccurrenceSet, parse_corpus
 from .errors import DependencyError, ValidationError
@@ -219,9 +220,7 @@ class Artifact:
 
     `encode(cfg, values)` returns one sequence per declared column, all of
     one length (lists, tuples or numpy arrays), or the file's text when
-    `columns` is None. `render` formats each column at once: strings with
-    CSV-minimal quoting, floats by `repr`, None and NaN empty, anything else
-    by `str`, so every value round-trips exactly.
+    `columns` is None. `render` formats the columns with `format_table`.
     """
 
     name: str
@@ -229,63 +228,15 @@ class Artifact:
     encode: Callable[[RunConfig, Values], Any]
 
 
-#: The characters that make a cell quoted: `csv.writer`'s minimal quoting,
-#: and a lone carriage return on every Python version (3.11's `csv.writer`
-#: leaves it bare, but `csv.reader` ends a record there).
-_QUOTED = ',"\n\r'
-_FLOATS = {float, np.float64}
-#: Rows `render` joins at a time, so that only a bounded slice of a file is
-#: held as one object per row.
-_CHUNK = 1024
-
-
-def _needs_quotes(text: str) -> bool:
-    return any(char in text for char in _QUOTED)
-
-
-def _quote(cell: str) -> str:
-    return '"' + cell.replace('"', '""') + '"' if _needs_quotes(cell) else cell
-
-
-def _text(value: object) -> str:
-    if value is None or value != value:  # NaN rates are undefined, like None
-        return ""
-    if isinstance(value, float):
-        return float.__repr__(value)
-    return value if isinstance(value, str) else str(value)
-
-
-def _cells(column: Sequence) -> Sequence[str]:
-    """A column's cells as text; a column of one type is formatted in one pass."""
-    if isinstance(column, np.ndarray):
-        column = column.tolist()
-    kinds = set(map(type, column))
-    if kinds <= _FLOATS:
-        cells = list(map(float.__repr__, column))
-        return [cell if cell != "nan" else "" for cell in cells] if "nan" in cells else cells
-    if kinds == {int}:
-        return list(map(int.__repr__, column))
-    if not kinds <= {str}:
-        column = list(map(_text, column))
-    return list(map(_quote, column)) if _needs_quotes("".join(column)) else column
-
-
 def render(artifact: Artifact, cfg: RunConfig, values: Values) -> str:
     """The file content of `artifact` for a run's values."""
     encoded = artifact.encode(cfg, values)
     if artifact.columns is None:
         return encoded
-    columns = [_cells(column) for column in encoded]
-    if len(columns) != len(artifact.columns) or len(set(map(len, columns))) > 1:
-        lengths = [len(column) for column in columns]
+    lengths = [len(column) for column in encoded]
+    if len(lengths) != len(artifact.columns) or len(set(lengths)) > 1:
         raise ValueError(f"{artifact.name}: {len(artifact.columns)} columns, encoded {lengths}")
-    if len(columns) == 1:  # a lone empty cell is quoted, or its row would be blank
-        columns = [['""' if cell == "" else cell for cell in columns[0]]]
-    rows = zip(*columns)
-    pieces = [",".join(map(_quote, artifact.columns))]
-    while chunk := list(islice(rows, _CHUNK)):
-        pieces.append("\n".join(map(",".join, chunk)))
-    return "\n".join(pieces) + "\n"
+    return format_table(artifact.columns, encoded)
 
 
 #: The risk-score columns every datapoint artifact carries, in order.

@@ -622,8 +622,8 @@ class FixtureStudy:
         self.universe = fixture_universe(fixture)
         ticker_to_id = {c.ticker: c.canonical_id for c in fixture.companies}
         self.prices = PriceTable(
-            PriceSeries(key=ticker_to_id[t], dates=d, closes=cl)
-            for t, (d, cl) in fixture.prices.items()
+            PriceSeries(key=ticker_to_id[t], dates=fixture.calendar, closes=closes)
+            for t, closes in fixture.prices.items()
             if t in ticker_to_id  # share-class series resolve to the primary
         )
         self.caps = MarketCapTable(
@@ -656,6 +656,39 @@ class FixtureStudy:
             if row.label == label:
                 return row
         raise AssertionError(f"range row {label!r} missing from report")
+
+
+def planted_drift(fixture) -> dict[str, np.ndarray]:
+    """The log drift planted on each trading day, by drifted canonical id.
+
+    A walk over calendar days, fed from the fixture's truth: each day of a
+    drift window adds the daily log drift, each day of the recovery window
+    after it takes the drift away again, and a trading day reads the sum of
+    every calendar day up to it."""
+    spec = fixture.spec
+    daily = math.log1p(spec.drift_pct_per_day / 100.0)
+    lo, hi = spec.drift_window
+    per_day: dict[str, dict[date, float]] = {}
+    for cid, label in fixture.truth.drifted:
+        measured = date.fromisoformat(fixture.truth.measurement_dates[label])
+        steps = per_day.setdefault(cid, {})
+        for offset in range(lo, hi + 1):
+            day = measured + timedelta(days=offset)
+            steps[day] = steps.get(day, 0.0) + daily
+        for offset in range(hi + 1, 2 * hi - lo + 2):
+            day = measured + timedelta(days=offset)
+            steps[day] = steps.get(day, 0.0) - daily
+    trading = fixture.calendar.tolist()
+    paths = {}
+    for cid, steps in per_day.items():
+        total, day, path = 0.0, trading[0], []
+        for trading_day in trading:
+            while day <= trading_day:
+                total += steps.get(day, 0.0)
+                day += timedelta(days=1)
+            path.append(total)
+        paths[cid] = np.array(path)
+    return paths
 
 
 def null_outperformance(seed: int, label: str = "21 to 30") -> float:

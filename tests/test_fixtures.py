@@ -1,12 +1,19 @@
 """The synthetic data generator: determinism, planted ground truth, and
 round-trips through the real loaders."""
 
+import csv
 import json
+from dataclasses import replace
 from datetime import date, timedelta
 
+import numpy as np
 import pytest
 
 from newsrisk.corpus import (
+    UNIVERSE_COLUMNS,
+    MarketCapTable,
+    PriceSeries,
+    PriceTable,
     load_articles,
     load_marketcaps,
     load_prices,
@@ -18,6 +25,7 @@ from newsrisk.fixtures import FixtureSpec, generate_fixture, write_fixture
 from newsrisk.quarters import Quarter, parse_quarter, quarter_of
 
 from conftest import SMALL_SPEC
+from _oracles import planted_drift, write_marketcaps, write_prices
 
 
 def test_generation_is_deterministic(small_fixture):
@@ -25,7 +33,10 @@ def test_generation_is_deterministic(small_fixture):
     assert again.companies == small_fixture.companies
     assert again.universe_rows == small_fixture.universe_rows
     assert again.articles == small_fixture.articles
-    assert again.prices == small_fixture.prices
+    assert again.calendar.tobytes() == small_fixture.calendar.tobytes()
+    assert again.prices.keys() == small_fixture.prices.keys()
+    for ticker, closes in again.prices.items():
+        assert closes.tobytes() == small_fixture.prices[ticker].tobytes(), ticker
     assert again.marketcaps == small_fixture.marketcaps
     assert again.truth == small_fixture.truth
 
@@ -136,11 +147,12 @@ def test_price_series_shape(small_fixture):
     assert len(extras) == SMALL_SPEC.share_class_pairs
     first = small_fixture.quarters[0].start_date - timedelta(days=7)
     last = small_fixture.quarters[-1].end_date + timedelta(days=97)
-    for dates, closes in small_fixture.prices.values():
-        assert len(dates) == len(closes)
-        assert all(d.weekday() < 5 for d in dates)
-        assert first <= dates[0] and dates[-1] <= last
-        assert all(a < b for a, b in zip(dates, dates[1:]))
+    dates = small_fixture.calendar.tolist()
+    assert all(d.weekday() < 5 for d in dates)
+    assert first <= dates[0] and dates[-1] <= last
+    assert all(a < b for a, b in zip(dates, dates[1:]))
+    for closes in small_fixture.prices.values():
+        assert closes.dtype == np.float64 and len(closes) == len(dates)
         assert all(c > 0 for c in closes)
 
 
@@ -148,8 +160,8 @@ def test_share_class_prices_track_the_primary(small_fixture):
     for company in small_fixture.companies:
         if not company.extra_ticker:
             continue
-        _, primary = small_fixture.prices[company.ticker]
-        _, extra = small_fixture.prices[company.extra_ticker]
+        primary = small_fixture.prices[company.ticker]
+        extra = small_fixture.prices[company.extra_ticker]
         for p, e in zip(primary, extra):
             assert e == pytest.approx(p * 1.02, rel=1e-6)
 
@@ -195,6 +207,41 @@ def test_drift_only_touches_all_negative_pairs():
     assert generate_fixture(SMALL_SPEC).truth.drifted == []
 
 
+def test_planted_drift_matches_the_per_day_walk():
+    """log(drifted / undrifted) is the planted path the per-day walk of the
+    drift and recovery windows builds. An 80-day window's recovery overlaps
+    the next quarter's drift, and a window one day off moves every path."""
+    spec = replace(SMALL_SPEC, drift_window=(1, 80))
+    flat = generate_fixture(spec)
+    drifted = generate_fixture(replace(spec, drift_pct_per_day=-1.0))
+    expected = planted_drift(drifted)
+    assert len(expected) > 1
+    none = np.zeros(len(drifted.calendar))
+    for company in drifted.companies:
+        log_ratio = np.log(drifted.prices[company.ticker] / flat.prices[company.ticker])
+        want = expected.get(company.canonical_id, none)
+        np.testing.assert_allclose(log_ratio, want, rtol=0, atol=1e-9, err_msg=company.ticker)
+
+
+def test_written_csvs_match_csv_writer(small_fixture, small_fixture_dir, tmp_path):
+    """The column-wise writer writes every fixture CSV byte for byte as
+    `csv.writer` writes it row by row."""
+    write_prices(tmp_path / "prices.csv", PriceTable(
+        PriceSeries(ticker, small_fixture.calendar, closes)
+        for ticker, closes in small_fixture.prices.items()
+    ))
+    caps = small_fixture.marketcaps
+    write_marketcaps(tmp_path / "marketcaps.csv", MarketCapTable(
+        {(cid, parse_quarter(label)): cap for (cid, label), cap in caps.items()}
+    ))
+    with (tmp_path / "universe.csv").open("w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(UNIVERSE_COLUMNS)
+        writer.writerows(small_fixture.universe_rows)
+    for name in ("prices.csv", "marketcaps.csv", "universe.csv"):
+        assert (tmp_path / name).read_bytes() == (small_fixture_dir / name).read_bytes(), name
+
+
 def test_files_roundtrip_through_loaders(small_fixture, small_fixture_dir):
     universe = load_universe(small_fixture_dir / "universe.csv")
     assert universe.ids() == tuple(c.canonical_id for c in small_fixture.companies)
@@ -215,9 +262,8 @@ def test_files_roundtrip_through_loaders(small_fixture, small_fixture_dir):
     # primary and share-class series both resolve to the canonical id
     assert len(prices) == SMALL_SPEC.n_companies
     series = prices.get(paired.canonical_id)
-    dates, closes = small_fixture.prices[paired.ticker]
-    assert series.dates.tolist() == dates
-    assert series.closes.tolist() == closes
+    assert series.dates.tolist() == small_fixture.calendar.tolist()
+    assert series.closes.tolist() == small_fixture.prices[paired.ticker].tolist()
 
     caps = load_marketcaps(small_fixture_dir / "marketcaps.csv")
     assert len(caps) == len(small_fixture.marketcaps)

@@ -824,3 +824,39 @@ def test_report_rejects_events_of_another_delay_window(
     err = capsys.readouterr().err
     assert re.search(message, err), err
     assert "re-run the 'backtest' command" in err
+
+
+@pytest.fixture(scope="module")
+def seed_one_run(tmp_path_factory):
+    """`FixtureSpec(seed=1)`'s files and the output of a run over them."""
+    data = tmp_path_factory.mktemp("seed_one")
+    assert main(["fixture", "--output", str(data), "--seed", "1"]) == 0
+    assert main(["run", "--config", str(data / "run_config.json")]) == 0
+    return data
+
+
+@pytest.mark.parametrize(
+    "name, line, command, code, where",
+    [
+        ("prices.csv", 3, "run", 1, "prices.csv:3: "),
+        ("prices.csv", 400, "run", 1, "prices.csv:400: "),
+        ("prices.csv", 5000, "run", 1, "prices.csv:5000: "),
+        ("universe.csv", 17, "run", 1, "universe.csv:17: "),
+        ("articles.jsonl", 700, "run", 1, "articles.jsonl:700: "),
+        ("out/risk.csv", 40, "backtest", 2, "risk.csv line 40 "),
+    ],
+)
+def test_a_byte_that_is_not_utf8_names_its_line(
+    seed_one_run, tmp_path, capsys, name, line, command, code, where
+):
+    """The line named is the one holding the byte, though the text layer
+    decodes ahead of the reader; an input exits 1 and an artifact 2."""
+    data = tmp_path / "data"
+    shutil.copytree(seed_one_run, data)
+    lines = (data / name).read_bytes().split(b"\n")
+    lines[line - 1] = lines[line - 1][:2] + b"\xff" + lines[line - 1][2:]
+    (data / name).write_bytes(b"\n".join(lines))
+    capsys.readouterr()
+    assert main([command, "--config", str(data / "run_config.json")]) == code
+    err = capsys.readouterr().err
+    assert f"newsrisk: {where}has byte 0xff, which is not UTF-8 (invalid start byte)" in err, err
