@@ -29,7 +29,6 @@ import math
 import re
 import warnings
 from array import array
-from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import date, datetime, timezone
 from itertools import islice
@@ -210,50 +209,19 @@ def load_articles(
     records and on duplicate article ids.
     """
     path = Path(path)
-    articles: list[Article] = []
-    seen: set[str] = set()
-    win_start, win_end = window
-    with path.open("r", encoding="utf-8") as fh, _decoding(path, _input_error):
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                raw = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValidationError(f"{path.name}:{lineno}: malformed record: {exc}") from None
-            missing = [f for f in ARTICLE_FIELDS if f not in raw]
-            if missing:
-                raise ValidationError(
-                    f"{path.name}:{lineno}: missing fields {missing}"
-                )
-            if raw["polarity"] not in POLARITIES:
-                raise ValidationError(
-                    f"{path.name}:{lineno}: polarity must be one of {POLARITIES}, "
-                    f"got {raw['polarity']!r}"
-                )
-            article_id = str(raw["id"])
-            if article_id in seen:
-                raise ValidationError(
-                    f"{path.name}:{lineno}: duplicate article id {article_id!r}"
-                )
-            seen.add(article_id)
-            try:
-                published = _parse_timestamp(str(raw["published_at"]))
-            except ValidationError as exc:
-                raise ValidationError(f"{path.name}:{lineno}: {exc}") from None
-            in_window = win_start <= published.date() <= win_end
-            articles.append(
-                Article(
-                    id=article_id,
-                    published_at=published,
-                    author_id=str(raw["author_id"]),
-                    polarity=raw["polarity"],
-                    title=str(raw["title"]),
-                    body=str(raw["body"]),
-                    in_window=in_window,
-                )
-            )
+    try:
+        with path.open("r", encoding="utf-8") as fh:
+            articles = _read_articles(path, fh, window)
+    except UnicodeDecodeError:
+        # The text layer decodes ahead of the line being read: read the lines
+        # before the first byte that is not UTF-8, then name that byte.
+        undecodable = _undecodable(path)
+        if undecodable is None:
+            raise
+        line, problem = undecodable
+        with path.open("r", encoding="utf-8", errors="surrogateescape") as fh:
+            _read_articles(path, islice(fh, line - 1), window)
+        raise _input_error(path, line, problem) from None
     articles.sort(key=lambda a: (a.published_at, a.id))
     n_excluded = sum(1 for a in articles if not a.in_window)
     log.info(
@@ -262,6 +230,54 @@ def load_articles(
         len(articles),
         n_excluded,
     )
+    return articles
+
+
+def _read_articles(path: Path, lines: Iterable[str], window: tuple[date, date]) -> list[Article]:
+    """The articles of `lines`, in file order."""
+    articles: list[Article] = []
+    seen: set[str] = set()
+    win_start, win_end = window
+    for lineno, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            raw = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ValidationError(f"{path.name}:{lineno}: malformed record: {exc}") from None
+        missing = [f for f in ARTICLE_FIELDS if f not in raw]
+        if missing:
+            raise ValidationError(
+                f"{path.name}:{lineno}: missing fields {missing}"
+            )
+        if raw["polarity"] not in POLARITIES:
+            raise ValidationError(
+                f"{path.name}:{lineno}: polarity must be one of {POLARITIES}, "
+                f"got {raw['polarity']!r}"
+            )
+        article_id = str(raw["id"])
+        if article_id in seen:
+            raise ValidationError(
+                f"{path.name}:{lineno}: duplicate article id {article_id!r}"
+            )
+        seen.add(article_id)
+        try:
+            published = _parse_timestamp(str(raw["published_at"]))
+        except ValidationError as exc:
+            raise ValidationError(f"{path.name}:{lineno}: {exc}") from None
+        in_window = win_start <= published.date() <= win_end
+        articles.append(
+            Article(
+                id=article_id,
+                published_at=published,
+                author_id=str(raw["author_id"]),
+                polarity=raw["polarity"],
+                title=str(raw["title"]),
+                body=str(raw["body"]),
+                in_window=in_window,
+            )
+        )
     return articles
 
 
@@ -344,36 +360,36 @@ def read_table(path: Path, kinds: Mapping[str, Kind], dialect: Dialect) -> Table
 
     numpy's C parser reads the rows in bounded chunks, and each distinct
     cell of a column that is not float64 goes through Python once. When a
-    row stops it, `_scan` reads the file again row by row.
+    row stops it, or a byte that is not UTF-8 (UnicodeDecodeError is a
+    ValueError), `_scan` reads the file again row by row.
     """
-    with path.open("r", encoding="utf-8", newline="") as fh, _decoding(path, dialect.error):
-        header = next(csv.reader(fh), None)
-        if header != list(kinds):
-            problem = dialect.header.format(found=header, expected=list(kinds))
-            raise dialect.error(path, None, problem)
-        try:
-            return Table(path, dialect, _parse(fh, kinds))
-        except ValueError:
-            return _scan(path, kinds, dialect)
-
-
-@contextmanager
-def _decoding(path: Path, error: Callable[[Path, int | None, str], Exception]) -> Iterator[None]:
-    """Raise `error` naming the line that holds the first byte of `path`
-    that is not UTF-8, for a UnicodeDecodeError met while reading it. The
-    text layer decodes ahead of the line being read, so the line is found
-    by a scan of the file's bytes, which runs on this path only."""
     try:
-        yield
-    except UnicodeDecodeError:
-        data = path.read_bytes()
-        try:
-            data.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            line = len((data[: exc.start] + b"x").splitlines())  # the line the byte is on
-            problem = f"has byte 0x{data[exc.start]:02x}, which is not UTF-8 ({exc.reason})"
-            raise error(path, line, problem) from None
-        raise
+        with path.open("r", encoding="utf-8", newline="") as fh:
+            _check_header(path, next(csv.reader(fh), None), kinds, dialect)
+            return Table(path, dialect, _parse(fh, kinds))
+    except ValueError:
+        return _scan(path, kinds, dialect)
+
+
+def _check_header(path: Path, header: list[str] | None, kinds: Mapping[str, Kind],
+                  dialect: Dialect) -> None:
+    if header != list(kinds):
+        problem = dialect.header.format(found=header, expected=list(kinds))
+        raise dialect.error(path, None, problem)
+
+
+def _undecodable(path: Path) -> tuple[int, str] | None:
+    """The line that holds the first byte of `path` that is not UTF-8, and
+    the problem that names it, if there is one. The text layer decodes
+    ahead of the line being read, so the line is found by a scan of the
+    file's bytes, which runs on the error path only."""
+    data = path.read_bytes()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = len((data[: exc.start] + b"x").splitlines())  # the line the byte is on
+        return line, f"has byte 0x{data[exc.start]:02x}, which is not UTF-8 ({exc.reason})"
+    return None
 
 
 def _parse(lines: Iterator[str], kinds: Mapping[str, Kind]) -> dict[str, Any]:
@@ -405,16 +421,23 @@ def _scan(path: Path, kinds: Mapping[str, Kind], dialect: Dialect) -> Table:
     """`read_table` by `csv.reader`, row by row, which counts the lines of
     each row and names the first row it cannot read. Like np.loadtxt, it
     skips blank lines. It also stops at a cell longer than
-    `csv.field_size_limit()`, which numpy reads."""
+    `csv.field_size_limit()`, which numpy reads, and at the row that holds
+    the first byte that is not UTF-8."""
+    stop, byte = _undecodable(path) or (math.inf, "")
     memos = [_Memo(name, kind) for name, kind in kinds.items()]
     columns: list[list] = [[] for _ in kinds]
     ends = array("q")
     fault = None
-    with path.open("r", encoding="utf-8", newline="") as fh:
+    with path.open("r", encoding="utf-8", errors="surrogateescape", newline="") as fh:
         reader = csv.reader(fh)
-        next(reader, None)  # the header, which read_table checked
+        header = next(reader, None)
+        if reader.line_num >= stop:
+            raise dialect.error(path, stop, byte)
+        _check_header(path, header, kinds, dialect)
         try:
             for cells in reader:
+                if reader.line_num >= stop:
+                    raise ValueError(byte)
                 if not cells:
                     continue
                 if len(cells) != len(kinds):
@@ -423,11 +446,10 @@ def _scan(path: Path, kinds: Mapping[str, Kind], dialect: Dialect) -> Table:
                 for column, value in zip(columns, row):
                     column.append(value)
                 ends.append(reader.line_num)
-        except UnicodeDecodeError:
-            raise
         except (csv.Error, ValueError) as exc:
-            fault = (len(ends), str(exc))
-            ends.append(reader.line_num)
+            # a row that holds the undecodable byte is faulty for that byte
+            fault = (len(ends), str(exc) if reader.line_num < stop else byte)
+            ends.append(min(reader.line_num, stop))
     return Table(
         path, dialect,
         {name: _column(kind, [np.fromiter(values, kind.dtype, len(values))])

@@ -13,17 +13,27 @@ unambiguous by construction —
   yields "International Business Machines"; "Apple Inc." yields nothing,
   so a sentence about apple pie matches no company).
 
-All matching literals of a category are compiled into one regex, an
-alternation factored into a character trie: literals that share a prefix
-share one branch, so the regex follows the text down one path of the trie
-rather than trying every literal at every position, and its cost stays flat
-as the universe grows. Each node tries its longer continuations before
-ending, so the longest literal still wins at any text position. The guards
-that keep a literal from matching inside a larger word sit on the trie: one
-``(?<!\\w)`` on the branch that holds every literal starting with a word
-character, and ``(?!\\w)`` on each end of a literal that ends with one.
-A literal that would resolve to two different companies is a configuration
-error and raises MatcherCollisionError at compile time.
+`MatcherSet` maps every literal of a universe to its company, and a literal
+that would resolve to two different companies is a configuration error that
+raises MatcherCollisionError there. `MatcherSet.compile(texts)` then compiles
+the literals of each category that can match somewhere in `texts` (the
+corpus being scanned) into one regex, an alternation factored into a
+character trie: literals that share a prefix share one branch, so the regex
+follows the text down one path of the trie rather than trying every literal
+at every position, and its cost stays flat as the universe grows. Each node
+tries its longer continuations before ending, so the longest literal still
+wins at any text position. The guards that keep a literal from matching
+inside a larger word sit on the trie: one ``(?<!\\w)`` on the branch that
+holds every literal starting with a word character, and ``(?!\\w)`` on each
+end of a literal that ends with one.
+
+A literal is left out of the regex when the first whitespace-free piece of
+its text occurs in no whitespace-free token of the corpus. That piece is
+spelled by consecutive one-character tokens, so any text the literal matches
+holds it inside one token; a literal left out matches nowhere in the corpus,
+is never the alternative that succeeds at a position, and every match stays
+the same. Names are compared case-insensitively, as `re.IGNORECASE` compares
+them, through `FOLD` and `str.lower`.
 """
 
 from __future__ import annotations
@@ -57,6 +67,11 @@ SHORT_TICKER_MAX_LEN = 2
 #: A suffix-stripped name variant is kept only if at least this many words remain.
 MIN_STRIPPED_WORDS = 2
 _SUFFIX_KEYS = frozenset(s.casefold() for s in LEGAL_SUFFIXES)
+#: The non-ASCII characters that re.IGNORECASE equates with an ASCII letter,
+#: mapped to that letter. `str.lower` alone keeps "ı" and "ſ", and turns "İ"
+#: into two characters; after `translate(FOLD)`, `lower` maps every character
+#: that re.IGNORECASE equates with an ASCII letter to that letter in lower case.
+FOLD = str.maketrans({"\u0131": "i", "\u0130": "i", "\u017f": "s", "\u212a": "k"})
 
 
 @dataclass(frozen=True)
@@ -137,7 +152,8 @@ def _stripped_variants(words: tuple[str, ...]) -> Iterator[tuple[str, ...]]:
 
 
 class MatcherSet:
-    """Compiled mention matchers for one entity universe."""
+    """The mention literals of one entity universe, each mapped to its
+    company; `compile` builds the regexes that scan a corpus for them."""
 
     def __init__(self, universe: EntityUniverse):
         #: name literal -> canonical_id: each name's case-folded key, which
@@ -148,8 +164,6 @@ class MatcherSet:
         self.bare_map: dict[str, str] = {}
         #: "EXCHANGE:TICKER" -> canonical_id
         self.exch_map: dict[str, str] = {}
-        self._name_re: re.Pattern[str] | None = None
-        self._ticker_re: re.Pattern[str] | None = None
         self._build(universe)
 
     # -- construction --------------------------------------------------
@@ -204,60 +218,97 @@ class MatcherSet:
                             f"and {rec.canonical_id!r} (as a company name)"
                         )
 
-        self._name_re = self._compile_names()
-        self._ticker_re = self._compile_tickers()
+    def compile(self, texts: Iterable[str]) -> Scanner:
+        """The regexes over the literals that can match somewhere in `texts`.
 
-    def _compile_names(self) -> re.Pattern[str] | None:
-        literals = []
+        A bare or exchange-qualified ticker is kept when the first piece of
+        its ticker occurs in a token of `texts`, case-sensitively; a name
+        when its first key word occurs in a token folded as re.IGNORECASE
+        folds it, and always when that word is not ASCII.
+        """
+        pieces: set[str] = set()
+        for text in texts:
+            pieces.update(text.split())
+        joined = " ".join(pieces)
+        folded = joined.translate(FOLD).lower()
+
+        names = []
         for key in self.name_map:
-            tokens = [re.escape(ch) if ch != " " else r"\s+" for ch in key]
-            literals.append((key, key, tokens))
-        return _trie_regex(literals, re.IGNORECASE)
-
-    def _compile_tickers(self) -> re.Pattern[str] | None:
-        literals = []
+            head = key.partition(" ")[0]
+            if head in folded or not head.isascii():
+                tokens = [re.escape(ch) if ch != " " else r"\s+" for ch in key]
+                names.append((key, key, tokens))
+        tickers = []
         for key in self.exch_map:
             exch, _, tick = key.partition(":")
-            tokens = [r"\(\s*", *map(re.escape, exch), r"\s*:\s*", *map(re.escape, tick), r"\s*\)"]
-            literals.append((key, f"({key})", tokens))
+            if tick.split()[0] in joined:
+                body = [*map(re.escape, exch), r"\s*:\s*", *map(re.escape, tick)]
+                tickers.append((key, f"({key})", [r"\(\s*", *body, r"\s*\)"]))
         for key in self.bare_map:
-            literals.append((key, key, [re.escape(ch) for ch in key]))
-        return _trie_regex(literals, 0)
+            if key.split()[0] in joined:
+                tickers.append((key, key, [re.escape(ch) for ch in key]))
+        return Scanner(self, _trie_regex(names, re.IGNORECASE), _trie_regex(tickers, 0))
 
-    # -- matching ------------------------------------------------------
+    def iter_matches(self, text: str) -> Iterator[Match]:
+        """Every mention in `text`, in order of position."""
+        return self.compile((text,)).iter_matches(text)
 
-    def _resolve_ticker(self, text: str) -> str | None:
+    def match_ids(self, text: str) -> frozenset[str]:
+        return self.compile((text,)).match_ids(text)
+
+    # -- resolving matched text ------------------------------------------
+
+    def resolve_ticker(self, text: str) -> str | None:
         if text.startswith("("):
             inner = text.strip("()")
             exch, _, tick = inner.partition(":")
             return self.exch_map.get(f"{exch.strip()}:{tick.strip()}")
         return self.bare_map.get(text)
 
+    def resolve_name(self, text: str) -> str | None:
+        return self.name_map.get(_normalize_name(text))
+
+
+class Scanner:
+    """A MatcherSet's regexes, compiled for one corpus; a regex is None
+    where its category keeps no literal."""
+
+    def __init__(
+        self,
+        matchers: MatcherSet,
+        name_re: re.Pattern[str] | None,
+        ticker_re: re.Pattern[str] | None,
+    ):
+        self.name_re, self.ticker_re = name_re, ticker_re
+        pairs = ((ticker_re, matchers.resolve_ticker), (name_re, matchers.resolve_name))
+        self._patterns = [(pattern, resolve) for pattern, resolve in pairs if pattern is not None]
+
     def iter_matches(self, text: str) -> Iterator[Match]:
         """Every mention in `text`, in order of position."""
         found: list[Match] = []
-        if self._ticker_re is not None:
-            for m in self._ticker_re.finditer(text):
-                cid = self._resolve_ticker(m.group(0))
-                if cid is not None:
-                    found.append(Match(cid, m.group(0), m.start()))
-        if self._name_re is not None:
-            for m in self._name_re.finditer(text):
-                cid = self.name_map.get(_normalize_name(m.group(0)))
+        for pattern, resolve in self._patterns:
+            for m in pattern.finditer(text):
+                cid = resolve(m.group(0))
                 if cid is not None:
                     found.append(Match(cid, m.group(0), m.start()))
         found.sort(key=lambda mt: (mt.offset, mt.canonical_id))
         return iter(found)
 
     def match_ids(self, text: str) -> frozenset[str]:
-        return frozenset(m.canonical_id for m in self.iter_matches(text))
+        """The companies `text` mentions: the ids of `iter_matches`, from
+        the matched strings alone."""
+        ids: set[str | None] = set()
+        for pattern, resolve in self._patterns:
+            ids.update(map(resolve, pattern.findall(text)))
+        ids.discard(None)
+        return frozenset(ids)
 
 
 def article_text(article: Article) -> str:
     return article.title + "\n\n" + article.body
 
 
-def extract_occurrences(matchers: MatcherSet, article: Article) -> OccurrenceSet:
+def extract_occurrences(matchers: MatcherSet | Scanner, article: Article) -> OccurrenceSet:
     return OccurrenceSet(
         article_id=article.id,
         quarter=quarter_of(article.published_at),
@@ -274,22 +325,21 @@ def parse_corpus(
     Articles that mention no company are kept (they count toward article
     totals but contribute no nodes or edges).
     """
+    in_window = [article for article in articles if article.in_window]
+    # the tokens of title + "\n\n" + body are those of the title and the body
+    scanner = matchers.compile(text for a in in_window for text in (a.title, a.body))
     grouped: dict[Quarter, list[OccurrenceSet]] = {}
-    n_articles = 0
     n_matched = 0
     companies: set[str] = set()
-    for article in articles:
-        if not article.in_window:
-            continue
-        occ = extract_occurrences(matchers, article)
+    for article in in_window:
+        occ = extract_occurrences(scanner, article)
         grouped.setdefault(occ.quarter, []).append(occ)
-        n_articles += 1
         if occ.companies:
             n_matched += 1
             companies.update(occ.companies)
     log.info(
         "parsed corpus articles=%d with_mentions=%d distinct_companies=%d quarters=%d",
-        n_articles,
+        len(in_window),
         n_matched,
         len(companies),
         len(grouped),

@@ -35,7 +35,7 @@ from newsrisk.corpus import (
     PriceSeries,
     PriceTable,
 )
-from newsrisk.entities import MatcherSet, OccurrenceSet
+from newsrisk.entities import MatcherSet, OccurrenceSet, Scanner
 from newsrisk.errors import ValidationError
 from newsrisk.networks import build_networks, smooth
 from newsrisk.pipeline import PIPELINE, RunConfig
@@ -167,17 +167,16 @@ def _guarded(pattern: str, literal: str) -> str:
     return head + pattern + tail
 
 
-def flat_matcher(universe: EntityUniverse) -> MatcherSet:
-    """A MatcherSet whose regexes are one flat alternation per category,
-    every literal guarded on its own and longer literals first."""
+def flat_matcher(universe: EntityUniverse) -> Scanner:
+    """A Scanner whose regexes are one flat alternation per category over
+    every literal of the universe, each guarded on its own and longer
+    literals first."""
     matcher = MatcherSet(universe)
     names = []
     for key in sorted(matcher.name_map, key=lambda k: (-len(k), k)):
         body = r"\s+".join(re.escape(w) for w in key.split(" "))
         names.append(_guarded(body, key))
-    matcher._name_re = (
-        re.compile("|".join(f"(?:{p})" for p in names), re.IGNORECASE) if names else None
-    )
+    name_re = re.compile("|".join(f"(?:{p})" for p in names), re.IGNORECASE) if names else None
     tickers: list[tuple[str, str]] = []  # (sort key, pattern)
     for key in matcher.exch_map:
         exch, _, tick = key.partition(":")
@@ -186,10 +185,8 @@ def flat_matcher(universe: EntityUniverse) -> MatcherSet:
     for key in matcher.bare_map:
         tickers.append((key, _guarded(re.escape(key), key)))
     tickers.sort(key=lambda kp: (-len(kp[0]), kp[0]))
-    matcher._ticker_re = (
-        re.compile("|".join(f"(?:{p})" for _, p in tickers)) if tickers else None
-    )
-    return matcher
+    ticker_re = re.compile("|".join(f"(?:{p})" for _, p in tickers)) if tickers else None
+    return Scanner(matcher, name_re, ticker_re)
 
 
 # ---------------------------------------------------------------------------

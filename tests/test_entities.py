@@ -1,12 +1,17 @@
 """Mention detection: precision on bait text, recall on explicit mentions."""
 
 import random
+import re
+import string
+import sys
 from datetime import datetime, timezone
 
 import pytest
 
+from newsrisk import entities
 from newsrisk.corpus import Article, EntityRecord, EntityUniverse
 from newsrisk.entities import (
+    FOLD,
     MatcherSet,
     article_text,
     extract_occurrences,
@@ -218,10 +223,11 @@ def _assert_trie_equals_flat(universe, texts):
         assert list(trie.iter_matches(text)) == list(flat.iter_matches(text)), text
 
 
-@pytest.mark.parametrize("policy", ORACLE_POLICIES)
-def test_trie_matches_flat_oracle_on_adversarial_and_random_text(nested_universe, policy):
+def _oracle_texts(universe):
+    """3 000 random texts over the universe's literals, the adversarial
+    corpus and a few nested spellings."""
     literals = ["Weißbier", "ſtraſſe", "Kelvin", "apple pie", "GMX", "NYSE", "(NYSE:"]
-    for rec in nested_universe:
+    for rec in universe:
         literals += [*rec.name_variants, *rec.merged_tickers]
         literals += [f"({rec.exchange}:{t})" for t in rec.merged_tickers]
         literals += [f"( {rec.exchange} : {t} )" for t in rec.merged_tickers]
@@ -235,7 +241,12 @@ def test_trie_matches_flat_oracle_on_adversarial_and_random_text(nested_universe
         "STRASSE KELVIN, Straße Kelvin group, ſtraſſe kelvin group",
         "(NYSEARCA:SPYX) (NYSE:SPYX) Spyx Trust Fund",
     ]
-    _assert_trie_equals_flat(nested_universe, texts)
+    return texts
+
+
+@pytest.mark.parametrize("policy", ORACLE_POLICIES)
+def test_trie_matches_flat_oracle_on_adversarial_and_random_text(nested_universe, policy):
+    _assert_trie_equals_flat(nested_universe, _oracle_texts(nested_universe))
 
 
 @pytest.mark.parametrize("policy", ORACLE_POLICIES)
@@ -278,3 +289,83 @@ def test_trie_keeps_the_longest_literal(nested_universe):
         ("BERKA", "BRK.A", 49),
         ("BERK", "BRK", 59),
     ]
+
+
+# -- regexes compiled for a corpus ---------------------------------------------
+
+
+def test_fold_is_what_ignorecase_equates_with_ascii_letters():
+    """FOLD maps exactly the non-ASCII characters that re.IGNORECASE equates
+    with an ASCII letter, to that letter; after it, `lower` maps a character
+    to an ASCII one only where re.IGNORECASE equates the two."""
+    everything = "".join(map(chr, range(sys.maxunicode + 1)))
+    equated = {}
+    for letter in string.ascii_lowercase:
+        for ch in re.findall(letter, everything, re.IGNORECASE):
+            if not ch.isascii():
+                equated[ord(ch)] = letter
+    assert equated == FOLD
+    assert set(re.findall("[a-z]", everything, re.IGNORECASE)) == {
+        *string.ascii_letters, *map(chr, FOLD)
+    }
+    # an ASCII character that is not a letter is equated with itself alone
+    others = "".join(ch for ch in map(chr, range(128)) if ch not in string.ascii_letters)
+    assert set(re.findall(f"[{re.escape(others)}]", everything, re.IGNORECASE)) == set(others)
+
+    folded = everything.translate(FOLD).lower()
+    assert len(folded) == len(everything)
+    for ch, low in zip(everything, folded):
+        if low.isascii():
+            assert re.fullmatch(re.escape(low), ch, re.IGNORECASE), hex(ord(ch))
+
+
+@pytest.fixture(scope="module")
+def corpora(nested_universe, default_fixture):
+    return {
+        "random": (nested_universe, _oracle_texts(nested_universe)),
+        "default_fixture": (
+            fixture_universe(default_fixture),
+            [article_text(a) for a in default_fixture.articles],
+        ),
+    }
+
+
+@pytest.mark.parametrize("corpus", ["random", "default_fixture"])
+def test_one_scan_of_a_whole_corpus_matches_the_flat_oracle(corpora, corpus):
+    """The regexes compiled for a whole corpus find, in each of its texts,
+    what the flat alternation over every literal of the universe finds, and
+    `match_ids` reads the companies of `iter_matches` off the matched text."""
+    universe, texts = corpora[corpus]
+    scanner, flat = MatcherSet(universe).compile(texts), flat_matcher(universe)
+    for text in texts:
+        matches = list(scanner.iter_matches(text))
+        assert matches == list(flat.iter_matches(text)), text
+        assert scanner.match_ids(text) == {m.canonical_id for m in matches}, text
+
+
+def test_match_ids_are_the_ids_of_iter_matches(nested_universe):
+    matcher = MatcherSet(nested_universe)
+    for text in _oracle_texts(nested_universe):
+        ids = {m.canonical_id for m in matcher.iter_matches(text)}
+        assert matcher.match_ids(text) == ids, text
+
+
+def test_the_regexes_hold_only_literals_the_corpus_can_match(monkeypatch):
+    """With 1 000 companies and one article that names two of them, the
+    regexes parse_corpus compiles hold a handful of literals."""
+    fixture = generate_fixture(FixtureSpec(n_companies=1000, n_quarters=1, n_articles=80))
+    universe = fixture_universe(fixture)
+    first, second = fixture.companies[0], fixture.companies[500]
+    text = f"{first.display_name} agreed to buy {second.ticker} for cash."
+    compiled: list[int] = []
+    trie_regex = entities._trie_regex
+
+    def counting(literals, flags):
+        compiled.append(len(literals))
+        return trie_regex(literals, flags)
+
+    monkeypatch.setattr(entities, "_trie_regex", counting)
+    article = _article(1, "2011-02-01T10:00:00", "positive", text)
+    [[occ]] = parse_corpus([article], MatcherSet(universe)).values()
+    assert occ.companies == {first.canonical_id, second.canonical_id}
+    assert len(compiled) == 2 and 0 < sum(compiled) < 20, compiled

@@ -860,3 +860,51 @@ def test_a_byte_that_is_not_utf8_names_its_line(
     assert main([command, "--config", str(data / "run_config.json")]) == code
     err = capsys.readouterr().err
     assert f"newsrisk: {where}has byte 0xff, which is not UTF-8 (invalid start byte)" in err, err
+
+
+def _with_byte(lines, line):
+    lines[line - 1] = lines[line - 1][:2] + b"\xff" + lines[line - 1][2:]
+    return b"\n".join(lines)
+
+
+@pytest.mark.parametrize(
+    "zero_close, byte_line", [(True, 10), (True, 150), (True, 400), (True, 1500), (False, 150)]
+)
+def test_an_undecodable_byte_does_not_hide_an_earlier_faulty_row(
+    seed_one_run, tmp_path, zero_close, byte_line
+):
+    """The earliest faulty line is named, however far ahead of the reader
+    the text layer has decoded the byte."""
+    lines = (seed_one_run / "prices.csv").read_bytes().split(b"\n")
+    if zero_close:
+        lines[1] = lines[1].rsplit(b",", 1)[0] + b",zero"
+        message = "prices.csv:2: bad price 'zero'"
+    else:
+        message = rf"prices.csv:{byte_line}: has byte 0xff, which is not UTF-8 \(invalid start byte\)"
+    path = tmp_path / "prices.csv"
+    path.write_bytes(_with_byte(lines, byte_line))
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        corpus.load_prices(path)
+
+
+def test_an_earlier_faulty_record_or_artifact_row_wins_over_a_byte(
+    seed_one_run, tmp_path, capsys
+):
+    """articles.jsonl and an artifact a stage reads back name the earliest
+    faulty line too."""
+    lines = (seed_one_run / "articles.jsonl").read_bytes().split(b"\n")
+    lines[1] = b"{not json"
+    path = tmp_path / "articles.jsonl"
+    path.write_bytes(_with_byte(lines, 10))
+    with pytest.raises(ValidationError, match=r"^articles\.jsonl:2: malformed record"):
+        corpus.load_articles(path)
+
+    data = tmp_path / "data"
+    shutil.copytree(seed_one_run, data)
+    lines = (data / "out" / "risk.csv").read_bytes().split(b"\n")
+    lines[1] = b"2011Q1,C0002"
+    (data / "out" / "risk.csv").write_bytes(_with_byte(lines, 100))
+    capsys.readouterr()
+    assert main(["backtest", "--config", str(data / "run_config.json")]) == 2
+    err = capsys.readouterr().err
+    assert "risk.csv line 2 " in err and "0xff" not in err, err
