@@ -32,6 +32,7 @@ from array import array
 from dataclasses import dataclass
 from datetime import date, datetime, timezone
 from itertools import islice
+from json.encoder import encode_basestring as _json_str
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -726,20 +727,20 @@ def load_marketcaps(path: str | Path) -> MarketCapTable:
 
 
 def write_articles(path: str | Path, articles: Iterable[Article]) -> int:
-    path = Path(path)
+    """Write one JSON object a line, as `json.dumps(record,
+    ensure_ascii=False)` writes it: the keys are fixed and every value is a
+    string, quoted by the function `json` quotes strings with."""
     n = 0
-    with path.open("w", encoding="utf-8") as fh:
+    with Path(path).open("w", encoding="utf-8") as fh:
         for article in articles:
-            record = {
-                "id": article.id,
-                "published_at": article.published_at.astimezone(timezone.utc)
-                .isoformat()
-                .replace("+00:00", "Z"),
-                "author_id": article.author_id,
-                "polarity": article.polarity,
-                "title": article.title,
-                "body": article.body,
-            }
-            fh.write(json.dumps(record, ensure_ascii=False) + "\n")
+            stamp = article.published_at.astimezone(timezone.utc).isoformat()
+            fh.write(
+                f'{{"id": {_json_str(article.id)}, '
+                f'"published_at": {_json_str(stamp.replace("+00:00", "Z"))}, '
+                f'"author_id": {_json_str(article.author_id)}, '
+                f'"polarity": {_json_str(article.polarity)}, '
+                f'"title": {_json_str(article.title)}, '
+                f'"body": {_json_str(article.body)}}}\n'
+            )
             n += 1
     return n

@@ -30,6 +30,12 @@ Two properties are engineered, not emergent:
   link weight per unit of article count), which is why the default mention
   distribution stops at two.
 
+Every random draw comes from one `numpy.random.Generator`, in a fixed order,
+so the seed fixes every byte written. Where a numpy call costs more than its
+draws (`choice` with weights, or over a list of strings), a helper takes the
+same draws from a cheaper call; the tests check each helper against the numpy
+call on a twin generator.
+
 Every ticker trades on one calendar, the weekdays from a week before the
 first quarter to 97 days after the last, held as `datetime64[D]`; a
 ticker's closes are one float64 array over it. The CSV files are written a
@@ -51,9 +57,11 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import asdict, dataclass, field
-from datetime import datetime, time, timedelta, timezone
-from math import log1p
+from bisect import bisect_right
+from dataclasses import dataclass, field
+from datetime import datetime, timedelta, timezone
+from math import fsum, isnan, log1p
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -76,8 +84,18 @@ _SYLLABLES = (
     "nov", "or", "pel", "quin", "ras", "sol", "tur", "ul", "van", "wex",
     "yor", "zan", "ald", "bri", "cas", "del", "est", "fir", "gro", "hav",
 )
+#: Per-day volatility of a log price's i.i.d. noise and of its random-walk
+#: trend, in percent.
+DAILY_NOISE_PCT = 2.5
+TREND_VOL_PCT = 0.1
+#: The largest amount by which mention_count_weights may miss a sum of 1:
+#: the tolerance of `Generator.choice`.
+WEIGHT_SUM_TOLERANCE = float(np.sqrt(np.finfo(np.float64).eps))
+
 _SUFFIXES = ("Inc.", "Corp", "Group", "Ltd", "Co.", "PLC")
 _EXCHANGES = ("NYSE", "NASDAQ")
+#: An article's author is drawn as an index in [1, 21).
+_AUTHORS = tuple(f"AUTH{n:02d}" for n in range(21))
 
 _FILLER_SENTENCES = (
     "Margins compressed again and guidance stayed conservative.",
@@ -132,8 +150,6 @@ class FixtureSpec:
     drift_pct_per_day: float = 0.0
     #: Calendar-day window after the measurement date getting the drift.
     drift_window: tuple[int, int] = (1, 30)
-    daily_noise_pct: float = 2.5
-    trend_vol_pct: float = 0.1
     missing_caps: int = 1
     #: Companies emitted as two universe rows (extra share class).
     share_class_pairs: int = 0
@@ -147,10 +163,17 @@ class FixtureSpec:
             raise ValidationError("negative_share must be in [0, 1]")
         if min(self.anchor_positive_articles, self.anchor_negative_articles) < 0:
             raise ValidationError("anchor article counts must be non-negative")
-        if len(self.mention_count_weights) != 4 or not np.isclose(
-            sum(self.mention_count_weights), 1.0
-        ):
-            raise ValidationError("mention_count_weights must be 4 values summing to 1")
+        # The mention count is drawn from these weights' cdf, which checks
+        # nothing, so refuse here what `Generator.choice(p=...)` refuses.
+        weights = self.mention_count_weights
+        if len(weights) != 4:
+            raise ValidationError("mention_count_weights must be 4 values")
+        if any(isnan(w) for w in weights):
+            raise ValidationError("mention_count_weights must not hold NaN")
+        if any(w < 0 for w in weights):
+            raise ValidationError("mention_count_weights must be non-negative")
+        if abs(fsum(weights) - 1.0) > WEIGHT_SUM_TOLERANCE:
+            raise ValidationError("mention_count_weights must sum to 1")
         lo, hi = self.drift_window
         if not (1 <= lo <= hi):
             raise ValidationError("drift window must satisfy 1 <= lo <= hi")
@@ -275,108 +298,97 @@ def _universe_rows(companies: list[FixtureCompany]) -> list[list[str]]:
     return rows
 
 
-def _mention_literal(
-    company: FixtureCompany, rng: np.random.Generator
-) -> tuple[str, str]:
-    """(sentence, literal) for one planted mention."""
-    if rng.random() < 0.6:
-        template = _MENTION_TEMPLATES_NAME[
-            int(rng.integers(0, len(_MENTION_TEMPLATES_NAME)))
-        ]
-        return template.format(m=company.display_name), company.display_name
-    template = _MENTION_TEMPLATES_TICKER[
-        int(rng.integers(0, len(_MENTION_TEMPLATES_TICKER)))
-    ]
-    literal = f"({company.exchange}:{company.ticker})"
-    return template.format(m=literal), literal
+def _mention_cdf(weights: tuple[float, ...]) -> list[float]:
+    """The cdf `Generator.choice(len(weights), p=weights)` builds. The
+    `bisect_right` of one `rng.random()` draw in it is that call's result,
+    from the same single draw."""
+    cdf = np.cumsum(np.asarray(weights, dtype=np.float64))
+    cdf /= cdf[-1]
+    return cdf.tolist()
 
 
-def _article_timestamp(
-    quarter: Quarter, rng: np.random.Generator
-) -> datetime:
-    span = (quarter.end_date - quarter.start_date).days
-    day = quarter.start_date + timedelta(days=int(rng.integers(0, span + 1)))
-    hour = int(rng.integers(9, 18))
-    minute = int(rng.integers(0, 60))
-    return datetime.combine(day, time(hour, minute), tzinfo=timezone.utc)
+def _sample(rng: np.random.Generator, pool: list[str], k: int) -> list[str]:
+    """`k` distinct items of `pool`, as `rng.choice(pool, size=k,
+    replace=False)` picks them: its draws depend only on `len(pool)` and `k`.
+    For one item, numpy's sampler (Floyd's algorithm) draws one integer in
+    [0, len(pool)) and its shuffle of one item draws nothing."""
+    if k == 1:
+        return [pool[rng.integers(0, len(pool))]]
+    return [pool[i] for i in rng.choice(len(pool), size=k, replace=False).tolist()]
 
 
-def _compose_article(
-    article_id: str,
-    quarter: Quarter,
-    polarity: str,
-    members: list[FixtureCompany],
-    rng: np.random.Generator,
-) -> Article:
-    sentences = []
-    lead = _FILLER_SENTENCES[int(rng.integers(0, len(_FILLER_SENTENCES)))]
-    sentences.append(lead)
-    for company in members:
-        sentence, _ = _mention_literal(company, rng)
-        sentences.append(sentence)
-    sentences.append(_FILLER_SENTENCES[int(rng.integers(0, len(_FILLER_SENTENCES)))])
-    title_company = members[0].display_name if members else "the market"
-    mood = "bull case" if polarity == "positive" else "bear case"
-    return Article(
-        id=article_id,
-        published_at=_article_timestamp(quarter, rng),
-        author_id=f"AUTH{int(rng.integers(1, 21)):02d}",
-        polarity=polarity,
-        title=f"The {mood} around {title_company}",
-        body=" ".join(sentences),
-    )
+def _quarter_days(quarter: Quarter) -> list[tuple[int, int, int]]:
+    """(year, month, day) of each day of `quarter`: an article's date draw."""
+    start = quarter.start_date
+    days = (start + timedelta(days=n) for n in range((quarter.end_date - start).days + 1))
+    return [(day.year, day.month, day.day) for day in days]
 
 
 def generate_fixture(spec: FixtureSpec) -> Fixture:
     """Build the full synthetic dataset for one spec, deterministically."""
     rng = np.random.default_rng(spec.seed)
+    integers, random = rng.integers, rng.random
     companies = _make_companies(spec, rng)
-    by_id = {c.canonical_id: c for c in companies}
+    names = {c.canonical_id: c.display_name for c in companies}
+    qualified = {c.canonical_id: f"({c.exchange}:{c.ticker})" for c in companies}
     truth = FixtureTruth(seed=spec.seed)
 
     last = spec.start.index - 1 + spec.n_quarters - 1
     quarters = quarter_range(spec.start, Quarter(spec.start.year + last // 4, last % 4 + 1))
+    labels = [quarter.label for quarter in quarters]
 
     # --- articles -----------------------------------------------------
     articles: list[Article] = []
-    counts: dict[tuple[str, str], list[int]] = {}  # (cid, qlabel) -> [pos, neg]
     per_quarter = spec.n_articles // spec.n_quarters if spec.n_quarters else 0
     remainder = spec.n_articles - per_quarter * spec.n_quarters
-    article_no = 0
 
     def plant(
-        quarter: Quarter, polarity: str, member_ids: list[str]
+        dates: list[tuple[int, int, int]],
+        seen: dict[str, set[str]],
+        polarity: str,
+        member_ids: list[str],
     ) -> None:
-        nonlocal article_no
-        article_no += 1
-        members = [by_id[cid] for cid in member_ids]
-        article = _compose_article(
-            f"A{article_no:06d}", quarter, polarity, members, rng
-        )
-        articles.append(article)
-        truth.mentions[article.id] = list(member_ids)
-        if polarity == "positive":
-            truth.n_positive += 1
-        else:
-            truth.n_negative += 1
+        # The draws, in order: the lead sentence; per member, name or ticker
+        # and its template; the closing sentence; day, hour, minute; author.
+        sentences = [_FILLER_SENTENCES[integers(0, len(_FILLER_SENTENCES))]]
         for cid in member_ids:
-            slot = counts.setdefault((cid, quarter.label), [0, 0])
-            slot[0 if polarity == "positive" else 1] += 1
+            if random() < 0.6:
+                template = _MENTION_TEMPLATES_NAME[integers(0, len(_MENTION_TEMPLATES_NAME))]
+                sentences.append(template.format(m=names[cid]))
+            else:
+                template = _MENTION_TEMPLATES_TICKER[integers(0, len(_MENTION_TEMPLATES_TICKER))]
+                sentences.append(template.format(m=qualified[cid]))
+        sentences.append(_FILLER_SENTENCES[integers(0, len(_FILLER_SENTENCES))])
+        year, month, day = dates[integers(0, len(dates))]
+        hour = integers(9, 18)
+        minute = integers(0, 60)
+        published = datetime(year, month, day, hour, minute, tzinfo=timezone.utc)
+        article_id = f"A{len(articles) + 1:06d}"
+        mood = "bull case" if polarity == "positive" else "bear case"
+        title_company = names[member_ids[0]] if member_ids else "the market"
+        articles.append(Article(
+            article_id,
+            published,
+            _AUTHORS[integers(1, 21)],
+            polarity,
+            f"The {mood} around {title_company}",
+            " ".join(sentences),
+        ))
+        truth.mentions[article_id] = member_ids
+        seen[polarity].update(member_ids)
 
-    all_ids = sorted(by_id)
+    all_ids = sorted(names)
     anchor_ids = all_ids[:2]
     truth.anchors = list(anchor_ids)
     n_anchor_articles = spec.anchor_positive_articles + spec.anchor_negative_articles
-    mention_counts = (1, 2, 3, 4)
+    mention_cdf = _mention_cdf(spec.mention_count_weights)
 
     for q_idx, quarter in enumerate(quarters):
         quota = per_quarter + (1 if q_idx < remainder else 0)
         cluster_ids: list[list[str]] = []
         pool = [cid for cid in all_ids if cid not in anchor_ids]
         for _ in range(spec.clusters_per_quarter):
-            chosen = sorted(
-                str(x) for x in rng.choice(pool, size=spec.cluster_size, replace=False)
-            )
+            chosen = sorted(_sample(rng, pool, spec.cluster_size))
             cluster_ids.append(chosen)
             pool = [cid for cid in pool if cid not in chosen]
         truth.clusters[quarter.label] = cluster_ids
@@ -388,9 +400,11 @@ def generate_fixture(spec: FixtureSpec) -> Fixture:
                 f"and {n_anchor_articles} anchor articles"
             )
 
+        dates = _quarter_days(quarter)
+        seen: dict[str, set[str]] = {"positive": set(), "negative": set()}
         for i in range(n_anchor_articles):
             polarity = "positive" if i < spec.anchor_positive_articles else "negative"
-            plant(quarter, polarity, list(anchor_ids))
+            plant(dates, seen, polarity, list(anchor_ids))
 
         for members in cluster_ids:
             ring = len(members)
@@ -403,27 +417,19 @@ def generate_fixture(spec: FixtureSpec) -> Fixture:
                     # Walk the ring so every member pair is covered.
                     j = (i // 2) % ring
                     picked = [members[j], members[(j + 1) % ring]]
-                plant(quarter, "negative", sorted(set(picked)))
+                plant(dates, seen, "negative", sorted(set(picked)))
 
         # Anchors never join regular articles: their article count must stay
         # exactly equal to their joint link weight.
         for _ in range(quota - n_cluster_articles - n_anchor_articles):
-            polarity = "negative" if rng.random() < spec.negative_share else "positive"
-            k = int(rng.choice(mention_counts, p=spec.mention_count_weights))
-            member_ids = sorted(
-                str(x) for x in rng.choice(pool, size=min(k, len(pool)), replace=False)
-            )
-            plant(quarter, polarity, member_ids)
+            polarity = "negative" if random() < spec.negative_share else "positive"
+            k = bisect_right(mention_cdf, random()) + 1
+            plant(dates, seen, polarity, sorted(_sample(rng, pool, min(k, len(pool)))))
 
-    # --- ground-truth sentiment and drift targets ---------------------
-    for quarter in quarters:
-        doomed = sorted(
-            cid
-            for cid in all_ids
-            if counts.get((cid, quarter.label), [0, 0])[0] == 0
-            and counts.get((cid, quarter.label), [0, 0])[1] > 0
-        )
-        truth.all_negative[quarter.label] = doomed
+        # ground truth: the companies whose true relative sentiment is 1
+        truth.all_negative[quarter.label] = sorted(seen["negative"] - seen["positive"])
+    truth.n_negative = sum(article.polarity == "negative" for article in articles)
+    truth.n_positive = len(articles) - truth.n_negative
 
     # --- prices --------------------------------------------------------
     days = np.arange(
@@ -452,10 +458,11 @@ def generate_fixture(spec: FixtureSpec) -> Fixture:
 
     prices: dict[str, np.ndarray] = {}
     n_days = len(calendar)
-    sigma_trend = spec.trend_vol_pct / 100.0
-    sigma_noise = spec.daily_noise_pct / 100.0
+    log_p0 = (np.log(20.0), np.log(400.0))
+    sigma_trend = TREND_VOL_PCT / 100.0
+    sigma_noise = DAILY_NOISE_PCT / 100.0
     for company in companies:
-        p0 = float(np.exp(rng.uniform(np.log(20.0), np.log(400.0))))
+        p0 = float(np.exp(rng.uniform(*log_p0)))
         trend = rng.normal(0.0, sigma_trend, n_days).cumsum()
         noise = rng.normal(0.0, sigma_noise, n_days)
         noise[measured] = 0.0
@@ -469,25 +476,22 @@ def generate_fixture(spec: FixtureSpec) -> Fixture:
 
     # --- market caps ----------------------------------------------------
     marketcaps: dict[tuple[str, str], float] = {}
+    log_cap = (np.log(2.0), np.log(300.0))
     for company in companies:
-        base_cap = float(np.exp(rng.uniform(np.log(2.0), np.log(300.0))))
-        for quarter in quarters:
-            wobble = float(rng.uniform(0.9, 1.1))
-            marketcaps[(company.canonical_id, quarter.label)] = base_cap * wobble
+        base_cap = float(np.exp(rng.uniform(*log_cap)))
+        # one draw per quarter, as many scalar calls would take them
+        wobbles = rng.uniform(0.9, 1.1, len(labels)).tolist()
+        for label, wobble in zip(labels, wobbles):
+            marketcaps[(company.canonical_id, label)] = base_cap * wobble
 
     protected = {cid for members in truth.clusters.values() for m in members for cid in m}
     protected.update(anchor_ids)
-    removable = [
-        (cid, q.label)
-        for cid in all_ids
-        if cid not in protected
-        for q in quarters
-    ]
+    removable = [(cid, label) for cid in all_ids if cid not in protected for label in labels]
     for i in range(min(spec.missing_caps, len(removable))):
         victim = removable[(i * 37) % len(removable)]
         marketcaps.pop(victim, None)
 
-    articles.sort(key=lambda a: (a.published_at, a.id))
+    articles.sort(key=attrgetter("published_at", "id"))
     log.info(
         "fixture seed=%d companies=%d articles=%d quarters=%d drifted=%d",
         spec.seed,
@@ -533,6 +537,6 @@ def write_fixture(fixture: Fixture, out_dir: str | Path) -> dict[str, Path]:
     for name, (header, columns) in tables.items():
         paths[name].write_bytes(format_table(header, columns).encode("utf-8"))
 
-    truth = json.dumps(asdict(fixture.truth), indent=2, sort_keys=True)
+    truth = json.dumps(vars(fixture.truth), indent=2, sort_keys=True)
     paths["truth"].write_text(truth + "\n", encoding="utf-8")
     return paths

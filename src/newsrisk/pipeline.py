@@ -885,7 +885,9 @@ def _file_entry(path: Path, data: bytes | None = None) -> dict:
     last = b""
     for chunk in _chunks(path) if data is None else [data]:
         digest.update(chunk)
-        lines += chunk.count(b"\n") + chunk.count(b"\r") - chunk.count(b"\r\n")
+        lines += chunk.count(b"\n")
+        if b"\r" in chunk:
+            lines += chunk.count(b"\r") - chunk.count(b"\r\n")
         if last == b"\r" and chunk.startswith(b"\n"):
             lines -= 1  # a "\r\n" split across two chunks
         last = chunk[-1:]

@@ -106,6 +106,35 @@ def test_articles_round_trip(tmp_path):
         assert a.in_window
 
 
+def test_written_articles_are_the_lines_json_dumps_writes(tmp_path):
+    texts = (
+        "plain",
+        'a "quote", a \\ and a /',
+        "tab\t, breaks \n\r, controls \x00\x1f\x7f",
+        "café Straße ı İ ſ K,   , 😀",
+        "",
+    )
+    articles = [
+        Article(f"A{i}", datetime(2011, 1, 2, 3, 4, 5, 6 * i, tzinfo=timezone(timedelta(hours=i))),
+                text, "negative", text[::-1], text)
+        for i, text in enumerate(texts)
+    ]
+    path = tmp_path / "articles.jsonl"
+    assert write_articles(path, articles) == len(texts)
+    expected = "".join(
+        json.dumps({
+            "id": a.id,
+            "published_at": a.published_at.astimezone(timezone.utc).isoformat().replace("+00:00", "Z"),
+            "author_id": a.author_id,
+            "polarity": a.polarity,
+            "title": a.title,
+            "body": a.body,
+        }, ensure_ascii=False) + "\n"
+        for a in articles
+    )
+    assert path.read_bytes() == expected.encode("utf-8")
+
+
 def test_articles_sorted_by_time_then_id(tmp_path):
     path = tmp_path / "articles.jsonl"
     write_articles(

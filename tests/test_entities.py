@@ -240,6 +240,13 @@ def _oracle_texts(universe):
         "@home networks inc; @Home Networks; _under score",
         "STRASSE KELVIN, Straße Kelvin group, ſtraſſe kelvin group",
         "(NYSEARCA:SPYX) (NYSE:SPYX) Spyx Trust Fund",
+        # a bare ticker at the start of the text and after a line break, and
+        # after "_", a digit and "é", which are word characters
+        "BRK.B led",
+        "flat\nBRK.B led",
+        "_BRK.B led",
+        "9BRK.B led",
+        "éBRK.B led, é SKG",
     ]
     return texts
 

@@ -3,6 +3,7 @@ round-trips through the real loaders."""
 
 import csv
 import json
+from bisect import bisect_right
 from dataclasses import replace
 from datetime import date, timedelta
 
@@ -21,7 +22,14 @@ from newsrisk.corpus import (
 )
 from newsrisk.entities import MatcherSet, article_text
 from newsrisk.errors import ValidationError
-from newsrisk.fixtures import FixtureSpec, generate_fixture, write_fixture
+from newsrisk.fixtures import (
+    WEIGHT_SUM_TOLERANCE,
+    FixtureSpec,
+    _mention_cdf,
+    _sample,
+    generate_fixture,
+    write_fixture,
+)
 from newsrisk.quarters import Quarter, parse_quarter, quarter_of
 
 from conftest import SMALL_SPEC
@@ -64,6 +72,75 @@ def test_spec_validation():
         generate_fixture(
             FixtureSpec(seed=1, n_companies=30, n_quarters=4, n_articles=100)
         )
+
+
+def _refused_by_choice(weights) -> bool:
+    try:
+        np.random.default_rng(0).choice(4, p=weights)
+    except ValueError:
+        return True
+    return False
+
+
+def test_mention_count_weights_with_nan_are_refused():
+    weights = (0.78, float("nan"), 0.22, 0.0)
+    assert _refused_by_choice(weights)
+    with pytest.raises(ValidationError, match="mention_count_weights must not hold NaN"):
+        FixtureSpec(mention_count_weights=weights)
+
+
+def test_negative_mention_count_weights_are_refused():
+    weights = (0.8, 0.3, -0.1, 0.0)  # sums to 1
+    assert _refused_by_choice(weights)
+    with pytest.raises(ValidationError, match="mention_count_weights must be non-negative"):
+        FixtureSpec(mention_count_weights=weights)
+
+
+def test_mention_count_weights_must_sum_to_1_as_choice_requires():
+    """Refused past `Generator.choice`'s tolerance, and taken within it."""
+    off = (0.78 + 2 * WEIGHT_SUM_TOLERANCE, 0.22, 0.0, 0.0)
+    assert _refused_by_choice(off)
+    with pytest.raises(ValidationError, match="mention_count_weights must sum to 1"):
+        FixtureSpec(mention_count_weights=off)
+    near = (0.78 + WEIGHT_SUM_TOLERANCE / 2, 0.22, 0.0, 0.0)
+    assert not _refused_by_choice(near)
+    assert FixtureSpec(mention_count_weights=near).mention_count_weights == near
+
+
+# -- the draw helpers take the draws of the numpy calls they stand for --------
+# Twin generators: the helper on one, numpy's call on the other; then the
+# next draw of both must agree, so the streams stay aligned. Generator
+# streams are not promised across numpy versions, so these compare calls on
+# the installed numpy rather than stored digests.
+
+
+def test_sample_draws_what_choice_without_replacement_draws():
+    for n in range(61):
+        pool = [f"C{i:04d}" for i in range(n)]
+        for k in range(n + 1):
+            ours, numpys = np.random.default_rng(n * 61 + k), np.random.default_rng(n * 61 + k)
+            picked = [str(x) for x in numpys.choice(pool, size=k, replace=False)]
+            assert _sample(ours, pool, k) == picked, (n, k)
+            assert ours.random() == numpys.random(), (n, k)
+
+
+@pytest.mark.parametrize(
+    "weights", [FixtureSpec().mention_count_weights, (0.6, 0.25, 0.1, 0.05)]
+)
+def test_mention_count_draw_is_choice_with_p(weights):
+    cdf = _mention_cdf(weights)
+    ours, numpys = np.random.default_rng(15), np.random.default_rng(15)
+    for _ in range(5000):
+        k = bisect_right(cdf, ours.random()) + 1
+        assert k == numpys.choice((1, 2, 3, 4), p=weights)
+    assert ours.random() == numpys.random()
+
+
+def test_a_sized_uniform_draw_is_that_many_scalar_draws():
+    ours, numpys = np.random.default_rng(16), np.random.default_rng(16)
+    for n in range(1, 30):
+        assert ours.uniform(0.9, 1.1, n).tolist() == [numpys.uniform(0.9, 1.1) for _ in range(n)]
+    assert ours.random() == numpys.random()
 
 
 def test_quarters_property(small_fixture):
