@@ -7,7 +7,6 @@ from .backtest import (
     INDIVIDUAL,
     EventStudy,
     build_comparison_report,
-    build_range_report,
     compute_events,
     risk_histogram,
 )

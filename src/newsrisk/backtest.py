@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, replace
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -262,18 +262,6 @@ class RangeReport:
     average: RangeStat | None
 
 
-def build_range_report(
-    study: EventStudy,
-    threshold: float,
-    kind: str,
-    ranges: Sequence[tuple[int, int]] = REPORT_RANGES,
-) -> RangeReport:
-    rows_idx = study.indices_at_threshold(threshold, kind)
-    return _range_report(
-        study, threshold, kind, rows_idx.size, study.daily_rates(rows_idx), study.daily_rates(), ranges
-    )
-
-
 def _range_report(
     study: EventStudy,
     threshold: float,
@@ -326,6 +314,11 @@ class ComparisonReport:
     n_benchmark: int
     rows: tuple[ComparisonRow, ...]
     average: ComparisonRow | None
+
+
+def with_average(report: RangeReport | ComparisonReport) -> tuple:
+    """A report's rows, then its average row when it has one."""
+    return (*report.rows, *([report.average] if report.average else []))
 
 
 def _comparison_row(agg: RangeStat, ind: RangeStat) -> ComparisonRow:
@@ -475,6 +468,12 @@ def _fmt(value: float | None, nd: int = 2) -> str:
     return "n/a" if value is None else f"{value:.{nd}f}"
 
 
+def _text_rows(report: RangeReport | ComparisonReport) -> list[list[str]]:
+    """A row of cells per report row, label first, then each number in the
+    order its dataclass declares the fields, which is the header's order."""
+    return [[row.label, *map(_fmt, astuple(row)[1:])] for row in with_average(report)]
+
+
 def _render_table(header: list[str], body: list[list[str]]) -> list[str]:
     widths = [
         max(len(header[c]), *(len(row[c]) for row in body)) if body else len(header[c])
@@ -509,20 +508,7 @@ def render_range_report(report: RangeReport, params: Mapping[str, object]) -> st
         "bench std",
         "outperf",
     ]
-    body = []
-    for row in (*report.rows, *([report.average] if report.average else [])):
-        body.append(
-            [
-                row.label,
-                _fmt(row.subset_rate),
-                _fmt(row.benchmark_rate),
-                _fmt(row.abs_diff),
-                _fmt(row.rel_diff),
-                _fmt(row.benchmark_daily_std),
-                _fmt(row.std_outperformance),
-            ]
-        )
-    lines.extend(_render_table(header, body))
+    lines.extend(_render_table(header, _text_rows(report)))
     return "\n".join(lines) + "\n"
 
 
@@ -545,17 +531,5 @@ def render_comparison_report(
         "ind outperf",
         "outperf gap",
     ]
-    body = []
-    for row in (*report.rows, *([report.average] if report.average else [])):
-        body.append(
-            [
-                row.label,
-                _fmt(row.agg_rate),
-                _fmt(row.agg_outperformance),
-                _fmt(row.ind_rate),
-                _fmt(row.ind_outperformance),
-                _fmt(row.outperformance_gap),
-            ]
-        )
-    lines.extend(_render_table(header, body))
+    lines.extend(_render_table(header, _text_rows(report)))
     return "\n".join(lines) + "\n"

@@ -122,14 +122,8 @@ class EntityUniverse:
     def __iter__(self) -> Iterator[EntityRecord]:
         return iter(self.records.values())
 
-    def __contains__(self, canonical_id: str) -> bool:
-        return canonical_id in self.records
-
     def ids(self) -> tuple[str, ...]:
         return tuple(self.records)
-
-    def get(self, canonical_id: str) -> EntityRecord | None:
-        return self.records.get(canonical_id)
 
 
 @dataclass(frozen=True, eq=False)
@@ -161,9 +155,6 @@ class PriceTable:
 
     def __len__(self) -> int:
         return len(self.series)
-
-    def __contains__(self, key: str) -> bool:
-        return key in self.series
 
     def get(self, key: str) -> PriceSeries | None:
         return self.series.get(key)

@@ -79,13 +79,6 @@ FOLD = str.maketrans({"\u0131": "i", "\u0130": "i", "\u017f": "s", "\u212a": "k"
 
 
 @dataclass(frozen=True)
-class Match:
-    canonical_id: str
-    literal: str
-    offset: int
-
-
-@dataclass(frozen=True)
 class OccurrenceSet:
     """The set of companies one article mentions."""
 
@@ -265,13 +258,6 @@ class MatcherSet:
                 tickers.append((key, key, [re.escape(ch) for ch in key]))
         return Scanner(self, _trie_regex(names, re.IGNORECASE), _trie_regex(tickers, 0))
 
-    def iter_matches(self, text: str) -> Iterator[Match]:
-        """Every mention in `text`, in order of position."""
-        return self.compile((text,)).iter_matches(text)
-
-    def match_ids(self, text: str) -> frozenset[str]:
-        return self.compile((text,)).match_ids(text)
-
     # -- resolving matched text ------------------------------------------
 
     def resolve_ticker(self, text: str) -> str | None:
@@ -295,26 +281,14 @@ class Scanner:
         name_re: re.Pattern[str] | None,
         ticker_re: re.Pattern[str] | None,
     ):
-        self.name_re, self.ticker_re = name_re, ticker_re
         pairs = ((ticker_re, matchers.resolve_ticker), (name_re, matchers.resolve_name))
-        self._patterns = [(pattern, resolve) for pattern, resolve in pairs if pattern is not None]
-
-    def iter_matches(self, text: str) -> Iterator[Match]:
-        """Every mention in `text`, in order of position."""
-        found: list[Match] = []
-        for pattern, resolve in self._patterns:
-            for m in pattern.finditer(text):
-                cid = resolve(m.group(0))
-                if cid is not None:
-                    found.append(Match(cid, m.group(0), m.start()))
-        found.sort(key=lambda mt: (mt.offset, mt.canonical_id))
-        return iter(found)
+        #: (regex, resolver of its matched text) of each category
+        self.patterns = [(pattern, resolve) for pattern, resolve in pairs if pattern is not None]
 
     def match_ids(self, text: str) -> frozenset[str]:
-        """The companies `text` mentions: the ids of `iter_matches`, from
-        the matched strings alone."""
+        """The companies `text` mentions, resolved from the matched strings."""
         ids: set[str | None] = set()
-        for pattern, resolve in self._patterns:
+        for pattern, resolve in self.patterns:
             ids.update(map(resolve, pattern.findall(text)))
         ids.discard(None)
         return frozenset(ids)
@@ -324,12 +298,12 @@ def article_text(article: Article) -> str:
     return article.title + "\n\n" + article.body
 
 
-def extract_occurrences(matchers: MatcherSet | Scanner, article: Article) -> OccurrenceSet:
+def extract_occurrences(scanner: Scanner, article: Article) -> OccurrenceSet:
     return OccurrenceSet(
         article_id=article.id,
         quarter=quarter_of(article.published_at),
         polarity=article.polarity,
-        companies=matchers.match_ids(article_text(article)),
+        companies=scanner.match_ids(article_text(article)),
     )
 
 

@@ -155,6 +155,15 @@ class FixtureSpec:
     share_class_pairs: int = 0
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ValidationError("seed must be non-negative")
+        for name in ("n_quarters", "cluster_size"):
+            if getattr(self, name) < 1:
+                raise ValidationError(f"{name} must be at least 1")
+        counts = ("clusters_per_quarter", "cluster_articles", "missing_caps", "share_class_pairs")
+        for name in counts:
+            if getattr(self, name) < 0:
+                raise ValidationError(f"{name} must be non-negative")
         if self.n_companies < self.clusters_per_quarter * self.cluster_size + 2:
             raise ValidationError(
                 "not enough companies for disjoint clusters plus the anchor pair"
@@ -174,6 +183,8 @@ class FixtureSpec:
             raise ValidationError("mention_count_weights must be non-negative")
         if abs(fsum(weights) - 1.0) > WEIGHT_SUM_TOLERANCE:
             raise ValidationError("mention_count_weights must sum to 1")
+        if not -100.0 < self.drift_pct_per_day < float("inf"):
+            raise ValidationError("drift_pct_per_day must be finite and above -100")
         lo, hi = self.drift_window
         if not (1 <= lo <= hi):
             raise ValidationError("drift window must satisfy 1 <= lo <= hi")

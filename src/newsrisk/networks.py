@@ -34,10 +34,6 @@ MIXED = "mixed"
 NETWORK_KINDS = (POSITIVE, NEGATIVE, MIXED)
 
 
-def _pair(a: str, b: str) -> tuple[str, str]:
-    return (a, b) if a < b else (b, a)
-
-
 @dataclass(frozen=True)
 class QuarterNetwork:
     """One polarity's co-occurrence network for one quarter.
@@ -55,11 +51,6 @@ class QuarterNetwork:
 
     def weight(self, i: str) -> int:
         return self.node_weights.get(i, 0)
-
-    def edge(self, i: str, j: str) -> int:
-        if i == j:
-            raise ValidationError(f"self-edge requested for {i!r}")
-        return self.edge_weights.get(_pair(i, j), 0)
 
     def adjacency(self) -> dict[str, dict[str, int]]:
         """Positive-weight neighbor map (absent nodes are isolated)."""

@@ -55,7 +55,7 @@ from .corpus import (
 from .entities import MatcherSet, OccurrenceSet, parse_corpus
 from .errors import DependencyError, ValidationError
 from .networks import MIXED, NETWORK_KINDS, QuarterNetwork, build_networks, network_stats, smooth
-from .quarters import Quarter, parse_quarter, quarter_range
+from .quarters import Quarter, parse_quarter
 from .riskrank import RiskCalibration, RiskDatapoint, riskrank_quarter, select_universe
 
 log = logging.getLogger(__name__)
@@ -103,10 +103,6 @@ class RunConfig:
             path = getattr(self, name)
             if not Path(path).is_file():
                 raise ValidationError(f"{name} file not found: {path}")
-
-    @property
-    def quarters(self) -> list[Quarter]:
-        return quarter_range(self.first_quarter, self.last_quarter)
 
     @property
     def window(self) -> tuple[date, date]:
@@ -170,41 +166,35 @@ def config_from_mapping(
             raise ValidationError(f"{key} must be an integer, got {value!r}")
         return result
 
-    quarters = str(raw.get("quarters", "2011Q1..2016Q2"))
-    try:
-        first_label, _, last_label = quarters.partition("..")
-        first = parse_quarter(first_label)
-        last = parse_quarter(last_label or first_label)
-    except ValueError as exc:
-        raise ValidationError(str(exc)) from None
-
-    calibration = RiskCalibration(
-        lam=number("lambda", raw.get("lambda", 0.5)),
-        mu=number("mu", raw.get("mu", 0.5)),
-        theta=number("theta", raw.get("theta", 0.5)),
+    # A key the mapping leaves out keeps the default its dataclass field states.
+    params: dict[str, Any] = {}
+    if "quarters" in raw:
+        try:
+            first_label, _, last_label = str(raw["quarters"]).partition("..")
+            params["first_quarter"] = parse_quarter(first_label)
+            params["last_quarter"] = parse_quarter(last_label or first_label)
+        except ValueError as exc:
+            raise ValidationError(str(exc)) from None
+    calibration = (("lambda", "lam"), ("mu", "mu"), ("theta", "theta"))
+    params["calibration"] = RiskCalibration(
+        **{name: number(key, raw[key]) for key, name in calibration if key in raw}
     )
-    delays = raw.get("delays", [bt.DELAY_LO, bt.DELAY_HI])
-    if not (isinstance(delays, (list, tuple)) and len(delays) == 2):
-        raise ValidationError(f"delays must be a [lo, hi] pair, got {delays!r}")
-    thresholds = raw.get("thresholds", list(bt.REPORT_THRESHOLDS))
-    if not isinstance(thresholds, (list, tuple)):
-        raise ValidationError("thresholds must be a list")
+    if "delays" in raw:
+        delays = raw["delays"]
+        if not (isinstance(delays, (list, tuple)) and len(delays) == 2):
+            raise ValidationError(f"delays must be a [lo, hi] pair, got {delays!r}")
+        params["delay_lo"], params["delay_hi"] = (number("delays", d, int) for d in delays)
+    if "thresholds" in raw:
+        if not isinstance(raw["thresholds"], (list, tuple)):
+            raise ValidationError("thresholds must be a list")
+        params["thresholds"] = tuple(number("thresholds", t) for t in raw["thresholds"])
+    if "alpha" in raw:
+        params["alpha"] = number("alpha", raw["alpha"])
+    if "top_k" in raw:
+        params["top_k"] = number("top_k", raw["top_k"], int)
 
-    return RunConfig(
-        articles=path_of("articles"),
-        universe=path_of("universe"),
-        prices=path_of("prices"),
-        marketcaps=path_of("marketcaps"),
-        output=path_of("output"),
-        first_quarter=first,
-        last_quarter=last,
-        alpha=number("alpha", raw.get("alpha", 0.1)),
-        calibration=calibration,
-        top_k=number("top_k", raw.get("top_k", 50), int),
-        thresholds=tuple(number("thresholds", t) for t in thresholds),
-        delay_lo=number("delays", delays[0], int),
-        delay_hi=number("delays", delays[1], int),
-    )
+    paths = ("articles", "universe", "prices", "marketcaps", "output")
+    return RunConfig(**{key: path_of(key) for key in paths}, **params)
 
 
 # ---------------------------------------------------------------------------
@@ -390,14 +380,10 @@ def _report_params(cfg: RunConfig) -> dict[str, object]:
 
 # Report records and the calibration are written field by field, in the
 # order their dataclass declares them, which is the order of the columns.
-def _with_average(report) -> tuple:
-    return (*report.rows, *([report.average] if report.average else []))
-
-
 def _range_columns(cfg: RunConfig, v: Values) -> tuple[list, ...]:
     keys = sorted(v["reports"].range_reports)
     reports = [v["reports"].range_reports[key] for key in keys]
-    rows = [_with_average(report) for report in reports]
+    rows = [bt.with_average(report) for report in reports]
     sizes = list(map(len, rows))
     return (
         _repeat([kind for kind, _ in keys], sizes),
@@ -410,7 +396,7 @@ def _range_columns(cfg: RunConfig, v: Values) -> tuple[list, ...]:
 
 def _comparison_columns(cfg: RunConfig, v: Values) -> tuple[list, ...]:
     report = v["reports"].comparison
-    rows = _with_average(report) if report else ()
+    rows = bt.with_average(report) if report else ()
     thresholds = [report.threshold] * len(rows) if report else []
     return (thresholds, *_fields(rows, bt.ComparisonRow))
 

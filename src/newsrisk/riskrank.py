@@ -77,12 +77,10 @@ class SentimentRecord:
     s_negative: int
 
     @property
-    def s_rel(self) -> float | None:
-        """Negative share of the company's news; None when it had no news."""
-        total = self.s_positive + self.s_negative
-        if total == 0:
-            return None
-        return self.s_negative / total
+    def s_rel(self) -> float:
+        """Negative share of the company's news. `quarter_sentiment` makes a
+        record only for a company some article mentions, so it has news."""
+        return self.s_negative / (self.s_positive + self.s_negative)
 
 
 @dataclass(frozen=True)
@@ -262,14 +260,12 @@ def riskrank_quarter(
 
     def x_of(cid: str) -> float:
         record = sentiments.get(cid)
-        if record is None:
-            return 0.0
-        return record.s_rel if record.s_rel is not None else 0.0
+        return 0.0 if record is None else record.s_rel
 
     datapoints: list[RiskDatapoint] = []
     for cid in sorted(subset):
         record = sentiments.get(cid)
-        if record is None or record.s_rel is None:
+        if record is None:
             continue
         players = build_players(network, cid, calibration, adjacency)
         x = {p: x_of(p) for p in players.players}

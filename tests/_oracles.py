@@ -6,6 +6,10 @@ The centrality oracles build the dense smoothed matrix the package never
 builds: `dense_centrality` inverts it with numpy (fast enough for fixture
 networks), `centrality_oracle` with pure-Python Gauss-Jordan, and
 `exact_centrality` in rational arithmetic.
+
+A few helpers are views of package objects that only tests need, kept here so
+the package holds only what the pipeline runs: `edge`, `iter_matches`,
+`match_ids` and `range_report`.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from dataclasses import dataclass, replace
 from datetime import date, timedelta
 from itertools import combinations
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -68,6 +72,13 @@ def invert_matrix(rows: list[list[float]]) -> list[list[float]]:
                 f = aug[r][col]
                 aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
     return [row[n:] for row in aug]
+
+
+def edge(network, i: str, j: str) -> int:
+    """The co-mention count of an unordered pair of a QuarterNetwork."""
+    if i == j:
+        raise ValidationError(f"self-edge requested for {i!r}")
+    return network.edge_weights.get((i, j) if i < j else (j, i), 0)
 
 
 def smoothed_weights(network) -> np.ndarray:
@@ -187,6 +198,31 @@ def flat_matcher(universe: EntityUniverse) -> Scanner:
     tickers.sort(key=lambda kp: (-len(kp[0]), kp[0]))
     ticker_re = re.compile("|".join(f"(?:{p})" for _, p in tickers)) if tickers else None
     return Scanner(matcher, name_re, ticker_re)
+
+
+@dataclass(frozen=True)
+class Match:
+    canonical_id: str
+    literal: str
+    offset: int
+
+
+def iter_matches(scanner: Scanner, text: str) -> list[Match]:
+    """Every mention the scanner's regexes find in `text`, with its matched
+    literal and offset, in order of position."""
+    found = []
+    for pattern, resolve in scanner.patterns:
+        for m in pattern.finditer(text):
+            cid = resolve(m.group(0))
+            if cid is not None:
+                found.append(Match(cid, m.group(0), m.start()))
+    found.sort(key=lambda mt: (mt.offset, mt.canonical_id))
+    return found
+
+
+def match_ids(matchers: MatcherSet, text: str) -> frozenset[str]:
+    """The companies `text` mentions, with the regexes compiled for it alone."""
+    return matchers.compile((text,)).match_ids(text)
 
 
 # ---------------------------------------------------------------------------
@@ -609,6 +645,20 @@ def fixture_universe(fixture) -> EntityUniverse:
     )
 
 
+def range_report(
+    study: bt.EventStudy,
+    threshold: float,
+    kind: str,
+    ranges: Sequence[tuple[int, int]] = bt.REPORT_RANGES,
+) -> bt.RangeReport:
+    """The range report of one (kind, threshold) subset, as the report
+    stage builds it, over any delay ranges."""
+    rows = study.indices_at_threshold(threshold, kind)
+    return bt._range_report(
+        study, threshold, kind, rows.size, study.daily_rates(rows), study.daily_rates(), ranges
+    )
+
+
 class FixtureStudy:
     """The full analysis chain run on a Fixture without touching disk."""
 
@@ -648,7 +698,7 @@ class FixtureStudy:
         self.study = self.values["study"]
 
     def range_row(self, threshold: float, kind: str, label: str) -> bt.RangeStat:
-        report = bt.build_range_report(self.study, threshold, kind)
+        report = range_report(self.study, threshold, kind)
         for row in report.rows:
             if row.label == label:
                 return row

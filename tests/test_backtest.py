@@ -18,6 +18,7 @@ from _oracles import (
     decline_event,
     load_prices_by_row,
     measurement_date,
+    range_report,
     scalar_events,
     scalar_series,
 )
@@ -280,9 +281,7 @@ def test_average_row():
 
 
 def test_build_range_report_on_hand_study(hand_study):
-    report = bt.build_range_report(
-        hand_study, 0.5, bt.AGGREGATED, ranges=((3, 4), (5, 5))
-    )
+    report = range_report(hand_study, 0.5, bt.AGGREGATED, ranges=((3, 4), (5, 5)))
     assert (report.kind, report.threshold) == (bt.AGGREGATED, 0.5)
     assert (report.n_subset, report.n_benchmark) == (1, 2)
     assert [r.label for r in report.rows] == ["3 to 4", "5 to 5"]
@@ -296,21 +295,21 @@ def test_build_range_report_on_hand_study(hand_study):
 
 
 def test_out_of_data_ranges_are_omitted(hand_study):
-    report = bt.build_range_report(hand_study, 0.5, bt.AGGREGATED)
+    report = range_report(hand_study, 0.5, bt.AGGREGATED)
     # only delays 3..5 exist, so ranges starting past them drop out
     assert [r.label for r in report.rows] == ["3 to 90", "3 to 45", "3 to 10"]
 
 
 def test_empty_subset_yields_empty_report(hand_study):
-    report = bt.build_range_report(hand_study, 2.0, bt.AGGREGATED, ranges=((3, 5),))
+    report = range_report(hand_study, 2.0, bt.AGGREGATED, ranges=((3, 5),))
     assert report.n_subset == 0
     assert report.rows == ()
     assert report.average is None
 
 
 def test_comparison_report(hand_study):
-    agg = bt.build_range_report(hand_study, 0.5, bt.AGGREGATED, ranges=((3, 4), (5, 5)))
-    ind = bt.build_range_report(hand_study, 0.5, bt.INDIVIDUAL, ranges=((3, 4), (5, 5)))
+    agg = range_report(hand_study, 0.5, bt.AGGREGATED, ranges=((3, 4), (5, 5)))
+    ind = range_report(hand_study, 0.5, bt.INDIVIDUAL, ranges=((3, 4), (5, 5)))
     comparison = bt.build_comparison_report(agg, ind)
     assert comparison.threshold == 0.5
     assert (comparison.n_aggregated, comparison.n_individual) == (1, 1)
@@ -326,8 +325,8 @@ def test_comparison_report(hand_study):
 
 
 def test_comparison_requires_matching_thresholds(hand_study):
-    agg = bt.build_range_report(hand_study, 0.5, bt.AGGREGATED, ranges=((3, 5),))
-    ind = bt.build_range_report(hand_study, 0.6, bt.INDIVIDUAL, ranges=((3, 5),))
+    agg = range_report(hand_study, 0.5, bt.AGGREGATED, ranges=((3, 5),))
+    ind = range_report(hand_study, 0.6, bt.INDIVIDUAL, ranges=((3, 5),))
     with pytest.raises(ValidationError, match="matching thresholds"):
         bt.build_comparison_report(agg, ind)
 
@@ -382,7 +381,7 @@ def test_risk_histogram():
 
 
 def test_render_range_report(hand_study):
-    report = bt.build_range_report(hand_study, 0.5, bt.AGGREGATED, ranges=((3, 4), (5, 5)))
+    report = range_report(hand_study, 0.5, bt.AGGREGATED, ranges=((3, 4), (5, 5)))
     text = bt.render_range_report(report, {"alpha": 0.1, "lambda": 0.5})
     lines = text.splitlines()
     assert lines[0] == (
@@ -397,8 +396,8 @@ def test_render_range_report(hand_study):
 
 
 def test_render_comparison_report(hand_study):
-    agg = bt.build_range_report(hand_study, 0.5, bt.AGGREGATED, ranges=((3, 4),))
-    ind = bt.build_range_report(hand_study, 0.5, bt.INDIVIDUAL, ranges=((3, 4),))
+    agg = range_report(hand_study, 0.5, bt.AGGREGATED, ranges=((3, 4),))
+    ind = range_report(hand_study, 0.5, bt.INDIVIDUAL, ranges=((3, 4),))
     text = bt.render_comparison_report(bt.build_comparison_report(agg, ind), {})
     assert text.startswith("Aggregated vs. individual risk subsets — threshold 0.5")
     assert "aggregated points: 1, individual points: 1, benchmark: 2" in text

@@ -244,11 +244,11 @@ def test_universe_loading_and_lookup(tmp_path):
     uni = load_universe(path)
     assert len(uni) == 2
     assert uni.ids() == ("ACME", "BOLT")
-    rec = uni.get("BOLT")
+    rec = uni.records.get("BOLT")
     assert rec.merged_tickers == ("BOLT", "BLTW")
     assert uni.ticker_to_id["BLTW"] == "BOLT"
     assert uni.variant_to_id["acme industrial"] == "ACME"
-    assert "ACME" in uni and "NOPE" not in uni
+    assert "ACME" in uni.records and "NOPE" not in uni.records
 
 
 def test_universe_share_class_rows_merge(tmp_path):
@@ -257,7 +257,7 @@ def test_universe_share_class_rows_merge(tmp_path):
     path.write_text(csv_text, encoding="utf-8")
     uni = load_universe(path)
     assert len(uni) == 2
-    rec = uni.get("ACME")
+    rec = uni.records.get("ACME")
     assert rec.primary_ticker == "ACME"
     assert set(rec.merged_tickers) == {"ACME", "ACME.B"}
     assert "Acme Class B" in rec.name_variants
@@ -265,7 +265,7 @@ def test_universe_share_class_rows_merge(tmp_path):
     out = tmp_path / "roundtrip.csv"
     write_universe(out, uni)
     again = load_universe(out)
-    assert again.get("ACME").merged_tickers == rec.merged_tickers
+    assert again.records.get("ACME").merged_tickers == rec.merged_tickers
 
 
 def test_universe_validation_errors(tmp_path):

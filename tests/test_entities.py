@@ -25,7 +25,7 @@ from newsrisk.fixtures import (
 from newsrisk.quarters import Quarter
 
 from _adversarial import adversarial_negatives, adversarial_positives
-from _oracles import fixture_universe, flat_matcher
+from _oracles import fixture_universe, flat_matcher, iter_matches, match_ids
 
 
 @pytest.fixture(scope="module")
@@ -41,61 +41,61 @@ def matchers(adversarial_universe):
 def test_no_false_positives_on_bait_sentences(matchers):
     sentences = adversarial_negatives()
     assert len(sentences) >= 200
-    hits = {s: sorted(matchers.match_ids(s)) for s in sentences if matchers.match_ids(s)}
+    hits = {s: sorted(match_ids(matchers, s)) for s in sentences if match_ids(matchers, s)}
     assert hits == {}
 
 
 def test_full_recall_on_explicit_mentions(matchers):
     for sentence, expected in adversarial_positives():
-        assert matchers.match_ids(sentence) == expected, sentence
+        assert match_ids(matchers, sentence) == expected, sentence
 
 
 def test_apple_pie_stays_food(matchers):
-    assert matchers.match_ids("the apple pie was great") == frozenset()
+    assert match_ids(matchers, "the apple pie was great") == frozenset()
 
 
 def test_exchange_qualified_spacing_variants(matchers):
     for text in (
         "(NYSE:GM)", "( NYSE : GM )", "(NYSE: GM)", "(NYSE :GM)",
     ):
-        assert matchers.match_ids(f"watching {text} today") == {"GENMOT"}
+        assert match_ids(matchers, f"watching {text} today") == {"GENMOT"}
 
 
 def test_short_tickers_require_exchange(matchers):
-    assert matchers.match_ids("GM posted results") == frozenset()
-    assert matchers.match_ids("T remains cheap") == frozenset()
-    assert matchers.match_ids("buy (NYSE:T) instead") == {"TELAM"}
+    assert match_ids(matchers, "GM posted results") == frozenset()
+    assert match_ids(matchers, "T remains cheap") == frozenset()
+    assert match_ids(matchers, "buy (NYSE:T) instead") == {"TELAM"}
 
 
 def test_bare_tickers_are_case_sensitive(matchers):
-    assert matchers.match_ids("AAPL broke out") == {"APPLE"}
-    assert matchers.match_ids("aapl broke out") == frozenset()
-    assert matchers.match_ids("the AAPLX indicator") == frozenset()
+    assert match_ids(matchers, "AAPL broke out") == {"APPLE"}
+    assert match_ids(matchers, "aapl broke out") == frozenset()
+    assert match_ids(matchers, "the AAPLX indicator") == frozenset()
 
 
 def test_names_match_any_case_and_whitespace(matchers):
-    assert matchers.match_ids("APPLE   INC. announced") == {"APPLE"}
-    assert matchers.match_ids("apple inc. announced") == {"APPLE"}
+    assert match_ids(matchers, "APPLE   INC. announced") == {"APPLE"}
+    assert match_ids(matchers, "apple inc. announced") == {"APPLE"}
 
 
 def test_legal_suffix_stripping_needs_two_words(matchers):
     # "Goldstone Partners Group Inc." -> "Goldstone Partners Group",
     # "Goldstone Partners" are still recognizable; "Goldstone" alone is not.
-    assert matchers.match_ids("Goldstone Partners Group reported") == {"GOLDSTONE"}
-    assert matchers.match_ids("Goldstone Partners reported") == {"GOLDSTONE"}
-    assert matchers.match_ids("Goldstone reported") == frozenset()
+    assert match_ids(matchers, "Goldstone Partners Group reported") == {"GOLDSTONE"}
+    assert match_ids(matchers, "Goldstone Partners reported") == {"GOLDSTONE"}
+    assert match_ids(matchers, "Goldstone reported") == frozenset()
 
 
 def test_repeated_mentions_deduplicate(matchers):
     text = "Apple Inc. said Apple Inc. and (NASDAQ:AAPL) will remain Apple Inc."
-    assert matchers.match_ids(text) == {"APPLE"}
-    offsets = [m.offset for m in matchers.iter_matches(text)]
+    assert match_ids(matchers, text) == {"APPLE"}
+    offsets = [m.offset for m in iter_matches(matchers.compile((text,)), text)]
     assert offsets == sorted(offsets)
 
 
 def test_matching_is_deterministic(adversarial_universe):
     text = "Apple Inc. and (NYSE:GM) and Telamerica Inc all moved."
-    results = {MatcherSet(adversarial_universe).match_ids(text) for _ in range(3)}
+    results = {match_ids(MatcherSet(adversarial_universe), text) for _ in range(3)}
     assert results == {frozenset({"APPLE", "GENMOT", "TELAM"})}
 
 
@@ -165,7 +165,7 @@ def test_extract_occurrences_reads_title_and_body(matchers):
         body="the rest of the note names nobody",
     )
     assert "Telamerica Inc" in article_text(article)
-    occ = extract_occurrences(matchers, article)
+    occ = extract_occurrences(matchers.compile((article_text(article),)), article)
     assert occ.companies == {"TELAM"}
     assert occ.quarter == Quarter(2011, 1)
 
@@ -220,7 +220,7 @@ def _random_text(rng, literals):
 def _assert_trie_equals_flat(universe, texts):
     trie, flat = MatcherSet(universe), flat_matcher(universe)
     for text in texts:
-        assert list(trie.iter_matches(text)) == list(flat.iter_matches(text)), text
+        assert iter_matches(trie.compile((text,)), text) == iter_matches(flat, text), text
 
 
 def _oracle_texts(universe):
@@ -282,14 +282,15 @@ def test_names_match_their_own_spelling_when_casefold_lengthens_them():
         "Strasse Kelvin Group rose",
         "ſtraſſe kelvin group rose",
     ):
-        assert matcher.match_ids(text) == {"KELVIN"}, text
-    assert matcher.match_ids("Straß Kelvin Group rose") == frozenset()
+        assert match_ids(matcher, text) == {"KELVIN"}, text
+    assert match_ids(matcher, "Straß Kelvin Group rose") == frozenset()
 
 
 def test_trie_keeps_the_longest_literal(nested_universe):
     matcher = MatcherSet(nested_universe)
     text = "Apple Inc. beat Apple Inc while (NYSE:BRK.A) and BRK.A led BRK."
-    assert [(m.canonical_id, m.literal, m.offset) for m in matcher.iter_matches(text)] == [
+    matches = iter_matches(matcher.compile((text,)), text)
+    assert [(m.canonical_id, m.literal, m.offset) for m in matches] == [
         ("APPLE", "Apple Inc.", 0),
         ("APPLEX", "Apple Inc", 16),
         ("BERKA", "(NYSE:BRK.A)", 32),
@@ -345,16 +346,16 @@ def test_one_scan_of_a_whole_corpus_matches_the_flat_oracle(corpora, corpus):
     universe, texts = corpora[corpus]
     scanner, flat = MatcherSet(universe).compile(texts), flat_matcher(universe)
     for text in texts:
-        matches = list(scanner.iter_matches(text))
-        assert matches == list(flat.iter_matches(text)), text
+        matches = iter_matches(scanner, text)
+        assert matches == iter_matches(flat, text), text
         assert scanner.match_ids(text) == {m.canonical_id for m in matches}, text
 
 
 def test_match_ids_are_the_ids_of_iter_matches(nested_universe):
     matcher = MatcherSet(nested_universe)
     for text in _oracle_texts(nested_universe):
-        ids = {m.canonical_id for m in matcher.iter_matches(text)}
-        assert matcher.match_ids(text) == ids, text
+        ids = {m.canonical_id for m in iter_matches(matcher.compile((text,)), text)}
+        assert match_ids(matcher, text) == ids, text
 
 
 def test_the_regexes_hold_only_literals_the_corpus_can_match(monkeypatch):

@@ -33,7 +33,7 @@ from newsrisk.fixtures import (
 from newsrisk.quarters import Quarter, parse_quarter, quarter_of
 
 from conftest import SMALL_SPEC
-from _oracles import planted_drift, write_marketcaps, write_prices
+from _oracles import match_ids, planted_drift, write_marketcaps, write_prices
 
 
 def test_generation_is_deterministic(small_fixture):
@@ -162,7 +162,7 @@ def test_planted_text_matches_the_real_parser(small_fixture, small_fixture_dir):
     universe = load_universe(small_fixture_dir / "universe.csv")
     matchers = MatcherSet(universe)
     for article in small_fixture.articles:
-        found = matchers.match_ids(article_text(article))
+        found = match_ids(matchers, article_text(article))
         assert found == set(small_fixture.truth.mentions[article.id]), article.id
 
 
@@ -324,7 +324,7 @@ def test_files_roundtrip_through_loaders(small_fixture, small_fixture_dir):
     assert universe.ids() == tuple(c.canonical_id for c in small_fixture.companies)
     # the share-class row merges into the primary record
     paired = next(c for c in small_fixture.companies if c.extra_ticker)
-    record = universe.get(paired.canonical_id)
+    record = universe.records.get(paired.canonical_id)
     assert set(record.merged_tickers) == {paired.ticker, paired.extra_ticker}
 
     articles = load_articles(

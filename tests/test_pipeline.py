@@ -32,7 +32,7 @@ from newsrisk.pipeline import (
     run_all,
     run_study,
 )
-from newsrisk.quarters import Quarter
+from newsrisk.quarters import Quarter, quarter_range
 from newsrisk.riskrank import RiskCalibration
 
 
@@ -74,7 +74,15 @@ def test_config_from_mapping_defaults(tmp_path):
     assert cfg.thresholds == (0.5, 0.6, 0.7, 0.8, 0.9, 1.0)
     assert (cfg.delay_lo, cfg.delay_hi) == (3, 90)
     assert cfg.window == (Quarter(2011, 1).start_date, Quarter(2016, 2).end_date)
-    assert [q.label for q in cfg.quarters][:2] == ["2011Q1", "2011Q2"]
+    quarters = quarter_range(cfg.first_quarter, cfg.last_quarter)
+    assert [q.label for q in quarters][:2] == ["2011Q1", "2011Q2"]
+
+
+def test_config_from_mapping_keeps_the_run_config_defaults(tmp_path):
+    cfg = config_from_mapping(BASE_MAPPING, base_dir=tmp_path)
+    expected = RunConfig(**{key: tmp_path / name for key, name in BASE_MAPPING.items()})
+    for f in dataclasses.fields(RunConfig):
+        assert repr(getattr(cfg, f.name)) == repr(getattr(expected, f.name)), f.name
 
 
 def test_config_from_mapping_errors(tmp_path):
@@ -648,6 +656,30 @@ def test_cli_fixture_rejects_bad_window(tmp_path):
         )
         == 1
     )
+
+
+BAD_FIXTURE_VALUES = [
+    ("--quarters-count", "0", "n_quarters must be at least 1"),
+    ("--quarters-count", "-2", "n_quarters must be at least 1"),
+    ("--seed", "-1", "seed must be non-negative"),
+    ("--cluster-size", "0", "cluster_size must be at least 1"),
+    ("--clusters", "-1", "clusters_per_quarter must be non-negative"),
+    ("--cluster-articles", "-1", "cluster_articles must be non-negative"),
+    ("--missing-caps", "-3", "missing_caps must be non-negative"),
+    ("--share-class-pairs", "-1", "share_class_pairs must be non-negative"),
+    ("--drift-pct", "-100", "drift_pct_per_day must be finite and above -100"),
+    ("--drift-pct", "nan", "drift_pct_per_day must be finite and above -100"),
+]
+
+
+@pytest.mark.parametrize(
+    "flag, value, message", BAD_FIXTURE_VALUES, ids=[f"{f}={v}" for f, v, _ in BAD_FIXTURE_VALUES]
+)
+def test_cli_fixture_rejects_bad_values(tmp_path, capsys, flag, value, message):
+    out = tmp_path / "x"
+    assert main(["fixture", "--output", str(out), flag, value]) == 1
+    assert f"newsrisk: {message}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,12 @@ from newsrisk.riskrank import (
 )
 from newsrisk.centrality import RankEntry
 
-from _oracles import choquet_integral, mobius_capacity, random_mixed_network
+from _oracles import (
+    choquet_integral,
+    mobius_capacity,
+    random_mixed_network,
+    random_occurrences,
+)
 
 Q = Quarter(2012, 3)
 CAL = RiskCalibration(lam=0.5, mu=0.5, theta=0.5)
@@ -80,9 +85,20 @@ def test_quarter_sentiment_counts():
     assert records["c"].s_rel == 0.0
 
 
-def test_sentiment_without_news_is_undefined():
-    assert SentimentRecord("x", Q, 0, 0).s_rel is None
+def test_sentiment_records_always_have_news():
     assert SentimentRecord("x", Q, 0, 3).s_rel == 1.0
+    nodes = [f"n{i}" for i in range(12)]
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        occurrences = [
+            *random_occurrences(rng, nodes, 15, max_mentions=3, polarity=POSITIVE),
+            *random_occurrences(rng, nodes, 15, max_mentions=3, polarity=NEGATIVE),
+        ]
+        records = quarter_sentiment(occurrences, Q)
+        assert set(records) == {cid for occ in occurrences for cid in occ.companies}
+        for record in records.values():
+            assert record.s_positive + record.s_negative >= 1
+            assert 0.0 <= record.s_rel <= 1.0
 
 
 def test_select_universe_union(caplog):
