@@ -14,7 +14,8 @@ Every CSV file the package reads, input or artifact, is read by
 `read_table`, whose cell grammar the README's "Input formats" states; the
 loaders ignore whitespace around a cell. Every CSV file it writes, artifact
 or fixture, is formatted by `format_table`. A file that is not UTF-8 is
-refused with the line that holds its first undecodable byte.
+refused with the line that holds its first undecodable byte. A UTF-8
+byte-order mark at the start of a CSV file is skipped.
 
 Everything returned by the loaders is immutable by convention and safe for
 unrestricted concurrent reads.
@@ -279,11 +280,14 @@ def _read_articles(path: Path, lines: Iterable[str], window: tuple[date, date]) 
 # ---------------------------------------------------------------------------
 
 #: Rows that one `np.loadtxt` call parses. Each cell of a chunk is a `str`
-#: until the chunk is coded, and the allocator keeps the pages they took. On
-#: a 2-vCPU VM, 4096-row chunks raised a whole run's peak RSS by about 0.5 MB
-#: over a row-at-a-time loader. 512-row chunks stay below it, and parse a
-#: 203 000-row file within 10 % of the time 4096-row chunks take.
+#: until the chunk is copied into the columns, and the allocator keeps the
+#: pages they took, so the chunk is the one slice of the file the reader
+#: holds besides its result. On a 2-vCPU VM, loading a 203 000-row price
+#: file raised peak RSS by 5.04 MB with 256- or 512-row chunks, 5.1 MB
+#: with 1024 and 5.9 MB with 4096, which parse it about 10 % faster.
 _CHUNK = 512
+#: Bytes the row count reads at a time.
+_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -350,17 +354,31 @@ class Table(dict):
 def read_table(path: Path, kinds: Mapping[str, Kind], dialect: Dialect) -> Table:
     """The columns of the CSV file at `path`, whose header must name `kinds`.
 
-    numpy's C parser reads the rows in bounded chunks, and each distinct
-    cell of a column that is not float64 goes through Python once. When a
-    row stops it, or a byte that is not UTF-8 (UnicodeDecodeError is a
+    One pass over the bytes bounds the rows, and each array column is
+    allocated once at that bound. numpy's C parser then reads the rows in
+    chunks of `_CHUNK`, which are copied into the columns, so the reader
+    holds its result and one chunk at a time. Each distinct cell of a
+    column that is not float64 goes through Python once. When a row stops
+    the parser, or a byte that is not UTF-8 (UnicodeDecodeError is a
     ValueError), `_scan` reads the file again row by row.
     """
     try:
-        with path.open("r", encoding="utf-8", newline="") as fh:
+        with path.open("r", encoding="utf-8-sig", newline="") as fh:
             _check_header(path, next(csv.reader(fh), None), kinds, dialect)
-            return Table(path, dialect, _parse(fh, kinds))
+            return Table(path, dialect, _parse(fh, kinds, _row_bound(path)))
     except ValueError:
         return _scan(path, kinds, dialect)
+
+
+def _row_bound(path: Path) -> int:
+    """At least the rows of `path`, header included: each row ends at a line
+    feed, a carriage return, a CR LF pair or the end of the file."""
+    ends = 1
+    with path.open("rb") as fh:
+        while block := fh.read(_BLOCK):
+            octets = np.frombuffer(block, np.uint8)
+            ends += int(np.count_nonzero((octets == ord("\n")) | (octets == ord("\r"))))
+    return ends
 
 
 def _check_header(path: Path, header: list[str] | None, kinds: Mapping[str, Kind],
@@ -384,11 +402,15 @@ def _undecodable(path: Path) -> tuple[int, str] | None:
     return None
 
 
-def _parse(lines: Iterator[str], kinds: Mapping[str, Kind]) -> dict[str, Any]:
+def _parse(lines: Iterator[str], kinds: Mapping[str, Kind], rows: int) -> dict[str, Any]:
+    """The columns of `lines`, at most `rows` rows: a list for an `object`
+    column, else an array. A row past `rows` raises ValueError."""
     memos = {name: _Memo(name, kind) for name, kind in kinds.items()}
     row = np.dtype([(name, kind.dtype if kind.dtype is np.float64 else object)
                     for name, kind in kinds.items()])
-    parts: dict[str, list[np.ndarray]] = {name: [] for name in kinds}
+    columns = {name: [] if kind.dtype is object else np.empty(rows, kind.dtype)
+               for name, kind in kinds.items()}
+    filled = 0
     count = _CHUNK
     while count == _CHUNK:
         with warnings.catch_warnings():
@@ -399,14 +421,21 @@ def _parse(lines: Iterator[str], kinds: Mapping[str, Kind]) -> dict[str, Any]:
                 max_rows=_CHUNK,
             )
         count = len(chunk)
+        if filled + count > rows:
+            raise ValueError(f"more than {rows} rows")
         for name, kind in kinds.items():
-            cells = chunk[name]
+            cells, column = chunk[name], columns[name]
             if kind.dtype is np.float64:
-                parts[name].append(cells.copy())  # a view would keep every str of the chunk alive
+                column[filled:filled + count] = cells
+                continue
+            values = map(memos[name].__getitem__, cells)
+            if kind.dtype is object:
+                column.extend(values)
             else:
-                values = map(memos[name].__getitem__, cells)
-                parts[name].append(np.fromiter(values, kind.dtype, count))
-    return {name: _column(kinds[name], parts[name]) for name in kinds}
+                column[filled:filled + count] = np.fromiter(values, kind.dtype, count)
+        filled += count
+    return {name: column if isinstance(column, list) else column[:filled]
+            for name, column in columns.items()}
 
 
 def _scan(path: Path, kinds: Mapping[str, Kind], dialect: Dialect) -> Table:
@@ -420,7 +449,7 @@ def _scan(path: Path, kinds: Mapping[str, Kind], dialect: Dialect) -> Table:
     columns: list[list] = [[] for _ in kinds]
     ends = array("q")
     fault = None
-    with path.open("r", encoding="utf-8", errors="surrogateescape", newline="") as fh:
+    with path.open("r", encoding="utf-8-sig", errors="surrogateescape", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if reader.line_num >= stop:
@@ -444,7 +473,7 @@ def _scan(path: Path, kinds: Mapping[str, Kind], dialect: Dialect) -> Table:
             ends.append(min(reader.line_num, stop))
     return Table(
         path, dialect,
-        {name: _column(kind, [np.fromiter(values, kind.dtype, len(values))])
+        {name: values if kind.dtype is object else np.fromiter(values, kind.dtype, len(values))
          for (name, kind), values in zip(kinds.items(), columns)},
         ends, fault,
     )
@@ -454,7 +483,7 @@ def _end_line(path: Path, row: int) -> tuple[int, str | None]:
     """The line that ends data row `row`, counted as `_scan` counts it, but
     keeping no cells; or the line and problem of a row up to it that
     `csv.reader` cannot read."""
-    with path.open("r", encoding="utf-8", newline="") as fh:
+    with path.open("r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         try:
             for _ in islice(filter(None, reader), row + 2):  # the header, then rows
@@ -482,11 +511,6 @@ class _Memo(dict):
         return value
 
 
-def _column(kind: Kind, parts: list[np.ndarray]) -> Any:
-    column = np.concatenate(parts)
-    return column.tolist() if kind.dtype is object else column
-
-
 def _input_error(path: Path, line: int | None, problem: str) -> ValidationError:
     return ValidationError(f"{path.name}:{line}: {problem}" if line else f"{path.name}: {problem}")
 
@@ -500,7 +524,7 @@ INPUT = Dialect(
 
 # ---------------------------------------------------------------------------
 # The CSV formatter. Every CSV file the package writes, each artifact and each
-# fixture input, is formatted by `format_table`, a column at a time.
+# fixture input, is formatted by `format_table`, a slice of rows at a time.
 # ---------------------------------------------------------------------------
 
 #: The characters that make a cell quoted: `csv.writer`'s minimal quoting,
@@ -508,8 +532,8 @@ INPUT = Dialect(
 #: leaves it bare, but `csv.reader` ends a record there).
 _QUOTED = ',"\n\r'
 _FLOATS = {float, np.float64}
-#: Rows `format_table` joins at a time, so that only a bounded slice of a
-#: file is held as one object per row.
+#: Rows `format_table` formats at a time, so that only a bounded slice of a
+#: file is held as one object per cell.
 _JOIN_ROWS = 1024
 
 
@@ -548,15 +572,19 @@ def format_table(header: Sequence[str], columns: Iterable[Sequence]) -> str:
     """A CSV file's text: the header, then a row per index of `columns`,
     which are lists, tuples or numpy arrays of one length. Strings get
     CSV-minimal quoting, floats `repr`, None and NaN an empty cell, anything
-    else `str`, so every value reads back exactly."""
-    cells = [_cells(column) for column in columns]
-    if len(cells) == 1:  # a lone empty cell is quoted, or its row would be blank
-        cells = [['""' if cell == "" else cell for cell in cells[0]]]
-    rows = zip(*cells)
-    pieces = [",".join(map(_quote, header))]
-    while chunk := list(islice(rows, _JOIN_ROWS)):
-        pieces.append("\n".join(map(",".join, chunk)))
-    return "\n".join(pieces) + "\n"
+    else `str`, so every value reads back exactly.
+
+    The cells of `_JOIN_ROWS` rows at a time are formatted and joined, so
+    besides the text it returns, only its pieces and one slice of cells
+    are held."""
+    columns = list(columns)
+    pieces = [",".join(map(_quote, header)) + "\n"]
+    for lo in range(0, len(columns[0]) if columns else 0, _JOIN_ROWS):
+        cells = [_cells(column[lo:lo + _JOIN_ROWS]) for column in columns]
+        if len(cells) == 1:  # a lone empty cell is quoted, or its row would be blank
+            cells = [['""' if cell == "" else cell for cell in cells[0]]]
+        pieces.append("\n".join(map(",".join, zip(*cells))) + "\n")
+    return "".join(pieces)
 
 
 # ---------------------------------------------------------------------------
@@ -571,12 +599,16 @@ def _split_cell(cell: str) -> tuple[str, ...]:
 _ISO_DAY = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
 
 
-def _day_ordinal(cell: str) -> int:
-    """`date.toordinal()` of a `YYYY-MM-DD` cell; ValueError on any other form."""
+#: `date.toordinal()` of 1970-01-01, day 0 of datetime64[D].
+_EPOCH_ORDINAL = date(1970, 1, 1).toordinal()
+
+
+def _epoch_day(cell: str) -> int:
+    """Days from 1970-01-01 to a `YYYY-MM-DD` cell; ValueError on any other form."""
     text = cell.strip()
     if not _ISO_DAY.fullmatch(text):
         raise ValueError(f"not a YYYY-MM-DD date: {cell!r}")
-    return date.fromisoformat(text).toordinal()
+    return date.fromisoformat(text).toordinal() - _EPOCH_ORDINAL
 
 
 def float_cell(cell: str) -> float:
@@ -627,32 +659,34 @@ def load_universe(path: str | Path) -> EntityUniverse:
     return universe
 
 
-#: `date.toordinal()` of 1970-01-01, day 0 of datetime64[D].
-_EPOCH_ORDINAL = date(1970, 1, 1).toordinal()
-_DAY = Kind(_day_ordinal, "bad date {cell!r}", np.int32)
+_DAY = Kind(_epoch_day, "bad date {cell!r}", np.int64)
 _CLOSE = Kind(float_cell, "bad price {cell!r}", np.float64)
 
 
 def _price_columns(path: Path) -> tuple[list[str], np.ndarray, np.ndarray, np.ndarray]:
-    """Tickers, and the code, date ordinal and close of every row, grouped
-    by ticker by one stable sort. The columns in file order are freed on
-    return, before the series are built: holding both raised the peak RSS
-    of loading a 203 000-row file by about 4.5 MB."""
+    """Tickers, and the code, day since 1970 and close of every row, grouped
+    by ticker. Each ticker is coded in the order it first appears, so the
+    codes of a file whose tickers are already grouped never decrease, and
+    its columns are returned as read. Only a file that interleaves tickers
+    is grouped by one stable sort, which copies the columns and frees those
+    in file order on return: holding both raised the peak RSS of loading a
+    203 000-row file by about 4.5 MB."""
     codes_of: dict[str, int] = {}  # ticker -> code
     ticker = Kind(lambda cell: codes_of.setdefault(cell.strip(), len(codes_of)), dtype=np.int32)
     table = read_table(path, dict(zip(PRICE_COLUMNS, (ticker, _DAY, _CLOSE))), INPUT)
     codes, days, closes = (table[name] for name in PRICE_COLUMNS)
     tickers = list(codes_of)
-    order = np.argsort(codes, kind="stable")
-    by_code, by_day = codes[order], days[order]
+    order = np.argsort(codes, kind="stable") if np.any(codes[1:] < codes[:-1]) else None
+    by_code, by_day = (codes, days) if order is None else (codes[order], days[order])
+    late = 1 + np.flatnonzero((by_code[1:] == by_code[:-1]) & (by_day[1:] <= by_day[:-1]))
     unordered = np.zeros(len(codes), dtype=bool)
-    unordered[order[1:][(by_code[1:] == by_code[:-1]) & (by_day[1:] <= by_day[:-1])]] = True
+    unordered[late if order is None else order[late]] = True
     table.raise_first(
         (~np.isfinite(closes), lambda r: f"bad price {float(closes[r])} for {tickers[codes[r]]}"),
         (closes <= 0, lambda r: f"non-positive price {float(closes[r])} for {tickers[codes[r]]}"),
         (unordered, lambda r: f"dates for {tickers[codes[r]]} not strictly increasing"),
     )
-    return tickers, by_code, by_day, closes[order]
+    return tickers, by_code, by_day, closes if order is None else closes[order]
 
 
 def load_prices(path: str | Path, universe: EntityUniverse | None = None) -> PriceTable:
@@ -662,18 +696,22 @@ def load_prices(path: str | Path, universe: EntityUniverse | None = None) -> Pri
     company with several share-class series the primary ticker's series wins.
     Missing companies are permitted (the backtest disqualifies them later).
 
-    Each ticker is coded to a small int as it is read; one stable sort then
-    groups the rows by ticker, and the price and date-order checks run over
-    whole columns. A malformed file raises ValidationError naming its first
-    faulty line.
+    Each ticker is coded to a small int as it is read, and the price and
+    date-order checks run over whole columns. A file grouped by ticker
+    needs no sort: each series is a view of the columns as read, whose
+    days since 1970 are viewed as dates, so the loader holds little more
+    than its result. An interleaved file is grouped by one stable sort
+    first. A malformed file raises ValidationError naming its first faulty
+    line.
     """
     path = Path(path)
     tickers, codes, days, closes = _price_columns(path)
-    dates = (days - _EPOCH_ORDINAL).astype("datetime64[D]")
-    starts = np.flatnonzero(np.diff(codes, prepend=-1))
-    ends = np.append(starts[1:], len(codes))
+    dates = days.view("datetime64[D]")
+    cuts = (np.flatnonzero(codes[1:] != codes[:-1]) + 1).tolist()
     per_ticker = {
-        tickers[codes[lo]]: (dates[lo:hi], closes[lo:hi]) for lo, hi in zip(starts, ends)
+        tickers[codes[lo]]: (dates[lo:hi], closes[lo:hi])
+        for lo, hi in zip([0, *cuts], [*cuts, len(codes)])
+        if lo < hi  # a file without rows has no series
     }
 
     chosen: dict[str, PriceSeries] = {}

@@ -1,6 +1,7 @@
 """Loaders, writers, and calendar-quarter bucketing."""
 
 import json
+import tracemalloc
 import warnings
 from datetime import date, datetime, timedelta, timezone
 
@@ -11,6 +12,7 @@ from newsrisk import corpus
 from newsrisk.corpus import (
     _CHUNK,
     INPUT,
+    PRICE_COLUMNS,
     Article,
     EntityRecord,
     EntityUniverse,
@@ -18,6 +20,8 @@ from newsrisk.corpus import (
     MarketCapTable,
     PriceSeries,
     PriceTable,
+    float_cell,
+    format_table,
     load_articles,
     load_marketcaps,
     load_prices,
@@ -307,6 +311,23 @@ def test_universe_reports_the_first_faulty_line(tmp_path, rows, message):
         load_universe(path)
 
 
+@pytest.mark.parametrize(
+    "rows, message",
+    [("ACME,Acme\n", ":4: expected 6 fields, got 2"), (",Cog,COG,NYSE,Cog,\n", ":4: empty canonical_id")],
+)
+def test_universe_with_a_byte_order_mark_loads(tmp_path, rows, message):
+    """Spreadsheets save "CSV UTF-8" with a byte-order mark. It is not part
+    of the first column's name, and a faulty line is counted as without it."""
+    plain, marked = tmp_path / "plain.csv", tmp_path / "universe.csv"
+    plain.write_text(UNIVERSE_CSV, encoding="utf-8")
+    marked.write_text(UNIVERSE_CSV, encoding="utf-8-sig")
+    assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+    assert load_universe(marked).records == load_universe(plain).records
+    marked.write_text(UNIVERSE_CSV + rows, encoding="utf-8-sig")
+    with pytest.raises(ValidationError, match=f"^universe.csv{message}$"):
+        load_universe(marked)
+
+
 def test_universe_ticker_claimed_twice():
     records = [
         EntityRecord("A", "Aco", "TICK", "NYSE", ("Aco",), ("TICK",)),
@@ -462,6 +483,24 @@ def test_prices_report_the_first_faulty_line(tmp_path, rows, message):
         load_prices(path)
 
 
+@pytest.mark.parametrize(
+    "rows, message",
+    [("X,2011-01-05\n", ":4: expected 3 fields, got 2"),
+     ("X,2011-01-05,0\n", ":4: non-positive price 0.0 for X")],
+)
+def test_prices_with_a_byte_order_mark_load(tmp_path, rows, message):
+    """A byte-order mark is not part of the `ticker` column's name, and a
+    faulty line is counted as without it."""
+    text = "ticker,date,adjusted_close\nX,2011-01-03,1.5\nX,2011-01-04,2\n"
+    plain, marked = tmp_path / "plain.csv", tmp_path / "prices.csv"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_text(text, encoding="utf-8-sig")
+    assert scalar_series(load_prices(marked).get("X")) == scalar_series(load_prices(plain).get("X"))
+    marked.write_text(text + rows, encoding="utf-8-sig")
+    with pytest.raises(ValidationError, match=f"^prices.csv{message}$"):
+        load_prices(marked)
+
+
 def test_a_cell_past_the_csv_field_limit_names_its_line(tmp_path):
     """numpy reads a cell longer than `csv.field_size_limit()`; when the file
     has a fault, the row-by-row scan that names it stops at that cell's line
@@ -545,6 +584,7 @@ def _assert_loads_like_the_row_loader(path, universe=None):
     "body, keys",
     [
         ("X,2011-01-03,1.5\r\nY,2011-01-03,2\r\n\r\nX,2011-01-04,1.75\r\n", ["X", "Y"]),
+        ("X,2011-01-03,1.5\rY,2011-01-03,2\r\rX,2011-01-04,1.75\r", ["X", "Y"]),
         ('"A,""B",2011-01-03,1.5\nX,2011-01-03,2\n"A,""B",2011-01-04,3\n', ['A,"B', "X"]),
         ("ABCDEFGHIJKLMNOPQRSTUVWXYZ,2011-01-03,1\n", ["ABCDEFGHIJKLMNOPQRSTUVWXYZ"]),
         ("#X,2011-01-03,1\n#X,2011-01-04,2\n", ["#X"]),
@@ -552,12 +592,94 @@ def _assert_loads_like_the_row_loader(path, universe=None):
         ("\n\n", []),
         (" Ünï ,2011-01-03 , 4.5 \n", ["Ünï"]),
     ],
-    ids=["crlf", "quoted", "long-ticker", "hash-ticker", "header-only", "blank-only", "loose"],
+    ids=[
+        "crlf", "cr-only", "quoted", "long-ticker", "hash-ticker", "header-only", "blank-only",
+        "loose",
+    ],
 )
 def test_prices_parse_cells_as_the_row_loader_does(tmp_path, body, keys):
     path = tmp_path / "prices.csv"
     path.write_bytes(("ticker,date,adjusted_close\n" + body).encode("utf-8"))
     assert list(_assert_loads_like_the_row_loader(path).series) == keys
+
+
+#: What follows the header of a good price file, for each way a row can end:
+#: a line feed, a lone carriage return, CR LF, line breaks inside quoted
+#: cells, or the end of the file.
+ROW_ENDS = {
+    "lone-cr": "\rX,2011-01-03,1.5\rY,2011-01-03,2\r\rX,2011-01-04,1.75\r",
+    "crlf": "\r\nX,2011-01-03,1.5\r\nY,2011-01-03,2\r\n\r\nX,2011-01-04,1.75\r\n",
+    "mixed": "\r\nX,2011-01-03,1.5\rX,2011-01-04,2\nX,2011-01-05,2\r\n",
+    "quoted-breaks": '\n"A\nB",2011-01-03,1.5\n"C\rD",2011-01-03,2\r\n"E\r\nF",2011-01-03,3\n'
+                     '"A\nB",2011-01-04,4\n',
+    "no-final-newline": "\nX,2011-01-03,1.5\nX,2011-01-04,2",
+    "one-row-no-newline": "\nX,2011-01-03,1.5",
+    "header-no-newline": "",
+    "blank-lines-only": "\n\r\n\r\n\n",
+}
+
+
+@pytest.mark.parametrize("chunk", [1, _CHUNK])
+@pytest.mark.parametrize("rest", ROW_ENDS.values(), ids=ROW_ENDS)
+def test_the_row_bound_keeps_good_files_on_the_fast_path(tmp_path, monkeypatch, rest, chunk):
+    """The columns are sized by a count of line feeds and carriage returns;
+    a file with more rows would be read again by the row scan. numpy reads
+    each of these files, and they load as the row-at-a-time loader loads
+    them."""
+    monkeypatch.setattr(corpus, "_CHUNK", chunk)
+    path = tmp_path / "prices.csv"
+    path.write_bytes(("ticker,date,adjusted_close" + rest).encode("utf-8"))
+    kinds = {"ticker": Kind(str.strip), "date": Kind(str.strip),
+             "adjusted_close": Kind(float_cell, dtype=np.float64)}
+    assert read_table(path, kinds, INPUT).ends is None
+    _assert_loads_like_the_row_loader(path)
+
+
+def _grouped_price_text(tickers, days):
+    closes = np.random.default_rng(3).lognormal(3.0, 1.0, len(tickers) * len(days))
+    rows = [ticker for ticker in tickers for _ in days]
+    return format_table(PRICE_COLUMNS, (rows, days * len(tickers), closes))
+
+
+def _traced_peak(call, *args):
+    """`call(*args)` and the peak bytes it allocated, as tracemalloc counts them."""
+    tracemalloc.start()
+    try:
+        result = call(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+def test_loading_grouped_prices_holds_little_more_than_the_series(tmp_path):
+    """A file grouped by ticker is read into columns sized once, and its
+    series are views of them, so loading it peaks at less than 1.7 times
+    the bytes of the series' arrays."""
+    start = np.datetime64("2011-01-03")
+    days = np.datetime_as_string(np.arange(start, start + 500)).tolist()
+    path = tmp_path / "prices.csv"
+    path.write_text(_grouped_price_text([f"T{i:03d}" for i in range(200)], days), encoding="utf-8")
+    prices, peak = _traced_peak(load_prices, path)
+    held = sum(s.dates.nbytes + s.closes.nbytes for s in prices.series.values())
+    assert held == 16 * 100_000
+    assert peak <= 1.7 * held, peak / held
+
+
+def test_formatting_a_table_holds_little_more_than_its_text():
+    """`format_table` formats a slice of rows at a time, so it peaks at less
+    than 2.5 times the text it returns."""
+    days = np.datetime_as_string(np.datetime64("2011-01-03") + np.arange(250)).tolist()
+    rng = np.random.default_rng(4)
+    n = 100_000
+    columns = (
+        [f"T{i:03d}" for i in rng.integers(0, 400, n)],
+        [days[i] for i in rng.integers(0, len(days), n)],
+        rng.lognormal(3.0, 1.0, n),
+    )
+    text, peak = _traced_peak(format_table, PRICE_COLUMNS, columns)
+    assert text.count("\n") == n + 1
+    assert peak <= 2.5 * len(text), peak / len(text)
 
 
 @pytest.mark.parametrize("rows", [2 * _CHUNK, 2 * _CHUNK + 5])
@@ -711,6 +833,23 @@ def test_marketcaps_validation(tmp_path):
         "canonical_id,quarter,market_cap_usd_billions\nA,2011Q1, 2e3 \n", encoding="utf-8"
     )
     assert load_marketcaps(path).get("A", Quarter(2011, 1)) == 2000.0
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [("B,2011T1,1\n", ":3: bad quarter label '2011T1', expected YYYYQN"),
+     ("B,2011Q1,-1\n", ":3: non-positive market cap -1.0 for B")],
+)
+def test_marketcaps_with_a_byte_order_mark_load(tmp_path, rows, message):
+    """A byte-order mark is not part of the `canonical_id` column's name,
+    and a faulty line is counted as without it."""
+    path = tmp_path / "marketcaps.csv"
+    text = "canonical_id,quarter,market_cap_usd_billions\nA,2011Q1,5\n"
+    path.write_text(text, encoding="utf-8-sig")
+    assert load_marketcaps(path).entries == {("A", Quarter(2011, 1)): 5.0}
+    path.write_text(text + rows, encoding="utf-8-sig")
+    with pytest.raises(ValidationError, match=f"^marketcaps.csv{message}$"):
+        load_marketcaps(path)
 
 
 @pytest.mark.parametrize(

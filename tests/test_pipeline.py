@@ -213,6 +213,33 @@ def staged_run(small_fixture_dir, tmp_path_factory):
     return cfg, artifacts
 
 
+def test_interleaved_prices_give_the_artifacts_of_grouped_ones(staged_run, tmp_path):
+    """A prices.csv whose tickers interleave, each in date order, is grouped
+    by a sort, not read as written: every artifact equals the grouped
+    file's, and a manifest differs only in the digest of prices.csv."""
+    cfg, artifacts = staged_run
+    header, *rows = Path(cfg.prices).read_text(encoding="utf-8").splitlines()
+    rows = [rows[i] for i in np.random.default_rng(17).permutation(len(rows))]
+    rows.sort(key=lambda row: row.split(",")[1])  # date-major: each ticker keeps its order
+    tickers = [row.split(",")[0] for row in rows]
+    assert sum(a != b for a, b in zip(tickers, tickers[1:])) > len(set(tickers))
+    prices = tmp_path / "prices.csv"
+    prices.write_text("\n".join([header, *rows]) + "\n", encoding="utf-8")
+    out = tmp_path / "out"
+    run_all(dataclasses.replace(cfg, prices=prices, output=out))
+    for path in artifacts:
+        written = (out / path.name).read_bytes()
+        if not path.name.endswith(".manifest.json"):
+            assert written == path.read_bytes(), path.name
+            continue
+        grouped, interleaved = json.loads(path.read_bytes()), json.loads(written)
+        entry = interleaved["inputs"].pop("prices.csv", None)
+        if entry is not None:
+            expected = grouped["inputs"].pop("prices.csv")
+            assert entry["rows"] == expected["rows"] and entry["sha256"] != expected["sha256"]
+        assert interleaved == grouped, path.name
+
+
 def test_parse_stage_artifacts(staged_run, small_fixture):
     cfg, _ = staged_run
     occ_path = cfg.output / "occurrences.csv"
