@@ -313,7 +313,8 @@ def test_universe_reports_the_first_faulty_line(tmp_path, rows, message):
 
 @pytest.mark.parametrize(
     "rows, message",
-    [("ACME,Acme\n", ":4: expected 6 fields, got 2"), (",Cog,COG,NYSE,Cog,\n", ":4: empty canonical_id")],
+    [("ACME,Acme\n", ":4: expected 6 fields, got 2"),
+     (",Cog,COG,NYSE,Cog,\n", ":4: empty canonical_id")],
 )
 def test_universe_with_a_byte_order_mark_loads(tmp_path, rows, message):
     """Spreadsheets save "CSV UTF-8" with a byte-order mark. It is not part
@@ -635,12 +636,6 @@ def test_the_row_bound_keeps_good_files_on_the_fast_path(tmp_path, monkeypatch, 
     _assert_loads_like_the_row_loader(path)
 
 
-def _grouped_price_text(tickers, days):
-    closes = np.random.default_rng(3).lognormal(3.0, 1.0, len(tickers) * len(days))
-    rows = [ticker for ticker in tickers for _ in days]
-    return format_table(PRICE_COLUMNS, (rows, days * len(tickers), closes))
-
-
 def _traced_peak(call, *args):
     """`call(*args)` and the peak bytes it allocated, as tracemalloc counts them."""
     tracemalloc.start()
@@ -656,10 +651,13 @@ def test_loading_grouped_prices_holds_little_more_than_the_series(tmp_path):
     """A file grouped by ticker is read into columns sized once, and its
     series are views of them, so loading it peaks at less than 1.7 times
     the bytes of the series' arrays."""
-    start = np.datetime64("2011-01-03")
-    days = np.datetime_as_string(np.arange(start, start + 500)).tolist()
+    days = np.datetime_as_string(np.datetime64("2011-01-03") + np.arange(500)).tolist()
+    tickers = [f"T{i:03d}" for i in range(200)]
+    closes = np.random.default_rng(3).lognormal(3.0, 1.0, len(tickers) * len(days))
+    rows = [ticker for ticker in tickers for _ in days]
     path = tmp_path / "prices.csv"
-    path.write_text(_grouped_price_text([f"T{i:03d}" for i in range(200)], days), encoding="utf-8")
+    path.write_text(format_table(PRICE_COLUMNS, (rows, days * len(tickers), closes)),
+                    encoding="utf-8")
     prices, peak = _traced_peak(load_prices, path)
     held = sum(s.dates.nbytes + s.closes.nbytes for s in prices.series.values())
     assert held == 16 * 100_000
