@@ -36,17 +36,21 @@ mode) and optionally divided by quarter-end market cap in USD billions
 ("normalized" mode — small companies with high news flow rank higher).
 Ranks are dense 1..n with 1 = highest score; ties break lexicographically
 by canonical_id so results never depend on iteration order.
+
+Scores, tables and ranks are arrays aligned with the network's sorted
+nodes, whose positions follow canonical_id order: a stable sort of the
+scores breaks their ties by id, and the average rank over quarters is a
+sum of integer ranks per id.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable
 
 import numpy as np
 
-from .corpus import MarketCapTable
 from .errors import ConditioningError
 from .networks import SmoothedNetwork
 from .quarters import Quarter
@@ -60,32 +64,33 @@ NORMALIZED = "normalized"
 CONDITION_CAP = 1e12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CentralityTable:
-    """Scores and ranks for one (quarter, polarity, mode)."""
+    """Scores and ranks for one (quarter, polarity, mode): `scores[i]` and
+    `ranks[i]` are those of company `ids[i]`, ids in canonical_id order."""
 
     quarter: Quarter
     polarity: str
     mode: str
-    scores: Mapping[str, float]
-    ranks: Mapping[str, int]
+    ids: np.ndarray
+    scores: np.ndarray
+    ranks: np.ndarray
 
 
-def information_centrality(network: SmoothedNetwork) -> dict[str, float]:
-    """Centrality per node of a smoothed complete network.
+def information_centrality(network: SmoothedNetwork) -> np.ndarray:
+    """Centrality of each node of a smoothed complete network, aligned with
+    `network.nodes`.
 
     Raises ConditioningError, naming the quarter and polarity, when the
     matrix is singular, its condition number exceeds the cap, or a
     denominator is not positive.
     """
-    nodes = network.nodes
-    n = len(nodes)
+    n = len(network.nodes)
     context = f"{network.quarter.label}/{network.polarity}"
-    if n == 0:
-        return {}
-    if n == 1:
-        log.warning("single-node network %s: centrality undefined, scoring 0", context)
-        return {nodes[0]: 0.0}
+    if n <= 1:
+        if n:
+            log.warning("single-node network %s: centrality undefined, scoring 0", context)
+        return np.zeros(n)
 
     edges, counts = network.edge_index, network.edge_counts
     w_max = network.alpha + (float(counts.max()) if len(counts) else 0.0)
@@ -135,8 +140,7 @@ def information_centrality(network: SmoothedNetwork) -> dict[str, float]:
     denom = n * diag + diag.sum() - 2.0 * row_sums
     if not np.all(np.isfinite(denom)) or np.any(denom <= 0):
         raise ConditioningError(f"{context}: non-positive centrality denominator")
-    scores = n / denom
-    return dict(zip(nodes, scores.tolist()))
+    return n / denom
 
 
 def _norm1_b(network: SmoothedNetwork, s_hat: np.ndarray, c0: float, w_max: float) -> float:
@@ -174,73 +178,42 @@ def _norm1_c(inv_d: np.ndarray, has_edge: np.ndarray, z: np.ndarray) -> float:
     return float(columns.max())
 
 
-def minmax_rescale(scores: Mapping[str, float]) -> dict[str, float]:
-    """Linear rescale to [0,1]; identical inputs collapse to 0 with a warning."""
-    if not scores:
-        return {}
-    values = scores.values()
-    lo, hi = min(values), max(values)
-    if hi == lo:
-        log.warning("degenerate rescale: all %d scores identical (%g)", len(scores), lo)
-        return {k: 0.0 for k in scores}
-    span = hi - lo
-    return {k: (v - lo) / span for k, v in scores.items()}
-
-
-def normalized_scores(
-    rescaled: Mapping[str, float], caps: MarketCapTable, quarter: Quarter
-) -> dict[str, float]:
-    """Rescaled score divided by quarter-end market cap (USD billions).
-
-    Companies lacking a cap that quarter are excluded, not scored as zero.
-    """
-    out: dict[str, float] = {}
-    missing = 0
-    for cid, score in rescaled.items():
-        cap = caps.get(cid, quarter)
-        if cap is None:
-            missing += 1
-            continue
-        out[cid] = score / cap
-    if missing:
-        log.info(
-            "normalization %s: excluded %d companies without market cap",
-            quarter.label,
-            missing,
-        )
-    return out
-
-
-def rank_scores(scores: Mapping[str, float]) -> dict[str, int]:
-    """Ranks 1..n, 1 = highest score, ties by canonical_id order."""
-    ordered = sorted(scores, key=lambda cid: (-scores[cid], cid))
-    return {cid: rank for rank, cid in enumerate(ordered, start=1)}
+def _ranks(scores: np.ndarray) -> np.ndarray:
+    """Ranks 1..n, 1 = highest score. A stable sort keeps tied scores, and
+    -0.0 against 0.0, in position order, which is canonical_id order."""
+    ranks = np.empty(len(scores), dtype=np.int64)
+    ranks[np.argsort(-scores, kind="stable")] = np.arange(1, len(scores) + 1)
+    return ranks
 
 
 def build_tables(
-    quarter: Quarter,
-    polarity: str,
-    raw: Mapping[str, float],
-    caps: MarketCapTable,
+    network: SmoothedNetwork, raw: np.ndarray, caps: np.ndarray
 ) -> tuple[CentralityTable, CentralityTable]:
-    """Absolute and normalized tables from raw centrality scores."""
-    rescaled = minmax_rescale(raw)
-    absolute = CentralityTable(
-        quarter=quarter,
-        polarity=polarity,
-        mode=ABSOLUTE,
-        scores=rescaled,
-        ranks=rank_scores(rescaled),
+    """Absolute and normalized tables from the raw scores of `network`'s
+    nodes; `caps[i]` is the quarter-end market cap of `nodes[i]` in USD
+    billions, NaN when there is none.
+
+    The absolute scores are min-max rescaled to [0,1]; identical inputs
+    collapse to 0 with a warning. The normalized scores divide them by the
+    cap, and companies lacking one are excluded, not scored as zero.
+    """
+    ids = np.array(network.nodes, dtype=object)
+    lo, hi = (raw.min(), raw.max()) if len(raw) else (0.0, 1.0)  # an empty table scales nothing
+    if hi == lo:
+        log.warning("degenerate rescale: all %d scores identical (%g)", len(raw), lo)
+        rescaled = np.zeros(len(raw))
+    else:
+        rescaled = (raw - lo) / (hi - lo)
+    held = ~np.isnan(caps)
+    if not held.all():
+        log.info("normalization %s: excluded %d companies without market cap",
+                 network.quarter.label, np.count_nonzero(~held))
+    normalized = rescaled[held] / caps[held]
+    quarter, polarity = network.quarter, network.polarity
+    return (
+        CentralityTable(quarter, polarity, ABSOLUTE, ids, rescaled, _ranks(rescaled)),
+        CentralityTable(quarter, polarity, NORMALIZED, ids[held], normalized, _ranks(normalized)),
     )
-    norm = normalized_scores(rescaled, caps, quarter)
-    normalized = CentralityTable(
-        quarter=quarter,
-        polarity=polarity,
-        mode=NORMALIZED,
-        scores=norm,
-        ranks=rank_scores(norm),
-    )
-    return absolute, normalized
 
 
 @dataclass(frozen=True)
@@ -253,14 +226,12 @@ class RankEntry:
 def average_rank(tables: Iterable[CentralityTable], top_k: int) -> list[RankEntry]:
     """Companies ordered by mean per-quarter rank (over quarters scored),
     ascending, truncated to top_k. Ties break by canonical_id."""
-    totals: dict[str, list[int]] = {}
-    for table in tables:
-        for cid, rank in table.ranks.items():
-            totals.setdefault(cid, []).append(rank)
-    entries = [
-        RankEntry(cid, sum(ranks) / len(ranks), len(ranks))
-        for cid, ranks in totals.items()
-    ]
-    entries.sort(key=lambda e: (e.average_rank, e.canonical_id))
-    return entries[:top_k]
-
+    tables = list(tables)
+    if not tables:
+        return []
+    ids, codes = np.unique(np.concatenate([t.ids for t in tables]), return_inverse=True)
+    counts = np.bincount(codes, minlength=len(ids))
+    means = np.bincount(codes, np.concatenate([t.ranks for t in tables]), len(ids)) / counts
+    # np.unique sorts the ids, so a stable sort breaks tied means by id
+    order = np.argsort(means, kind="stable")[:top_k].tolist()
+    return [RankEntry(ids[k], float(means[k]), int(counts[k])) for k in order]

@@ -203,7 +203,7 @@ def load_articles(
     """
     path = Path(path)
     try:
-        with path.open("r", encoding="utf-8") as fh:
+        with path.open("r", encoding="utf-8-sig") as fh:
             articles = _read_articles(path, fh, window)
     except UnicodeDecodeError:
         # The text layer decodes ahead of the line being read: read the lines
@@ -212,7 +212,7 @@ def load_articles(
         if undecodable is None:
             raise
         line, problem = undecodable
-        with path.open("r", encoding="utf-8", errors="surrogateescape") as fh:
+        with path.open("r", encoding="utf-8-sig", errors="surrogateescape") as fh:
             _read_articles(path, islice(fh, line - 1), window)
         raise _input_error(path, line, problem) from None
     articles.sort(key=lambda a: (a.published_at, a.id))
@@ -740,11 +740,15 @@ def load_marketcaps(path: str | Path) -> MarketCapTable:
     path = Path(path)
     table = read_table(path, _MARKETCAPS, INPUT)
     ids, quarters, caps = (table[name] for name in MARKETCAP_COLUMNS)
+    first: dict[tuple[str, Quarter], int] = {}  # the row each key first appears on
+    keys = list(zip(ids, quarters))
     table.raise_first(
         (~np.isfinite(caps), lambda r: f"non-finite market cap {float(caps[r])} for {ids[r]}"),
         (caps <= 0, lambda r: f"non-positive market cap {float(caps[r])} for {ids[r]}"),
+        ([first.setdefault(key, r) != r for r, key in enumerate(keys)],
+         lambda r: f"duplicate market cap for {ids[r]} {quarters[r]}"),
     )
-    marketcaps = MarketCapTable(dict(zip(zip(ids, quarters), caps.tolist())))
+    marketcaps = MarketCapTable(dict(zip(keys, caps.tolist())))
     log.info("loaded marketcaps file=%s entries=%d", path.name, len(marketcaps))
     return marketcaps
 

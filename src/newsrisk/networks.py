@@ -7,18 +7,23 @@ node set is always the full entity universe, so isolated companies are
 retained. Node weight S(i) counts articles mentioning i; edge weight w(i,j)
 counts articles mentioning both i and j.
 
+A network is held as arrays over its sorted node tuple: S for every node,
+and the position pairs and counts of the co-mentioned pairs, in sorted pair
+order. Positions follow canonical_id order, so every later stage that walks
+the arrays in order walks the ids in order.
+
 Smoothing adds a constant alpha to every unordered pair, producing a
 complete real-weighted graph (node weights untouched) so that downstream
 matrix computations are well-defined even for sparse quarters. The smoothed
-graph is held as alpha plus the sparse co-mention counts; nothing stores its
-n^2 pair weights.
+graph is held as alpha plus the sparse co-mention counts, over the same
+arrays; nothing stores its n^2 pair weights.
 """
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from itertools import combinations
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -26,36 +31,36 @@ from .entities import OccurrenceSet
 from .errors import ValidationError
 from .quarters import Quarter
 
-log = logging.getLogger(__name__)
-
 POSITIVE = "positive"
 NEGATIVE = "negative"
 MIXED = "mixed"
 NETWORK_KINDS = (POSITIVE, NEGATIVE, MIXED)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuarterNetwork:
-    """One polarity's co-occurrence network for one quarter.
+    """One polarity's co-occurrence network for one quarter, as arrays over
+    `nodes`, the whole universe in sorted order.
 
-    node_weights and edge_weights store only nonzero entries; `nodes` is the
-    full universe. Edge keys are lexicographically sorted id pairs.
+    `node_weights[i]` is S(nodes[i]), zero for a company no article names.
+    Row e of `edge_index` holds the positions (i < j) of a co-mentioned
+    pair, rows in sorted pair order, and `edge_weights[e]` its count w(i, j).
     """
 
     quarter: Quarter
     polarity: str
     nodes: tuple[str, ...]
-    node_weights: Mapping[str, int]
-    edge_weights: Mapping[tuple[str, str], int]
+    node_weights: np.ndarray
+    edge_index: np.ndarray
+    edge_weights: np.ndarray
     article_count: int
 
-    def weight(self, i: str) -> int:
-        return self.node_weights.get(i, 0)
-
     def adjacency(self) -> dict[str, dict[str, int]]:
-        """Positive-weight neighbor map (absent nodes are isolated)."""
+        """Positive-weight neighbor map (absent nodes are isolated), filled
+        in sorted pair order."""
         adj: dict[str, dict[str, int]] = {}
-        for (i, j), w in self.edge_weights.items():
+        for (a, b), w in zip(self.edge_index.tolist(), self.edge_weights.tolist()):
+            i, j = self.nodes[a], self.nodes[b]
             adj.setdefault(i, {})[j] = w
             adj.setdefault(j, {})[i] = w
         return adj
@@ -89,12 +94,15 @@ def build_networks(
     Every article increments S(i) for each company it mentions and w(i, j)
     for each unordered pair; single-company articles contribute node weight
     only. Articles mentioning nothing still count toward article totals.
+    Each polarity's mentions are counted by one `np.bincount`, and its pairs,
+    coded i * n + j, by one `np.unique`, which sorts them.
     """
     nodes = tuple(sorted(universe_ids))
-    node_set = set(nodes)
-    s: dict[str, dict[str, int]] = {k: {} for k in NETWORK_KINDS}
-    w: dict[str, dict[tuple[str, str], int]] = {k: {} for k in NETWORK_KINDS}
-    counts = {k: 0 for k in NETWORK_KINDS}
+    n = len(nodes)
+    position = {node: k for k, node in enumerate(nodes)}
+    mentions: dict[str, list[int]] = {k: [] for k in NETWORK_KINDS}
+    pairs: dict[str, list[int]] = {k: [] for k in NETWORK_KINDS}
+    counts = dict.fromkeys(NETWORK_KINDS, 0)
 
     for occ in occurrences:
         if occ.quarter != quarter:
@@ -105,51 +113,47 @@ def build_networks(
             raise ValidationError(
                 f"article {occ.article_id!r} has polarity {occ.polarity!r}"
             )
-        unknown = occ.companies - node_set
+        unknown = occ.companies.difference(position)
         if unknown:
             raise ValidationError(
                 f"article {occ.article_id!r} mentions companies outside the "
                 f"universe: {sorted(unknown)}"
             )
+        mentioned = sorted(position[c] for c in occ.companies)
+        codes = [i * n + j for i, j in combinations(mentioned, 2)]
         for kind in (occ.polarity, MIXED):
             counts[kind] += 1
-            mentioned = sorted(occ.companies)
-            for i in mentioned:
-                s[kind][i] = s[kind].get(i, 0) + 1
-            for a_idx in range(len(mentioned)):
-                for b_idx in range(a_idx + 1, len(mentioned)):
-                    key = (mentioned[a_idx], mentioned[b_idx])
-                    w[kind][key] = w[kind].get(key, 0) + 1
+            mentions[kind] += mentioned
+            pairs[kind] += codes
 
-    return {
-        kind: QuarterNetwork(
+    networks = {}
+    for kind in NETWORK_KINDS:
+        codes, weights = np.unique(np.array(pairs[kind], dtype=np.int64), return_counts=True)
+        networks[kind] = QuarterNetwork(
             quarter=quarter,
             polarity=kind,
             nodes=nodes,
-            node_weights=dict(sorted(s[kind].items())),
-            edge_weights=dict(sorted(w[kind].items())),
+            node_weights=np.bincount(np.array(mentions[kind], dtype=np.intp), minlength=n),
+            edge_index=np.stack(np.divmod(codes, n), axis=1),
+            edge_weights=weights,
             article_count=counts[kind],
         )
-        for kind in NETWORK_KINDS
-    }
+    return networks
 
 
 def smooth(network: QuarterNetwork, alpha: float) -> SmoothedNetwork:
-    """Additive smoothing over every unordered node pair."""
+    """Additive smoothing over every unordered node pair: alpha and the
+    weights as floats, over the network's own arrays."""
     if not alpha > 0:
         raise ValidationError(f"smoothing alpha must be positive, got {alpha}")
-    nodes = network.nodes
-    index = {node: i for i, node in enumerate(nodes)}
-    pairs = network.edge_weights
-    edge_index = np.array([(index[i], index[j]) for i, j in pairs], dtype=np.intp)
     return SmoothedNetwork(
         quarter=network.quarter,
         polarity=network.polarity,
-        nodes=nodes,
-        node_weights=np.array([float(network.weight(i)) for i in nodes]),
+        nodes=network.nodes,
+        node_weights=network.node_weights.astype(float),
         alpha=float(alpha),
-        edge_index=edge_index.reshape(len(pairs), 2),
-        edge_counts=np.array(list(pairs.values()), dtype=float),
+        edge_index=network.edge_index,
+        edge_counts=network.edge_weights.astype(float),
     )
 
 
@@ -157,16 +161,7 @@ def network_stats(network: QuarterNetwork) -> dict:
     """Degree summary over the full node set (isolated nodes included)."""
     n = len(network.nodes)
     n_edges = len(network.edge_weights)
-    degree: dict[str, int] = {}
-    for i, j in network.edge_weights:
-        degree[i] = degree.get(i, 0) + 1
-        degree[j] = degree.get(j, 0) + 1
-    if degree:
-        max_degree = max(degree.values())
-        max_degree_node = min(d for d in degree if degree[d] == max_degree)
-    else:
-        max_degree = 0
-        max_degree_node = None
+    degree = np.bincount(network.edge_index.ravel(), minlength=n)
     return {
         "quarter": network.quarter.label,
         "polarity": network.polarity,
@@ -174,6 +169,7 @@ def network_stats(network: QuarterNetwork) -> dict:
         "n_edges": n_edges,
         "article_count": network.article_count,
         "avg_edges_per_node": (2.0 * n_edges / n) if n else 0.0,
-        "max_degree": max_degree,
-        "max_degree_node": max_degree_node,
+        "max_degree": int(degree.max()) if n_edges else 0,
+        # argmax takes the first, and so the smallest id, of the largest degree
+        "max_degree_node": network.nodes[int(degree.argmax())] if n_edges else None,
     }

@@ -256,48 +256,52 @@ def _occurrence_columns(cfg: RunConfig, v: Values) -> tuple[list, ...]:
     )
 
 
-def _each_network(v: Values) -> Iterator[tuple[str, str, QuarterNetwork]]:
+def _each_network(v: Values) -> list[QuarterNetwork]:
     networks = v["networks"]
-    for quarter in sorted(networks):
-        for kind in NETWORK_KINDS:
-            yield quarter.label, kind, networks[quarter][kind]
+    return [networks[quarter][kind] for quarter in sorted(networks) for kind in NETWORK_KINDS]
 
 
-def _network_maps(v: Values, attr: str) -> tuple[list, list, list, list]:
-    """Quarter and polarity columns, then the keys and values of the mapping
-    `attr` of every network."""
-    nets = list(_each_network(v))
-    maps = [getattr(network, attr) for _, _, network in nets]
-    sizes = list(map(len, maps))
-    return (
-        _repeat([q for q, _, _ in nets], sizes),
-        _repeat([kind for _, kind, _ in nets], sizes),
-        list(chain.from_iterable(maps)),
-        list(chain.from_iterable(m.values() for m in maps)),
-    )
+def _concat(arrays: Sequence[np.ndarray]) -> Sequence:
+    return np.concatenate(arrays) if arrays else []
 
 
-def _edge_columns(cfg: RunConfig, v: Values) -> tuple[list, ...]:
-    quarters, kinds, pairs, weights = _network_maps(v, "edge_weights")
-    return quarters, kinds, [i for i, _ in pairs], [j for _, j in pairs], weights
+def _network_rows(v: Values, width: int, rows: Callable[[QuarterNetwork], tuple]) -> list:
+    """Quarter and polarity columns, then `width` id columns and a weight
+    column: `rows(network)` gives the node positions of its rows, one
+    column of them per id column, and their weights."""
+    nets = _each_network(v)
+    picked = [rows(network) for network in nets]
+    sizes = [len(weights) for _, weights in picked]
+    ids = [np.array(n.nodes, dtype=object)[positions] for n, (positions, _) in zip(nets, picked)]
+    return [
+        _repeat([network.quarter.label for network in nets], sizes),
+        _repeat([network.polarity for network in nets], sizes),
+        *(_concat([names[:, c] for names in ids]) for c in range(width)),
+        _concat([weights for _, weights in picked]),
+    ]
+
+
+def _held_nodes(network: QuarterNetwork) -> tuple[np.ndarray, np.ndarray]:
+    """The positions, as one column, and weights of the nodes an article names."""
+    held = np.flatnonzero(network.node_weights)
+    return held[:, None], network.node_weights[held]
 
 
 def _network_stat_columns(cfg: RunConfig, v: Values) -> list[list]:
-    stats = [network_stats(network) for _, _, network in _each_network(v)]
+    stats = [network_stats(network) for network in _each_network(v)]
     return [[s[column] for s in stats] for column in NETWORK_STATS.columns]
 
 
-def _centrality_columns(cfg: RunConfig, v: Values) -> tuple[list, ...]:
+def _centrality_columns(cfg: RunConfig, v: Values) -> tuple[Sequence, ...]:
     tables = v["tables"]
-    ids = [sorted(t.scores) for t in tables]
-    sizes = list(map(len, ids))
+    sizes = [len(t.ids) for t in tables]
     return (
         _repeat([t.quarter.label for t in tables], sizes),
         _repeat([t.polarity for t in tables], sizes),
         _repeat([t.mode for t in tables], sizes),
-        list(chain.from_iterable(ids)),
-        [t.scores[cid] for t, cids in zip(tables, ids) for cid in cids],
-        [t.ranks[cid] for t, cids in zip(tables, ids) for cid in cids],
+        _concat([t.ids for t in tables]),
+        _concat([t.scores for t in tables]),
+        _concat([t.ranks for t in tables]),
     )
 
 
@@ -312,21 +316,21 @@ def _average_rank_columns(cfg: RunConfig, v: Values) -> tuple[list, ...]:
     )
 
 
-def _series_columns(cfg: RunConfig, v: Values) -> tuple[list, ...]:
+def _series_columns(cfg: RunConfig, v: Values) -> tuple[Sequence, ...]:
     groups = []
     for mode in MODES:
         keep = {e.canonical_id for e in v["rank_lists"][(MIXED, mode)]}
         groups += [
-            (table, sorted(keep & set(table.scores)))
+            (table, np.array([cid in keep for cid in table.ids], dtype=bool))
             for table in v["tables"]
             if table.polarity == MIXED and table.mode == mode
         ]
-    sizes = [len(ids) for _, ids in groups]
+    sizes = [np.count_nonzero(kept) for _, kept in groups]
     return (
         _repeat([table.mode for table, _ in groups], sizes),
         _repeat([table.quarter.label for table, _ in groups], sizes),
-        list(chain.from_iterable(ids for _, ids in groups)),
-        [table.scores[cid] for table, ids in groups for cid in ids],
+        _concat([table.ids[kept] for table, kept in groups]),
+        _concat([table.scores[kept] for table, kept in groups]),
     )
 
 
@@ -448,12 +452,14 @@ OCCURRENCES = Artifact(
     "occurrences.csv", ("article_id", "quarter", "polarity", "companies"), _occurrence_columns
 )
 NETWORK_EDGES = Artifact(
-    "network_edges.csv", ("quarter", "polarity", "i", "j", "weight"), _edge_columns
+    "network_edges.csv",
+    ("quarter", "polarity", "i", "j", "weight"),
+    lambda cfg, v: _network_rows(v, 2, lambda n: (n.edge_index, n.edge_weights)),
 )
 NETWORK_NODES = Artifact(
     "network_nodes.csv",
     ("quarter", "polarity", "canonical_id", "s"),
-    lambda cfg, v: _network_maps(v, "node_weights"),
+    lambda cfg, v: _network_rows(v, 1, _held_nodes),
 )
 NETWORK_STATS = Artifact(
     "network_stats.csv",
@@ -599,29 +605,45 @@ def _decode_occurrences(cfg, v, table: Table) -> dict[Quarter, list[OccurrenceSe
 
 
 def _decode_networks(cfg, v, edges, nodes, stats) -> dict[Quarter, dict[str, QuarterNetwork]]:
-    """Networks over the universe in `v`, which every reading stage loads."""
+    """Networks over the universe in `v`, which every reading stage loads.
+    Each row's network and companies are looked up once; the edge rows are
+    then sorted by network and pair, and split into the networks."""
     universe_ids = tuple(sorted(v["universe"].ids()))
+    n = len(universe_ids)
+    position = {cid: k for k, cid in enumerate(universe_ids)}
+    slots: dict[tuple[Quarter, str], int] = {}
 
-    def keys(table: Table) -> Iterator[tuple[Quarter, str]]:
-        return zip(table["quarter"], table["polarity"])
+    def rows(table: Table, *columns: str) -> list[np.ndarray]:
+        """The network of each row, then the node position of each row's
+        cell of each column, which must name a company of the universe."""
+        keys = zip(table["quarter"], table["polarity"])
+        found = [np.array([slots.setdefault(key, len(slots)) for key in keys], dtype=np.intp)]
+        for column in columns:
+            ids = table[column]
+            found.append(np.array([position.get(cid, -1) for cid in ids], dtype=np.intp))
+            outside = found[-1] < 0
+            table.raise_first((outside, lambda r: f"has {column} {ids[r]!r} outside the universe"))
+        return found
 
-    article_counts = dict(zip(keys(stats), stats["article_count"].tolist()))
-    edge_maps: dict[tuple[Quarter, str], dict] = {k: {} for k in article_counts}
-    node_maps: dict[tuple[Quarter, str], dict] = {k: {} for k in article_counts}
-    for key, i, j, weight in zip(keys(edges), edges["i"], edges["j"], edges["weight"].tolist()):
-        edge_maps.setdefault(key, {})[(i, j)] = weight
-    for key, node, s in zip(keys(nodes), nodes["canonical_id"], nodes["s"].tolist()):
-        node_maps.setdefault(key, {})[node] = s
+    (stat_slots,), (edge_slots, i, j) = rows(stats), rows(edges, "i", "j")
+    node_slots, held = rows(nodes, "canonical_id")
+    node_weights = np.zeros((len(slots), n), dtype=np.int64)
+    node_weights[node_slots, held] = nodes["s"]
+    counts = dict(zip(stat_slots.tolist(), stats["article_count"].tolist()))
+    order = np.lexsort((i * n + j, edge_slots))
+    bounds = np.searchsorted(edge_slots[order], np.arange(len(slots) + 1))
 
     networks: dict[Quarter, dict[str, QuarterNetwork]] = {}
-    for (quarter, kind), edge_weights in edge_maps.items():
+    for (quarter, kind), k in slots.items():
+        cut = order[bounds[k]:bounds[k + 1]]
         networks.setdefault(quarter, {})[kind] = QuarterNetwork(
             quarter=quarter,
             polarity=kind,
             nodes=universe_ids,
-            node_weights=dict(sorted(node_maps.get((quarter, kind), {}).items())),
-            edge_weights=dict(sorted(edge_weights.items())),
-            article_count=article_counts.get((quarter, kind), 0),
+            node_weights=node_weights[k],
+            edge_index=np.stack((i[cut], j[cut]), axis=1),
+            edge_weights=edges["weight"][cut],
+            article_count=counts.get(k, 0),
         )
     return {q: networks[q] for q in sorted(networks)}
 
@@ -749,9 +771,11 @@ def _rank(cfg: RunConfig, v: Values) -> dict[str, Any]:
     and the top-k average-rank list for every (polarity, mode)."""
     tables: list[CentralityTable] = []
     for quarter, networks in sorted(v["networks"].items()):
+        nodes = networks[MIXED].nodes
+        caps = np.array([v["marketcaps"].get(cid, quarter) for cid in nodes], dtype=float)
         for kind in NETWORK_KINDS:
-            raw = information_centrality(smooth(networks[kind], cfg.alpha))
-            tables.extend(build_tables(quarter, kind, raw, v["marketcaps"]))
+            network = smooth(networks[kind], cfg.alpha)
+            tables.extend(build_tables(network, information_centrality(network), caps))
     rank_lists = {
         (polarity, mode): average_rank(
             [t for t in tables if t.polarity == polarity and t.mode == mode], cfg.top_k

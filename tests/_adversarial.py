@@ -158,7 +158,8 @@ _ID_FORMS = ("{},a", '{}"q', "{}\nline", " {}", "{} ", '"{}"', "{}\rcr", "{}")
 def adversarial_values(values: dict) -> dict:
     """A run's values with every canonical and article id respelled to need
     quoting (commas, quotes, line breaks, edge spaces), float cells drawn
-    from `ADVERSARIAL_FLOATS`, and integer cells as numpy int64 scalars.
+    from `ADVERSARIAL_FLOATS`, and integer cells as numpy int64 scalars
+    (the network weights and the ranks are int64 arrays already).
     Datapoint risk and outcomes stay, so the report encoders still compute;
     `selected` gains an empty id, the lone empty cell of its row."""
     floats = cycle(ADVERSARIAL_FLOATS)
@@ -211,25 +212,14 @@ def adversarial_values(values: dict) -> dict:
             for q, occs in values["occurrences"].items()
         },
         "networks": {
-            q: {
-                kind: scramble(
-                    n,
-                    nodes=tuple(map(respell, n.nodes)),
-                    node_weights={respell(c): np.int64(w) for c, w in n.node_weights.items()},
-                    edge_weights={
-                        (respell(i), respell(j)): np.int64(w)
-                        for (i, j), w in n.edge_weights.items()
-                    },
-                )
-                for kind, n in nets.items()
-            }
+            q: {kind: scramble(n, nodes=tuple(map(respell, n.nodes))) for kind, n in nets.items()}
             for q, nets in values["networks"].items()
         },
         "tables": [
             replace(
                 t,
-                scores={respell(c): next(floats) for c in t.scores},
-                ranks={respell(c): np.int64(r) for c, r in t.ranks.items()},
+                ids=np.array([respell(c) for c in t.ids], dtype=object),
+                scores=np.array([next(floats) for _ in t.ids], dtype=object),
             )
             for t in values["tables"]
         ],

@@ -7,9 +7,13 @@ builds: `dense_centrality` inverts it with numpy (fast enough for fixture
 networks), `centrality_oracle` with pure-Python Gauss-Jordan, and
 `exact_centrality` in rational arithmetic.
 
+The dict forms that the networks and the centrality tables had before they
+became arrays (`dict_networks`, `rank_scores`, `dict_tables`,
+`dict_average_rank`) are the references the array forms are checked against.
+
 A few helpers are views of package objects that only tests need, kept here so
-the package holds only what the pipeline runs: `edge`, `iter_matches`,
-`match_ids` and `range_report`.
+the package holds only what the pipeline runs: `edge`, `as_dicts`,
+`centrality_by_id`, `iter_matches`, `match_ids` and `range_report`.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ import math
 import re
 from fractions import Fraction
 from bisect import bisect_right
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from datetime import date, timedelta
 from itertools import combinations
 from pathlib import Path
@@ -41,7 +45,8 @@ from newsrisk.corpus import (
 )
 from newsrisk.entities import MatcherSet, OccurrenceSet, Scanner
 from newsrisk.errors import ValidationError
-from newsrisk.networks import build_networks, smooth
+from newsrisk.centrality import information_centrality
+from newsrisk.networks import QuarterNetwork, build_networks, smooth
 from newsrisk.pipeline import PIPELINE, RunConfig
 from newsrisk.quarters import Quarter, parse_quarter, quarter_of
 from newsrisk.riskrank import PlayerSet, RiskCalibration, RiskDatapoint
@@ -72,13 +77,6 @@ def invert_matrix(rows: list[list[float]]) -> list[list[float]]:
                 f = aug[r][col]
                 aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
     return [row[n:] for row in aug]
-
-
-def edge(network, i: str, j: str) -> int:
-    """The co-mention count of an unordered pair of a QuarterNetwork."""
-    if i == j:
-        raise ValidationError(f"self-edge requested for {i!r}")
-    return network.edge_weights.get((i, j) if i < j else (j, i), 0)
 
 
 def smoothed_weights(network) -> np.ndarray:
@@ -164,6 +162,144 @@ def exact_centrality(network) -> dict[str, Fraction]:
     c = [row[n:] for row in aug]
     trace = sum(c[i][i] for i in range(n))
     return {node: n / (n * c[i][i] + trace - 2 * sum(c[i])) for i, node in enumerate(nodes)}
+
+
+# ---------------------------------------------------------------------------
+# Dict references for the networks and the centrality tables
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class DictNetwork:
+    """A co-occurrence network as dicts: the nonzero node weights by id and
+    the edge weights by sorted id pair, each in sorted key order."""
+
+    quarter: Quarter
+    polarity: str
+    nodes: tuple[str, ...]
+    node_weights: dict[str, int]
+    edge_weights: dict[tuple[str, str], int]
+    article_count: int
+
+
+def dict_networks(
+    occurrences: Iterable[OccurrenceSet], quarter: Quarter, universe_ids: Sequence[str]
+) -> dict[str, DictNetwork]:
+    """The networks `build_networks` builds, counted in dicts one article
+    and one pair at a time, for well-formed occurrences."""
+    kinds = ("positive", "negative", "mixed")
+    s: dict[str, dict[str, int]] = {k: {} for k in kinds}
+    w: dict[str, dict[tuple[str, str], int]] = {k: {} for k in kinds}
+    counts = {k: 0 for k in kinds}
+    for occ in occurrences:
+        for kind in (occ.polarity, "mixed"):
+            counts[kind] += 1
+            mentioned = sorted(occ.companies)
+            for i in mentioned:
+                s[kind][i] = s[kind].get(i, 0) + 1
+            for key in combinations(mentioned, 2):
+                w[kind][key] = w[kind].get(key, 0) + 1
+    return {
+        kind: DictNetwork(
+            quarter, kind, tuple(sorted(universe_ids)), dict(sorted(s[kind].items())),
+            dict(sorted(w[kind].items())), counts[kind],
+        )
+        for kind in kinds
+    }
+
+
+def as_dicts(network: QuarterNetwork) -> DictNetwork:
+    """The dict form of an array network."""
+    nodes = network.nodes
+    weights = network.node_weights.tolist()
+    return DictNetwork(
+        network.quarter, network.polarity, nodes,
+        {node: s for node, s in zip(nodes, weights) if s},
+        {
+            (nodes[i], nodes[j]): count
+            for (i, j), count in zip(network.edge_index.tolist(), network.edge_weights.tolist())
+        },
+        network.article_count,
+    )
+
+
+def as_arrays(network: DictNetwork) -> QuarterNetwork:
+    """The array form of a dict network, for networks built by hand."""
+    position = {node: k for k, node in enumerate(network.nodes)}
+    pairs = sorted((position[i], position[j], w) for (i, j), w in network.edge_weights.items())
+    return QuarterNetwork(
+        network.quarter, network.polarity, network.nodes,
+        np.array([network.node_weights.get(node, 0) for node in network.nodes], dtype=np.int64),
+        np.array([(i, j) for i, j, _ in pairs], dtype=np.intp).reshape(-1, 2),
+        np.array([w for _, _, w in pairs], dtype=np.int64),
+        network.article_count,
+    )
+
+
+def network_fields(network: QuarterNetwork) -> tuple:
+    """Every field of an array network, each array as its dtype and values,
+    so that two networks compare by value."""
+    return tuple(
+        (value.dtype.str, value.tolist()) if isinstance(value, np.ndarray) else value
+        for value in (getattr(network, f.name) for f in fields(network))
+    )
+
+
+def dict_adjacency(network: DictNetwork) -> dict[str, dict[str, int]]:
+    """The neighbor map of a dict network, filled in its edge order."""
+    adj: dict[str, dict[str, int]] = {}
+    for (i, j), w in network.edge_weights.items():
+        adj.setdefault(i, {})[j] = w
+        adj.setdefault(j, {})[i] = w
+    return adj
+
+
+def edge(network: QuarterNetwork, i: str, j: str) -> int:
+    """The co-mention count of an unordered pair of a network."""
+    if i == j:
+        raise ValidationError(f"self-edge requested for {i!r}")
+    return as_dicts(network).edge_weights.get((i, j) if i < j else (j, i), 0)
+
+
+def centrality_by_id(network) -> dict[str, float]:
+    """`information_centrality` of a smoothed network, by node id."""
+    return dict(zip(network.nodes, information_centrality(network).tolist()))
+
+
+def rank_scores(scores: Mapping[str, float]) -> dict[str, int]:
+    """Ranks 1..n, 1 = highest score, ties by canonical_id order."""
+    ordered = sorted(scores, key=lambda cid: (-scores[cid], cid))
+    return {cid: rank for rank, cid in enumerate(ordered, start=1)}
+
+
+def dict_tables(
+    raw: Mapping[str, float], caps: Mapping[str, float]
+) -> tuple[tuple[dict, dict], tuple[dict, dict]]:
+    """The scores and ranks of the absolute and the normalized table over
+    dicts: min-max rescaled (all 0 when every score is equal), then divided
+    by each cap that `caps` holds."""
+    values = raw.values()
+    lo, hi = (min(values), max(values)) if raw else (0.0, 0.0)
+    rescaled = {k: (v - lo) / (hi - lo) if hi != lo else 0.0 for k, v in raw.items()}
+    normalized = {k: v / caps[k] for k, v in rescaled.items() if k in caps}
+    return (rescaled, rank_scores(rescaled)), (normalized, rank_scores(normalized))
+
+
+def table_dicts(table) -> tuple[dict[str, float], dict[str, int]]:
+    """The scores and ranks of a CentralityTable, by id."""
+    ids = table.ids.tolist()
+    return dict(zip(ids, table.scores.tolist())), dict(zip(ids, table.ranks.tolist()))
+
+
+def dict_average_rank(ranks: Iterable[Mapping[str, int]], top_k: int) -> list[tuple]:
+    """(id, mean rank, quarters scored) over rank dicts, ascending by mean
+    and then id, truncated to top_k."""
+    totals: dict[str, list[int]] = {}
+    for table in ranks:
+        for cid, rank in table.items():
+            totals.setdefault(cid, []).append(rank)
+    entries = [(cid, sum(r) / len(r), len(r)) for cid, r in totals.items()]
+    return sorted(entries, key=lambda e: (e[1], e[0]))[:top_k]
 
 
 # ---------------------------------------------------------------------------
@@ -576,9 +712,8 @@ def random_tied_occurrences(
     return nodes, occs
 
 
-def truth_networks(fixture, alpha: float = 0.1):
-    """Every smoothed (quarter, polarity) network of a fixture, built from
-    its planted mentions."""
+def truth_occurrences(fixture) -> dict[Quarter, list[OccurrenceSet]]:
+    """A fixture's planted mention sets, by quarter in order."""
     by_quarter: dict[Quarter, list[OccurrenceSet]] = {}
     for article in fixture.articles:
         quarter = quarter_of(article.published_at)
@@ -588,9 +723,15 @@ def truth_networks(fixture, alpha: float = 0.1):
                 frozenset(fixture.truth.mentions[article.id]),
             )
         )
+    return {q: by_quarter[q] for q in sorted(by_quarter)}
+
+
+def truth_networks(fixture, alpha: float = 0.1):
+    """Every smoothed (quarter, polarity) network of a fixture, built from
+    its planted mentions."""
     ids = [c.canonical_id for c in fixture.companies]
-    for quarter in sorted(by_quarter):
-        for network in build_networks(by_quarter[quarter], quarter, ids).values():
+    for quarter, occurrences in truth_occurrences(fixture).items():
+        for network in build_networks(occurrences, quarter, ids).values():
             yield smooth(network, alpha)
 
 

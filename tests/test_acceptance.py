@@ -24,7 +24,6 @@ from newsrisk.networks import (
     MIXED,
     NEGATIVE,
     POSITIVE,
-    QuarterNetwork,
     build_networks,
     smooth,
 )
@@ -34,6 +33,9 @@ from newsrisk.riskrank import RiskCalibration, build_players, riskrank_node
 
 from _adversarial import adversarial_negatives, adversarial_positives
 from _oracles import (
+    DictNetwork,
+    as_arrays,
+    centrality_by_id,
     centrality_denominators,
     centrality_oracle,
     choquet_integral,
@@ -50,14 +52,14 @@ CAL = RiskCalibration(lam=0.5, mu=0.5, theta=0.5)
 
 def uniform_network(nodes, edges, node_weight=2, edge_weight=1):
     nodes = tuple(sorted(nodes))
-    return QuarterNetwork(
+    return as_arrays(DictNetwork(
         quarter=Q,
         polarity=NEGATIVE,
         nodes=nodes,
         node_weights={n: node_weight for n in nodes},
         edge_weights={tuple(sorted(e)): edge_weight for e in edges},
         article_count=edge_weight * len(edges),
-    )
+    ))
 
 
 def anchored_occurrences(n_nodes, n_pair_articles, n_anchor_articles, seed):
@@ -89,7 +91,7 @@ def test_centrality_agrees_with_direct_inverse_oracle():
     started = time.perf_counter()
     for _ in range(200):
         network = random_anchored_network(rng)
-        got = information_centrality(network)
+        got = centrality_by_id(network)
         want = centrality_oracle(network)
         assert got.keys() == want.keys()
         for node in want:
@@ -121,7 +123,7 @@ def test_centrality_agrees_with_direct_inverse_oracle():
     petersen = smooth(uniform_network(p, petersen_edges, node_weight=3), alpha=1.0)
     spreads = []
     for network in (complete, cycle, petersen):
-        scores = information_centrality(network)
+        scores = centrality_by_id(network)
         spreads.append(max(scores.values()) - min(scores.values()))
         assert spreads[-1] <= 1e-9
 

@@ -3,6 +3,7 @@ rational oracles, plus rescaling, normalization, ranking, and
 rank-correlation units."""
 
 import tracemalloc
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -13,26 +14,29 @@ from newsrisk.centrality import (
     average_rank,
     build_tables,
     information_centrality,
-    minmax_rescale,
-    normalized_scores,
-    rank_scores,
 )
-from newsrisk.corpus import MarketCapTable
 from newsrisk.errors import ConditioningError
 from newsrisk.entities import OccurrenceSet
 from newsrisk.fixtures import FixtureSpec, generate_fixture
-from newsrisk.networks import NEGATIVE, QuarterNetwork, SmoothedNetwork, build_networks, smooth
+from newsrisk.networks import NEGATIVE, SmoothedNetwork, build_networks, smooth
 from newsrisk.quarters import Quarter
 
 from _oracles import (
+    DictNetwork,
+    as_arrays,
+    centrality_by_id,
     centrality_denominators,
     centrality_oracle,
     dense_centrality,
+    dict_average_rank,
+    dict_tables,
     exact_centrality,
     indefinite_network,
     kendall_tau,
     random_anchored_network,
+    rank_scores,
     random_tied_occurrences,
+    table_dicts,
     truth_networks,
 )
 
@@ -42,13 +46,32 @@ Q = Quarter(2012, 3)
 def uniform_network(nodes, edges, node_weight=2, edge_weight=1):
     """A hand-built single-polarity network with uniform weights."""
     nodes = tuple(sorted(nodes))
-    return QuarterNetwork(
+    return as_arrays(DictNetwork(
         quarter=Q,
         polarity=NEGATIVE,
         nodes=nodes,
         node_weights={n: node_weight for n in nodes},
         edge_weights={tuple(sorted(e)): edge_weight for e in edges},
         article_count=edge_weight * len(edges),
+    ))
+
+
+def raw_ranks(network, scores):
+    """The ranks `build_tables` gives raw scores, by id; its min-max rescale
+    is left out, so that scores one ulp apart keep their order."""
+    return dict(zip(network.nodes, centrality._ranks(np.array(list(scores.values()))).tolist()))
+
+
+def tables_of(raw, caps=None):
+    """The absolute and normalized tables of raw scores by id, through
+    `build_tables`, with the market caps by id in `caps`."""
+    nodes = tuple(sorted(raw))
+    network = SmoothedNetwork(Q, NEGATIVE, nodes, np.zeros(len(nodes)), 0.1, *NO_EDGES)
+    caps = caps or {}
+    return build_tables(
+        network,
+        np.array([raw[n] for n in nodes], dtype=float),
+        np.array([caps.get(n, np.nan) for n in nodes], dtype=float),
     )
 
 
@@ -61,7 +84,7 @@ def test_oracle_agreement_on_random_graphs():
     rng = np.random.default_rng(424242)
     for _ in range(40):
         network = random_anchored_network(rng)
-        got = information_centrality(network)
+        got = centrality_by_id(network)
         want = centrality_oracle(network)
         assert got.keys() == want.keys()
         for node in want:
@@ -73,7 +96,7 @@ def test_complete_graph_scores_are_uniform():
     edges = [(a, b) for i, a in enumerate(nodes) for b in nodes[i + 1 :]]
     for alpha, w in ((0.1, 3), (1.0, 1)):
         net = smooth(uniform_network(nodes, edges, node_weight=4, edge_weight=w), alpha)
-        scores = information_centrality(net)
+        scores = centrality_by_id(net)
         assert spread(scores) <= 1e-9
         oracle = centrality_oracle(net)
         for node in nodes:
@@ -84,7 +107,7 @@ def test_cycle_scores_are_uniform():
     nodes = [f"C{i}" for i in range(8)]
     edges = [(nodes[i], nodes[(i + 1) % 8]) for i in range(8)]
     net = smooth(uniform_network(nodes, edges), alpha=1.0)
-    scores = information_centrality(net)
+    scores = centrality_by_id(net)
     assert spread(scores) <= 1e-9
 
 
@@ -94,7 +117,7 @@ def test_petersen_scores_are_uniform():
     spokes = [(f"P{i}", f"P{i + 5}") for i in range(5)]
     nodes = [f"P{i}" for i in range(10)]
     net = smooth(uniform_network(nodes, outer + inner + spokes, node_weight=3), alpha=1.0)
-    scores = information_centrality(net)
+    scores = centrality_by_id(net)
     assert spread(scores) <= 1e-9
     oracle = centrality_oracle(net)
     for node in nodes:
@@ -103,8 +126,8 @@ def test_petersen_scores_are_uniform():
 
 def test_path_middle_node_scores_highest():
     net = uniform_network(["a", "b", "c"], [("a", "b"), ("b", "c")])
-    object.__setattr__(net, "node_weights", {"a": 1, "b": 2, "c": 1})
-    scores = information_centrality(smooth(net, alpha=1.0))
+    object.__setattr__(net, "node_weights", np.array([1, 2, 1]))
+    scores = centrality_by_id(smooth(net, alpha=1.0))
     assert scores["a"] == pytest.approx(scores["c"], abs=1e-12)
     assert scores["b"] > scores["a"]
 
@@ -132,9 +155,9 @@ NO_EDGES = (np.zeros((0, 2), dtype=np.intp), np.zeros(0))
 
 def test_degenerate_sizes():
     empty = SmoothedNetwork(Q, NEGATIVE, (), np.zeros(0), 0.1, *NO_EDGES)
-    assert information_centrality(empty) == {}
+    assert information_centrality(empty).tolist() == []
     single = SmoothedNetwork(Q, NEGATIVE, ("solo",), np.ones(1), 0.1, *NO_EDGES)
-    assert information_centrality(single) == {"solo": 0.0}
+    assert information_centrality(single).tolist() == [0.0]
 
 
 def test_zero_weight_matrix_is_rejected():
@@ -161,7 +184,7 @@ REFERENCE_SPECS = (
 def test_fixture_networks_match_the_dense_inverse(spec, monkeypatch):
     for network in truth_networks(generate_fixture(spec)):
         want, condition = dense_centrality(network)
-        got = information_centrality(network)
+        got = centrality_by_id(network)
         assert got.keys() == want.keys()
         for node in want:
             assert got[node] == pytest.approx(want[node], rel=1e-10, abs=0)
@@ -205,7 +228,7 @@ def _assert_exact_order(network, got, exact):
     exchangeable companies bit-equal and ordered by canonical_id."""
     for node, value in exact.items():
         assert got[node] == pytest.approx(float(value), rel=1e-12, abs=0)
-    ranks = rank_scores(got)
+    ranks = raw_ranks(network, got)
     classes, with_edge = _tie_classes(network, exact)
     for a in exact:
         for b in exact:
@@ -225,7 +248,7 @@ def test_rational_oracle_on_tied_networks():
         network = smooth(build_networks(occurrences, Q, nodes)[NEGATIVE], alpha=0.1)
         assert len(network.nodes) <= 20
         exact = exact_centrality(network)
-        _assert_exact_order(network, information_centrality(network), exact)
+        _assert_exact_order(network, centrality_by_id(network), exact)
         tied += len(exact) - len(set(exact.values()))
     assert tied > 30  # the generator produces ties worth checking
 
@@ -244,9 +267,9 @@ def test_relabeling_permutes_ranks_and_keeps_tie_breaks_by_id():
         for names, occs in ((nodes, occurrences), (list(rename.values()), relabeled)):
             network = smooth(build_networks(occs, Q, names)[NEGATIVE], alpha=0.1)
             exact = exact_centrality(network)
-            got = information_centrality(network)
+            got = centrality_by_id(network)
             _assert_exact_order(network, got, exact)
-            runs.append((network, exact, rank_scores(got)))
+            runs.append((network, exact, raw_ranks(network, got)))
         (network, exact, before), (_, _, after) = runs
         classes, _ = _tie_classes(network, exact)
         for members in classes:
@@ -276,22 +299,22 @@ def test_solving_a_wide_sparse_network_builds_no_dense_matrix():
 
 
 def test_minmax_rescale():
-    scores = {"a": 2.0, "b": 4.0, "c": 3.0}
-    rescaled = minmax_rescale(scores)
-    assert rescaled == {"a": 0.0, "b": 1.0, "c": 0.5}
-    assert minmax_rescale({}) == {}
-    assert minmax_rescale({"a": 5.0, "b": 5.0}) == {"a": 0.0, "b": 0.0}
+    absolute, _ = tables_of({"a": 2.0, "b": 4.0, "c": 3.0})
+    assert table_dicts(absolute)[0] == {"a": 0.0, "b": 1.0, "c": 0.5}
+    assert table_dicts(tables_of({})[0])[0] == {}
+    assert table_dicts(tables_of({"a": 5.0, "b": 5.0})[0])[0] == {"a": 0.0, "b": 0.0}
 
 
 def test_normalized_scores_skip_missing_caps():
-    caps = MarketCapTable({("a", Q): 2.0, ("b", Q): 0.5})
-    out = normalized_scores({"a": 1.0, "b": 1.0, "c": 1.0}, caps, Q)
+    _, normalized = tables_of({"a": 1.0, "b": 1.0, "c": 0.0}, {"a": 2.0, "b": 0.5})
+    out, _ = table_dicts(normalized)
     assert out == {"a": 0.5, "b": 2.0}
     assert "c" not in out
 
 
 def test_rank_scores_break_ties_by_id():
-    ranks = rank_scores({"zed": 0.9, "amy": 0.9, "bob": 1.0, "cat": 0.1})
+    absolute, _ = tables_of({"zed": 0.9, "amy": 0.9, "bob": 1.0, "cat": 0.1})
+    _, ranks = table_dicts(absolute)
     assert ranks == {"bob": 1, "amy": 2, "zed": 3, "cat": 4}
 
 
@@ -299,22 +322,80 @@ def test_ranks_ignore_monotone_transforms():
     rng = np.random.default_rng(99)
     scores = {f"n{i}": float(v) for i, v in enumerate(rng.uniform(0.1, 5.0, size=30))}
     transformed = {k: np.log(v) * 3 + 1 for k, v in scores.items()}
-    assert rank_scores(scores) == rank_scores(transformed)
+    assert table_dicts(tables_of(scores)[0])[1] == table_dicts(tables_of(transformed)[0])[1]
 
 
 def test_build_tables_modes():
-    caps = MarketCapTable({("a", Q): 1.0, ("b", Q): 50.0})
-    absolute, normalized = build_tables(Q, NEGATIVE, {"a": 1.0, "b": 3.0, "c": 2.0}, caps)
+    absolute, normalized = tables_of({"a": 1.0, "b": 3.0, "c": 2.0}, {"a": 1.0, "b": 50.0})
     assert absolute.mode == "absolute"
-    assert absolute.scores == {"a": 0.0, "b": 1.0, "c": 0.5}
-    assert absolute.ranks == {"b": 1, "c": 2, "a": 3}
+    assert table_dicts(absolute) == ({"a": 0.0, "b": 1.0, "c": 0.5}, {"b": 1, "c": 2, "a": 3})
     # b has the top absolute score but a tiny cap flips the normalized order
-    assert normalized.scores == {"a": 0.0, "b": 0.02}
-    assert normalized.ranks == {"b": 1, "a": 2}
+    assert table_dicts(normalized) == ({"a": 0.0, "b": 0.02}, {"b": 1, "a": 2})
+
+
+TABLE_CASES = {
+    "equal scores": (
+        {"d": 2.0, "b": 2.0, "c": 1.0, "a": 2.0, "e": 3.0}, dict.fromkeys("abcde", 1.0)
+    ),
+    "zero signs": (
+        {"a": 0.0, "b": -0.0, "c": 1.0, "d": -0.0, "e": 0.0},
+        {"a": 2.0, "b": 1.0, "d": 4.0, "e": 0.5},
+    ),
+    "all equal": ({"b": 0.7, "a": 0.7, "c": 0.7}, {"a": 1.0, "c": 3.0}),
+    "no cap": ({"a": 3.0, "b": 1.0, "c": 2.0, "d": 2.0}, {"a": 3.0, "c": 0.5, "d": 2.0}),
+    "no caps at all": ({"b": 3.0, "a": 1.0}, {}),
+    "single": ({"solo": 0.0}, {"solo": 1.0}),
+    "empty": ({}, {}),
+}
+
+
+@pytest.mark.parametrize("raw, caps", TABLE_CASES.values(), ids=TABLE_CASES.keys())
+def test_tables_match_the_dict_reference(raw, caps):
+    """Both tables hold the dict reference's scores and ranks, ids in
+    order, in arrays of the declared dtypes."""
+    for table, (scores, ranks) in zip(tables_of(raw, caps), dict_tables(raw, caps)):
+        assert table.ids.tolist() == sorted(scores)
+        assert table_dicts(table) == (scores, ranks)
+        assert table.scores.dtype == np.float64 and table.ranks.dtype == np.int64
+
+
+def test_negative_zero_ties_with_zero():
+    """-0.0 and 0.0 are one score, so their tie breaks by position (id), as
+    `sorted` breaks it."""
+    scores = dict(zip("abcde", (0.0, -0.0, 1.0, -0.0, 0.0)))
+    ranks = centrality._ranks(np.array(list(scores.values())))
+    assert ranks.tolist() == [2, 3, 1, 4, 5]
+    assert dict(zip(scores, ranks.tolist())) == rank_scores(scores)
+
+
+def test_fixture_tables_match_the_dict_reference(planted_fixture):
+    """Every table of every network of a fixture, and the average ranks of
+    each (polarity, mode), equal their dict references exactly."""
+    caps = {}
+    for (cid, label), cap in planted_fixture.marketcaps.items():
+        caps.setdefault(label, {})[cid] = cap
+    tables = []
+    for network in truth_networks(planted_fixture):
+        raw = information_centrality(network)
+        quarter_caps = caps.get(network.quarter.label, {})
+        caps_array = np.array([quarter_caps.get(n, np.nan) for n in network.nodes])
+        pair = build_tables(network, raw, caps_array)
+        reference = dict_tables(dict(zip(network.nodes, raw.tolist())), quarter_caps)
+        assert [table_dicts(t) for t in pair] == list(reference)
+        tables += pair
+    assert any(len(t.ids) < len(planted_fixture.companies) for t in tables)  # a missing cap
+    for polarity in ("positive", "negative", "mixed"):
+        for mode in ("absolute", "normalized"):
+            group = [t for t in tables if t.polarity == polarity and t.mode == mode]
+            got = [astuple(e) for e in average_rank(group, top_k=30)]
+            assert got == dict_average_rank([table_dicts(t)[1] for t in group], 30)
 
 
 def _table(quarter_index, ranks):
-    return CentralityTable(Quarter(2012, quarter_index), NEGATIVE, "absolute", {}, ranks)
+    return CentralityTable(
+        Quarter(2012, quarter_index), NEGATIVE, "absolute", np.array(list(ranks), dtype=object),
+        np.zeros(len(ranks)), np.array(list(ranks.values()), dtype=np.int64),
+    )
 
 
 def test_average_rank_ordering_and_truncation():
@@ -364,7 +445,10 @@ def test_smoothing_level_barely_moves_fixture_ranks(planted_fixture):
         for t in rank.compute(replace(light.config, alpha=1.0), light.values)["tables"]
     }
     taus = [
-        kendall_tau(table.ranks, heavy[table.quarter, table.polarity, table.mode].ranks)
+        kendall_tau(
+            table_dicts(table)[1],
+            table_dicts(heavy[table.quarter, table.polarity, table.mode])[1],
+        )
         for table in light.tables
         if table.mode == "absolute"
     ]

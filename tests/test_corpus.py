@@ -221,6 +221,26 @@ def test_articles_duplicate_id(tmp_path):
         load_articles(path)
 
 
+def test_articles_with_a_byte_order_mark_load(tmp_path):
+    """A byte-order mark before the first record is skipped, and lines are
+    counted as without it, also the line of a byte that is not UTF-8."""
+    plain, marked = tmp_path / "plain.jsonl", tmp_path / "articles.jsonl"
+    write_articles(
+        plain, [art(1, "2011-02-01T09:30:00+00:00"), art(2, "2011-02-02T09:30:00+00:00")]
+    )
+    bom = "\ufeff".encode("utf-8")
+    marked.write_bytes(bom + plain.read_bytes())
+    assert load_articles(marked) == load_articles(plain)
+    marked.write_bytes(bom + plain.read_bytes() + b"{broken\n")
+    with pytest.raises(ValidationError, match=r"^articles\.jsonl:3: malformed record"):
+        load_articles(marked)
+    marked.write_bytes(bom + plain.read_bytes() + b'{"id": "\xff"}\n')
+    with pytest.raises(
+        ValidationError, match=r"^articles\.jsonl:3: has byte 0xff, which is not UTF-8"
+    ):
+        load_articles(marked)
+
+
 def test_articles_by_quarter_groups_sorted():
     arts = [
         art(1, "2011-05-01T09:00:00+00:00"),
@@ -831,6 +851,22 @@ def test_marketcaps_validation(tmp_path):
         "canonical_id,quarter,market_cap_usd_billions\nA,2011Q1, 2e3 \n", encoding="utf-8"
     )
     assert load_marketcaps(path).get("A", Quarter(2011, 1)) == 2000.0
+
+
+def test_marketcaps_reject_a_repeated_company_quarter(tmp_path):
+    """A second cap for one company and quarter is refused at its own line,
+    also when spaces around its cells differ."""
+    path = tmp_path / "marketcaps.csv"
+    header = "canonical_id,quarter,market_cap_usd_billions\n"
+    rows = "C0000,2011Q1,236.1\nC0001,2011Q1,5\nC0000,2011Q2,7\n"
+    path.write_text(header + rows, encoding="utf-8")
+    assert len(load_marketcaps(path)) == 3
+    for repeated in ("C0000,2011Q1,999.0\n", " C0000 , 2011Q1 ,236.1\n"):
+        path.write_text(header + rows + repeated, encoding="utf-8")
+        with pytest.raises(
+            ValidationError, match=r"^marketcaps\.csv:5: duplicate market cap for C0000 2011Q1$"
+        ):
+            load_marketcaps(path)
 
 
 @pytest.mark.parametrize(

@@ -5,6 +5,7 @@ import pytest
 
 from newsrisk.entities import OccurrenceSet
 from newsrisk.errors import ValidationError
+from newsrisk.fixtures import FixtureSpec, generate_fixture
 from newsrisk.networks import (
     MIXED,
     NEGATIVE,
@@ -15,7 +16,15 @@ from newsrisk.networks import (
 )
 from newsrisk.quarters import Quarter
 
-from _oracles import edge, smoothed_weights
+from _oracles import (
+    as_dicts,
+    dict_adjacency,
+    dict_networks,
+    edge,
+    network_fields,
+    smoothed_weights,
+    truth_occurrences,
+)
 
 Q = Quarter(2012, 3)
 UNIVERSE = ("AAA", "BBB", "CCC", "DDD")
@@ -39,7 +48,7 @@ def nets():
 
 
 def test_hand_computed_weights(nets):
-    pos = nets[POSITIVE]
+    pos = as_dicts(nets[POSITIVE])
     assert pos.node_weights == {"AAA": 2, "BBB": 2, "CCC": 2}
     assert pos.edge_weights == {
         ("AAA", "BBB"): 2,
@@ -47,8 +56,12 @@ def test_hand_computed_weights(nets):
         ("BBB", "CCC"): 1,
     }
     assert pos.article_count == 4
+    # the arrays: S of every node, and the position pairs in sorted order
+    assert nets[POSITIVE].node_weights.tolist() == [2, 2, 2, 0]
+    assert nets[POSITIVE].edge_index.tolist() == [[0, 1], [0, 2], [1, 2]]
+    assert nets[POSITIVE].edge_weights.tolist() == [2, 1, 1]
 
-    neg = nets[NEGATIVE]
+    neg = as_dicts(nets[NEGATIVE])
     assert neg.node_weights == {"AAA": 1, "BBB": 1, "CCC": 1}
     assert neg.edge_weights == {("AAA", "CCC"): 1}
     assert neg.article_count == 2
@@ -56,10 +69,9 @@ def test_hand_computed_weights(nets):
 
 def test_mixed_is_positive_plus_negative(nets):
     pos, neg, mix = nets[POSITIVE], nets[NEGATIVE], nets[MIXED]
-    for node in UNIVERSE:
-        assert mix.weight(node) == pos.weight(node) + neg.weight(node)
-    pairs = set(pos.edge_weights) | set(neg.edge_weights)
-    assert set(mix.edge_weights) == pairs
+    assert mix.node_weights.tolist() == (pos.node_weights + neg.node_weights).tolist()
+    pairs = set(as_dicts(pos).edge_weights) | set(as_dicts(neg).edge_weights)
+    assert set(as_dicts(mix).edge_weights) == pairs
     for i, j in pairs:
         assert edge(mix, i, j) == edge(pos, i, j) + edge(neg, i, j)
     assert mix.article_count == pos.article_count + neg.article_count
@@ -68,7 +80,7 @@ def test_mixed_is_positive_plus_negative(nets):
 def test_nodes_cover_full_universe(nets):
     for net in nets.values():
         assert net.nodes == tuple(sorted(UNIVERSE))
-        assert net.weight("DDD") == 0
+        assert net.node_weights[net.nodes.index("DDD")] == 0
         assert edge(net, "DDD", "AAA") == 0
 
 
@@ -88,7 +100,7 @@ def test_input_order_does_not_matter():
     forward = build_networks(occurrences, Q, UNIVERSE)
     backward = build_networks(list(reversed(occurrences)), Q, UNIVERSE)
     for kind in (POSITIVE, NEGATIVE, MIXED):
-        assert forward[kind] == backward[kind]
+        assert network_fields(forward[kind]) == network_fields(backward[kind])
 
 
 def test_adjacency_map(nets):
@@ -163,3 +175,30 @@ def test_stats_with_no_edges():
     assert stats["max_degree"] == 0
     assert stats["max_degree_node"] is None
     assert stats["avg_edges_per_node"] == 0.0
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_array_networks_match_the_dict_reference(seed):
+    """On fixtures whose articles name up to four companies, every network
+    holds the counts of the dict reference, its arrays have the declared
+    dtypes, and its neighbor map is filled in the reference's order."""
+    fixture = generate_fixture(
+        FixtureSpec(seed=seed, mention_count_weights=(0.6, 0.25, 0.1, 0.05))
+    )
+    ids = [c.canonical_id for c in fixture.companies]
+    wide = 0
+    for quarter, occurrences in truth_occurrences(fixture).items():
+        wide += sum(len(o.companies) >= 3 for o in occurrences)
+        reference = dict_networks(occurrences, quarter, ids)
+        for kind, network in build_networks(occurrences, quarter, ids).items():
+            assert as_dicts(network) == reference[kind]
+            assert network.node_weights.dtype == np.int64
+            assert network.edge_index.dtype == np.intp
+            assert network.edge_index.shape == (len(network.edge_weights), 2)
+            assert network.edge_weights.dtype == np.int64
+            want = dict_adjacency(reference[kind])
+            got = network.adjacency()
+            assert [(i, list(n.items())) for i, n in got.items()] == [
+                (i, list(n.items())) for i, n in want.items()
+            ]
+    assert wide > 50

@@ -32,8 +32,10 @@ from newsrisk.pipeline import (
     run_all,
     run_study,
 )
-from newsrisk.quarters import Quarter, quarter_range
+from newsrisk.quarters import Quarter, parse_quarter, quarter_range
 from newsrisk.riskrank import RiskCalibration
+
+from _oracles import network_fields
 
 
 BASE_MAPPING = {
@@ -301,7 +303,31 @@ def test_network_artifacts_roundtrip(staged_run, small_fixture_dir):
     values = {"universe": universe, "occurrences": read_handoff(cfg, "occurrences", {})}
     recomputed = PIPELINE[STAGE_ORDER.index("networks")].compute(cfg, values)["networks"]
     loaded = read_handoff(cfg, "networks", values)
-    assert loaded == recomputed
+
+    def by_field(networks):
+        return {q: {k: network_fields(n) for k, n in nets.items()} for q, nets in networks.items()}
+
+    assert by_field(loaded) == by_field(recomputed)
+
+
+@pytest.mark.parametrize(
+    "quarters", ["2011Q1..2011Q3", "2011Q2..2011Q2", "2020Q1..2020Q2"],
+    ids=["window", "one-quarter", "empty"],
+)
+def test_stage_commands_write_the_bytes_run_writes(small_fixture_dir, tmp_path, quarters):
+    """The six stage commands, run one by one, decode every handoff from the
+    artifacts and write each artifact and manifest byte for byte as `run`."""
+    first, last = quarters.split("..")
+    window = dict(first_quarter=parse_quarter(first), last_quarter=parse_quarter(last))
+    run_all(make_config(small_fixture_dir, tmp_path / "run", **window))
+    for stage in STAGE_ORDER:
+        STAGES[stage](make_config(small_fixture_dir, tmp_path / "staged", **window))
+    run = {p.name: p.read_bytes() for p in (tmp_path / "run").iterdir()}
+    staged = {p.name: p.read_bytes() for p in (tmp_path / "staged").iterdir()}
+    assert len(run) == 25
+    assert run.keys() == staged.keys()
+    for name in run:
+        assert staged[name] == run[name], name
 
 
 def test_rerun_is_byte_identical(staged_run):
@@ -827,6 +853,28 @@ def test_a_broken_event_row_is_rejected(copied_run, fault, message):
     with pytest.raises(DependencyError, match=r"^decline_events\.csv " + message) as caught:
         read_handoff(copied_run, "study", {})
     assert str(caught.value).endswith("re-run the 'backtest' command")
+
+
+@pytest.mark.parametrize(
+    "artifact, column", [("network_edges.csv", "j"), ("network_nodes.csv", "canonical_id")]
+)
+def test_a_network_row_naming_a_company_outside_the_universe_is_rejected(
+    copied_run, artifact, column
+):
+    from newsrisk.corpus import load_universe
+
+    path = copied_run.output / artifact
+    header, *rows = path.read_text(encoding="utf-8").split("\n")
+    cells = rows[2].split(",")
+    cells[header.split(",").index(column)] = "C9999"
+    _rewrite_line(path, 4, ",".join(cells))
+    universe = load_universe(copied_run.universe)
+    with pytest.raises(
+        DependencyError,
+        match=rf"^{artifact} line 4 has {column} 'C9999' outside the universe — "
+        r"re-run the 'networks' command$",
+    ):
+        read_handoff(copied_run, "networks", {"universe": universe})
 
 
 @pytest.mark.parametrize(
