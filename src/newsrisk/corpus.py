@@ -692,9 +692,11 @@ def _price_columns(path: Path) -> tuple[list[str], np.ndarray, np.ndarray, np.nd
 def load_prices(path: str | Path, universe: EntityUniverse | None = None) -> PriceTable:
     """Load daily adjusted closes.
 
-    When a universe is given, series are re-keyed by canonical_id; for a
-    company with several share-class series the primary ticker's series wins.
-    Missing companies are permitted (the backtest disqualifies them later).
+    When a universe is given, series are keyed by the canonical_id their
+    ticker resolves to, and a ticker the universe does not know is left out;
+    for a company with several share-class series the primary ticker's series
+    wins. Missing companies are permitted (the backtest disqualifies them
+    later).
 
     Each ticker is coded to a small int as it is read, and the price and
     date-order checks run over whole columns. A file grouped by ticker
@@ -719,12 +721,11 @@ def load_prices(path: str | Path, universe: EntityUniverse | None = None) -> Pri
         dates, values = per_ticker[ticker]
         key = ticker
         if universe is not None:
-            cid = universe.ticker_to_id.get(ticker)
-            if cid is not None:
-                key = cid
-                primary = universe.records[cid].primary_ticker
-                if key in chosen and ticker != primary:
-                    continue  # keep the earlier (or primary) series
+            key = universe.ticker_to_id.get(ticker)
+            if key is None:
+                continue  # no company to key it by
+            if key in chosen and ticker != universe.records[key].primary_ticker:
+                continue  # keep the earlier (or primary) series
         chosen[key] = PriceSeries(key=key, dates=dates, closes=values)
     prices = PriceTable(chosen.values())
     log.info("loaded prices file=%s series=%d", path.name, len(prices))

@@ -604,6 +604,15 @@ def _decode_occurrences(cfg, v, table: Table) -> dict[Quarter, list[OccurrenceSe
     return {q: occurrences[q] for q in sorted(occurrences)}
 
 
+def _declared(table: Table, column: str, allowed: Sequence[str]) -> tuple:
+    """A `raise_first` check that flags a cell of `column` outside `allowed`."""
+    cells = table[column]
+    return (
+        [cell not in allowed for cell in cells],
+        lambda r: f"has {column} {cells[r]!r}, expected one of {', '.join(allowed)}",
+    )
+
+
 def _decode_networks(cfg, v, edges, nodes, stats) -> dict[Quarter, dict[str, QuarterNetwork]]:
     """Networks over the universe in `v`, which every reading stage loads.
     Each row's network and companies are looked up once; the edge rows are
@@ -614,8 +623,10 @@ def _decode_networks(cfg, v, edges, nodes, stats) -> dict[Quarter, dict[str, Qua
     slots: dict[tuple[Quarter, str], int] = {}
 
     def rows(table: Table, *columns: str) -> list[np.ndarray]:
-        """The network of each row, then the node position of each row's
-        cell of each column, which must name a company of the universe."""
+        """The network of each row, whose polarity must be declared, then
+        the node position of each row's cell of each column, which must name
+        a company of the universe."""
+        table.raise_first(_declared(table, "polarity", NETWORK_KINDS))
         keys = zip(table["quarter"], table["polarity"])
         found = [np.array([slots.setdefault(key, len(slots)) for key in keys], dtype=np.intp)]
         for column in columns:
@@ -627,6 +638,13 @@ def _decode_networks(cfg, v, edges, nodes, stats) -> dict[Quarter, dict[str, Qua
 
     (stat_slots,), (edge_slots, i, j) = rows(stats), rows(edges, "i", "j")
     node_slots, held = rows(nodes, "canonical_id")
+    stated = set(zip(stats["quarter"], stats["polarity"]))
+    for quarter in sorted({q for q, _ in slots}):  # rank and risk read all three
+        for kind in NETWORK_KINDS:
+            if (quarter, kind) not in stated:
+                raise _artifact_error(
+                    stats.path, None, f"has no row for the {quarter.label} {kind} network"
+                )
     node_weights = np.zeros((len(slots), n), dtype=np.int64)
     node_weights[node_slots, held] = nodes["s"]
     counts = dict(zip(stat_slots.tolist(), stats["article_count"].tolist()))
@@ -643,7 +661,7 @@ def _decode_networks(cfg, v, edges, nodes, stats) -> dict[Quarter, dict[str, Qua
             node_weights=node_weights[k],
             edge_index=np.stack((i[cut], j[cut]), axis=1),
             edge_weights=edges["weight"][cut],
-            article_count=counts.get(k, 0),
+            article_count=counts[k],
         )
     return {q: networks[q] for q in sorted(networks)}
 
@@ -652,11 +670,12 @@ def _decode_rank_lists(cfg, v, table: Table) -> dict[tuple[str, str], list[RankE
     lists: dict[tuple[str, str], list[RankEntry]] = {
         (polarity, mode): [] for polarity in NETWORK_KINDS for mode in MODES
     }
+    table.raise_first(_declared(table, "polarity", NETWORK_KINDS), _declared(table, "mode", MODES))
     for polarity, mode, *entry in zip(
         table["polarity"], table["mode"], table["canonical_id"], table["average_rank"].tolist(),
         table["quarters_scored"].tolist(),
     ):
-        lists.setdefault((polarity, mode), []).append(RankEntry(*entry))
+        lists[(polarity, mode)].append(RankEntry(*entry))
     return lists
 
 
@@ -787,14 +806,12 @@ def _rank(cfg: RunConfig, v: Values) -> dict[str, Any]:
 
 
 def _risk(cfg: RunConfig, v: Values) -> dict[str, Any]:
-    lists, networks, occurrences = v["rank_lists"], v["networks"], v["occurrences"]
+    lists, networks = v["rank_lists"], v["networks"]
     selected = select_universe(lists[(MIXED, ABSOLUTE)], lists[(MIXED, NORMALIZED)], cfg.top_k)
     datapoints = [
         dp
         for q in sorted(networks)
-        for dp in riskrank_quarter(
-            networks[q][MIXED], occurrences.get(q, []), selected, cfg.calibration
-        )
+        for dp in riskrank_quarter(networks[q], selected, cfg.calibration)
     ]
     return {"selected": selected, "datapoints": datapoints}
 
@@ -818,7 +835,7 @@ PIPELINE: tuple[Stage, ...] = (
     ),
     Stage(
         "risk", "compute sentiment risk scores over the selected universe",
-        inputs=("universe",), reads=("occurrences", "rank_lists", "networks"), compute=_risk,
+        inputs=("universe",), reads=("rank_lists", "networks"), compute=_risk,
         writes=(SELECTED, RISK),
         params=lambda cfg, v: {
             "lambda": cfg.calibration.lam,

@@ -14,8 +14,10 @@ phi that sum to exactly 1:
                                      j' in J(k) intersect D(i))
 
 Pairs of non-central players joined by a real edge interact with strength
-I(i,j) = 2*theta*phi_i*phi_j. With per-player risk inputs x in [0,1]
-(relative negative-news sentiment), the aggregate is
+I(i,j) = 2*theta*phi_i*phi_j. A player's risk input x in [0,1] is its
+relative negative-news sentiment, the negative share of the articles that
+name it: S(i) in the quarter's negative network over S(i) in its mixed
+network, and 0 for a company no article names. The aggregate is
 
     rr_own      = phi_k * x_k
     rr_direct   = sum over p != k of (phi_p - 1/2 sum_q I(p,q)) * x_p
@@ -25,9 +27,10 @@ I(i,j) = 2*theta*phi_i*phi_j. With per-player risk inputs x in [0,1]
 which is a two-additive Choquet aggregation with a normalized capacity, so
 rr_total lands in [0,1] by construction — never by clipping.
 
-Smoothed networks are deliberately not used here: smoothing exists only to
-make the centrality matrices invertible, and contagion across fictitious
-alpha-edges would be spurious.
+The quarter's unsmoothed networks are thus all that this stage reads of the
+news. Smoothed networks are deliberately not used here: smoothing exists
+only to make the centrality matrices invertible, and contagion across
+fictitious alpha-edges would be spurious.
 """
 
 from __future__ import annotations
@@ -36,12 +39,11 @@ import logging
 import math
 from dataclasses import dataclass
 from datetime import date
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .centrality import RankEntry
-from .entities import OccurrenceSet
 from .errors import ValidationError
-from .networks import MIXED, QuarterNetwork
+from .networks import MIXED, NEGATIVE, QuarterNetwork
 from .quarters import Quarter
 
 log = logging.getLogger(__name__)
@@ -70,20 +72,6 @@ class RiskCalibration:
 
 
 @dataclass(frozen=True)
-class SentimentRecord:
-    canonical_id: str
-    quarter: Quarter
-    s_positive: int
-    s_negative: int
-
-    @property
-    def s_rel(self) -> float:
-        """Negative share of the company's news. `quarter_sentiment` makes a
-        record only for a company some article mentions, so it has news."""
-        return self.s_negative / (self.s_positive + self.s_negative)
-
-
-@dataclass(frozen=True)
 class PlayerSet:
     """Influence weights around one central company."""
 
@@ -107,22 +95,6 @@ class RiskDatapoint:
     close: float | None = None
 
 
-def quarter_sentiment(
-    occurrences: Iterable[OccurrenceSet], quarter: Quarter
-) -> dict[str, SentimentRecord]:
-    """Positive/negative article counts per company mentioned this quarter."""
-    pos: dict[str, int] = {}
-    neg: dict[str, int] = {}
-    for occ in occurrences:
-        bucket = pos if occ.polarity == "positive" else neg
-        for cid in occ.companies:
-            bucket[cid] = bucket.get(cid, 0) + 1
-    return {
-        cid: SentimentRecord(cid, quarter, pos.get(cid, 0), neg.get(cid, 0))
-        for cid in sorted(set(pos) | set(neg))
-    }
-
-
 def select_universe(
     absolute_top: Sequence[RankEntry],
     normalized_top: Sequence[RankEntry],
@@ -144,22 +116,12 @@ def select_universe(
 
 
 def build_players(
-    network: QuarterNetwork,
+    adjacency: Mapping[str, Mapping[str, int]],
     center: str,
     calibration: RiskCalibration,
-    adjacency: Mapping[str, Mapping[str, int]] | None = None,
 ) -> PlayerSet:
-    """Player set, influence weights, and pair interactions around `center`.
-
-    The network must be an unsmoothed mixed network; passing a precomputed
-    adjacency map avoids rebuilding it for every company in a quarter.
-    """
-    if network.polarity != MIXED:
-        raise ValidationError(
-            f"risk aggregation runs on the mixed network, got {network.polarity!r}"
-        )
-    if adjacency is None:
-        adjacency = network.adjacency()
+    """Player set, influence weights, and pair interactions around `center`,
+    walking `adjacency`, the neighbor map of an unsmoothed mixed network."""
     lam, mu, theta = calibration.lam, calibration.mu, calibration.theta
 
     direct = adjacency.get(center, {})
@@ -244,38 +206,35 @@ def riskrank_node(
 
 
 def riskrank_quarter(
-    network: QuarterNetwork,
-    occurrences: Iterable[OccurrenceSet],
+    networks: Mapping[str, QuarterNetwork],
     subset: Sequence[str],
     calibration: RiskCalibration,
 ) -> list[RiskDatapoint]:
-    """One datapoint per subset company with defined sentiment this quarter.
+    """One datapoint per subset company with news this quarter, over the
+    quarter's networks by polarity, as `build_networks` returns them.
 
     Neighbors and two-hop players outside the subset still participate;
     players that had no news at all enter with x = 0.
     """
-    quarter = network.quarter
-    sentiments = quarter_sentiment(occurrences, quarter)
-    adjacency = network.adjacency()
-
-    def x_of(cid: str) -> float:
-        record = sentiments.get(cid)
-        return 0.0 if record is None else record.s_rel
+    mixed = networks[MIXED]
+    quarter = mixed.quarter
+    s_mixed = mixed.node_weights.tolist()
+    s_negative = networks[NEGATIVE].node_weights.tolist()
+    x = {cid: neg / s if s else 0.0 for cid, neg, s in zip(mixed.nodes, s_negative, s_mixed)}
+    with_news = {cid for cid, s in zip(mixed.nodes, s_mixed) if s}
+    adjacency = mixed.adjacency()
 
     datapoints: list[RiskDatapoint] = []
     for cid in sorted(subset):
-        record = sentiments.get(cid)
-        if record is None:
+        if cid not in with_news:
             continue
-        players = build_players(network, cid, calibration, adjacency)
-        x = {p: x_of(p) for p in players.players}
-        x[cid] = record.s_rel
+        players = build_players(adjacency, cid, calibration)
         rr_own, rr_direct, rr_indirect, rr_total = riskrank_node(players, x)
         datapoints.append(
             RiskDatapoint(
                 canonical_id=cid,
                 quarter=quarter,
-                x_own=record.s_rel,
+                x_own=x[cid],
                 rr_own=rr_own,
                 rr_direct=rr_direct,
                 rr_indirect=rr_indirect,

@@ -11,6 +11,10 @@ The dict forms that the networks and the centrality tables had before they
 became arrays (`dict_networks`, `rank_scores`, `dict_tables`,
 `dict_average_rank`) are the references the array forms are checked against.
 
+`quarter_sentiment` counts each company's positive and negative articles
+from the raw occurrences, the reference for the risk inputs that the package
+reads off the networks' node weights.
+
 A few helpers are views of package objects that only tests need, kept here so
 the package holds only what the pipeline runs: `edge`, `as_dicts`,
 `centrality_by_id`, `iter_matches`, `match_ids` and `range_report`.
@@ -412,12 +416,12 @@ def load_prices_by_row(
         dates, closes = per_ticker[ticker]
         key = ticker
         if universe is not None:
-            cid = universe.ticker_to_id.get(ticker)
-            if cid is not None:
-                key = cid
-                primary = universe.records[cid].primary_ticker
-                if key in chosen and ticker != primary:
-                    continue  # keep the earlier (or primary) series
+            if ticker not in universe.ticker_to_id:
+                continue  # an unknown ticker keys no series
+            key = universe.ticker_to_id[ticker]
+            primary = universe.records[key].primary_ticker
+            if key in chosen and ticker != primary:
+                continue  # keep the earlier (or primary) series
         chosen[key] = ScalarSeries(key, tuple(dates), tuple(closes))
     return dict(sorted(chosen.items()))
 
@@ -609,6 +613,42 @@ def choquet_integral(players: PlayerSet, x: dict[str, float]) -> float:
         total += (x[p] - previous) * capacity[level]
         previous = x[p]
     return total
+
+
+# ---------------------------------------------------------------------------
+# Sentiment counted from the raw occurrences
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class SentimentRecord:
+    canonical_id: str
+    quarter: Quarter
+    s_positive: int
+    s_negative: int
+
+    @property
+    def s_rel(self) -> float:
+        """Negative share of the company's news. `quarter_sentiment` makes a
+        record only for a company some article mentions, so it has news."""
+        return self.s_negative / (self.s_positive + self.s_negative)
+
+
+def quarter_sentiment(
+    occurrences: Iterable[OccurrenceSet], quarter: Quarter
+) -> dict[str, SentimentRecord]:
+    """Positive/negative article counts per company mentioned this quarter,
+    counted article by article rather than read off the networks."""
+    pos: dict[str, int] = {}
+    neg: dict[str, int] = {}
+    for occ in occurrences:
+        bucket = pos if occ.polarity == "positive" else neg
+        for cid in occ.companies:
+            bucket[cid] = bucket.get(cid, 0) + 1
+    return {
+        cid: SentimentRecord(cid, quarter, pos.get(cid, 0), neg.get(cid, 0))
+        for cid in sorted(set(pos) | set(neg))
+    }
 
 
 # ---------------------------------------------------------------------------

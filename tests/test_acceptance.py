@@ -147,7 +147,7 @@ def test_risk_aggregate_agrees_with_brute_force_choquet():
     while checked < 500:
         net, _ = random_mixed_network(rng, n_nodes=int(rng.integers(3, 7)), n_articles=20)
         for center in net.nodes:
-            players = build_players(net, center, CAL)
+            players = build_players(net.adjacency(), center, CAL)
             assert len(players.phi) <= 6
             x = {n: float(rng.random()) for n in players.phi}
             _, _, _, rr_total = riskrank_node(players, x)
@@ -166,7 +166,7 @@ def test_risk_aggregate_agrees_with_brute_force_choquet():
         Q,
         ("k", "a", "b"),
     )[MIXED]
-    players = build_players(triangle, "k", CAL)
+    players = build_players(triangle.adjacency(), "k", CAL)
     _, _, _, rr_total = riskrank_node(players, {"k": 1.0, "a": 0.5, "b": 0.0})
     assert rr_total == 0.609375
 
@@ -183,7 +183,7 @@ def test_risk_scores_stay_bounded_and_monotone():
     while instances < 1000:
         net, _ = random_mixed_network(rng, n_nodes=int(rng.integers(3, 8)), n_articles=22)
         center = str(rng.choice(net.nodes))
-        players = build_players(net, center, CAL)
+        players = build_players(net.adjacency(), center, CAL)
         x = {n: float(rng.random()) for n in players.phi}
         _, _, _, base = riskrank_node(players, x)
         if not (-1e-12 <= base <= 1 + 1e-12):

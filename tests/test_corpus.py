@@ -419,8 +419,8 @@ def test_prices_round_trip_and_rekeying(tmp_path):
         ]
     )
     rekeyed = load_prices(path, uni)
-    # BLTW resolves to its canonical id, the unknown ticker stays raw
-    assert set(rekeyed.series) == {"ACME", "BOLT", "UNKNOWN"}
+    # BLTW resolves to its canonical id, the unknown ticker is left out
+    assert set(rekeyed.series) == {"ACME", "BOLT"}
     assert rekeyed.get("BOLT").closes.tolist() == [8.0, 8.1]
 
 
@@ -582,7 +582,24 @@ def test_prices_match_the_row_loader(tmp_path):
         assert list(loaded.series) == list(expected)
         for key, reference in expected.items():
             assert scalar_series(loaded.get(key)) == reference, key
-    assert set(load_prices(path, uni).series) == {"A", "B", "C", "O", "RAW"}
+    assert set(load_prices(path, uni).series) == {"A", "B", "C", "O"}
+
+
+def test_an_unknown_ticker_named_like_a_company_takes_no_series(tmp_path):
+    """A ticker the universe does not know keys no series, even when it
+    equals the id of a company whose own ticker has prices."""
+    path = tmp_path / "prices.csv"
+    path.write_text(
+        "ticker,date,adjusted_close\n"
+        "ALP,2011-01-03,10.0\nALP,2011-01-04,11.0\n"
+        "ZZZ,2011-01-03,999.0\nZZZ,2011-01-04,999.0\n",
+        encoding="utf-8",
+    )
+    uni = EntityUniverse([EntityRecord("ZZZ", "Zed Co", "ALP", "NYSE", ("Zed Co",), ("ALP",))])
+    series = load_prices(path, uni).series
+    assert list(series) == ["ZZZ"]
+    assert series["ZZZ"].closes.tolist() == [10.0, 11.0]
+    assert set(load_prices(path).series) == {"ALP", "ZZZ"}
 
 
 def _load_prices_strictly(path, universe=None):

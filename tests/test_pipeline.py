@@ -427,8 +427,8 @@ def test_run_all_loads_each_input_once(small_fixture_dir, tmp_path, monkeypatch)
     assert held == {
         "parse": [],
         "networks": ["occurrences", "universe"],
-        "rank": ["networks", "occurrences", "universe"],
-        "risk": ["networks", "occurrences", "rank_lists", "universe"],
+        "rank": ["networks", "universe"],
+        "risk": ["networks", "rank_lists", "universe"],
         "backtest": ["datapoints", "universe"],
         "report": ["study"],
     }
@@ -498,6 +498,44 @@ def test_manifests_list_every_file_a_stage_reads(small_fixture_dir, tmp_path, mo
         read = set(opened) - set(manifest["outputs"]) - {f"{stage}.manifest.json"}
         assert read, stage
         assert read <= set(manifest["inputs"]), (stage, sorted(read - set(manifest["inputs"])))
+
+
+def test_each_stage_needs_only_the_artifacts_its_manifest_lists(staged_run, tmp_path):
+    """A stage command run beside only the artifacts that `run`'s manifest
+    of that stage lists as inputs writes run's outputs and manifest."""
+    cfg, _ = staged_run
+    for stage in STAGE_ORDER:
+        out = tmp_path / stage
+        out.mkdir()
+        manifest = json.loads((cfg.output / f"{stage}.manifest.json").read_text())
+        for name in manifest["inputs"]:
+            if (cfg.output / name).is_file():  # an artifact, not a config input
+                shutil.copy(cfg.output / name, out / name)
+        STAGES[stage](dataclasses.replace(cfg, output=out))
+        for name in [*manifest["outputs"], f"{stage}.manifest.json"]:
+            assert (out / name).read_bytes() == (cfg.output / name).read_bytes(), (stage, name)
+
+
+def test_risk_runs_without_the_occurrences(staged_run, tmp_path):
+    """The risk stage reads its sentiment off the networks' node weights,
+    so `newsrisk risk` needs no occurrences.csv."""
+    cfg, _ = staged_run
+    out = tmp_path / "out"
+    shutil.copytree(cfg.output, out)
+    (out / "occurrences.csv").unlink()
+    config_path = tmp_path / "run.json"
+    config_path.write_text(
+        json.dumps(
+            {
+                **{key: str(Path(getattr(cfg, key))) for key in BASE_MAPPING},
+                "output": str(out),
+                "quarters": "2011Q1..2011Q3",
+            }
+        )
+    )
+    assert main(["risk", "--config", str(config_path)]) == 0
+    for name in ("selected_universe.csv", "risk.csv", "risk.manifest.json"):
+        assert (out / name).read_bytes() == (cfg.output / name).read_bytes(), name
 
 
 def _text_mode_rows(path: Path) -> int:
@@ -875,6 +913,55 @@ def test_a_network_row_naming_a_company_outside_the_universe_is_rejected(
         r"re-run the 'networks' command$",
     ):
         read_handoff(copied_run, "networks", {"universe": universe})
+
+
+@pytest.mark.parametrize(
+    "artifact, column, cell",
+    [
+        ("average_rank.csv", "mode", "absolut"),
+        ("average_rank.csv", "polarity", "mixd"),
+        ("network_edges.csv", "polarity", "mixd"),
+        ("network_nodes.csv", "polarity", "mixd"),
+        ("network_stats.csv", "polarity", "mixd"),
+    ],
+)
+def test_an_undeclared_polarity_or_mode_is_rejected(copied_run, artifact, column, cell):
+    """A misspelt polarity or mode names its line, rather than making a
+    network or a rank list of its own that no later stage reads."""
+    from newsrisk.corpus import load_universe
+
+    path = copied_run.output / artifact
+    header, *rows = path.read_text(encoding="utf-8").split("\n")
+    cells = rows[2].split(",")
+    cells[header.split(",").index(column)] = cell
+    _rewrite_line(path, 4, ",".join(cells))
+    declared = pipeline.MODES if column == "mode" else pipeline.NETWORK_KINDS
+    handoff = "rank_lists" if artifact == "average_rank.csv" else "networks"
+    message = (
+        f"{artifact} line 4 has {column} {cell!r}, expected one of {', '.join(declared)} — "
+        f"re-run the {pipeline.WRITER[artifact]!r} command"
+    )
+    with pytest.raises(DependencyError, match=f"^{re.escape(message)}$"):
+        read_handoff(copied_run, handoff, {"universe": load_universe(copied_run.universe)})
+
+
+def test_a_network_missing_from_the_artifacts_is_rejected(copied_run):
+    """Rank and risk read every polarity of every quarter, so a network
+    whose rows are all gone is named, not a KeyError."""
+    from newsrisk.corpus import load_universe
+
+    for artifact in (pipeline.NETWORK_EDGES, pipeline.NETWORK_NODES, pipeline.NETWORK_STATS):
+        path = copied_run.output / artifact.name
+        lines = path.read_text(encoding="utf-8").split("\n")
+        kept = [line for line in lines if not line.startswith("2011Q2,negative,")]
+        assert len(kept) < len(lines), artifact.name
+        path.write_text("\n".join(kept), encoding="utf-8")
+    with pytest.raises(
+        DependencyError,
+        match=r"^network_stats\.csv has no row for the 2011Q2 negative network — "
+        r"re-run the 'networks' command$",
+    ):
+        read_handoff(copied_run, "networks", {"universe": load_universe(copied_run.universe)})
 
 
 @pytest.mark.parametrize(

@@ -12,9 +12,7 @@ from newsrisk.networks import MIXED, NEGATIVE, POSITIVE, build_networks
 from newsrisk.quarters import Quarter
 from newsrisk.riskrank import (
     RiskCalibration,
-    SentimentRecord,
     build_players,
-    quarter_sentiment,
     riskrank_node,
     riskrank_quarter,
     select_universe,
@@ -22,8 +20,10 @@ from newsrisk.riskrank import (
 from newsrisk.centrality import RankEntry
 
 from _oracles import (
+    SentimentRecord,
     choquet_integral,
     mobius_capacity,
+    quarter_sentiment,
     random_mixed_network,
     random_occurrences,
 )
@@ -38,6 +38,10 @@ def occ(i, polarity, *companies):
 
 def mixed_net(occurrences, universe):
     return build_networks(occurrences, Q, universe)[MIXED]
+
+
+def networks(occurrences, universe):
+    return build_networks(occurrences, Q, universe)
 
 
 def triangle():
@@ -70,6 +74,8 @@ def test_calibration_validation():
 
 
 def test_quarter_sentiment_counts():
+    """x_own, read off the networks' node weights, is the negative share of
+    the articles naming the company, as the oracle counts them."""
     occurrences = [
         occ(1, POSITIVE, "a", "b"),
         occ(2, NEGATIVE, "a"),
@@ -83,22 +89,32 @@ def test_quarter_sentiment_counts():
     assert records["a"].s_rel == pytest.approx(2 / 3)
     assert records["b"].s_rel == 0.0
     assert records["c"].s_rel == 0.0
+    universe = ("a", "b", "c", "d")
+    datapoints = riskrank_quarter(networks(occurrences, universe), universe, CAL)
+    assert {dp.canonical_id: dp.x_own for dp in datapoints} == {
+        cid: record.s_rel for cid, record in records.items()
+    }
 
 
 def test_sentiment_records_always_have_news():
     assert SentimentRecord("x", Q, 0, 3).s_rel == 1.0
     nodes = [f"n{i}" for i in range(12)]
+    subset = [*nodes[::2], "zz"]  # zz is in the universe, but no article names it
     for seed in range(20):
         rng = np.random.default_rng(seed)
         occurrences = [
-            *random_occurrences(rng, nodes, 15, max_mentions=3, polarity=POSITIVE),
-            *random_occurrences(rng, nodes, 15, max_mentions=3, polarity=NEGATIVE),
+            *random_occurrences(rng, nodes, 15, max_mentions=4, polarity=POSITIVE),
+            *random_occurrences(rng, nodes, 15, max_mentions=4, polarity=NEGATIVE),
         ]
         records = quarter_sentiment(occurrences, Q)
         assert set(records) == {cid for occ in occurrences for cid in occ.companies}
         for record in records.values():
             assert record.s_positive + record.s_negative >= 1
-            assert 0.0 <= record.s_rel <= 1.0
+        datapoints = riskrank_quarter(networks(occurrences, [*nodes, "zz"]), subset, CAL)
+        assert [dp.canonical_id for dp in datapoints] == sorted(set(subset) & set(records))
+        for dp in datapoints:
+            assert dp.x_own == records[dp.canonical_id].s_rel
+            assert 0.0 <= dp.x_own <= 1.0
 
 
 def test_select_universe_union(caplog):
@@ -110,15 +126,9 @@ def test_select_universe_union(caplog):
     assert sum("using all" in r.message for r in caplog.records) == 2
 
 
-def test_players_require_mixed_network():
-    net = build_networks([occ(1, NEGATIVE, "k", "a")], Q, ("k", "a"))[NEGATIVE]
-    with pytest.raises(ValidationError, match="mixed network"):
-        build_players(net, "k", CAL)
-
-
 def test_isolated_center_owns_the_whole_unit():
     net = mixed_net([occ(1, NEGATIVE, "a", "b")], ("k", "a", "b"))
-    players = build_players(net, "k", CAL)
+    players = build_players(net.adjacency(), "k", CAL)
     assert players.players == ("k",)
     assert players.phi == {"k": 1.0}
     assert players.interactions == {}
@@ -126,7 +136,7 @@ def test_isolated_center_owns_the_whole_unit():
 
 
 def test_two_hop_line_weights():
-    players = build_players(line(), "k", CAL)
+    players = build_players(line().adjacency(), "k", CAL)
     assert players.players == ("k", "a", "b")
     assert players.phi == {"k": 0.5, "a": 0.25, "b": 0.25}
     # a and b share a real edge; k's own pairs never interact
@@ -134,7 +144,7 @@ def test_two_hop_line_weights():
 
 
 def test_triangle_aggregate_is_exact():
-    players = build_players(triangle(), "k", CAL)
+    players = build_players(triangle().adjacency(), "k", CAL)
     assert players.phi == {"k": 0.5, "a": 0.25, "b": 0.25}
     assert players.interactions == {("a", "b"): 0.0625}
     rr_own, rr_direct, rr_indirect, rr_total = riskrank_node(
@@ -151,7 +161,7 @@ def test_influence_weights_sum_to_one():
     for _ in range(60):
         net, _ = random_mixed_network(rng, n_nodes=rng.integers(3, 9), n_articles=25)
         for center in net.nodes:
-            players = build_players(net, center, CAL)
+            players = build_players(net.adjacency(), center, CAL)
             assert math.fsum(players.phi.values()) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -161,7 +171,7 @@ def test_aggregate_matches_choquet_oracle():
     for _ in range(40):
         net, _ = random_mixed_network(rng, n_nodes=int(rng.integers(3, 7)), n_articles=20)
         for center in net.nodes:
-            players = build_players(net, center, CAL)
+            players = build_players(net.adjacency(), center, CAL)
             if len(players.players) > 6:
                 continue
             x = {p: float(rng.uniform()) for p in players.players}
@@ -172,7 +182,7 @@ def test_aggregate_matches_choquet_oracle():
 
 
 def test_capacity_is_normalized_and_monotone():
-    players = build_players(triangle(), "k", CAL)
+    players = build_players(triangle().adjacency(), "k", CAL)
     capacity = mobius_capacity(players)
     full = frozenset(players.players)
     assert capacity[frozenset()] == pytest.approx(0.0, abs=1e-15)
@@ -187,7 +197,7 @@ def test_raising_any_input_never_lowers_the_total():
     for _ in range(30):
         net, _ = random_mixed_network(rng, n_nodes=int(rng.integers(3, 8)), n_articles=20)
         center = str(rng.choice(net.nodes))
-        players = build_players(net, center, CAL)
+        players = build_players(net.adjacency(), center, CAL)
         x = {p: float(rng.uniform(0.0, 0.9)) for p in players.players}
         _, _, _, base = riskrank_node(players, x)
         for p in players.players:
@@ -202,7 +212,7 @@ def test_total_stays_inside_unit_interval():
     for _ in range(40):
         net, _ = random_mixed_network(rng, n_nodes=int(rng.integers(2, 9)), n_articles=30)
         for center in net.nodes:
-            players = build_players(net, center, CAL)
+            players = build_players(net.adjacency(), center, CAL)
             x = {p: float(rng.uniform()) for p in players.players}
             _, _, _, rr_total = riskrank_node(players, x)
             assert -1e-12 <= rr_total <= 1.0 + 1e-12
@@ -210,7 +220,7 @@ def test_total_stays_inside_unit_interval():
 
 def test_unanimous_extremes():
     for net in (triangle(), line()):
-        players = build_players(net, "k", CAL)
+        players = build_players(net.adjacency(), "k", CAL)
         ones = {p: 1.0 for p in players.players}
         zeros = {p: 0.0 for p in players.players}
         assert riskrank_node(players, ones)[3] == pytest.approx(1.0, abs=1e-12)
@@ -218,7 +228,7 @@ def test_unanimous_extremes():
 
 
 def test_node_input_validation():
-    players = build_players(triangle(), "k", CAL)
+    players = build_players(triangle().adjacency(), "k", CAL)
     with pytest.raises(ValidationError, match="missing risk input for player 'b'"):
         riskrank_node(players, {"k": 0.5, "a": 0.5})
     with pytest.raises(ValidationError, match=r"outside \[0,1\]"):
@@ -232,8 +242,8 @@ def test_quarter_datapoints():
         occ(3, NEGATIVE, "a", "b"),
         occ(4, POSITIVE, "c"),
     ]
-    net = mixed_net(occurrences, ("k", "a", "b", "c", "zz"))
-    datapoints = riskrank_quarter(net, occurrences, ("k", "c", "zz"), CAL)
+    nets = networks(occurrences, ("k", "a", "b", "c", "zz"))
+    datapoints = riskrank_quarter(nets, ("k", "c", "zz"), CAL)
     by_id = {dp.canonical_id: dp for dp in datapoints}
 
     # zz was never mentioned, so it has no defined sentiment and no datapoint
@@ -256,7 +266,8 @@ def test_quarter_is_deterministic():
         occ(2, NEGATIVE, "a", "b"),
         occ(3, POSITIVE, "k"),
     ]
-    net = mixed_net(occurrences, ("k", "a", "b"))
-    first = riskrank_quarter(net, occurrences, ("a", "b", "k"), CAL)
-    second = riskrank_quarter(net, list(reversed(occurrences)), ("k", "b", "a"), CAL)
+    first = riskrank_quarter(networks(occurrences, ("k", "a", "b")), ("a", "b", "k"), CAL)
+    second = riskrank_quarter(
+        networks(list(reversed(occurrences)), ("b", "a", "k")), ("k", "b", "a"), CAL
+    )
     assert first == second
