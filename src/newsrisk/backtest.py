@@ -67,11 +67,12 @@ def risk_value(datapoint: RiskDatapoint, kind: str) -> float:
     raise ValidationError(f"unknown risk kind {kind!r}")
 
 
+@dataclass(frozen=True, eq=False)
 class EventStudy:
     """Decline outcomes for every valid datapoint at every delay.
 
     outcomes[r, c] is 1 (declined), 0 (did not), or -1 (undefined) for
-    datapoint r at delay DELAY_LO + c. A datapoint is valid when a
+    datapoint r at delay delay_lo + c. A datapoint is valid when a
     measurement date exists and at least one delay event is defined;
     the rest are counted by reason, not silently dropped: no price series
     (`n_no_series`), no trading day in the quarter (`n_no_quarter_day`),
@@ -80,23 +81,13 @@ class EventStudy:
     records them).
     """
 
-    def __init__(
-        self,
-        datapoints: Sequence[RiskDatapoint],
-        outcomes: np.ndarray,
-        n_no_series: int | None = None,
-        n_no_quarter_day: int | None = None,
-        n_no_events: int | None = None,
-        delay_lo: int = DELAY_LO,
-        delay_hi: int = DELAY_HI,
-    ):
-        self.datapoints = tuple(datapoints)
-        self.outcomes = outcomes
-        self.n_no_series = n_no_series
-        self.n_no_quarter_day = n_no_quarter_day
-        self.n_no_events = n_no_events
-        self.delay_lo = delay_lo
-        self.delay_hi = delay_hi
+    datapoints: tuple[RiskDatapoint, ...]
+    outcomes: np.ndarray
+    n_no_series: int | None = None
+    n_no_quarter_day: int | None = None
+    n_no_events: int | None = None
+    delay_lo: int = DELAY_LO
+    delay_hi: int = DELAY_HI
 
     def __len__(self) -> int:
         return len(self.datapoints)
@@ -112,19 +103,15 @@ class EventStudy:
         )
         return np.flatnonzero(values >= threshold - THRESHOLD_SLACK)
 
-    def daily_rates(self, rows: np.ndarray | None = None) -> np.ndarray:
-        """Percent declined per delay over the given rows; NaN where no
-        event is defined."""
+    def daily_rates(self, rows: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """Percent declined per delay over the given rows, NaN where no
+        event is defined, and the count of defined events per delay."""
         outcomes = self.outcomes if rows is None else self.outcomes[rows]
         defined = (outcomes >= 0).sum(axis=0)
         declined = (outcomes == 1).sum(axis=0)
         with np.errstate(invalid="ignore", divide="ignore"):
             rates = np.where(defined > 0, 100.0 * declined / np.maximum(defined, 1), np.nan)
-        return rates
-
-    def defined_counts(self, rows: np.ndarray | None = None) -> np.ndarray:
-        outcomes = self.outcomes if rows is None else self.outcomes[rows]
-        return (outcomes >= 0).sum(axis=0)
+        return rates, defined
 
 
 def compute_events(
@@ -178,7 +165,7 @@ def compute_events(
         n_no_events,
     )
     return EventStudy(
-        kept, outcomes, n_no_series, n_no_quarter_day, n_no_events, delay_lo, delay_hi
+        tuple(kept), outcomes, n_no_series, n_no_quarter_day, n_no_events, delay_lo, delay_hi
     )
 
 
@@ -252,14 +239,14 @@ def average_row(rows: Sequence[RangeStat], label: str = "Average") -> RangeStat 
 
 @dataclass(frozen=True)
 class RangeReport:
-    """Decline-rate rows for one threshold subset vs. the benchmark."""
+    """Decline-rate rows for one threshold subset vs. the benchmark: one row
+    per range with a defined day, then their "Average" row, if any."""
 
     kind: str
     threshold: float
     n_subset: int
     n_benchmark: int
     rows: tuple[RangeStat, ...]
-    average: RangeStat | None
 
 
 def _range_report(
@@ -284,13 +271,13 @@ def _range_report(
             )
             continue
         rows.append(stat)
+    average = average_row(rows)
     return RangeReport(
         kind=kind,
         threshold=threshold,
         n_subset=int(n_subset),
         n_benchmark=len(study),
-        rows=tuple(rows),
-        average=average_row(rows),
+        rows=(*rows, *([average] if average else [])),
     )
 
 
@@ -313,12 +300,6 @@ class ComparisonReport:
     n_individual: int
     n_benchmark: int
     rows: tuple[ComparisonRow, ...]
-    average: ComparisonRow | None
-
-
-def with_average(report: RangeReport | ComparisonReport) -> tuple:
-    """A report's rows, then its average row when it has one."""
-    return (*report.rows, *([report.average] if report.average else []))
 
 
 def _comparison_row(agg: RangeStat, ind: RangeStat) -> ComparisonRow:
@@ -338,43 +319,38 @@ def _comparison_row(agg: RangeStat, ind: RangeStat) -> ComparisonRow:
 def build_comparison_report(
     aggregated: RangeReport, individual: RangeReport
 ) -> ComparisonReport:
-    """Join two same-threshold range reports row-by-row on the range label."""
+    """Join two same-threshold range reports row-by-row on the label, the
+    "Average" rows included."""
     if aggregated.threshold != individual.threshold:
         raise ValidationError(
             "comparison requires matching thresholds, got "
             f"{aggregated.threshold} and {individual.threshold}"
         )
     by_label = {r.label: r for r in individual.rows}
-    rows = [
+    rows = tuple(
         _comparison_row(agg, by_label[agg.label])
         for agg in aggregated.rows
         if agg.label in by_label
-    ]
-    average = None
-    if aggregated.average is not None and individual.average is not None:
-        average = _comparison_row(aggregated.average, individual.average)
+    )
     return ComparisonReport(
         threshold=aggregated.threshold,
         n_aggregated=aggregated.n_subset,
         n_individual=individual.n_subset,
         n_benchmark=aggregated.n_benchmark,
-        rows=tuple(rows),
-        average=average,
+        rows=rows,
     )
 
 
 def _best_delay(
     delays: range, subset_daily: np.ndarray, benchmark_daily: np.ndarray
 ) -> tuple[int, float] | None:
-    best: tuple[int, float] | None = None
-    for offset, delay in enumerate(delays):
-        s, b = subset_daily[offset], benchmark_daily[offset]
-        if math.isnan(s) or math.isnan(b):
-            continue
-        diff = float(s - b)
-        if best is None or diff > best[1]:
-            best = (delay, diff)
-    return best
+    """The first delay with the largest subset - benchmark difference, and
+    that difference; None when no delay is defined on both sides."""
+    diffs = subset_daily - benchmark_daily
+    if np.isnan(diffs).all():
+        return None
+    offset = int(np.nanargmax(diffs))
+    return delays[offset], float(diffs[offset])
 
 
 def proportion_stderr(p1: float, n1: int, p2: float, n2: int) -> float:
@@ -418,35 +394,64 @@ def risk_histogram(
     return rows
 
 
+@dataclass(frozen=True)
+class BestDelay:
+    """The delay of a (kind, threshold) subset's largest gap over the
+    benchmark, with the two-proportion standard error of that gap (not
+    corrected for picking the largest) and each side's defined events."""
+
+    kind: str
+    threshold: float
+    delay: int
+    subset_rate: float
+    benchmark_rate: float
+    diff: float
+    stderr: float
+    n_subset_defined: int
+    n_benchmark_defined: int
+
+
 @dataclass
 class ReportBundle:
-    """Every report of one event study, as the report stage writes them."""
+    """Every report of one event study, as the report stage writes them.
+    `best_delays` holds one record per (kind, threshold) with a delay
+    defined on both sides, sorted by (kind, threshold)."""
 
     range_reports: dict[tuple[str, float], RangeReport]
     comparison: ComparisonReport | None
     histogram: list[HistogramRow]
-    best_delays: dict[tuple[str, float], tuple[int, float] | None]
-    #: The study rows of each (kind, threshold) subset, and their daily rates.
-    subset_rows: dict[tuple[str, float], np.ndarray]
+    best_delays: list[BestDelay]
+    #: The daily rates of each (kind, threshold) subset, and the benchmark's.
     subset_daily: dict[tuple[str, float], np.ndarray]
     benchmark_daily: np.ndarray
 
 
 def compute_reports(study: EventStudy, thresholds: Sequence[float]) -> ReportBundle:
-    benchmark_daily = study.daily_rates()
-    subset_rows: dict[tuple[str, float], np.ndarray] = {}
+    benchmark_daily, benchmark_defined = study.daily_rates()
     subset_daily: dict[tuple[str, float], np.ndarray] = {}
     range_reports: dict[tuple[str, float], RangeReport] = {}
-    best_delays: dict[tuple[str, float], tuple[int, float] | None] = {}
-    for kind in (AGGREGATED, INDIVIDUAL):
-        for threshold in thresholds:
+    best_delays: list[BestDelay] = []
+    for kind in (AGGREGATED, INDIVIDUAL):  # (kind, threshold) keys, in sorted order
+        for threshold in sorted(set(thresholds)):
             key = (kind, threshold)
-            rows = subset_rows[key] = study.indices_at_threshold(threshold, kind)
-            daily = subset_daily[key] = study.daily_rates(rows)
+            rows = study.indices_at_threshold(threshold, kind)
+            daily, defined = study.daily_rates(rows)
+            subset_daily[key] = daily
             range_reports[key] = _range_report(
                 study, threshold, kind, rows.size, daily, benchmark_daily
             )
-            best_delays[key] = _best_delay(study.delays, daily, benchmark_daily)
+            best = _best_delay(study.delays, daily, benchmark_daily)
+            if best is None:
+                continue
+            delay, diff = best
+            offset = delay - study.delay_lo
+            n1, n2 = int(defined[offset]), int(benchmark_defined[offset])
+            p1 = float(daily[offset]) / 100.0
+            p2 = float(benchmark_daily[offset]) / 100.0
+            stderr = proportion_stderr(p1, n1, p2, n2)
+            best_delays.append(
+                BestDelay(kind, threshold, delay, p1 * 100.0, p2 * 100.0, diff, stderr, n1, n2)
+            )
     comparison = None
     if thresholds:
         top = max(thresholds)
@@ -455,7 +460,7 @@ def compute_reports(study: EventStudy, thresholds: Sequence[float]) -> ReportBun
         )
     histogram = risk_histogram(study.datapoints)
     return ReportBundle(
-        range_reports, comparison, histogram, best_delays, subset_rows, subset_daily, benchmark_daily
+        range_reports, comparison, histogram, best_delays, subset_daily, benchmark_daily
     )
 
 
@@ -471,7 +476,7 @@ def _fmt(value: float | None, nd: int = 2) -> str:
 def _text_rows(report: RangeReport | ComparisonReport) -> list[list[str]]:
     """A row of cells per report row, label first, then each number in the
     order its dataclass declares the fields, which is the header's order."""
-    return [[row.label, *map(_fmt, astuple(row)[1:])] for row in with_average(report)]
+    return [[row.label, *map(_fmt, astuple(row)[1:])] for row in report.rows]
 
 
 def _render_table(header: list[str], body: list[list[str]]) -> list[str]:

@@ -27,36 +27,46 @@ class _Parser(argparse.ArgumentParser):
         raise ValidationError(message)
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", type=Path, required=True, help="JSON run config")
-    parser.add_argument("--output", type=Path, help="override the output directory")
-    parser.add_argument("--alpha", type=float, help="edge smoothing constant")
-    parser.add_argument("--lambda", dest="lam", type=float, help="importance split")
-    parser.add_argument("--mu", type=float, help="indirect-neighbor share")
-    parser.add_argument("--theta", type=float, help="interaction strength")
-    parser.add_argument("--quarters", help="window as FROM..TO, e.g. 2011Q1..2016Q2")
-    for name in ("articles", "universe", "prices", "marketcaps"):
-        parser.add_argument(f"--{name}", type=Path, help=f"override the {name} path")
+def _here(cell: str) -> Path:
+    """A path flag's value, against the current directory."""
+    return Path(cell).absolute()
 
 
-def _overrides(args: argparse.Namespace) -> dict:
-    mapping = {
-        "output": args.output,
-        "alpha": args.alpha,
-        "lambda": args.lam,
-        "mu": args.mu,
-        "theta": args.theta,
-        "quarters": args.quarters,
-        "articles": args.articles,
-        "universe": args.universe,
-        "prices": args.prices,
-        "marketcaps": args.marketcaps,
-    }
-    return {k: (str(v) if isinstance(v, Path) else v) for k, v in mapping.items()}
+#: The config keys a stage command's flags override: key, type and help of
+#: each `--<key>` flag. A path flag names a path from the current directory.
+CONFIG_FLAGS = (
+    ("output", _here, "override the output directory"),
+    ("alpha", float, "edge smoothing constant"),
+    ("lambda", float, "importance split"),
+    ("mu", float, "indirect-neighbor share"),
+    ("theta", float, "interaction strength"),
+    ("quarters", str, "window as FROM..TO, e.g. 2011Q1..2016Q2"),
+    *(
+        (name, _here, f"override the {name} path")
+        for name in ("articles", "universe", "prices", "marketcaps")
+    ),
+)
+
+#: Each `fixture` flag and the `FixtureSpec` field it sets; the field's
+#: default gives the flag's default and type.
+FIXTURE_FLAGS = {
+    "--seed": "seed",
+    "--companies": "n_companies",
+    "--quarters-count": "n_quarters",
+    "--articles-count": "n_articles",
+    "--negative-share": "negative_share",
+    "--clusters": "clusters_per_quarter",
+    "--cluster-size": "cluster_size",
+    "--cluster-articles": "cluster_articles",
+    "--drift-pct": "drift_pct_per_day",
+    "--missing-caps": "missing_caps",
+    "--share-class-pairs": "share_class_pairs",
+}
 
 
 def _run_stage(args: argparse.Namespace) -> int:
-    cfg = config_from_file(args.config, _overrides(args))
+    overrides = {key: getattr(args, key) for key, _, _ in CONFIG_FLAGS}
+    cfg = config_from_file(args.config, overrides)
     if args.command == "run":
         written = run_all(cfg)
     else:
@@ -73,20 +83,8 @@ def _run_fixture(args: argparse.Namespace) -> int:
         drift_window = (int(lo), int(hi))
     except ValueError:
         raise ValidationError(f"--drift-window must be LO..HI, got {window!r}") from None
-    spec = FixtureSpec(
-        seed=args.seed,
-        n_companies=args.companies,
-        n_quarters=args.quarters_count,
-        n_articles=args.articles_count,
-        negative_share=args.negative_share,
-        clusters_per_quarter=args.clusters,
-        cluster_size=args.cluster_size,
-        cluster_articles=args.cluster_articles,
-        drift_pct_per_day=args.drift_pct,
-        drift_window=drift_window,
-        missing_caps=args.missing_caps,
-        share_class_pairs=args.share_class_pairs,
-    )
+    fields = {name: getattr(args, name) for name in FIXTURE_FLAGS.values()}
+    spec = FixtureSpec(**fields, drift_window=drift_window)
     fixture = generate_fixture(spec)
     paths = write_fixture(fixture, args.output)
 
@@ -119,33 +117,18 @@ def build_parser() -> argparse.ArgumentParser:
     commands = [(stage.name, stage.doc) for stage in PIPELINE]
     for name, doc in (*commands, ("run", "run every stage in order")):
         command = sub.add_parser(name, help=doc)
-        _add_common(command)
+        command.add_argument("--config", type=Path, required=True, help="JSON run config")
+        for key, kind, text in CONFIG_FLAGS:
+            command.add_argument(f"--{key}", type=kind, help=text)
         command.set_defaults(handler=_run_stage)
 
     defaults = FixtureSpec()
     fixture = sub.add_parser("fixture", help="generate a synthetic corpus")
     fixture.add_argument("--output", type=Path, required=True, help="target directory")
-    fixture.add_argument("--seed", type=int, default=defaults.seed)
-    fixture.add_argument("--companies", type=int, default=defaults.n_companies)
-    fixture.add_argument("--quarters-count", type=int, default=defaults.n_quarters)
-    fixture.add_argument("--articles-count", type=int, default=defaults.n_articles)
-    fixture.add_argument(
-        "--negative-share", type=float, default=defaults.negative_share
-    )
-    fixture.add_argument("--clusters", type=int, default=defaults.clusters_per_quarter)
-    fixture.add_argument("--cluster-size", type=int, default=defaults.cluster_size)
-    fixture.add_argument(
-        "--cluster-articles", type=int, default=defaults.cluster_articles
-    )
-    fixture.add_argument("--drift-pct", type=float, default=defaults.drift_pct_per_day)
-    fixture.add_argument(
-        "--drift-window",
-        default="{}..{}".format(*defaults.drift_window),
-    )
-    fixture.add_argument("--missing-caps", type=int, default=defaults.missing_caps)
-    fixture.add_argument(
-        "--share-class-pairs", type=int, default=defaults.share_class_pairs
-    )
+    for flag, name in FIXTURE_FLAGS.items():
+        default = getattr(defaults, name)
+        fixture.add_argument(flag, dest=name, type=type(default), default=default)
+    fixture.add_argument("--drift-window", default="{}..{}".format(*defaults.drift_window))
     fixture.set_defaults(handler=_run_fixture)
 
     return parser

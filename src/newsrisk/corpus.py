@@ -147,7 +147,9 @@ class PriceSeries:
 
 
 class PriceTable:
-    """Price series keyed by canonical_id (or raw ticker when unresolved)."""
+    """Price series by key: `load_prices` keys them by canonical_id when
+    given a universe, leaving out tickers it does not know, and by ticker
+    without one."""
 
     def __init__(self, series: Iterable[PriceSeries]):
         self.series: dict[str, PriceSeries] = {

@@ -29,6 +29,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import math
 import os
 import sys
 import tempfile
@@ -49,8 +50,8 @@ from .centrality import (
     information_centrality,
 )
 from .corpus import (
-    Dialect, Kind, Table, float_cell, format_table, load_articles, load_marketcaps, load_prices,
-    load_universe, read_table,
+    POLARITIES, Dialect, Kind, Table, float_cell, format_table, load_articles, load_marketcaps,
+    load_prices, load_universe, read_table,
 )
 from .entities import MatcherSet, OccurrenceSet, parse_corpus
 from .errors import DependencyError, ValidationError
@@ -84,8 +85,8 @@ class RunConfig:
     def validate(self, inputs: Iterable[str] | None = None) -> None:
         """Check the parameters, and that the named input files exist
         (`None`: every input of `LOADERS`)."""
-        if not self.alpha > 0:
-            raise ValidationError(f"alpha must be positive, got {self.alpha}")
+        if not 0 < self.alpha < math.inf:
+            raise ValidationError(f"alpha must be positive and finite, got {self.alpha}")
         if self.top_k < 1:
             raise ValidationError(f"top_k must be at least 1, got {self.top_k}")
         if not (0 < self.delay_lo <= self.delay_hi):
@@ -96,9 +97,11 @@ class RunConfig:
             raise ValidationError(
                 f"quarter window reversed: {self.first_quarter} > {self.last_quarter}"
             )
-        for t in self.thresholds:
+        for k, t in enumerate(self.thresholds):
             if not (0.0 <= t <= 1.0):
                 raise ValidationError(f"threshold outside [0,1]: {t}")
+            if t in self.thresholds[:k]:
+                raise ValidationError(f"threshold {t} is repeated")
         for name in LOADERS if inputs is None else inputs:
             path = getattr(self, name)
             if not Path(path).is_file():
@@ -387,12 +390,11 @@ def _report_params(cfg: RunConfig) -> dict[str, object]:
 def _range_columns(cfg: RunConfig, v: Values) -> tuple[list, ...]:
     keys = sorted(v["reports"].range_reports)
     reports = [v["reports"].range_reports[key] for key in keys]
-    rows = [bt.with_average(report) for report in reports]
-    sizes = list(map(len, rows))
+    sizes = [len(report.rows) for report in reports]
     return (
         _repeat([kind for kind, _ in keys], sizes),
         _repeat([threshold for _, threshold in keys], sizes),
-        *_fields(list(chain.from_iterable(rows)), bt.RangeStat),
+        *_fields([row for report in reports for row in report.rows], bt.RangeStat),
         _repeat([report.n_subset for report in reports], sizes),
         _repeat([report.n_benchmark for report in reports], sizes),
     )
@@ -400,7 +402,7 @@ def _range_columns(cfg: RunConfig, v: Values) -> tuple[list, ...]:
 
 def _comparison_columns(cfg: RunConfig, v: Values) -> tuple[list, ...]:
     report = v["reports"].comparison
-    rows = bt.with_average(report) if report else ()
+    rows = report.rows if report else ()
     thresholds = [report.threshold] * len(rows) if report else []
     return (thresholds, *_fields(rows, bt.ComparisonRow))
 
@@ -416,23 +418,6 @@ def _daily_columns(cfg: RunConfig, v: Values) -> tuple[list, ...]:
         list(chain.from_iterable(reports.subset_daily[key].tolist() for key in keys)),
         reports.benchmark_daily.tolist() * len(keys),
     )
-
-
-def _best_delay_rows(cfg: RunConfig, v: Values) -> Iterator[tuple]:
-    study, reports = v["study"], v["reports"]
-    benchmark_defined = study.defined_counts()
-    for key, best in sorted(reports.best_delays.items()):
-        if best is None:
-            continue
-        kind, threshold = key
-        delay, diff = best
-        offset = delay - study.delay_lo
-        n1 = int(study.defined_counts(reports.subset_rows[key])[offset])
-        n2 = int(benchmark_defined[offset])
-        p1 = float(reports.subset_daily[key][offset]) / 100.0
-        p2 = float(reports.benchmark_daily[offset]) / 100.0
-        stderr = bt.proportion_stderr(p1, n1, p2, n2)
-        yield kind, threshold, delay, p1 * 100.0, p2 * 100.0, diff, stderr, n1, n2
 
 
 def _ranges_text(cfg: RunConfig, v: Values) -> str:
@@ -519,7 +504,7 @@ BEST_DELAY = Artifact(
     "best_delay.csv",
     ("kind", "threshold", "delay", "subset_rate", "benchmark_rate", "diff", "stderr",
      "n_subset_defined", "n_benchmark_defined"),
-    lambda cfg, v: list(zip(*_best_delay_rows(cfg, v))) or [()] * len(BEST_DELAY.columns),
+    lambda cfg, v: _fields(v["reports"].best_delays, bt.BestDelay),
 )
 HISTOGRAM = Artifact(
     "risk_histogram.csv",
@@ -592,18 +577,6 @@ class Handoff:
     decode: Callable[..., Any]
 
 
-def _decode_occurrences(cfg, v, table: Table) -> dict[Quarter, list[OccurrenceSet]]:
-    occurrences: dict[Quarter, list[OccurrenceSet]] = {}
-    for article_id, quarter, polarity, ids in zip(
-        table["article_id"], table["quarter"], table["polarity"], table["companies"]
-    ):
-        companies = frozenset(filter(None, ids.split("|")))
-        occurrences.setdefault(quarter, []).append(
-            OccurrenceSet(article_id, quarter, polarity, companies)
-        )
-    return {q: occurrences[q] for q in sorted(occurrences)}
-
-
 def _declared(table: Table, column: str, allowed: Sequence[str]) -> tuple:
     """A `raise_first` check that flags a cell of `column` outside `allowed`."""
     cells = table[column]
@@ -611,6 +584,24 @@ def _declared(table: Table, column: str, allowed: Sequence[str]) -> tuple:
         [cell not in allowed for cell in cells],
         lambda r: f"has {column} {cells[r]!r}, expected one of {', '.join(allowed)}",
     )
+
+
+def _decode_occurrences(cfg, v, table: Table) -> dict[Quarter, list[OccurrenceSet]]:
+    """Occurrences whose polarity is declared and whose companies are in
+    the universe in `v`, which the networks stage loads."""
+    universe = set(v["universe"].ids())
+    companies = [frozenset(filter(None, ids.split("|"))) for ids in table["companies"]]
+    table.raise_first(
+        _declared(table, "polarity", POLARITIES),
+        (
+            [not ids <= universe for ids in companies],
+            lambda r: f"has company {min(companies[r] - universe)!r} outside the universe",
+        ),
+    )
+    occurrences: dict[Quarter, list[OccurrenceSet]] = {}
+    for row in zip(table["article_id"], table["quarter"], table["polarity"], companies):
+        occurrences.setdefault(row[1], []).append(OccurrenceSet(*row))
+    return {q: occurrences[q] for q in sorted(occurrences)}
 
 
 def _decode_networks(cfg, v, edges, nodes, stats) -> dict[Quarter, dict[str, QuarterNetwork]]:
@@ -667,10 +658,19 @@ def _decode_networks(cfg, v, edges, nodes, stats) -> dict[Quarter, dict[str, Qua
 
 
 def _decode_rank_lists(cfg, v, table: Table) -> dict[tuple[str, str], list[RankEntry]]:
+    """Rank lists over the universe in `v`, which the risk stage loads."""
     lists: dict[tuple[str, str], list[RankEntry]] = {
         (polarity, mode): [] for polarity in NETWORK_KINDS for mode in MODES
     }
-    table.raise_first(_declared(table, "polarity", NETWORK_KINDS), _declared(table, "mode", MODES))
+    ids, universe = table["canonical_id"], set(v["universe"].ids())
+    table.raise_first(
+        _declared(table, "polarity", NETWORK_KINDS),
+        _declared(table, "mode", MODES),
+        (
+            [cid not in universe for cid in ids],
+            lambda r: f"has canonical_id {ids[r]!r} outside the universe",
+        ),
+    )
     for polarity, mode, *entry in zip(
         table["polarity"], table["mode"], table["canonical_id"], table["average_rank"].tolist(),
         table["quarters_scored"].tolist(),
@@ -729,7 +729,7 @@ def _decode_study(cfg, v, valid: Table, events: Table) -> bt.EventStudy:
     valid.raise_first((counts.min(axis=1) == 0, missing))
     outcomes = np.full((len(datapoints), width), -1, dtype=np.int8)
     outcomes[rows, offsets] = events["decreased"]
-    return bt.EventStudy(datapoints, outcomes, delay_lo=lo, delay_hi=hi)
+    return bt.EventStudy(tuple(datapoints), outcomes, delay_lo=lo, delay_hi=hi)
 
 
 HANDOFFS: dict[str, Handoff] = {

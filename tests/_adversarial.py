@@ -160,8 +160,9 @@ def adversarial_values(values: dict) -> dict:
     quoting (commas, quotes, line breaks, edge spaces), float cells drawn
     from `ADVERSARIAL_FLOATS`, and integer cells as numpy int64 scalars
     (the network weights and the ranks are int64 arrays already).
-    Datapoint risk and outcomes stay, so the report encoders still compute;
-    `selected` gains an empty id, the lone empty cell of its row."""
+    Every report record is scrambled, the best-delay rows among them; the
+    datapoints keep their risk, and the study its outcomes. `selected`
+    gains an empty id, the lone empty cell of its row."""
     floats = cycle(ADVERSARIAL_FLOATS)
     ids: dict[str, str] = {}
 
@@ -191,11 +192,7 @@ def adversarial_values(values: dict) -> dict:
         )
 
     def report(r):
-        return scramble(
-            r, keep=("threshold",),
-            rows=tuple(map(scramble, r.rows)),
-            average=r.average and scramble(r.average),
-        )
+        return scramble(r, keep=("threshold",), rows=tuple(map(scramble, r.rows)))
 
     study = values["study"]
     reports = values["reports"]
@@ -230,7 +227,7 @@ def adversarial_values(values: dict) -> dict:
         "selected": (*map(respell, values["selected"]), ""),
         "datapoints": [datapoint(dp) for dp in values["datapoints"]],
         "study": EventStudy(
-            [datapoint(dp, dated=r % 3 > 0) for r, dp in enumerate(study.datapoints)],
+            tuple(datapoint(dp, dated=r % 3 > 0) for r, dp in enumerate(study.datapoints)),
             study.outcomes,
             delay_lo=study.delay_lo,
             delay_hi=study.delay_hi,
@@ -240,5 +237,6 @@ def adversarial_values(values: dict) -> dict:
             range_reports={k: report(r) for k, r in reports.range_reports.items()},
             comparison=reports.comparison and report(reports.comparison),
             histogram=[scramble(row) for row in reports.histogram],
+            best_delays=[scramble(best) for best in reports.best_delays],
         ),
     }

@@ -836,8 +836,26 @@ def range_report(
     stage builds it, over any delay ranges."""
     rows = study.indices_at_threshold(threshold, kind)
     return bt._range_report(
-        study, threshold, kind, rows.size, study.daily_rates(rows), study.daily_rates(), ranges
+        study, threshold, kind, rows.size, study.daily_rates(rows)[0], study.daily_rates()[0],
+        ranges,
     )
+
+
+def best_delay_by_loop(
+    delays: range, subset_daily: np.ndarray, benchmark_daily: np.ndarray
+) -> tuple[int, float] | None:
+    """The first delay with the largest subset - benchmark difference, by a
+    walk over the delays that skips a day undefined on either side: the
+    reference `backtest._best_delay` is checked against."""
+    best: tuple[int, float] | None = None
+    for offset, delay in enumerate(delays):
+        s, b = subset_daily[offset], benchmark_daily[offset]
+        if math.isnan(s) or math.isnan(b):
+            continue
+        diff = float(s - b)
+        if best is None or diff > best[1]:
+            best = (delay, diff)
+    return best
 
 
 class FixtureStudy:

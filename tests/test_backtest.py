@@ -1,6 +1,7 @@
 """Decline-event bookkeeping, threshold subsets, range summaries, and the
 plain-text report rendering."""
 
+import math
 from datetime import date, timedelta
 
 import numpy as np
@@ -15,6 +16,7 @@ from newsrisk.riskrank import RiskDatapoint
 
 from _oracles import (
     FixtureStudy,
+    best_delay_by_loop,
     decline_event,
     load_prices_by_row,
     measurement_date,
@@ -117,11 +119,12 @@ def test_event_matrix_and_counters(hand_study):
 
 
 def test_daily_rates_and_defined_counts(hand_study):
-    rates = hand_study.daily_rates()
+    rates, defined = hand_study.daily_rates()
     assert rates.tolist() == [100.0, 0.0, 50.0]
-    assert hand_study.defined_counts().tolist() == [1, 1, 2]
-    subset = hand_study.daily_rates(np.array([1]))
+    assert defined.tolist() == [1, 1, 2]
+    subset, defined = hand_study.daily_rates(np.array([1]))
     assert np.isnan(subset[0]) and np.isnan(subset[1]) and subset[2] == 100.0
+    assert defined.tolist() == [0, 0, 1]
 
 
 def test_threshold_subsets(hand_study):
@@ -284,27 +287,26 @@ def test_build_range_report_on_hand_study(hand_study):
     report = range_report(hand_study, 0.5, bt.AGGREGATED, ranges=((3, 4), (5, 5)))
     assert (report.kind, report.threshold) == (bt.AGGREGATED, 0.5)
     assert (report.n_subset, report.n_benchmark) == (1, 2)
-    assert [r.label for r in report.rows] == ["3 to 4", "5 to 5"]
-    first, second = report.rows
+    assert [r.label for r in report.rows] == ["3 to 4", "5 to 5", "Average"]
+    first, second, average = report.rows
     assert (first.subset_rate, first.benchmark_rate) == (50.0, 50.0)
     assert first.std_outperformance == 0.0
     assert (second.subset_rate, second.benchmark_rate) == (0.0, 50.0)
     assert second.std_outperformance is None  # single-day benchmark: zero std
-    assert report.average.subset_rate == 25.0
-    assert report.average.std_outperformance == 0.0
+    assert average.subset_rate == 25.0
+    assert average.std_outperformance == 0.0
 
 
 def test_out_of_data_ranges_are_omitted(hand_study):
     report = range_report(hand_study, 0.5, bt.AGGREGATED)
     # only delays 3..5 exist, so ranges starting past them drop out
-    assert [r.label for r in report.rows] == ["3 to 90", "3 to 45", "3 to 10"]
+    assert [r.label for r in report.rows] == ["3 to 90", "3 to 45", "3 to 10", "Average"]
 
 
 def test_empty_subset_yields_empty_report(hand_study):
     report = range_report(hand_study, 2.0, bt.AGGREGATED, ranges=((3, 5),))
     assert report.n_subset == 0
-    assert report.rows == ()
-    assert report.average is None
+    assert report.rows == ()  # no range row, so no average row either
 
 
 def test_comparison_report(hand_study):
@@ -314,14 +316,16 @@ def test_comparison_report(hand_study):
     assert comparison.threshold == 0.5
     assert (comparison.n_aggregated, comparison.n_individual) == (1, 1)
     # EEE (the individual subset) has no defined day at delays 3-4, so that
-    # range is missing on one side and drops out of the join
-    assert [r.label for r in comparison.rows] == ["5 to 5"]
-    row = comparison.rows[0]
+    # range is missing on one side and drops out of the join; each side's
+    # average row is over its own rows
+    assert [r.label for r in comparison.rows] == ["5 to 5", "Average"]
+    row, average = comparison.rows
     assert row.agg_rate == 0.0
     assert row.ind_rate == 100.0
     assert row.agg_outperformance is None  # single-day benchmark: zero spread
     assert row.outperformance_gap is None
-    assert comparison.average is not None and comparison.average.label == "Average"
+    assert (average.agg_rate, average.agg_outperformance) == (25.0, 0.0)
+    assert (average.ind_rate, average.ind_outperformance) == (100.0, None)
 
 
 def test_comparison_requires_matching_thresholds(hand_study):
@@ -332,9 +336,33 @@ def test_comparison_requires_matching_thresholds(hand_study):
 
 
 def test_best_single_delay_prefers_smallest_tie(hand_study):
-    # diffs at delays 3,4,5 are 0, 0, -50: the tie at 0 resolves to delay 3
-    best_delays = bt.compute_reports(hand_study, (0.5,)).best_delays
-    assert best_delays[(bt.AGGREGATED, 0.5)] == (3, 0.0)
+    # aggregated: diffs at delays 3,4,5 are 0, 0, -50, and the tie at 0
+    # resolves to delay 3; individual (EEE): only delay 5 is defined, +50
+    best_delays = bt.compute_reports(hand_study, (0.5, 2.0)).best_delays
+    assert best_delays == [
+        bt.BestDelay(bt.AGGREGATED, 0.5, 3, 100.0, 100.0, 0.0, 0.0, 1, 1),
+        bt.BestDelay(bt.INDIVIDUAL, 0.5, 5, 100.0, 50.0, 50.0, math.sqrt(0.25 / 2), 1, 2),
+    ]  # the empty 2.0 subsets have no delay defined on both sides
+    delays, (benchmark, _) = hand_study.delays, hand_study.daily_rates()
+    for kind in (bt.AGGREGATED, bt.INDIVIDUAL):
+        rates, _ = hand_study.daily_rates(hand_study.indices_at_threshold(0.5, kind))
+        expected = best_delay_by_loop(delays, rates, benchmark)
+        assert bt._best_delay(delays, rates, benchmark) == expected
+
+
+def test_best_delays_follow_the_key_order():
+    study = bt.EventStudy(
+        (dp("AAA", 0.95, 0.3), dp("EEE", 0.4, 0.95)),
+        np.array([[1, 0], [0, 1]], dtype=np.int8),
+        delay_lo=3,
+        delay_hi=4,
+    )
+    best = bt.compute_reports(study, (0.9, 0.3)).best_delays
+    keys = [(b.kind, b.threshold) for b in best]
+    assert keys == sorted(keys) == [
+        (bt.AGGREGATED, 0.3), (bt.AGGREGATED, 0.9), (bt.INDIVIDUAL, 0.3),
+        (bt.INDIVIDUAL, 0.9),
+    ]
 
 
 def test_best_single_delay_lands_in_the_drift_window():
@@ -345,12 +373,33 @@ def test_best_single_delay_lands_in_the_drift_window():
     fixture = generate_fixture(
         FixtureSpec(seed=7, drift_pct_per_day=-1.0, drift_window=(21, 30))
     )
-    run = FixtureStudy(fixture)
-    best = bt.compute_reports(run.study, (1.0,)).best_delays[(bt.AGGREGATED, 1.0)]
-    assert best is not None
-    delay, diff = best
-    assert 21 <= delay <= 30
-    assert diff > 10.0
+    study = FixtureStudy(fixture).study
+    reports = bt.compute_reports(study, bt.REPORT_THRESHOLDS)
+    (best,) = [b for b in reports.best_delays if (b.kind, b.threshold) == (bt.AGGREGATED, 1.0)]
+    assert 21 <= best.delay <= 30
+    assert best.diff > 10.0
+    benchmark = reports.benchmark_daily
+    for key, daily in reports.subset_daily.items():
+        found = bt._best_delay(study.delays, daily, benchmark)
+        assert found == best_delay_by_loop(study.delays, daily, benchmark), key
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_best_delay_matches_the_loop_on_ties_and_gaps(seed):
+    """Rates on a coarse grid, so differences tie, with NaN gaps on either
+    side; the last seeds leave one side, then both, undefined everywhere."""
+    rng = np.random.default_rng(seed)
+    delays = range(3, 3 + 40)
+    subset, benchmark = (rng.integers(0, 5, len(delays)) * 25.0 for _ in range(2))
+    subset[rng.random(len(delays)) < 0.3] = np.nan
+    benchmark[rng.random(len(delays)) < 0.3] = np.nan
+    if seed >= 4:
+        subset[:] = np.nan
+    if seed == 5:
+        benchmark[:] = np.nan
+    expected = best_delay_by_loop(delays, subset, benchmark)
+    assert bt._best_delay(delays, subset, benchmark) == expected
+    assert (expected is None) == (seed >= 4)
 
 
 def test_proportion_stderr():

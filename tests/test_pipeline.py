@@ -171,6 +171,29 @@ def test_runconfig_validation(small_fixture_dir, tmp_path):
         missing.validate(inputs=("universe", "prices"))
 
 
+def test_an_infinite_alpha_is_refused_before_any_stage_runs(small_fixture_dir, tmp_path, capsys):
+    """An infinite alpha is positive, but smooths every network into NaN
+    weights: it is refused before parse writes anything, not in rank."""
+    config_path = tmp_path / "run.json"
+    config_path.write_text(
+        json.dumps({
+            **{key: str(small_fixture_dir / name) for key, name in BASE_MAPPING.items()},
+            "output": str(tmp_path / "out"),
+        })
+    )
+    assert main(["run", "--config", str(config_path), "--alpha", "inf"]) == 1
+    assert "alpha must be positive and finite, got inf" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_repeated_threshold_is_refused(small_fixture_dir, tmp_path):
+    """A repeated threshold would render its table twice in the text report
+    and once in the CSV, and change the fingerprint."""
+    cfg = make_config(small_fixture_dir, tmp_path / "out", thresholds=(0.5, 1.0, 0.5))
+    with pytest.raises(ValidationError, match="threshold 0.5 is repeated"):
+        cfg.validate()
+
+
 def _other(value):
     """A different value of the same type as a RunConfig parameter."""
     if isinstance(value, float):
@@ -300,7 +323,8 @@ def test_network_artifacts_roundtrip(staged_run, small_fixture_dir):
 
     cfg, _ = staged_run
     universe = load_universe(small_fixture_dir / "universe.csv")
-    values = {"universe": universe, "occurrences": read_handoff(cfg, "occurrences", {})}
+    occurrences = read_handoff(cfg, "occurrences", {"universe": universe})
+    values = {"universe": universe, "occurrences": occurrences}
     recomputed = PIPELINE[STAGE_ORDER.index("networks")].compute(cfg, values)["networks"]
     loaded = read_handoff(cfg, "networks", values)
 
@@ -672,6 +696,33 @@ def test_cli_validation_failures(tmp_path, capsys):
     assert "unrecognized arguments: --seed" in capsys.readouterr().err
 
 
+def test_cli_path_flags_resolve_against_the_current_directory(
+    small_fixture_dir, tmp_path, monkeypatch
+):
+    """A path flag names a path from the directory the command runs in; a
+    path in the config file still resolves against the config file."""
+    config_dir, work = tmp_path / "fx", tmp_path / "work"
+    config_dir.mkdir()
+    work.mkdir()
+    config_path = config_dir / "run.json"
+    config_path.write_text(
+        json.dumps({
+            **{key: str(small_fixture_dir / name) for key, name in BASE_MAPPING.items()},
+            "articles": "missing.jsonl",
+            "output": "out",
+            "quarters": "2011Q1..2011Q3",
+        })
+    )
+    monkeypatch.chdir(work)
+    articles = os.path.relpath(small_fixture_dir / "articles.jsonl", work)
+    argv = ["parse", "--config", str(config_path), "--articles", articles]
+    assert main([*argv, "--output", "relout"]) == 0
+    assert (work / "relout" / "occurrences.csv").is_file()
+    assert not (config_dir / "relout").exists()
+    assert main(argv) == 0
+    assert (config_dir / "out" / "occurrences.csv").is_file()
+
+
 def test_cli_fixture_then_full_run(tmp_path, capsys):
     data_dir = tmp_path / "data"
     assert (
@@ -861,11 +912,13 @@ def test_a_row_with_the_wrong_cell_count_names_its_line(copied_run, monkeypatch,
 
 def test_line_numbers_count_the_lines_of_quoted_cells(copied_run):
     """A record whose quoted cell spans two lines shifts the lines after it."""
+    from newsrisk.corpus import load_universe
+
     occurrences = copied_run.output / "occurrences.csv"
     _rewrite_line(occurrences, 2, '"two\nline id",2011Q1,positive,C0001')
     _rewrite_line(occurrences, 4, "a2,2011Q1,positive")
     with pytest.raises(DependencyError, match=r"occurrences\.csv line 4 has 3 cells, expected 4"):
-        read_handoff(copied_run, "occurrences", {})
+        read_handoff(copied_run, "occurrences", {"universe": load_universe(copied_run.universe)})
 
 
 @pytest.mark.parametrize(
@@ -923,11 +976,13 @@ def test_a_network_row_naming_a_company_outside_the_universe_is_rejected(
         ("network_edges.csv", "polarity", "mixd"),
         ("network_nodes.csv", "polarity", "mixd"),
         ("network_stats.csv", "polarity", "mixd"),
+        ("occurrences.csv", "polarity", "mixd"),
     ],
 )
 def test_an_undeclared_polarity_or_mode_is_rejected(copied_run, artifact, column, cell):
     """A misspelt polarity or mode names its line, rather than making a
-    network or a rank list of its own that no later stage reads."""
+    network or a rank list of its own that no later stage reads, or failing
+    in build_networks without a file or line."""
     from newsrisk.corpus import load_universe
 
     path = copied_run.output / artifact
@@ -935,12 +990,41 @@ def test_an_undeclared_polarity_or_mode_is_rejected(copied_run, artifact, column
     cells = rows[2].split(",")
     cells[header.split(",").index(column)] = cell
     _rewrite_line(path, 4, ",".join(cells))
-    declared = pipeline.MODES if column == "mode" else pipeline.NETWORK_KINDS
-    handoff = "rank_lists" if artifact == "average_rank.csv" else "networks"
+    handoff, declared = {
+        "average_rank.csv": ("rank_lists", pipeline.NETWORK_KINDS),
+        "occurrences.csv": ("occurrences", corpus.POLARITIES),
+    }.get(artifact, ("networks", pipeline.NETWORK_KINDS))
+    if column == "mode":
+        declared = pipeline.MODES
     message = (
         f"{artifact} line 4 has {column} {cell!r}, expected one of {', '.join(declared)} — "
         f"re-run the {pipeline.WRITER[artifact]!r} command"
     )
+    with pytest.raises(DependencyError, match=f"^{re.escape(message)}$"):
+        read_handoff(copied_run, handoff, {"universe": load_universe(copied_run.universe)})
+
+
+@pytest.mark.parametrize(
+    "artifact, column, problem",
+    [
+        ("occurrences.csv", "companies", "has company 'ZZZ9' outside the universe"),
+        ("average_rank.csv", "canonical_id", "has canonical_id 'ZZZ9' outside the universe"),
+    ],
+)
+def test_an_id_outside_the_universe_is_rejected(copied_run, artifact, column, problem):
+    """An occurrence or a rank-list entry naming an unknown company names its
+    line, rather than adding a node no network has, or taking the place of a
+    selected company whose risk then goes unscored."""
+    from newsrisk.corpus import load_universe
+
+    path = copied_run.output / artifact
+    header, *rows = path.read_text(encoding="utf-8").split("\n")
+    cells = rows[2].split(",")
+    index = header.split(",").index(column)
+    cells[index] = "|".join(sorted([*cells[index].split("|")[1:], "ZZZ9"]))
+    _rewrite_line(path, 4, ",".join(cells))
+    handoff = "rank_lists" if artifact == "average_rank.csv" else "occurrences"
+    message = f"{artifact} line 4 {problem} — re-run the {pipeline.WRITER[artifact]!r} command"
     with pytest.raises(DependencyError, match=f"^{re.escape(message)}$"):
         read_handoff(copied_run, handoff, {"universe": load_universe(copied_run.universe)})
 
