@@ -27,6 +27,7 @@ import csv
 import json
 import logging
 import math
+import mmap
 import re
 import warnings
 from array import array
@@ -148,8 +149,9 @@ class PriceSeries:
 
 class PriceTable:
     """Price series by key: `load_prices` keys them by canonical_id when
-    given a universe, leaving out tickers it does not know, and by ticker
-    without one."""
+    given a universe, holding only the tickers it lists, and by ticker
+    without one. The backtest passes the universe of its datapoints'
+    companies, so its table holds the series it reads and no other."""
 
     def __init__(self, series: Iterable[PriceSeries]):
         self.series: dict[str, PriceSeries] = {
@@ -284,10 +286,13 @@ def _read_articles(path: Path, lines: Iterable[str], window: tuple[date, date]) 
 #: Rows that one `np.loadtxt` call parses. Each cell of a chunk is a `str`
 #: until the chunk is copied into the columns, and the allocator keeps the
 #: pages they took, so the chunk is the one slice of the file the reader
-#: holds besides its result. On a 2-vCPU VM, loading a 203 000-row price
-#: file raised peak RSS by 5.04 MB with 256- or 512-row chunks, 5.1 MB
-#: with 1024 and 5.9 MB with 4096, which parse it about 10 % faster.
-_CHUNK = 512
+#: holds besides its result. On a 2-vCPU VM, loading the 203 000-row
+#: wide-universe price file for the 23 companies its backtest reads (75 KB
+#: of series) raised peak RSS by 0.4-0.5 MB with 512- or 1 024-row chunks,
+#: 0.6 MB with 2 048 and 1.1 MB with 4 096; keeping every row (3.25 MB of
+#: series), by 5.0, 5.1, 5.4 and 5.9 MB. Larger chunks parse faster, and
+#: the per-chunk checks of `load_prices` cost less per row.
+_CHUNK = 1024
 #: Bytes the row count reads at a time.
 _BLOCK = 1 << 16
 
@@ -353,21 +358,27 @@ class Table(dict):
         raise self.dialect.error(self.path, self.ends[row], problem)
 
 
-def read_table(path: Path, kinds: Mapping[str, Kind], dialect: Dialect) -> Table:
+def read_table(path: Path, kinds: Mapping[str, Kind], dialect: Dialect,
+               keep: Callable[[dict[str, Any]], np.ndarray | None] | None = None) -> Table:
     """The columns of the CSV file at `path`, whose header must name `kinds`.
 
     One pass over the bytes bounds the rows, and each array column is
-    allocated once at that bound. numpy's C parser then reads the rows in
+    reserved once at that bound. numpy's C parser then reads the rows in
     chunks of `_CHUNK`, which are copied into the columns, so the reader
     holds its result and one chunk at a time. Each distinct cell of a
     column that is not float64 goes through Python once. When a row stops
     the parser, or a byte that is not UTF-8 (UnicodeDecodeError is a
     ValueError), `_scan` reads the file again row by row.
+
+    `keep`, when given, gets the columns of each chunk as they are read,
+    every one an array, and returns the indices of the rows to hold, or
+    None to hold them all; it may raise to stop the read. The row scan
+    holds every row and calls no `keep`; only its table has `ends`.
     """
     try:
         with path.open("r", encoding="utf-8-sig", newline="") as fh:
             _check_header(path, next(csv.reader(fh), None), kinds, dialect)
-            return Table(path, dialect, _parse(fh, kinds, _row_bound(path)))
+            return Table(path, dialect, _parse(fh, kinds, _row_bound(path), keep))
     except ValueError:
         return _scan(path, kinds, dialect)
 
@@ -404,15 +415,17 @@ def _undecodable(path: Path) -> tuple[int, str] | None:
     return None
 
 
-def _parse(lines: Iterator[str], kinds: Mapping[str, Kind], rows: int) -> dict[str, Any]:
-    """The columns of `lines`, at most `rows` rows: a list for an `object`
-    column, else an array. A row past `rows` raises ValueError."""
+def _parse(lines: Iterator[str], kinds: Mapping[str, Kind], rows: int,
+           keep: Callable[[dict[str, Any]], np.ndarray | None] | None) -> dict[str, Any]:
+    """The columns of `lines` that `keep` holds, of at most `rows` rows: a
+    list for an `object` column, else an array. A row past `rows` raises
+    ValueError."""
     memos = {name: _Memo(name, kind) for name, kind in kinds.items()}
     row = np.dtype([(name, kind.dtype if kind.dtype is np.float64 else object)
                     for name, kind in kinds.items()])
-    columns = {name: [] if kind.dtype is object else np.empty(rows, kind.dtype)
+    columns = {name: [] if kind.dtype is object else _reserve(rows, kind.dtype)
                for name, kind in kinds.items()}
-    filled = 0
+    read = held = 0
     count = _CHUNK
     while count == _CHUNK:
         with warnings.catch_warnings():
@@ -423,21 +436,40 @@ def _parse(lines: Iterator[str], kinds: Mapping[str, Kind], rows: int) -> dict[s
                 max_rows=_CHUNK,
             )
         count = len(chunk)
-        if filled + count > rows:
+        read += count
+        if read > rows:
             raise ValueError(f"more than {rows} rows")
-        for name, kind in kinds.items():
-            cells, column = chunk[name], columns[name]
-            if kind.dtype is np.float64:
-                column[filled:filled + count] = cells
-                continue
-            values = map(memos[name].__getitem__, cells)
-            if kind.dtype is object:
-                column.extend(values)
+        cells = {name: _values(chunk[name], memos[name]) for name in kinds}
+        picked = keep(cells) if keep is not None and count else None
+        if picked is not None:
+            cells = {name: values[picked] for name, values in cells.items()}
+        for name, column in columns.items():
+            if isinstance(column, list):
+                column.extend(cells[name])
             else:
-                column[filled:filled + count] = np.fromiter(values, kind.dtype, count)
-        filled += count
-    return {name: column if isinstance(column, list) else column[:filled]
+                column[held:held + len(cells[name])] = cells[name]
+        held += count if picked is None else len(picked)
+    return {name: column if isinstance(column, list) else column[:held]
             for name, column in columns.items()}
+
+
+def _values(cells: np.ndarray, memo: _Memo) -> Any:
+    """A chunk's cells of one column as values: numpy parsed a float64
+    column; any other goes through its memo."""
+    kind = memo.kind
+    if kind.dtype is np.float64:
+        return cells
+    values = map(memo.__getitem__, cells)
+    return list(values) if kind.dtype is object else np.fromiter(values, kind.dtype, len(cells))
+
+
+def _reserve(rows: int, dtype: Any) -> np.ndarray:
+    """An array of `rows` items in an anonymous memory map, whose pages take
+    memory only once written, whatever the allocator holds: a column that
+    holds few of the rows it was reserved for costs what it holds.
+    tracemalloc does not count the map."""
+    dtype = np.dtype(dtype)
+    return np.frombuffer(mmap.mmap(-1, max(1, rows * dtype.itemsize)), dtype, rows)
 
 
 def _scan(path: Path, kinds: Mapping[str, Kind], dialect: Dialect) -> Table:
@@ -665,51 +697,129 @@ _DAY = Kind(_epoch_day, "bad date {cell!r}", np.int64)
 _CLOSE = Kind(float_cell, "bad price {cell!r}", np.float64)
 
 
-def _price_columns(path: Path) -> tuple[list[str], np.ndarray, np.ndarray, np.ndarray]:
-    """Tickers, and the code, day since 1970 and close of every row, grouped
-    by ticker. Each ticker is coded in the order it first appears, so the
-    codes of a file whose tickers are already grouped never decrease, and
-    its columns are returned as read. Only a file that interleaves tickers
-    is grouped by one stable sort, which copies the columns and frees those
-    in file order on return: holding both raised the peak RSS of loading a
-    203 000-row file by about 4.5 MB."""
-    codes_of: dict[str, int] = {}  # ticker -> code
-    ticker = Kind(lambda cell: codes_of.setdefault(cell.strip(), len(codes_of)), dtype=np.int32)
-    table = read_table(path, dict(zip(PRICE_COLUMNS, (ticker, _DAY, _CLOSE))), INPUT)
+#: Keys `code * _SPAN + day` order rows by ticker code, then by day: the
+#: days since 1970 of the years 1 to 9999 lie less than `_SPAN` apart.
+_SPAN = np.int64(1 << 32)
+
+
+class _Refused(Exception):
+    """A chunk of a price file failed a check; the whole file is checked."""
+
+
+class _Tickers(dict):
+    """The code of each ticker read, in the order first read, and for each
+    code whether its rows are kept and the key of its last row read."""
+
+    def __init__(self, universe: EntityUniverse | None):
+        super().__init__()
+        self.known = None if universe is None else universe.ticker_to_id
+        self.kept = np.zeros(0, dtype=bool)
+        self.last = np.zeros(0, dtype=np.int64)
+
+    def code(self, cell: str) -> int:
+        """The ticker column's `parse`, which runs once per distinct cell:
+        the code of the cell's ticker, the next one for a new ticker."""
+        ticker = cell.strip()
+        code = self.get(ticker)
+        if code is None:
+            code = self[ticker] = len(self)
+            if code == len(self.kept):  # double the room of the per-code arrays
+                self.kept = np.concatenate((self.kept, np.zeros(code + 1, dtype=bool)))
+                self.last = np.concatenate((self.last, np.full(code + 1, np.iinfo(np.int64).min)))
+            self.kept[code] = self.known is None or ticker in self.known
+        return code
+
+    def keep(self, cells: dict[str, np.ndarray]) -> np.ndarray | None:
+        """The rows of a chunk whose ticker is kept (None: every row), once
+        every row of it is checked as `_price_columns` checks a whole file;
+        `_Refused` on a fault. Each ticker's dates are checked against its
+        last row read, so tickers may interleave; only a chunk whose codes
+        decrease is sorted."""
+        codes, days, closes = (cells[name] for name in PRICE_COLUMNS)
+        if not closes.min() > 0 or closes.max() == math.inf:  # a NaN fails the first
+            raise _Refused
+        codes = codes.astype(np.intp)  # numpy indexes by intp without a cast
+        key = codes * _SPAN + days
+        if not self._ordered(codes, key):  # interleaved tickers, or a fault
+            order = np.argsort(codes, kind="stable")
+            if not self._ordered(codes[order], key[order]):
+                raise _Refused
+        np.maximum.at(self.last, codes, key)
+        picked = self.kept[codes].nonzero()[0]
+        return None if len(picked) == len(codes) else picked
+
+    def _ordered(self, codes: np.ndarray, key: np.ndarray) -> bool:
+        """Whether the key of each row is above the key of the row before it
+        and of its ticker's last row read before: so the codes never
+        decrease, and each ticker's days increase strictly."""
+        bound = self.last[codes]
+        np.maximum(bound[1:], key[:-1], out=bound[1:])
+        return bool((key > bound).all())
+
+
+def _price_columns(
+    path: Path, universe: EntityUniverse | None
+) -> tuple[list[str], np.ndarray, np.ndarray, np.ndarray]:
+    """Tickers, and the code, day since 1970 and close of each row whose
+    ticker is kept, grouped by ticker: without a universe every ticker is
+    kept, with one each ticker it lists.
+
+    Each chunk is checked as it is read, and only its kept rows are held.
+    When a chunk fails a check, or a row cannot be read, every row of the
+    file is read and the whole columns are checked here, so the first
+    faulty line is named. Each ticker is coded in the order it first
+    appears, so the codes of a file whose tickers are already grouped never
+    decrease, and its kept rows are returned as read. Only the kept rows of
+    a file that interleaves tickers are grouped, by one stable sort."""
+    tickers = _Tickers(universe)
+    kinds = dict(zip(PRICE_COLUMNS, (Kind(tickers.code, dtype=np.int32), _DAY, _CLOSE)))
+    try:
+        table = read_table(path, kinds, INPUT, tickers.keep)
+    except _Refused:  # the traceback holds the rows read so far until this block ends
+        table = None
+    whole = table is None or table.ends is not None  # else only the kept rows were read
+    if table is None:
+        table = read_table(path, kinds, INPUT)
     codes, days, closes = (table[name] for name in PRICE_COLUMNS)
-    tickers = list(codes_of)
-    order = np.argsort(codes, kind="stable") if np.any(codes[1:] < codes[:-1]) else None
-    by_code, by_day = (codes, days) if order is None else (codes[order], days[order])
-    late = 1 + np.flatnonzero((by_code[1:] == by_code[:-1]) & (by_day[1:] <= by_day[:-1]))
-    unordered = np.zeros(len(codes), dtype=bool)
-    unordered[late if order is None else order[late]] = True
-    table.raise_first(
-        (~np.isfinite(closes), lambda r: f"bad price {float(closes[r])} for {tickers[codes[r]]}"),
-        (closes <= 0, lambda r: f"non-positive price {float(closes[r])} for {tickers[codes[r]]}"),
-        (unordered, lambda r: f"dates for {tickers[codes[r]]} not strictly increasing"),
-    )
-    return tickers, by_code, by_day, closes if order is None else closes[order]
+    names = list(tickers)
+    if whole:
+        order = np.argsort(codes, kind="stable") if np.any(codes[1:] < codes[:-1]) else None
+        by_code, by_day = (codes, days) if order is None else (codes[order], days[order])
+        late = 1 + np.flatnonzero((by_code[1:] == by_code[:-1]) & (by_day[1:] <= by_day[:-1]))
+        unordered = np.zeros(len(codes), dtype=bool)
+        unordered[late if order is None else order[late]] = True
+        table.raise_first(
+            (~np.isfinite(closes), lambda r: f"bad price {float(closes[r])} for {names[codes[r]]}"),
+            (closes <= 0, lambda r: f"non-positive price {float(closes[r])} for {names[codes[r]]}"),
+            (unordered, lambda r: f"dates for {names[codes[r]]} not strictly increasing"),
+        )
+        held = np.flatnonzero(tickers.kept[codes])
+        codes, days, closes = codes[held], days[held], closes[held]
+    if np.any(codes[1:] < codes[:-1]):
+        order = np.argsort(codes, kind="stable")
+        codes, days, closes = codes[order], days[order], closes[order]
+    return names, codes, days, closes
 
 
 def load_prices(path: str | Path, universe: EntityUniverse | None = None) -> PriceTable:
     """Load daily adjusted closes.
 
     When a universe is given, series are keyed by the canonical_id their
-    ticker resolves to, and a ticker the universe does not know is left out;
-    for a company with several share-class series the primary ticker's series
-    wins. Missing companies are permitted (the backtest disqualifies them
-    later).
+    ticker resolves to, and the rows of a ticker the universe does not list
+    are checked and then left out, never held; for a company with several
+    share-class series the primary ticker's series wins. Missing companies
+    are permitted (the backtest disqualifies them later).
 
-    Each ticker is coded to a small int as it is read, and the price and
-    date-order checks run over whole columns. A file grouped by ticker
-    needs no sort: each series is a view of the columns as read, whose
-    days since 1970 are viewed as dates, so the loader holds little more
-    than its result. An interleaved file is grouped by one stable sort
-    first. A malformed file raises ValidationError naming its first faulty
-    line.
+    The file is read and checked a chunk at a time, and only the rows of
+    kept tickers are held, in columns reserved once at the file's row
+    bound, whose untouched pages take no memory. The series of a file
+    grouped by ticker are views of those columns, whose days since 1970 are
+    viewed as dates, so the loader holds little more than its result and
+    one chunk. A malformed file raises ValidationError naming its first
+    faulty line.
     """
     path = Path(path)
-    tickers, codes, days, closes = _price_columns(path)
+    tickers, codes, days, closes = _price_columns(path, universe)
     dates = days.view("datetime64[D]")
     cuts = (np.flatnonzero(codes[1:] != codes[:-1]) + 1).tolist()
     per_ticker = {
@@ -722,10 +832,8 @@ def load_prices(path: str | Path, universe: EntityUniverse | None = None) -> Pri
     for ticker in sorted(per_ticker):
         dates, values = per_ticker[ticker]
         key = ticker
-        if universe is not None:
-            key = universe.ticker_to_id.get(ticker)
-            if key is None:
-                continue  # no company to key it by
+        if universe is not None:  # which lists every ticker held
+            key = universe.ticker_to_id[ticker]
             if key in chosen and ticker != universe.records[key].primary_ticker:
                 continue  # keep the earlier (or primary) series
         chosen[key] = PriceSeries(key=key, dates=dates, closes=values)

@@ -50,8 +50,8 @@ from .centrality import (
     information_centrality,
 )
 from .corpus import (
-    POLARITIES, Dialect, Kind, Table, float_cell, format_table, load_articles, load_marketcaps,
-    load_prices, load_universe, read_table,
+    _BLOCK, POLARITIES, Dialect, EntityUniverse, Kind, Table, float_cell, format_table,
+    load_articles, load_marketcaps, load_prices, load_universe, read_table,
 )
 from .entities import MatcherSet, OccurrenceSet, parse_corpus
 from .errors import DependencyError, ValidationError
@@ -511,11 +511,6 @@ HISTOGRAM = Artifact(
     ("risk_at_least", "n_aggregated", "pct_aggregated", "n_individual", "pct_individual"),
     lambda cfg, v: _fields(v["reports"].histogram, bt.HistogramRow),
 )
-PRICE_SERIES = Artifact(
-    "risk_price_series.csv",
-    ("canonical_id", "quarter", "measurement_date", "close", *SCORES),
-    lambda cfg, v: _datapoint_columns(PRICE_SERIES.columns, v["study"].datapoints, cfg),
-)
 
 
 # ---------------------------------------------------------------------------
@@ -745,12 +740,21 @@ HANDOFFS: dict[str, Handoff] = {
 # Stages: one declaration each
 # ---------------------------------------------------------------------------
 
-#: How each input file of the config is loaded. Prices are keyed by the
-#: universe, so a stage that loads prices loads the universe first.
+def _load_prices(cfg: RunConfig, v: Values) -> Any:
+    """The price series of the datapoints' companies, the only ones the
+    backtest reads, keyed by canonical_id: the rows of every other ticker
+    are checked and never held."""
+    records = v["universe"].records
+    ids = {dp.canonical_id for dp in v["datapoints"]}
+    return load_prices(cfg.prices, EntityUniverse(records[cid] for cid in ids if cid in records))
+
+
+#: How each input file of the config is loaded, from the values of the
+#: stage that loads it.
 LOADERS: dict[str, Callable[[RunConfig, Values], Any]] = {
     "articles": lambda cfg, v: load_articles(cfg.articles, window=cfg.window),
     "universe": lambda cfg, v: load_universe(cfg.universe),
-    "prices": lambda cfg, v: load_prices(cfg.prices, v["universe"]),
+    "prices": _load_prices,
     "marketcaps": lambda cfg, v: load_marketcaps(cfg.marketcaps),
 }
 
@@ -759,10 +763,11 @@ LOADERS: dict[str, Callable[[RunConfig, Values], Any]] = {
 class Stage:
     """One pipeline stage.
 
-    `inputs` are config input files (keys of `LOADERS`, in load order) and
-    `reads` are values of earlier stages (keys of `HANDOFFS`). `compute`
-    maps the run's values to this stage's new values, from which `writes`
-    encode; `params` are recorded in the manifest.
+    `inputs` are config input files (keys of `LOADERS`) and `reads` are
+    values of earlier stages (keys of `HANDOFFS`); each is loaded or decoded
+    when it is first used. `compute` maps the run's values to this stage's
+    new values, from which `writes` encode; `params` are recorded in the
+    manifest.
     """
 
     name: str
@@ -775,8 +780,8 @@ class Stage:
 
 
 def _parse(cfg: RunConfig, v: Values) -> dict[str, Any]:
-    matchers = MatcherSet(v["universe"])
-    return {"occurrences": parse_corpus(v["articles"], matchers)}
+    articles = v["articles"]
+    return {"occurrences": parse_corpus(articles, MatcherSet(v["universe"]))}
 
 
 def _networks(cfg: RunConfig, v: Values) -> dict[str, Any]:
@@ -865,7 +870,7 @@ PIPELINE: tuple[Stage, ...] = (
         inputs=(), reads=("study",),
         compute=lambda cfg, v: {"reports": compute_reports(v["study"], cfg.thresholds)},
         writes=(RANGES_CSV, RANGES_TXT, COMPARISON_CSV, COMPARISON_TXT, DAILY, BEST_DELAY,
-                HISTOGRAM, PRICE_SERIES),
+                HISTOGRAM),
         params=lambda cfg, v: _report_params(cfg),
     ),
 )
@@ -897,7 +902,7 @@ def _atomic_write(path: Path, data: bytes) -> None:
 
 def _chunks(path: Path) -> Iterator[bytes]:
     with path.open("rb") as fh:
-        yield from iter(lambda: fh.read(1 << 20), b"")
+        yield from iter(lambda: fh.read(_BLOCK), b"")
 
 
 def _file_entry(path: Path, data: bytes | None = None) -> dict:
@@ -934,11 +939,25 @@ def read_handoff(cfg: RunConfig, key: str, values: Values) -> Any:
     return value
 
 
-def _load_inputs(cfg: RunConfig, stage: Stage, loaded: dict[str, Any]) -> None:
-    """Load into `loaded` each input of `stage` it does not hold yet."""
-    for name in stage.inputs:
-        if name not in loaded:
-            loaded[name] = LOADERS[name](cfg, loaded)
+class _Values(dict):
+    """The values of one stage by name: those in `held`, then each input of
+    the stage loaded, and each value it reads decoded from its artifacts,
+    when first used."""
+
+    def __init__(self, cfg: RunConfig, stage: Stage, held: Values):
+        names = (*stage.inputs, *stage.reads)
+        super().__init__((name, held[name]) for name in names if name in held)
+        self.cfg, self.stage = cfg, stage
+
+    def __missing__(self, name: str) -> Any:
+        if name in self.stage.inputs:
+            value = LOADERS[name](self.cfg, self)
+        elif name in self.stage.reads:
+            value = read_handoff(self.cfg, name, self)
+        else:
+            raise KeyError(name)
+        self[name] = value
+        return value
 
 
 def run_stage(
@@ -950,11 +969,12 @@ def run_stage(
     """Run one stage, writing its artifacts; returns their and its manifest's paths.
 
     `loaded` holds the values already in hand, config inputs and earlier
-    stages' values alike, and gains the inputs this stage loads and the
-    values it computes. A value this stage reads that `loaded` lacks is
-    decoded from its artifacts. `entries` holds the manifest entry of each
-    file hashed so far, by path, and gains this stage's. `run_all` passes
-    the same two dicts to every stage; a stage command passes neither.
+    stages' values alike, and gains the values this stage loads, decodes
+    and computes. An input this stage uses that `loaded` lacks is loaded,
+    and a value it reads is decoded from its artifacts, on first use.
+    `entries` holds the manifest entry of each file hashed so far, by path,
+    and gains this stage's. `run_all` passes the same two dicts to every
+    stage; a stage command passes neither.
     """
     cfg.validate(stage.inputs)
     loaded = {} if loaded is None else loaded
@@ -966,17 +986,13 @@ def run_stage(
                 f"stage {stage.name!r} needs {path.name} — "
                 f"run the {WRITER[path.name]!r} command first"
             )
-    _load_inputs(cfg, stage, loaded)
     inputs = [Path(getattr(cfg, name)) for name in stage.inputs] + read
     for path in inputs:
         if path not in entries:
             entries[path] = _file_entry(path)
-    values: dict[str, Any] = {name: loaded[name] for name in stage.inputs}
-    for key in stage.reads:
-        values[key] = loaded[key] if key in loaded else read_handoff(cfg, key, values)
-    computed = stage.compute(cfg, values)
-    values.update(computed)
-    loaded.update(computed)
+    values = _Values(cfg, stage, loaded)
+    values.update(stage.compute(cfg, values))
+    loaded.update(values)
 
     outputs = []
     for artifact in stage.writes:
@@ -1043,7 +1059,8 @@ def run_study(cfg: RunConfig) -> StudyResult:
     cfg.validate()
     values: dict[str, Any] = {}
     for stage in PIPELINE:
-        _load_inputs(cfg, stage, values)
-        values.update(stage.compute(cfg, values))
+        current = _Values(cfg, stage, values)
+        current.update(stage.compute(cfg, current))
+        values.update(current)
     names = [f.name for f in fields(StudyResult) if f.name != "config"]
     return StudyResult(config=cfg, **{name: values[name] for name in names})

@@ -1,6 +1,8 @@
 """Loaders, writers, and calendar-quarter bucketing."""
 
 import json
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from datetime import date, datetime, timedelta, timezone
@@ -684,21 +686,77 @@ def _traced_peak(call, *args):
     return result, peak
 
 
+def _write_wide_prices(path, tickers, n_days):
+    """A price file grouped by ticker, `n_days` closes for each ticker."""
+    days = np.datetime_as_string(np.datetime64("2011-01-03") + np.arange(n_days)).tolist()
+    closes = np.random.default_rng(3).lognormal(3.0, 1.0, len(tickers) * n_days)
+    rows = [ticker for ticker in tickers for _ in days]
+    path.write_text(format_table(PRICE_COLUMNS, (rows, days * len(tickers), closes)),
+                    encoding="utf-8")
+
+
 def test_loading_grouped_prices_holds_little_more_than_the_series(tmp_path):
     """A file grouped by ticker is read into columns sized once, and its
     series are views of them, so loading it peaks at less than 1.7 times
     the bytes of the series' arrays."""
-    days = np.datetime_as_string(np.datetime64("2011-01-03") + np.arange(500)).tolist()
-    tickers = [f"T{i:03d}" for i in range(200)]
-    closes = np.random.default_rng(3).lognormal(3.0, 1.0, len(tickers) * len(days))
-    rows = [ticker for ticker in tickers for _ in days]
     path = tmp_path / "prices.csv"
-    path.write_text(format_table(PRICE_COLUMNS, (rows, days * len(tickers), closes)),
-                    encoding="utf-8")
+    _write_wide_prices(path, [f"T{i:03d}" for i in range(200)], 500)
     prices, peak = _traced_peak(load_prices, path)
     held = sum(s.dates.nbytes + s.closes.nbytes for s in prices.series.values())
     assert held == 16 * 100_000
     assert peak <= 1.7 * held, peak / held
+
+
+def _listing(tickers):
+    """A universe of one company per ticker."""
+    return EntityUniverse(
+        EntityRecord(f"C{t}", f"{t} Co", t, "NYSE", (f"{t} Co",), (t,)) for t in tickers
+    )
+
+
+#: A fresh interpreter's peak RSS growth, in bytes, while it loads the price
+#: file `argv[1]` for the tickers `argv[2:]`, after one load of a small file.
+_RSS_PROBE = """
+import resource, sys
+from newsrisk.corpus import EntityRecord, EntityUniverse, load_prices
+small, path, tickers = sys.argv[1], sys.argv[2], sys.argv[3:]
+universe = EntityUniverse(EntityRecord(t, t, t, "NYSE", (t,), (t,)) for t in tickers)
+load_prices(small, universe)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+prices = load_prices(path, universe)
+grown = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before
+print(grown * (1 if sys.platform == "darwin" else 1024))
+"""
+
+
+def test_loading_prices_for_some_tickers_holds_their_series_and_one_chunk(tmp_path):
+    """With a universe that lists 10 of 200 tickers, every row is checked but
+    only theirs are held. tracemalloc counts the Python and numpy heap,
+    where a chunk's cells live: loading peaks near the kept series plus one
+    chunk. The columns are reserved in an anonymous memory map, which
+    tracemalloc does not see, so the peak RSS of a fresh interpreter checks
+    that only the kept rows' pages are written, and that keeping every
+    row holds the series once."""
+    pytest.importorskip("resource")
+    tickers = [f"T{i:03d}" for i in range(200)]
+    path = tmp_path / "prices.csv"
+    _write_wide_prices(path, tickers, 500)
+    listed = tickers[::20]
+    prices, peak = _traced_peak(load_prices, path, _listing(listed))
+    held = sum(s.dates.nbytes + s.closes.nbytes for s in prices.series.values())
+    assert sorted(prices.series) == [f"C{t}" for t in listed]
+    assert held == 16 * 5_000
+    assert peak <= held + 500 * _CHUNK, peak
+
+    small = tmp_path / "small.csv"
+    _write_wide_prices(small, listed[:1], 20)
+
+    def grown(kept):
+        probe = [sys.executable, "-c", _RSS_PROBE, str(small), str(path), *kept]
+        return int(subprocess.run(probe, capture_output=True, text=True, check=True).stdout)
+
+    assert grown(listed) <= held + (1 << 20)  # every row held would be 2 MB
+    assert grown(tickers) <= 2 * 16 * 100_000  # the series once, and a chunk
 
 
 def test_formatting_a_table_holds_little_more_than_its_text():
@@ -813,6 +871,88 @@ def test_planted_price_faults_report_the_earliest_line(tmp_path, small_fixture_d
         with pytest.raises(ValidationError) as caught:
             _load_prices_strictly(path)
         assert str(caught.value) == f"prices.csv:{line}: {planted[line]}", planted
+
+
+def _interleaved(lines):
+    """A price file's header, then its rows sorted by date, then ticker, so
+    that every ticker interleaves with the others."""
+    header, *rows = lines
+    return [header, *sorted(rows, key=lambda row: row.split(",")[1::-1])]
+
+
+def _some_companies(small_fixture_dir):
+    """The small fixture's universe without every other company, keeping the
+    one with two share classes."""
+    companies = list(load_universe(small_fixture_dir / "universe.csv"))
+    return EntityUniverse(
+        c for k, c in enumerate(companies) if k % 2 == 0 or len(c.merged_tickers) > 1
+    )
+
+
+@pytest.mark.parametrize("chunk", [1, 7])
+@pytest.mark.parametrize("layout", ["grouped", "interleaved"])
+def test_prices_for_some_companies_match_the_row_loader(
+    tmp_path, monkeypatch, small_fixture_dir, layout, chunk
+):
+    """The rows of the tickers the universe lists load as the row-at-a-time
+    loader loads them, and no others are held."""
+    monkeypatch.setattr(corpus, "_CHUNK", chunk)
+    lines = (small_fixture_dir / "prices.csv").read_text(encoding="utf-8").splitlines()
+    path = tmp_path / "prices.csv"
+    path.write_text("\n".join(lines if layout == "grouped" else _interleaved(lines)) + "\n",
+                    encoding="utf-8")
+    universe = _some_companies(small_fixture_dir)
+    loaded = _assert_loads_like_the_row_loader(path, universe)
+    assert set(loaded.series) == set(universe.ids())
+    rows = sum(len(s.dates) for s in loaded.series.values())
+    listed = sum(line.split(",")[0] in universe.ticker_to_id for line in lines[1:])
+    assert rows <= listed < len(lines) - 1
+
+
+@pytest.mark.parametrize("chunk", [1, 7])
+@pytest.mark.parametrize("layout", ["grouped", "interleaved"])
+def test_planted_faults_in_rows_left_out_report_the_earliest_line(
+    tmp_path, monkeypatch, small_fixture_dir, layout, chunk
+):
+    """The rows of a ticker the universe does not list are checked before
+    they are left out: the earliest faulty line is named, whichever ticker
+    it holds, in a file grouped by ticker or interleaved, at any chunk
+    size."""
+    monkeypatch.setattr(corpus, "_CHUNK", chunk)
+    source = (small_fixture_dir / "prices.csv").read_text(encoding="utf-8").splitlines()
+    if layout == "interleaved":
+        source = _interleaved(source)
+    universe = _some_companies(small_fixture_dir)
+    before: dict[int, int] = {}  # row index -> the index of its ticker's row before it
+    latest: dict[str, int] = {}
+    for index in range(1, len(source)):
+        ticker = source[index].split(",")[0]
+        if ticker in latest:
+            before[index] = latest[ticker]
+        latest[ticker] = index
+    faults = {
+        **PLANTED_FAULTS,
+        "infinite": lambda t, d, c, prev: (f"{t},{d},inf", f"bad price inf for {t}"),
+    }
+    rng = np.random.default_rng(17)
+    path = tmp_path / "prices.csv"
+    left_out = 0
+    for trial in range(21):
+        lines = list(source)
+        planted = {}
+        for index in rng.choice(sorted(before), size=1 + trial % 2, replace=False).tolist():
+            kind = str(rng.choice(sorted(faults)))
+            ticker, day, close = lines[index].split(",")
+            previous_day = source[before[index]].split(",")[1]
+            lines[index], message = faults[kind](ticker, day, close, previous_day)
+            planted[index + 1] = message
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        line = min(planted)
+        left_out += source[line - 1].split(",")[0] not in universe.ticker_to_id
+        with pytest.raises(ValidationError) as caught:
+            _load_prices_strictly(path, universe)
+        assert str(caught.value) == f"prices.csv:{line}: {planted[line]}", planted
+    assert left_out >= 4
 
 
 # -- market caps ------------------------------------------------------------

@@ -348,7 +348,7 @@ def test_stage_commands_write_the_bytes_run_writes(small_fixture_dir, tmp_path, 
         STAGES[stage](make_config(small_fixture_dir, tmp_path / "staged", **window))
     run = {p.name: p.read_bytes() for p in (tmp_path / "run").iterdir()}
     staged = {p.name: p.read_bytes() for p in (tmp_path / "staged").iterdir()}
-    assert len(run) == 25
+    assert len(run) == 24
     assert run.keys() == staged.keys()
     for name in run:
         assert staged[name] == run[name], name
@@ -471,6 +471,34 @@ def test_run_all_loads_each_input_once(small_fixture_dir, tmp_path, monkeypatch)
         assert (cfg.output / name).read_bytes() == (one_by_one.output / name).read_bytes(), name
 
 
+def test_the_backtest_loads_only_the_series_of_its_datapoints(
+    small_fixture_dir, tmp_path, monkeypatch
+):
+    """run_all, run_study and the backtest command, run after risk, each
+    hand the prices loader a universe of the datapoints' companies only, so
+    the rows of every other ticker are never held."""
+    loads = []
+
+    def recording(path, universe=None):
+        prices = corpus.load_prices(path, universe)
+        loads.append((set(universe.ids()), set(prices.series)))
+        return prices
+
+    monkeypatch.setattr(pipeline, "load_prices", recording)
+    cfg = make_config(small_fixture_dir, tmp_path / "all", top_k=5)
+    run_all(cfg)
+    with (cfg.output / "risk.csv").open(encoding="utf-8") as fh:
+        companies = {row["canonical_id"] for row in csv.DictReader(fh)}
+    result = run_study(make_config(small_fixture_dir, tmp_path / "study", top_k=5))
+    assert {dp.canonical_id for dp in result.datapoints} == companies
+    STAGES["backtest"](cfg)  # decodes the datapoints from risk.csv
+    assert 0 < len(companies) < len(pipeline.load_universe(cfg.universe))
+    assert len(loads) == 3
+    for listed, keys in loads:
+        assert listed == companies
+        assert keys <= companies
+
+
 def test_ids_with_a_carriage_return_pass_through_the_stage_commands(small_fixture_dir, tmp_path):
     """Canonical and article ids holding a lone carriage return are written
     quoted, so the stage commands read them back and write what run_all
@@ -570,7 +598,7 @@ def _text_mode_rows(path: Path) -> int:
 
 
 def test_file_entry_hashes_and_counts_like_text_mode(tmp_path):
-    chunk = 1 << 20
+    chunk = corpus._BLOCK  # the bytes `_file_entry` reads at a time
     contents = [
         b"",
         b"\n",
