@@ -659,7 +659,7 @@ ROW_ENDS = {
 }
 
 
-@pytest.mark.parametrize("chunk", [1, _CHUNK])
+@pytest.mark.parametrize("chunk", [1, 512])
 @pytest.mark.parametrize("rest", ROW_ENDS.values(), ids=ROW_ENDS)
 def test_the_row_bound_keeps_good_files_on_the_fast_path(tmp_path, monkeypatch, rest, chunk):
     """The columns are sized by a count of line feeds and carriage returns;
@@ -775,10 +775,11 @@ def test_formatting_a_table_holds_little_more_than_its_text():
     assert peak <= 2.5 * len(text), peak / len(text)
 
 
-@pytest.mark.parametrize("rows", [2 * _CHUNK, 2 * _CHUNK + 5])
-def test_prices_spanning_several_chunks_load_as_the_row_loader_does(tmp_path, rows):
-    """Interleaved tickers over three parse chunks, the last full or not,
-    with blank lines after the last row."""
+@pytest.mark.parametrize("rows", [1024, 1029])
+def test_prices_spanning_several_chunks_load_as_the_row_loader_does(tmp_path, monkeypatch, rows):
+    """Interleaved tickers over three 512-row parse chunks, the last full or
+    not, with blank lines after the last row."""
+    monkeypatch.setattr(corpus, "_CHUNK", 512)
     tickers = ["AAA", "AAB", "BBB"]
     lines = ["ticker,date,adjusted_close"]
     for i in range(rows):
@@ -815,7 +816,7 @@ def test_price_cells_follow_numpy_float_syntax(tmp_path):
                 _load_prices_strictly(path)
 
 
-@pytest.mark.parametrize("chunk", [1, _CHUNK])
+@pytest.mark.parametrize("chunk", [1, 512])
 def test_the_row_scan_reads_what_numpy_reads(tmp_path, monkeypatch, chunk):
     """Wherever numpy's parser reads a file, the row-by-row scan that names
     faults reads the same rows from it and finds none: stray and doubled

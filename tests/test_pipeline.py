@@ -925,7 +925,7 @@ def copied_run(staged_run, tmp_path):
     return make_config(Path(cfg.articles).parent, out)
 
 
-@pytest.mark.parametrize("chunk", [7, corpus._CHUNK])
+@pytest.mark.parametrize("chunk", [7, 512])
 def test_a_row_with_the_wrong_cell_count_names_its_line(copied_run, monkeypatch, chunk):
     monkeypatch.setattr(corpus, "_CHUNK", chunk)
     events = copied_run.output / "decline_events.csv"
