@@ -27,7 +27,6 @@ import csv
 import json
 import logging
 import math
-import mmap
 import re
 import warnings
 from array import array
@@ -288,10 +287,11 @@ def _read_articles(path: Path, lines: Iterable[str], window: tuple[date, date]) 
 #: pages they took, so the chunk is the one slice of the file the reader
 #: holds besides its result. On a 2-vCPU VM, loading the 203 000-row
 #: wide-universe price file for the 23 companies its backtest reads (75 KB
-#: of series) raised peak RSS by 0.4-0.5 MB with 512- or 1 024-row chunks,
-#: 0.6 MB with 2 048 and 1.1 MB with 4 096; keeping every row (3.25 MB of
-#: series), by 5.0, 5.1, 5.4 and 5.9 MB. Larger chunks parse faster, and
-#: the per-chunk checks of `load_prices` cost less per row.
+#: of series) raised peak RSS by 0.24 MB with 512-row chunks, 0.30 MB with
+#: 1 024, 0.41 MB with 2 048 and 0.66 MB with 4 096; keeping every row
+#: (3.25 MB of series), by 4.54, 4.55, 4.67 and 4.92 MB. Larger chunks
+#: parse faster, and the per-chunk checks of `load_prices` cost less per
+#: row.
 _CHUNK = 1024
 #: Bytes the row count reads at a time.
 _BLOCK = 1 << 16
@@ -359,7 +359,7 @@ class Table(dict):
 
 
 def read_table(path: Path, kinds: Mapping[str, Kind], dialect: Dialect,
-               keep: Callable[[dict[str, Any]], np.ndarray | None] | None = None) -> Table:
+               keep: Callable[[dict[str, np.ndarray]], np.ndarray | None] | None = None) -> Table:
     """The columns of the CSV file at `path`, whose header must name `kinds`.
 
     One pass over the bytes bounds the rows, and each array column is
@@ -416,14 +416,14 @@ def _undecodable(path: Path) -> tuple[int, str] | None:
 
 
 def _parse(lines: Iterator[str], kinds: Mapping[str, Kind], rows: int,
-           keep: Callable[[dict[str, Any]], np.ndarray | None] | None) -> dict[str, Any]:
+           keep: Callable[[dict[str, np.ndarray]], np.ndarray | None] | None) -> dict[str, Any]:
     """The columns of `lines` that `keep` holds, of at most `rows` rows: a
     list for an `object` column, else an array. A row past `rows` raises
     ValueError."""
     memos = {name: _Memo(name, kind) for name, kind in kinds.items()}
     row = np.dtype([(name, kind.dtype if kind.dtype is np.float64 else object)
                     for name, kind in kinds.items()])
-    columns = {name: [] if kind.dtype is object else _reserve(rows, kind.dtype)
+    columns = {name: [] if kind.dtype is object else np.empty(rows, kind.dtype)
                for name, kind in kinds.items()}
     read = held = 0
     count = _CHUNK
@@ -449,27 +449,17 @@ def _parse(lines: Iterator[str], kinds: Mapping[str, Kind], rows: int,
             else:
                 column[held:held + len(cells[name])] = cells[name]
         held += count if picked is None else len(picked)
+        del chunk, cells, picked  # so that the next chunk is parsed with this one freed
     return {name: column if isinstance(column, list) else column[:held]
             for name, column in columns.items()}
 
 
-def _values(cells: np.ndarray, memo: _Memo) -> Any:
-    """A chunk's cells of one column as values: numpy parsed a float64
-    column; any other goes through its memo."""
-    kind = memo.kind
-    if kind.dtype is np.float64:
+def _values(cells: np.ndarray, memo: _Memo) -> np.ndarray:
+    """A chunk's cells of one column as an array of values: numpy parsed a
+    float64 column; any other goes through its memo."""
+    if memo.kind.dtype is np.float64:
         return cells
-    values = map(memo.__getitem__, cells)
-    return list(values) if kind.dtype is object else np.fromiter(values, kind.dtype, len(cells))
-
-
-def _reserve(rows: int, dtype: Any) -> np.ndarray:
-    """An array of `rows` items in an anonymous memory map, whose pages take
-    memory only once written, whatever the allocator holds: a column that
-    holds few of the rows it was reserved for costs what it holds.
-    tracemalloc does not count the map."""
-    dtype = np.dtype(dtype)
-    return np.frombuffer(mmap.mmap(-1, max(1, rows * dtype.itemsize)), dtype, rows)
+    return np.fromiter(map(memo.__getitem__, cells), memo.kind.dtype, len(cells))
 
 
 def _scan(path: Path, kinds: Mapping[str, Kind], dialect: Dialect) -> Table:

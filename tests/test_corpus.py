@@ -715,48 +715,48 @@ def _listing(tickers):
 
 
 #: A fresh interpreter's peak RSS growth, in bytes, while it loads the price
-#: file `argv[1]` for the tickers `argv[2:]`, after one load of a small file.
+#: file `argv[2]` for the tickers `argv[3:]`, after one load of the small
+#: file `argv[1]`. It reads the kernel's counts for this process's memory:
+#: `ru_maxrss` would also count the parent's RSS at the fork. The growth
+#: counts from the RSS before the load, not from the high-water mark, so no
+#: earlier peak hides any of it.
 _RSS_PROBE = """
-import resource, sys
+import sys
 from newsrisk.corpus import EntityRecord, EntityUniverse, load_prices
+def kib(field):
+    with open("/proc/self/status") as status:
+        return next(int(line.split()[1]) for line in status if line.startswith(field))
 small, path, tickers = sys.argv[1], sys.argv[2], sys.argv[3:]
 universe = EntityUniverse(EntityRecord(t, t, t, "NYSE", (t,), (t,)) for t in tickers)
 load_prices(small, universe)
-before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+before = kib("VmRSS:")
 prices = load_prices(path, universe)
-grown = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before
-print(grown * (1 if sys.platform == "darwin" else 1024))
+print((kib("VmHWM:") - before) * 1024)
 """
 
 
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
 def test_loading_prices_for_some_tickers_holds_their_series_and_one_chunk(tmp_path):
     """With a universe that lists 10 of 200 tickers, every row is checked but
-    only theirs are held. tracemalloc counts the Python and numpy heap,
-    where a chunk's cells live: loading peaks near the kept series plus one
-    chunk. The columns are reserved in an anonymous memory map, which
-    tracemalloc does not see, so the peak RSS of a fresh interpreter checks
-    that only the kept rows' pages are written, and that keeping every
-    row holds the series once."""
-    pytest.importorskip("resource")
+    only theirs are held. The columns are reserved at the file's row bound,
+    which tracemalloc counts whole, but only the kept rows are written to
+    them, and pages never written take no memory: the peak RSS of a fresh
+    interpreter grows by little more than the kept series and one chunk,
+    where holding every row would take 2 MB."""
     tickers = [f"T{i:03d}" for i in range(200)]
     path = tmp_path / "prices.csv"
     _write_wide_prices(path, tickers, 500)
     listed = tickers[::20]
-    prices, peak = _traced_peak(load_prices, path, _listing(listed))
+    prices = load_prices(path, _listing(listed))
     held = sum(s.dates.nbytes + s.closes.nbytes for s in prices.series.values())
     assert sorted(prices.series) == [f"C{t}" for t in listed]
     assert held == 16 * 5_000
-    assert peak <= held + 500 * _CHUNK, peak
 
     small = tmp_path / "small.csv"
     _write_wide_prices(small, listed[:1], 20)
-
-    def grown(kept):
-        probe = [sys.executable, "-c", _RSS_PROBE, str(small), str(path), *kept]
-        return int(subprocess.run(probe, capture_output=True, text=True, check=True).stdout)
-
-    assert grown(listed) <= held + (1 << 20)  # every row held would be 2 MB
-    assert grown(tickers) <= 2 * 16 * 100_000  # the series once, and a chunk
+    probe = [sys.executable, "-c", _RSS_PROBE, str(small), str(path), *listed]
+    grown = int(subprocess.run(probe, capture_output=True, text=True, check=True).stdout)
+    assert grown <= held + 500 * _CHUNK, grown
 
 
 def test_formatting_a_table_holds_little_more_than_its_text():
@@ -845,33 +845,48 @@ PLANTED_FAULTS = {
     "date": lambda t, d, c, prev: (f"{t},{d.replace('-', '')},{c}", f"bad date {d.replace('-', '')!r}"),
     "price": lambda t, d, c, prev: (f"{t},{d},1_0", "bad price '1_0'"),
     "non-finite": lambda t, d, c, prev: (f"{t},{d},-inf", f"bad price -inf for {t}"),
+    "infinite": lambda t, d, c, prev: (f"{t},{d},inf", f"bad price inf for {t}"),
     "non-positive": lambda t, d, c, prev: (f"{t},{d},-{c}", f"non-positive price -{c} for {t}"),
     "date-order": lambda t, d, c, prev: (f"{t},{prev},{c}", f"dates for {t} not strictly increasing"),
 }
 
 
-def test_planted_price_faults_report_the_earliest_line(tmp_path, small_fixture_dir):
-    source = (small_fixture_dir / "prices.csv").read_text(encoding="utf-8").splitlines()
-    # rows whose ticker also has the row above, so a date-order fault can be planted
-    candidates = [
-        i for i in range(2, len(source)) if source[i].split(",")[0] == source[i - 1].split(",")[0]
-    ]
-    rng = np.random.default_rng(13)
-    path = tmp_path / "prices.csv"
-    for trial in range(24):
+def _assert_planted_faults_name_the_earliest_line(path, source, universe, seed, trials):
+    """Plant one or two faults in copies of the price file's `source` lines,
+    each in a row whose ticker has a row before it, so that a date-order
+    fault can be planted, and check that loading each copy for `universe`
+    names the earliest faulty line. Returns the ticker of each of those
+    lines."""
+    before: dict[int, int] = {}  # row index -> the index of its ticker's row before it
+    latest: dict[str, int] = {}
+    for index in range(1, len(source)):
+        ticker = source[index].split(",")[0]
+        if ticker in latest:
+            before[index] = latest[ticker]
+        latest[ticker] = index
+    rng = np.random.default_rng(seed)
+    earliest = []
+    for trial in range(trials):
         lines = list(source)
         planted = {}
-        for index in rng.choice(candidates, size=1 + trial % 2, replace=False).tolist():
+        for index in rng.choice(sorted(before), size=1 + trial % 2, replace=False).tolist():
             kind = str(rng.choice(sorted(PLANTED_FAULTS)))
             ticker, day, close = lines[index].split(",")
-            previous_day = lines[index - 1].split(",")[1]
+            previous_day = source[before[index]].split(",")[1]
             lines[index], message = PLANTED_FAULTS[kind](ticker, day, close, previous_day)
             planted[index + 1] = message
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         line = min(planted)
+        earliest.append(source[line - 1].split(",")[0])
         with pytest.raises(ValidationError) as caught:
-            _load_prices_strictly(path)
+            _load_prices_strictly(path, universe)
         assert str(caught.value) == f"prices.csv:{line}: {planted[line]}", planted
+    return earliest
+
+
+def test_planted_price_faults_report_the_earliest_line(tmp_path, small_fixture_dir):
+    source = (small_fixture_dir / "prices.csv").read_text(encoding="utf-8").splitlines()
+    _assert_planted_faults_name_the_earliest_line(tmp_path / "prices.csv", source, None, 13, 24)
 
 
 def _interleaved(lines):
@@ -924,36 +939,10 @@ def test_planted_faults_in_rows_left_out_report_the_earliest_line(
     if layout == "interleaved":
         source = _interleaved(source)
     universe = _some_companies(small_fixture_dir)
-    before: dict[int, int] = {}  # row index -> the index of its ticker's row before it
-    latest: dict[str, int] = {}
-    for index in range(1, len(source)):
-        ticker = source[index].split(",")[0]
-        if ticker in latest:
-            before[index] = latest[ticker]
-        latest[ticker] = index
-    faults = {
-        **PLANTED_FAULTS,
-        "infinite": lambda t, d, c, prev: (f"{t},{d},inf", f"bad price inf for {t}"),
-    }
-    rng = np.random.default_rng(17)
-    path = tmp_path / "prices.csv"
-    left_out = 0
-    for trial in range(21):
-        lines = list(source)
-        planted = {}
-        for index in rng.choice(sorted(before), size=1 + trial % 2, replace=False).tolist():
-            kind = str(rng.choice(sorted(faults)))
-            ticker, day, close = lines[index].split(",")
-            previous_day = source[before[index]].split(",")[1]
-            lines[index], message = faults[kind](ticker, day, close, previous_day)
-            planted[index + 1] = message
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        line = min(planted)
-        left_out += source[line - 1].split(",")[0] not in universe.ticker_to_id
-        with pytest.raises(ValidationError) as caught:
-            _load_prices_strictly(path, universe)
-        assert str(caught.value) == f"prices.csv:{line}: {planted[line]}", planted
-    assert left_out >= 4
+    earliest = _assert_planted_faults_name_the_earliest_line(
+        tmp_path / "prices.csv", source, universe, 17, 21
+    )
+    assert sum(ticker not in universe.ticker_to_id for ticker in earliest) >= 4
 
 
 # -- market caps ------------------------------------------------------------
