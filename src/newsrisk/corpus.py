@@ -13,9 +13,10 @@ File formats:
 Every CSV file the package reads, input or artifact, is read by
 `read_table`, whose cell grammar the README's "Input formats" states; the
 loaders ignore whitespace around a cell. Every CSV file it writes, artifact
-or fixture, is formatted by `format_table`. A file that is not UTF-8 is
-refused with the line that holds its first undecodable byte. A UTF-8
-byte-order mark at the start of a CSV file is skipped.
+or fixture, is formatted by `format_table` and written a slice of rows at a
+time, so a write holds one slice whatever the size of the file. A file that
+is not UTF-8 is refused with the line that holds its first undecodable
+byte. A UTF-8 byte-order mark at the start of a CSV file is skipped.
 
 Everything returned by the loaders is immutable by convention and safe for
 unrestricted concurrent reads.
@@ -556,8 +557,8 @@ INPUT = Dialect(
 #: leaves it bare, but `csv.reader` ends a record there).
 _QUOTED = ',"\n\r'
 _FLOATS = {float, np.float64}
-#: Rows `format_table` formats at a time, so that only a bounded slice of a
-#: file is held as one object per cell.
+#: Rows `format_table` formats and yields at a time: a write holds the cells
+#: and the text of one slice, whatever the size of the file.
 _JOIN_ROWS = 1024
 
 
@@ -592,23 +593,23 @@ def _cells(column: Sequence) -> Sequence[str]:
     return list(map(_quote, column)) if _needs_quotes("".join(column)) else column
 
 
-def format_table(header: Sequence[str], columns: Iterable[Sequence]) -> str:
-    """A CSV file's text: the header, then a row per index of `columns`,
-    which are lists, tuples or numpy arrays of one length. Strings get
-    CSV-minimal quoting, floats `repr`, None and NaN an empty cell, anything
-    else `str`, so every value reads back exactly.
-
-    The cells of `_JOIN_ROWS` rows at a time are formatted and joined, so
-    besides the text it returns, only its pieces and one slice of cells
-    are held."""
-    columns = list(columns)
-    pieces = [",".join(map(_quote, header)) + "\n"]
-    for lo in range(0, len(columns[0]) if columns else 0, _JOIN_ROWS):
-        cells = [_cells(column[lo:lo + _JOIN_ROWS]) for column in columns]
-        if len(cells) == 1:  # a lone empty cell is quoted, or its row would be blank
-            cells = [['""' if cell == "" else cell for cell in cells[0]]]
-        pieces.append("\n".join(map(",".join, zip(*cells))) + "\n")
-    return "".join(pieces)
+def format_table(header: Sequence[str], blocks: Iterable[Sequence[Sequence]]) -> Iterator[str]:
+    """A CSV file's text, a slice at a time: the header line, then the rows
+    of each block, which is one list, tuple or numpy array per column, all
+    of one length. Strings get CSV-minimal quoting, floats `repr`, None and
+    NaN an empty cell, anything else `str`, so every value reads back
+    exactly. The text of `_JOIN_ROWS` rows of a block is yielded at a time;
+    a cell's text does not depend on its slice."""
+    yield ",".join(map(_quote, header)) + "\n"
+    for columns in blocks:
+        lengths = [len(column) for column in columns]
+        if len(lengths) != len(header) or len(set(lengths)) > 1:
+            raise ValueError(f"{len(header)} columns, got a block of {lengths} cells")
+        for lo in range(0, lengths[0], _JOIN_ROWS):
+            cells = [_cells(column[lo:lo + _JOIN_ROWS]) for column in columns]
+            if len(cells) == 1:  # a lone empty cell is quoted, or its row would be blank
+                cells = [['""' if cell == "" else cell for cell in cells[0]]]
+            yield "\n".join(map(",".join, zip(*cells))) + "\n"
 
 
 # ---------------------------------------------------------------------------

@@ -39,7 +39,8 @@ call on a twin generator.
 Every ticker trades on one calendar, the weekdays from a week before the
 first quarter to 97 days after the last, held as `datetime64[D]`; a
 ticker's closes are one float64 array over it. The CSV files are written a
-column at a time by `corpus.format_table`, which writes the artifacts.
+slice at a time by `corpus.format_table`, as the artifacts are, which gets
+`prices.csv` a ticker at a time.
 
 Prices follow a slow random-walk trend plus INDEPENDENT per-day noise:
 log P(t) = log P0 + trend(t) + eps(t) + planted(t). The i.i.d. eps term
@@ -67,6 +68,7 @@ from pathlib import Path
 import numpy as np
 
 from .corpus import (
+    _JOIN_ROWS,
     MARKETCAP_COLUMNS,
     PRICE_COLUMNS,
     UNIVERSE_COLUMNS,
@@ -535,18 +537,20 @@ def write_fixture(fixture: Fixture, out_dir: str | Path) -> dict[str, Path]:
 
     tickers = sorted(fixture.prices)
     days = np.datetime_as_string(fixture.calendar).tolist()
-    caps = [(cid, label, cap) for (cid, label), cap in sorted(fixture.marketcaps.items())]
+    caps = sorted(fixture.marketcaps)
     tables = {
-        "universe": (UNIVERSE_COLUMNS, list(zip(*fixture.universe_rows))),
+        "universe": (UNIVERSE_COLUMNS, [list(zip(*fixture.universe_rows))]),
         "prices": (PRICE_COLUMNS, (
-            [ticker for ticker in tickers for _ in days],
-            days * len(tickers),
-            np.concatenate([fixture.prices[ticker] for ticker in tickers]),
+            ([ticker] * len(days), days, fixture.prices[ticker]) for ticker in tickers
         )),
-        "marketcaps": (MARKETCAP_COLUMNS, list(zip(*caps))),
+        "marketcaps": (MARKETCAP_COLUMNS, (
+            (*zip(*keys), [fixture.marketcaps[key] for key in keys])
+            for keys in (caps[lo:lo + _JOIN_ROWS] for lo in range(0, len(caps), _JOIN_ROWS))
+        )),
     }
-    for name, (header, columns) in tables.items():
-        paths[name].write_bytes(format_table(header, columns).encode("utf-8"))
+    for name, (header, blocks) in tables.items():
+        with paths[name].open("w", encoding="utf-8", newline="") as fh:
+            fh.writelines(format_table(header, blocks))
 
     truth = json.dumps(vars(fixture.truth), indent=2, sort_keys=True)
     paths["truth"].write_text(truth + "\n", encoding="utf-8")

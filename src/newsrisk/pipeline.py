@@ -15,10 +15,11 @@ in memory, as `run_study` does: each input file is loaded and hashed once,
 and an artifact's manifest entry comes from the bytes written. A per-stage
 command (`STAGES`) decodes its upstream artifacts instead, checking that
 each exists, carries the declared header and has one cell per column on
-every row. Every stage writes its artifacts atomically (temp file + rename)
-and records a manifest with the config fingerprint, the digests of every
-file it read, row counts, and stage parameters. Two runs from identical
-inputs and config produce byte-identical artifacts.
+every row. Every stage writes and hashes its artifacts a slice at a time,
+atomically (temp file + rename), and records a manifest with the config
+fingerprint, the digests of every file it read, row counts, and stage
+parameters. Two runs from identical inputs and config produce
+byte-identical artifacts.
 
 `run_study` runs the same stage list without writing: nothing is encoded,
 written or hashed. Tests and bulk simulations use it.
@@ -33,13 +34,14 @@ import math
 import os
 import sys
 import tempfile
+from contextlib import contextmanager
 from dataclasses import astuple, dataclass, field, fields
 from datetime import date
 from functools import partial
 from itertools import chain, repeat
 from operator import attrgetter
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Any, BinaryIO, Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -50,7 +52,7 @@ from .centrality import (
     information_centrality,
 )
 from .corpus import (
-    _BLOCK, POLARITIES, Dialect, EntityUniverse, Kind, Table, float_cell, format_table,
+    _BLOCK, _JOIN_ROWS, POLARITIES, Dialect, EntityUniverse, Kind, Table, float_cell, format_table,
     load_articles, load_marketcaps, load_prices, load_universe, read_table,
 )
 from .entities import MatcherSet, OccurrenceSet, parse_corpus
@@ -212,8 +214,9 @@ class Artifact:
     """One output file.
 
     `encode(cfg, values)` returns one sequence per declared column, all of
-    one length (lists, tuples or numpy arrays), or the file's text when
-    `columns` is None. `render` formats the columns with `format_table`.
+    one length (lists, tuples or numpy arrays), or an iterator of such
+    blocks, or the file's text when `columns` is None. `render` formats the
+    columns with `format_table`.
     """
 
     name: str
@@ -221,15 +224,12 @@ class Artifact:
     encode: Callable[[RunConfig, Values], Any]
 
 
-def render(artifact: Artifact, cfg: RunConfig, values: Values) -> str:
-    """The file content of `artifact` for a run's values."""
+def render(artifact: Artifact, cfg: RunConfig, values: Values) -> Iterable[str]:
+    """The file content of `artifact` for a run's values, a slice at a time."""
     encoded = artifact.encode(cfg, values)
     if artifact.columns is None:
-        return encoded
-    lengths = [len(column) for column in encoded]
-    if len(lengths) != len(artifact.columns) or len(set(lengths)) > 1:
-        raise ValueError(f"{artifact.name}: {len(artifact.columns)} columns, encoded {lengths}")
-    return format_table(artifact.columns, encoded)
+        return (encoded,)
+    return format_table(artifact.columns, encoded if isinstance(encoded, Iterator) else (encoded,))
 
 
 #: The risk-score columns every datapoint artifact carries, in order.
@@ -360,17 +360,21 @@ def _datapoint_columns(
 _OUTCOME_CELLS = np.array(["", "false", "true"], dtype=object)
 
 
-def _event_columns(cfg: RunConfig, v: Values) -> tuple[Sequence, ...]:
-    """One row per datapoint and delay, delays inner: the cells of each
-    datapoint and of each delay repeat, and come from small tables."""
+def _event_columns(cfg: RunConfig, v: Values) -> Iterator[tuple[Sequence, ...]]:
+    """One row per datapoint and delay, delays inner, in blocks of whole
+    datapoints of about `_JOIN_ROWS` rows: the cells of each datapoint and
+    of each delay repeat, and come from small tables."""
     study = v["study"]
     delays = [str(d) for d in study.delays]
-    return (
-        _repeat([dp.quarter.label for dp in study.datapoints], repeat(len(delays))),
-        _repeat([dp.canonical_id for dp in study.datapoints], repeat(len(delays))),
-        delays * len(study),
-        _OUTCOME_CELLS[study.outcomes.ravel() + 1],
-    )
+    step = max(1, _JOIN_ROWS // len(delays))
+    for lo in range(0, len(study), step):
+        points = study.datapoints[lo:lo + step]
+        yield (
+            _repeat([dp.quarter.label for dp in points], repeat(len(delays))),
+            _repeat([dp.canonical_id for dp in points], repeat(len(delays))),
+            delays * len(points),
+            _OUTCOME_CELLS[study.outcomes[lo:lo + step].ravel() + 1],
+        )
 
 
 def _report_params(cfg: RunConfig) -> dict[str, object]:
@@ -581,6 +585,13 @@ def _declared(table: Table, column: str, allowed: Sequence[str]) -> tuple:
     )
 
 
+def _in_universe(table: Table, v: Values) -> tuple:
+    """A `raise_first` check that flags a canonical_id outside the universe in `v`."""
+    ids, universe = table["canonical_id"], set(v["universe"].ids())
+    outside = [cid not in universe for cid in ids]
+    return outside, lambda r: f"has canonical_id {ids[r]!r} outside the universe"
+
+
 def _decode_occurrences(cfg, v, table: Table) -> dict[Quarter, list[OccurrenceSet]]:
     """Occurrences whose polarity is declared and whose companies are in
     the universe in `v`, which the networks stage loads."""
@@ -657,14 +668,10 @@ def _decode_rank_lists(cfg, v, table: Table) -> dict[tuple[str, str], list[RankE
     lists: dict[tuple[str, str], list[RankEntry]] = {
         (polarity, mode): [] for polarity in NETWORK_KINDS for mode in MODES
     }
-    ids, universe = table["canonical_id"], set(v["universe"].ids())
     table.raise_first(
         _declared(table, "polarity", NETWORK_KINDS),
         _declared(table, "mode", MODES),
-        (
-            [cid not in universe for cid in ids],
-            lambda r: f"has canonical_id {ids[r]!r} outside the universe",
-        ),
+        _in_universe(table, v),
     )
     for polarity, mode, *entry in zip(
         table["polarity"], table["mode"], table["canonical_id"], table["average_rank"].tolist(),
@@ -682,6 +689,14 @@ def _decode_datapoints(table: Table, *measured: Sequence) -> list[RiskDatapoint]
         RiskDatapoint(*cells)
         for cells in zip(table["canonical_id"], table["quarter"], *scores, *measured)
     ]
+
+
+def _decode_risk(cfg, v, table: Table) -> list[RiskDatapoint]:
+    """Datapoints over the universe in `v`, which the backtest loads once
+    this table's rows are read, so that a faulty row of it is named first."""
+    table.raise_first()
+    table.raise_first(_in_universe(table, v))
+    return _decode_datapoints(table)
 
 
 def _decode_study(cfg, v, valid: Table, events: Table) -> bt.EventStudy:
@@ -731,7 +746,7 @@ HANDOFFS: dict[str, Handoff] = {
     "occurrences": Handoff((OCCURRENCES,), _decode_occurrences),
     "networks": Handoff((NETWORK_EDGES, NETWORK_NODES, NETWORK_STATS), _decode_networks),
     "rank_lists": Handoff((AVERAGE_RANK,), _decode_rank_lists),
-    "datapoints": Handoff((RISK,), lambda cfg, v, table: _decode_datapoints(table)),
+    "datapoints": Handoff((RISK,), _decode_risk),
     "study": Handoff((VALID_POINTS, EVENTS), _decode_study),
 }
 
@@ -885,12 +900,14 @@ WRITER = {artifact.name: stage.name for stage in PIPELINE for artifact in stage.
 # ---------------------------------------------------------------------------
 
 
-def _atomic_write(path: Path, data: bytes) -> None:
+@contextmanager
+def _atomic(path: Path) -> Iterator[BinaryIO]:
+    """A temp file that replaces `path` when the block ends, or is removed if it raises."""
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -900,14 +917,22 @@ def _atomic_write(path: Path, data: bytes) -> None:
         raise
 
 
+def _written(fh: BinaryIO, pieces: Iterable[str]) -> Iterator[bytes]:
+    """The bytes of each text piece, once written to `fh`."""
+    for piece in pieces:
+        data = piece.encode("utf-8")
+        fh.write(data)
+        yield data
+
+
 def _chunks(path: Path) -> Iterator[bytes]:
     with path.open("rb") as fh:
         yield from iter(lambda: fh.read(_BLOCK), b"")
 
 
-def _file_entry(path: Path, data: bytes | None = None) -> dict:
-    """SHA-256 and row count of the file at `path`: of `data`, the bytes
-    just written there, when given, else from one binary read.
+def _file_entry(path: Path, chunks: Iterable[bytes] | None = None) -> dict:
+    """SHA-256 and row count of the file at `path`: of `chunks`, its bytes
+    as they are written, when given, else from binary reads.
 
     Lines are counted as text mode reads them: LF, CRLF and a lone CR each
     end one, and a last line without an ending counts too.
@@ -915,14 +940,14 @@ def _file_entry(path: Path, data: bytes | None = None) -> dict:
     digest = hashlib.sha256()
     lines = 0
     last = b""
-    for chunk in _chunks(path) if data is None else [data]:
+    for chunk in _chunks(path) if chunks is None else chunks:
         digest.update(chunk)
         lines += chunk.count(b"\n")
         if b"\r" in chunk:
             lines += chunk.count(b"\r") - chunk.count(b"\r\n")
         if last == b"\r" and chunk.startswith(b"\n"):
             lines -= 1  # a "\r\n" split across two chunks
-        last = chunk[-1:]
+        last = chunk[-1:] or last
     if last not in (b"", b"\n", b"\r"):
         lines += 1
     rows = max(0, lines - 1) if path.suffix == ".csv" else lines
@@ -994,13 +1019,10 @@ def run_stage(
     values.update(stage.compute(cfg, values))
     loaded.update(values)
 
-    outputs = []
-    for artifact in stage.writes:
-        path = cfg.output / artifact.name
-        data = render(artifact, cfg, values).encode("utf-8")
-        _atomic_write(path, data)
-        entries[path] = _file_entry(path, data)
-        outputs.append(path)
+    outputs = [cfg.output / artifact.name for artifact in stage.writes]
+    for path, artifact in zip(outputs, stage.writes):
+        with _atomic(path) as fh:
+            entries[path] = _file_entry(path, _written(fh, render(artifact, cfg, values)))
     manifest = {
         "stage": stage.name,
         "config_hash": cfg.fingerprint(),
@@ -1009,8 +1031,8 @@ def run_stage(
         "params": dict(sorted(stage.params(cfg, values).items())),
     }
     manifest_path = cfg.output / f"{stage.name}.manifest.json"
-    text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
-    _atomic_write(manifest_path, text.encode("utf-8"))
+    with _atomic(manifest_path) as fh:
+        fh.write((json.dumps(manifest, indent=2, sort_keys=True) + "\n").encode("utf-8"))
     return outputs + [manifest_path]
 
 

@@ -17,7 +17,8 @@ reads off the networks' node weights.
 
 A few helpers are views of package objects that only tests need, kept here so
 the package holds only what the pipeline runs: `edge`, `as_dicts`,
-`centrality_by_id`, `iter_matches`, `match_ids` and `range_report`.
+`centrality_by_id`, `iter_matches`, `match_ids`, `range_report` and
+`encoded_columns`. `traced_peak` measures what a call allocates.
 """
 
 from __future__ import annotations
@@ -26,13 +27,14 @@ import csv
 import io
 import math
 import re
+import tracemalloc
 from fractions import Fraction
 from bisect import bisect_right
 from dataclasses import dataclass, fields, replace
 from datetime import date, timedelta
 from itertools import combinations
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -555,16 +557,37 @@ def _csv_row(cells: Iterable) -> str:
     return buf.getvalue()[:-2] + "\n"
 
 
+def traced_peak(call, *args):
+    """`call(*args)` and the peak bytes it allocated, as tracemalloc counts them."""
+    tracemalloc.start()
+    try:
+        result = call(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+def encoded_columns(artifact, cfg: RunConfig, values: Mapping) -> list[list]:
+    """An artifact's encoded columns whole, its encoder's blocks joined."""
+    encoded = artifact.encode(cfg, values)
+    columns: list[list] = [[] for _ in artifact.columns]
+    for block in encoded if isinstance(encoded, Iterator) else [encoded]:
+        for column, cells in zip(columns, block):
+            column.extend(cells)
+    return columns
+
+
 def render_by_row(artifact, cfg: RunConfig, values: Mapping) -> str:
     """An artifact's file content written row by row through `csv.writer`:
     None and NaN cells empty, floats by `repr`, every other cell as
     `csv.writer` formats it, a lone carriage return quoted. The columnar
     `pipeline.render` must match it byte for byte."""
-    encoded = artifact.encode(cfg, values)
     if artifact.columns is None:
-        return encoded
+        return artifact.encode(cfg, values)
     rows = [_csv_row(artifact.columns)]
-    rows += [_csv_row([_cell(v) for v in row]) for row in zip(*encoded)]
+    columns = encoded_columns(artifact, cfg, values)
+    rows += [_csv_row([_cell(v) for v in row]) for row in zip(*columns)]
     return "".join(rows)
 
 

@@ -3,7 +3,6 @@
 import json
 import subprocess
 import sys
-import tracemalloc
 import warnings
 from datetime import date, datetime, timedelta, timezone
 
@@ -39,6 +38,7 @@ from _oracles import (
     articles_by_quarter,
     load_prices_by_row,
     scalar_series,
+    traced_peak,
     write_marketcaps,
     write_prices,
     write_universe,
@@ -675,24 +675,13 @@ def test_the_row_bound_keeps_good_files_on_the_fast_path(tmp_path, monkeypatch, 
     _assert_loads_like_the_row_loader(path)
 
 
-def _traced_peak(call, *args):
-    """`call(*args)` and the peak bytes it allocated, as tracemalloc counts them."""
-    tracemalloc.start()
-    try:
-        result = call(*args)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    return result, peak
-
-
 def _write_wide_prices(path, tickers, n_days):
     """A price file grouped by ticker, `n_days` closes for each ticker."""
     days = np.datetime_as_string(np.datetime64("2011-01-03") + np.arange(n_days)).tolist()
     closes = np.random.default_rng(3).lognormal(3.0, 1.0, len(tickers) * n_days)
     rows = [ticker for ticker in tickers for _ in days]
-    path.write_text(format_table(PRICE_COLUMNS, (rows, days * len(tickers), closes)),
-                    encoding="utf-8")
+    with path.open("w", encoding="utf-8", newline="") as fh:
+        fh.writelines(format_table(PRICE_COLUMNS, [(rows, days * len(tickers), closes)]))
 
 
 def test_loading_grouped_prices_holds_little_more_than_the_series(tmp_path):
@@ -701,7 +690,7 @@ def test_loading_grouped_prices_holds_little_more_than_the_series(tmp_path):
     the bytes of the series' arrays."""
     path = tmp_path / "prices.csv"
     _write_wide_prices(path, [f"T{i:03d}" for i in range(200)], 500)
-    prices, peak = _traced_peak(load_prices, path)
+    prices, peak = traced_peak(load_prices, path)
     held = sum(s.dates.nbytes + s.closes.nbytes for s in prices.series.values())
     assert held == 16 * 100_000
     assert peak <= 1.7 * held, peak / held
@@ -757,22 +746,6 @@ def test_loading_prices_for_some_tickers_holds_their_series_and_one_chunk(tmp_pa
     probe = [sys.executable, "-c", _RSS_PROBE, str(small), str(path), *listed]
     grown = int(subprocess.run(probe, capture_output=True, text=True, check=True).stdout)
     assert grown <= held + 500 * _CHUNK, grown
-
-
-def test_formatting_a_table_holds_little_more_than_its_text():
-    """`format_table` formats a slice of rows at a time, so it peaks at less
-    than 2.5 times the text it returns."""
-    days = np.datetime_as_string(np.datetime64("2011-01-03") + np.arange(250)).tolist()
-    rng = np.random.default_rng(4)
-    n = 100_000
-    columns = (
-        [f"T{i:03d}" for i in rng.integers(0, 400, n)],
-        [days[i] for i in rng.integers(0, len(days), n)],
-        rng.lognormal(3.0, 1.0, n),
-    )
-    text, peak = _traced_peak(format_table, PRICE_COLUMNS, columns)
-    assert text.count("\n") == n + 1
-    assert peak <= 2.5 * len(text), peak / len(text)
 
 
 @pytest.mark.parametrize("rows", [1024, 1029])

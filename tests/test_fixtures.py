@@ -33,7 +33,7 @@ from newsrisk.fixtures import (
 from newsrisk.quarters import Quarter, parse_quarter, quarter_of
 
 from conftest import SMALL_SPEC
-from _oracles import match_ids, planted_drift, write_marketcaps, write_prices
+from _oracles import match_ids, planted_drift, traced_peak, write_marketcaps, write_prices
 
 
 def test_generation_is_deterministic(small_fixture):
@@ -317,6 +317,25 @@ def test_written_csvs_match_csv_writer(small_fixture, small_fixture_dir, tmp_pat
         writer.writerows(small_fixture.universe_rows)
     for name in ("prices.csv", "marketcaps.csv", "universe.csv"):
         assert (tmp_path / name).read_bytes() == (small_fixture_dir / name).read_bytes(), name
+
+
+def test_writing_a_fixture_holds_a_few_slices_of_its_prices(tmp_path):
+    """`write_fixture` hands the formatter `prices.csv` a ticker at a time
+    and writes each slice as it comes, so writing a 1 000-company fixture,
+    whose prices.csv is several MB, allocates at most a small fixed multiple
+    of one `_JOIN_ROWS`-row slice of it."""
+    from newsrisk.corpus import _JOIN_ROWS
+
+    spec = FixtureSpec(seed=1, n_companies=1000, n_quarters=2, n_articles=200)
+    fixture = generate_fixture(spec)
+    paths, peak = traced_peak(write_fixture, fixture, tmp_path)
+    size = paths["prices"].stat().st_size
+    with paths["prices"].open(encoding="utf-8") as fh:
+        rows = sum(1 for _ in fh) - 1
+    assert rows == len(fixture.prices) * len(fixture.calendar)
+    assert size > 5_000_000
+    one_slice = size / rows * _JOIN_ROWS
+    assert peak <= 12 * one_slice, peak / one_slice
 
 
 def test_files_roundtrip_through_loaders(small_fixture, small_fixture_dir):

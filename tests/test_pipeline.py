@@ -377,7 +377,7 @@ def test_staged_risk_matches_in_memory_study(staged_run, small_fixture_dir, tmp_
     assert {artifact.name for artifact in declared} == written
     for artifact in declared:
         on_disk = (cfg.output / artifact.name).read_bytes()
-        assert render(artifact, cfg, vars(result)).encode("utf-8") == on_disk, artifact.name
+        assert "".join(render(artifact, cfg, vars(result))).encode("utf-8") == on_disk, artifact.name
 
 
 def test_decoded_study_agrees_with_the_in_memory_one(staged_run, small_fixture_dir, tmp_path):
@@ -621,7 +621,61 @@ def test_file_entry_hashes_and_counts_like_text_mode(tmp_path):
                 "sha256": hashlib.sha256(data).hexdigest(),
                 "rows": _text_mode_rows(path),
             }, (i, suffix)
-            assert _file_entry(path, data) == entry, (i, suffix)  # the bytes just written
+            # the bytes as they are written, cut anywhere, an empty piece too
+            for cut in {*range(min(len(data), 16) + 1), chunk, len(data)}:
+                pieces = [data[:cut], b"", data[cut:]]
+                assert _file_entry(path, pieces) == entry, (i, suffix, cut)
+
+
+def test_writing_a_table_holds_a_few_slices_whatever_its_size(tmp_path):
+    """A table is formatted, written and hashed a slice of `_JOIN_ROWS` rows
+    at a time, so writing a 100 000-row file of several MB allocates at
+    most a small fixed multiple of one slice's text, not the file's."""
+    from _oracles import traced_peak
+
+    days = np.datetime_as_string(np.datetime64("2011-01-03") + np.arange(250)).tolist()
+    rng = np.random.default_rng(4)
+    n = 100_000
+    columns = (
+        [f"T{i:03d}" for i in rng.integers(0, 400, n)],
+        [days[i] for i in rng.integers(0, len(days), n)],
+        rng.lognormal(3.0, 1.0, n),
+    )
+    path = tmp_path / "prices.csv"
+
+    def write():
+        with pipeline._atomic(path) as fh:
+            slices = corpus.format_table(corpus.PRICE_COLUMNS, [columns])
+            return pipeline._file_entry(path, pipeline._written(fh, slices))
+
+    entry, peak = traced_peak(write)
+    size = path.stat().st_size
+    assert entry == {"sha256": hashlib.sha256(path.read_bytes()).hexdigest(), "rows": n}
+    assert size > 3_000_000
+    one_slice = size / n * corpus._JOIN_ROWS
+    assert peak <= 12 * one_slice, peak / one_slice
+
+
+def test_a_failed_write_leaves_the_earlier_artifacts(copied_run):
+    """An encoder that raises after its first block has been written to the
+    temp file leaves the earlier run's artifact byte-identical, no temp file
+    and no manifest of the stage."""
+    out = copied_run.output
+    (out / "backtest.manifest.json").unlink()
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+
+    def failing(cfg, v):
+        yield (["2011Q1"], ["ZZZ9"], ["3"], ["true"])
+        assert [p.name for p in out.glob("*.tmp")], "no temp file is being written"
+        raise RuntimeError("encoder failed")
+
+    backtest = next(stage for stage in PIPELINE if stage.name == "backtest")
+    events = dataclasses.replace(pipeline.EVENTS, encode=failing)
+    stage = dataclasses.replace(backtest, writes=(pipeline.VALID_POINTS, events))
+    with pytest.raises(RuntimeError, match="encoder failed"):
+        pipeline.run_stage(stage, copied_run)
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+    assert not (out / "backtest.manifest.json").exists()
 
 
 def test_report_runs_without_the_raw_inputs(staged_run, tmp_path, capsys):
@@ -883,15 +937,16 @@ def test_render_matches_the_per_row_writer(default_values, cells):
     for stage in PIPELINE:
         for artifact in stage.writes:
             expected = render_by_row(artifact, cfg, values)
-            assert render(artifact, cfg, values) == expected, artifact.name
+            assert "".join(render(artifact, cfg, values)) == expected, artifact.name
     if cells == "adversarial":
-        assert '""' in render(pipeline.SELECTED, cfg, values).splitlines()
+        assert '""' in "".join(render(pipeline.SELECTED, cfg, values)).splitlines()
 
 
 def test_adversarial_text_cells_read_back_unchanged(default_values, tmp_path):
     """Every text cell render writes, ids holding a lone carriage return
     among them, comes back from read_columns as it was encoded."""
     from _adversarial import adversarial_values
+    from _oracles import encoded_columns
 
     cfg, values = default_values
     cfg = dataclasses.replace(cfg, output=tmp_path)
@@ -900,9 +955,10 @@ def test_adversarial_text_cells_read_back_unchanged(default_values, tmp_path):
         for artifact in stage.writes:
             if artifact.columns is None:
                 continue
-            (tmp_path / artifact.name).write_bytes(render(artifact, cfg, values).encode("utf-8"))
+            with (tmp_path / artifact.name).open("w", encoding="utf-8", newline="") as fh:
+                fh.writelines(render(artifact, cfg, values))
             table = read_columns(cfg, artifact, {})
-            for name, column in zip(artifact.columns, artifact.encode(cfg, values)):
+            for name, column in zip(artifact.columns, encoded_columns(artifact, cfg, values)):
                 column = list(column)
                 if all(isinstance(cell, str) for cell in column):
                     assert table[name] == column, (artifact.name, name)
@@ -1055,6 +1111,43 @@ def test_an_id_outside_the_universe_is_rejected(copied_run, artifact, column, pr
     message = f"{artifact} line 4 {problem} — re-run the {pipeline.WRITER[artifact]!r} command"
     with pytest.raises(DependencyError, match=f"^{re.escape(message)}$"):
         read_handoff(copied_run, handoff, {"universe": load_universe(copied_run.universe)})
+
+
+def test_backtest_refuses_a_datapoint_outside_the_universe(seed_one_run, tmp_path, capsys):
+    """A risk.csv row of a company the universe does not list names its line
+    and the command that wrote it, rather than being counted among the
+    datapoints without a price series."""
+    data = tmp_path / "data"
+    shutil.copytree(seed_one_run, data)
+    risk = data / "out" / "risk.csv"
+    header, *rows = risk.read_text(encoding="utf-8").split("\n")
+    cells = rows[0].split(",")
+    cells[header.split(",").index("canonical_id")] = "ZZZ9"
+    _rewrite_line(risk, 2, ",".join(cells))
+    capsys.readouterr()
+    assert main(["backtest", "--config", str(data / "run_config.json")]) == 2
+    err = capsys.readouterr().err
+    message = "risk.csv line 2 has canonical_id 'ZZZ9' outside the universe"
+    assert f"newsrisk: {message} — re-run the 'risk' command" in err, err
+
+
+def test_backtest_names_a_faulty_risk_row_before_a_faulty_universe(
+    seed_one_run, tmp_path, capsys
+):
+    """The backtest reads risk.csv's rows before it loads universe.csv, so
+    a row it cannot read is named first (exit 2), and a faulty universe only
+    when risk.csv's rows are whole (exit 1)."""
+    data = tmp_path / "data"
+    shutil.copytree(seed_one_run, data)
+    config = str(data / "run_config.json")
+    _rewrite_line(data / "universe.csv", 3, "C0001")
+    capsys.readouterr()
+    assert main(["backtest", "--config", config]) == 1
+    assert "newsrisk: universe.csv:3: " in capsys.readouterr().err
+    _rewrite_line(data / "out" / "risk.csv", 4, "2011Q1,C0002")
+    assert main(["backtest", "--config", config]) == 2
+    err = capsys.readouterr().err
+    assert "newsrisk: risk.csv line 4 has 2 cells, expected 10 — re-run the 'risk' command" in err
 
 
 def test_a_network_missing_from_the_artifacts_is_rejected(copied_run):
