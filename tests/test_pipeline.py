@@ -35,7 +35,7 @@ from newsrisk.pipeline import (
 from newsrisk.quarters import Quarter, parse_quarter, quarter_range
 from newsrisk.riskrank import RiskCalibration
 
-from _oracles import network_fields
+from _oracles import network_fields, traced_peak
 
 
 BASE_MAPPING = {
@@ -377,7 +377,8 @@ def test_staged_risk_matches_in_memory_study(staged_run, small_fixture_dir, tmp_
     assert {artifact.name for artifact in declared} == written
     for artifact in declared:
         on_disk = (cfg.output / artifact.name).read_bytes()
-        assert "".join(render(artifact, cfg, vars(result))).encode("utf-8") == on_disk, artifact.name
+        rendered = "".join(render(artifact, cfg, vars(result)))
+        assert rendered.encode("utf-8") == on_disk, artifact.name
 
 
 def test_decoded_study_agrees_with_the_in_memory_one(staged_run, small_fixture_dir, tmp_path):
@@ -631,8 +632,6 @@ def test_writing_a_table_holds_a_few_slices_whatever_its_size(tmp_path):
     """A table is formatted, written and hashed a slice of `_JOIN_ROWS` rows
     at a time, so writing a 100 000-row file of several MB allocates at
     most a small fixed multiple of one slice's text, not the file's."""
-    from _oracles import traced_peak
-
     days = np.datetime_as_string(np.datetime64("2011-01-03") + np.arange(250)).tolist()
     rng = np.random.default_rng(4)
     n = 100_000
