@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import astuple, dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -476,7 +476,9 @@ def _fmt(value: float | None, nd: int = 2) -> str:
 def _text_rows(report: RangeReport | ComparisonReport) -> list[list[str]]:
     """A row of cells per report row, label first, then each number in the
     order its dataclass declares the fields, which is the header's order."""
-    return [[row.label, *map(_fmt, astuple(row)[1:])] for row in report.rows]
+    return [
+        [row.label, *(_fmt(getattr(row, f.name)) for f in fields(row)[1:])] for row in report.rows
+    ]
 
 
 def _render_table(header: list[str], body: list[list[str]]) -> list[str]:

@@ -216,7 +216,7 @@ def build_tables(
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RankEntry:
     canonical_id: str
     average_rank: float

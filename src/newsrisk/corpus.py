@@ -64,7 +64,7 @@ PRICE_COLUMNS = ("ticker", "date", "adjusted_close")
 MARKETCAP_COLUMNS = ("canonical_id", "quarter", "market_cap_usd_billions")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Article:
     id: str
     published_at: datetime
@@ -76,7 +76,7 @@ class Article:
     in_window: bool = True
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EntityRecord:
     canonical_id: str
     display_name: str
@@ -231,9 +231,11 @@ def load_articles(
 
 
 def _read_articles(path: Path, lines: Iterable[str], window: tuple[date, date]) -> list[Article]:
-    """The articles of `lines`, in file order."""
+    """The articles of `lines`, in file order. Equal author ids and
+    polarities are one string, as `_Memo` shares a column's equal cells."""
     articles: list[Article] = []
     seen: set[str] = set()
+    shared: dict[str, str] = {}
     win_start, win_end = window
     for lineno, line in enumerate(lines, start=1):
         line = line.strip()
@@ -243,6 +245,8 @@ def _read_articles(path: Path, lines: Iterable[str], window: tuple[date, date]) 
             raw = json.loads(line)
         except json.JSONDecodeError as exc:
             raise ValidationError(f"{path.name}:{lineno}: malformed record: {exc}") from None
+        if not isinstance(raw, dict):
+            raise ValidationError(f"{path.name}:{lineno}: record is not a JSON object")
         missing = [f for f in ARTICLE_FIELDS if f not in raw]
         if missing:
             raise ValidationError(
@@ -264,12 +268,13 @@ def _read_articles(path: Path, lines: Iterable[str], window: tuple[date, date]) 
         except ValidationError as exc:
             raise ValidationError(f"{path.name}:{lineno}: {exc}") from None
         in_window = win_start <= published.date() <= win_end
+        author_id = str(raw["author_id"])
         articles.append(
             Article(
                 id=article_id,
                 published_at=published,
-                author_id=str(raw["author_id"]),
-                polarity=raw["polarity"],
+                author_id=shared.setdefault(author_id, author_id),
+                polarity=shared.setdefault(raw["polarity"], raw["polarity"]),
                 title=str(raw["title"]),
                 body=str(raw["body"]),
                 in_window=in_window,

@@ -78,9 +78,10 @@ _SUFFIX_KEYS = frozenset(s.casefold() for s in LEGAL_SUFFIXES)
 FOLD = str.maketrans({"\u0131": "i", "\u0130": "i", "\u017f": "s", "\u212a": "k"})
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OccurrenceSet:
-    """The set of companies one article mentions."""
+    """The set of companies one article mentions. Equal quarters and equal
+    company sets may be one object, shared by many articles' records."""
 
     article_id: str
     quarter: Quarter
@@ -284,14 +285,18 @@ class Scanner:
         pairs = ((ticker_re, matchers.resolve_ticker), (name_re, matchers.resolve_name))
         #: (regex, resolver of its matched text) of each category
         self.patterns = [(pattern, resolve) for pattern, resolve in pairs if pattern is not None]
+        #: each distinct set `match_ids` has returned
+        self._sets: dict[frozenset[str], frozenset[str]] = {}
 
     def match_ids(self, text: str) -> frozenset[str]:
-        """The companies `text` mentions, resolved from the matched strings."""
+        """The companies `text` mentions, resolved from the matched strings.
+        Equal sets that one scanner returns are one object."""
         ids: set[str | None] = set()
         for pattern, resolve in self.patterns:
             ids.update(map(resolve, pattern.findall(text)))
         ids.discard(None)
-        return frozenset(ids)
+        found = frozenset(ids)
+        return self._sets.setdefault(found, found)
 
 
 def article_text(article: Article) -> str:
@@ -313,7 +318,8 @@ def parse_corpus(
     """Mention sets per quarter for every in-window article.
 
     Articles that mention no company are kept (they count toward article
-    totals but contribute no nodes or edges).
+    totals but contribute no nodes or edges). The records of one quarter
+    share one `Quarter`, and equal company sets one `frozenset`.
     """
     in_window = [article for article in articles if article.in_window]
     # the tokens of title + "\n\n" + body are those of the title and the body

@@ -295,28 +295,17 @@ def _network_stat_columns(cfg: RunConfig, v: Values) -> list[list]:
     return [[s[column] for s in stats] for column in NETWORK_STATS.columns]
 
 
-def _centrality_columns(cfg: RunConfig, v: Values) -> tuple[Sequence, ...]:
-    tables = v["tables"]
-    sizes = [len(t.ids) for t in tables]
-    return (
-        _repeat([t.quarter.label for t in tables], sizes),
-        _repeat([t.polarity for t in tables], sizes),
-        _repeat([t.mode for t in tables], sizes),
-        _concat([t.ids for t in tables]),
-        _concat([t.scores for t in tables]),
-        _concat([t.ranks for t in tables]),
-    )
+def _centrality_columns(cfg: RunConfig, v: Values) -> Iterator[tuple[Sequence, ...]]:
+    """One block per table, whose arrays are its last three columns."""
+    for t in v["tables"]:
+        n = len(t.ids)
+        yield [t.quarter.label] * n, [t.polarity] * n, [t.mode] * n, t.ids, t.scores, t.ranks
 
 
-def _average_rank_columns(cfg: RunConfig, v: Values) -> tuple[list, ...]:
-    lists = v["rank_lists"]
-    sizes = list(map(len, lists.values()))
-    entries = list(chain.from_iterable(lists.values()))
-    return (
-        _repeat([polarity for polarity, _ in lists], sizes),
-        _repeat([mode for _, mode in lists], sizes),
-        *_fields(entries, RankEntry),
-    )
+def _average_rank_columns(cfg: RunConfig, v: Values) -> Iterator[list[list]]:
+    """One block per rank list."""
+    for (polarity, mode), entries in v["rank_lists"].items():
+        yield [[polarity] * len(entries), [mode] * len(entries), *_fields(entries, RankEntry)]
 
 
 def _series_columns(cfg: RunConfig, v: Values) -> tuple[Sequence, ...]:

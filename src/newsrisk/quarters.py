@@ -5,6 +5,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from datetime import date, datetime, timezone
+from functools import cache
 
 _LABEL_RE = re.compile(r"^(\d{4})Q([1-4])$")
 
@@ -55,11 +56,17 @@ def parse_quarter(label: str) -> Quarter:
 def quarter_of(ts: datetime) -> Quarter:
     """Calendar quarter containing a timestamp, evaluated in UTC.
 
-    Naive datetimes are taken to already be UTC.
+    Naive datetimes are taken to already be UTC. Every call for one quarter
+    returns the same object, so the articles of a corpus share one
+    `Quarter` per quarter.
     """
     if ts.tzinfo is not None:
         ts = ts.astimezone(timezone.utc)
-    return Quarter(ts.year, (ts.month - 1) // 3 + 1)
+    return _shared_quarter(ts.year, (ts.month - 1) // 3 + 1)
+
+
+#: One `Quarter` per (year, index) seen: at most four a calendar year.
+_shared_quarter = cache(Quarter)
 
 
 def quarter_range(first: Quarter, last: Quarter) -> list[Quarter]:

@@ -71,7 +71,7 @@ class RiskCalibration:
             raise ValidationError(f"theta must be in [0, 1], got {self.theta}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PlayerSet:
     """Influence weights around one central company."""
 
@@ -81,7 +81,7 @@ class PlayerSet:
     interactions: Mapping[tuple[str, str], float]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RiskDatapoint:
     canonical_id: str
     quarter: Quarter

@@ -1,15 +1,19 @@
 """Loaders, writers, and calendar-quarter bucketing."""
 
+import copy
 import json
+import pickle
 import subprocess
 import sys
 import warnings
+from dataclasses import FrozenInstanceError, fields, replace
 from datetime import date, datetime, timedelta, timezone
 
 import numpy as np
 import pytest
 
 from newsrisk import corpus
+from newsrisk.centrality import RankEntry
 from newsrisk.corpus import (
     _CHUNK,
     INPUT,
@@ -30,8 +34,10 @@ from newsrisk.corpus import (
     read_table,
     write_articles,
 )
+from newsrisk.entities import OccurrenceSet
 from newsrisk.errors import ValidationError
 from newsrisk.quarters import Quarter, parse_quarter, quarter_of, quarter_range
+from newsrisk.riskrank import PlayerSet, RiskDatapoint
 
 from _oracles import (
     analysis_articles,
@@ -211,6 +217,17 @@ def test_articles_field_and_polarity_errors(tmp_path):
         load_articles(path)
 
 
+@pytest.mark.parametrize(
+    "line", ["42", "null", json.dumps(" ".join(corpus.ARTICLE_FIELDS))], ids=["int", "null", "str"]
+)
+def test_articles_a_line_that_is_not_an_object_is_refused(tmp_path, line):
+    path = tmp_path / "articles.jsonl"
+    write_articles(path, [art(1, "2011-02-01T09:30:00+00:00")])
+    path.write_text(path.read_text(encoding="utf-8") + line + "\n", encoding="utf-8")
+    with pytest.raises(ValidationError, match=r"^articles\.jsonl:2: record is not a JSON object$"):
+        load_articles(path)
+
+
 def test_articles_duplicate_id(tmp_path):
     path = tmp_path / "articles.jsonl"
     write_articles(
@@ -252,6 +269,34 @@ def test_articles_by_quarter_groups_sorted():
     grouped = articles_by_quarter(arts)
     assert [q.label for q in grouped] == ["2011Q1", "2011Q2"]
     assert [a.id for a in grouped[Quarter(2011, 2)]] == ["A1", "A3"]
+
+
+# -- the per-item records ---------------------------------------------------
+
+
+RECORDS = [
+    art(1, "2011-02-01T09:30:00+00:00"),
+    EntityRecord("APPLE", "Apple Inc.", "AAPL", "NASDAQ", ("Apple Inc.",), ("AAPL", "AAPLB")),
+    OccurrenceSet("A1", Quarter(2011, 1), "positive", frozenset({"APPLE", "IBM"})),
+    PlayerSet("APPLE", ("APPLE", "IBM"), {"APPLE": 0.5, "IBM": 0.5}, {}),
+    RiskDatapoint("APPLE", Quarter(2011, 1), 0.5, 0.25, 0.125, 0.0, 0.375),
+    RankEntry("APPLE", 1.5, 2),
+]
+
+
+@pytest.mark.parametrize("record", RECORDS, ids=lambda r: type(r).__name__)
+def test_records_have_slots_and_copy_pickle_and_replace(record):
+    """The records held per article, company or datapoint carry no instance
+    dict, and still copy, pickle and `replace` as frozen dataclasses do."""
+    assert not hasattr(record, "__dict__")
+    assert copy.copy(record) == record
+    assert pickle.loads(pickle.dumps(record)) == record
+    name = fields(record)[0].name
+    changed = replace(record, **{name: "OTHER"})
+    assert getattr(changed, name) == "OTHER"
+    assert changed != record and replace(changed, **{name: getattr(record, name)}) == record
+    with pytest.raises(FrozenInstanceError):
+        setattr(record, name, "OTHER")
 
 
 # -- universe ---------------------------------------------------------------
