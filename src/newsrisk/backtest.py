@@ -190,8 +190,9 @@ def range_stat(
     benchmark_daily: np.ndarray,
     delay_lo: int = DELAY_LO,
 ) -> RangeStat | None:
-    """Summarize [lo, hi]; None when either side has no defined day."""
-    sl = slice(lo - delay_lo, hi - delay_lo + 1)
+    """Summarize the delays of [lo, hi] that the daily rates hold, which
+    start at `delay_lo`; None when either side has no defined day there."""
+    sl = slice(max(lo - delay_lo, 0), max(hi - delay_lo + 1, 0))
     sub = subset_daily[sl]
     bench = benchmark_daily[sl]
     sub = sub[~np.isnan(sub)]

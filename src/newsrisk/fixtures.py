@@ -552,6 +552,7 @@ def write_fixture(fixture: Fixture, out_dir: str | Path) -> dict[str, Path]:
         with paths[name].open("w", encoding="utf-8", newline="") as fh:
             fh.writelines(format_table(header, blocks))
 
-    truth = json.dumps(vars(fixture.truth), indent=2, sort_keys=True)
-    paths["truth"].write_text(truth + "\n", encoding="utf-8")
+    with paths["truth"].open("w", encoding="utf-8") as fh:
+        json.dump(vars(fixture.truth), fh, indent=2, sort_keys=True)
+        fh.write("\n")
     return paths

@@ -4,8 +4,8 @@ Stages: parse -> networks -> rank -> risk -> backtest -> report. `PIPELINE`
 declares each stage once: the config input files it loads, the values it
 reads from earlier stages, a compute function over typed values, the
 artifacts it writes and its manifest params. Each artifact is declared once:
-file name, columns and an encoder from the run's values to one sequence per
-column, which `render` formats with `corpus.format_table`. Values that a
+file name, columns and an encoder from the run's values to blocks of
+columns, which `render` formats with `corpus.format_table`. Values that a
 later stage reads back have one decoder each, in `HANDOFFS`, over the
 artifacts' columns as `read_columns` reads them, with the reader that loads
 the CSV inputs.
@@ -38,7 +38,7 @@ from contextlib import contextmanager
 from dataclasses import astuple, dataclass, field, fields
 from datetime import date
 from functools import partial
-from itertools import chain, repeat
+from itertools import chain, groupby, repeat
 from operator import attrgetter
 from pathlib import Path
 from typing import Any, BinaryIO, Callable, Iterable, Iterator, Mapping, Sequence
@@ -213,10 +213,12 @@ Values = Mapping[str, Any]
 class Artifact:
     """One output file.
 
-    `encode(cfg, values)` returns one sequence per declared column, all of
-    one length (lists, tuples or numpy arrays), or an iterator of such
-    blocks, or the file's text when `columns` is None. `render` formats the
-    columns with `format_table`.
+    `encode(cfg, values)` returns an iterable of blocks, each one sequence
+    per declared column, all of one length (lists, tuples, ranges or numpy
+    arrays), or the file's text when `columns` is None. An artifact whose
+    rows grow with the input yields a block per group of them (a quarter,
+    a network, a table or a report subset), so a write holds one group's
+    cells; a small one returns a one-block list.
     """
 
     name: str
@@ -225,11 +227,10 @@ class Artifact:
 
 
 def render(artifact: Artifact, cfg: RunConfig, values: Values) -> Iterable[str]:
-    """The file content of `artifact` for a run's values, a slice at a time."""
+    """The file content of `artifact` for a run's values, a slice at a time:
+    its text, or its blocks formatted by `format_table`."""
     encoded = artifact.encode(cfg, values)
-    if artifact.columns is None:
-        return (encoded,)
-    return format_table(artifact.columns, encoded if isinstance(encoded, Iterator) else (encoded,))
+    return (encoded,) if artifact.columns is None else format_table(artifact.columns, encoded)
 
 
 #: The risk-score columns every datapoint artifact carries, in order.
@@ -246,17 +247,17 @@ def _fields(records: Sequence, cls: type) -> list[list]:
     return [[getattr(r, f.name) for r in records] for f in fields(cls)]
 
 
-def _occurrence_columns(cfg: RunConfig, v: Values) -> tuple[list, ...]:
+def _occurrence_columns(cfg: RunConfig, v: Values) -> Iterator[tuple[list, ...]]:
+    """One block per quarter, its records in article_id order."""
     occurrences = v["occurrences"]
-    quarters = sorted(occurrences)
-    groups = [sorted(occurrences[q], key=attrgetter("article_id")) for q in quarters]
-    occs = list(chain.from_iterable(groups))
-    return (
-        [occ.article_id for occ in occs],
-        _repeat([q.label for q in quarters], map(len, groups)),
-        [occ.polarity for occ in occs],
-        ["|".join(sorted(occ.companies)) for occ in occs],
-    )
+    for quarter in sorted(occurrences):
+        occs = sorted(occurrences[quarter], key=attrgetter("article_id"))
+        yield (
+            [occ.article_id for occ in occs],
+            [quarter.label] * len(occs),
+            [occ.polarity for occ in occs],
+            ["|".join(sorted(occ.companies)) for occ in occs],
+        )
 
 
 def _each_network(v: Values) -> list[QuarterNetwork]:
@@ -264,24 +265,17 @@ def _each_network(v: Values) -> list[QuarterNetwork]:
     return [networks[quarter][kind] for quarter in sorted(networks) for kind in NETWORK_KINDS]
 
 
-def _concat(arrays: Sequence[np.ndarray]) -> Sequence:
-    return np.concatenate(arrays) if arrays else []
-
-
-def _network_rows(v: Values, width: int, rows: Callable[[QuarterNetwork], tuple]) -> list:
-    """Quarter and polarity columns, then `width` id columns and a weight
-    column: `rows(network)` gives the node positions of its rows, one
-    column of them per id column, and their weights."""
-    nets = _each_network(v)
-    picked = [rows(network) for network in nets]
-    sizes = [len(weights) for _, weights in picked]
-    ids = [np.array(n.nodes, dtype=object)[positions] for n, (positions, _) in zip(nets, picked)]
-    return [
-        _repeat([network.quarter.label for network in nets], sizes),
-        _repeat([network.polarity for network in nets], sizes),
-        *(_concat([names[:, c] for names in ids]) for c in range(width)),
-        _concat([weights for _, weights in picked]),
-    ]
+def _network_rows(
+    v: Values, rows: Callable[[QuarterNetwork], tuple]
+) -> Iterator[tuple[Sequence, ...]]:
+    """One block per network: quarter and polarity columns, then an id
+    column per column of the node positions `rows(network)` gives for its
+    rows, and their weights."""
+    for network in _each_network(v):
+        positions, weights = rows(network)
+        ids = np.array(network.nodes, dtype=object)[positions]
+        n = len(weights)
+        yield ([network.quarter.label] * n, [network.polarity] * n, *ids.T, weights)
 
 
 def _held_nodes(network: QuarterNetwork) -> tuple[np.ndarray, np.ndarray]:
@@ -290,9 +284,9 @@ def _held_nodes(network: QuarterNetwork) -> tuple[np.ndarray, np.ndarray]:
     return held[:, None], network.node_weights[held]
 
 
-def _network_stat_columns(cfg: RunConfig, v: Values) -> list[list]:
+def _network_stat_columns(cfg: RunConfig, v: Values) -> list[list[list]]:
     stats = [network_stats(network) for network in _each_network(v)]
-    return [[s[column] for s in stats] for column in NETWORK_STATS.columns]
+    return [[[s[column] for s in stats] for column in NETWORK_STATS.columns]]
 
 
 def _centrality_columns(cfg: RunConfig, v: Values) -> Iterator[tuple[Sequence, ...]]:
@@ -308,41 +302,26 @@ def _average_rank_columns(cfg: RunConfig, v: Values) -> Iterator[list[list]]:
         yield [[polarity] * len(entries), [mode] * len(entries), *_fields(entries, RankEntry)]
 
 
-def _series_columns(cfg: RunConfig, v: Values) -> tuple[Sequence, ...]:
-    groups = []
-    for mode in MODES:
-        keep = {e.canonical_id for e in v["rank_lists"][(MIXED, mode)]}
-        groups += [
-            (table, np.array([cid in keep for cid in table.ids], dtype=bool))
-            for table in v["tables"]
-            if table.polarity == MIXED and table.mode == mode
-        ]
-    sizes = [np.count_nonzero(kept) for _, kept in groups]
-    return (
-        _repeat([table.mode for table, _ in groups], sizes),
-        _repeat([table.quarter.label for table, _ in groups], sizes),
-        _concat([table.ids[kept] for table, kept in groups]),
-        _concat([table.scores[kept] for table, kept in groups]),
-    )
-
-
 def _datapoint_columns(
-    columns: Sequence[str], datapoints: Sequence[RiskDatapoint], cfg: RunConfig
-) -> list[list]:
-    """The named columns of a datapoint artifact; the calibration columns
-    repeat the run's calibration on every row."""
+    columns: Sequence[str], datapoints: Iterable[RiskDatapoint], cfg: RunConfig
+) -> Iterator[list[list]]:
+    """The named columns of a datapoint artifact, one block per run of
+    datapoints of one quarter (they are in quarter order); the calibration
+    columns repeat the run's calibration on every row."""
     calibration = dict(zip(("lambda", "mu", "theta"), astuple(cfg.calibration)))
 
-    def column(name: str) -> list:
+    def column(name: str, points: list[RiskDatapoint]) -> list:
         if name == "quarter":
-            return [dp.quarter.label for dp in datapoints]
+            return [dp.quarter.label for dp in points]
         if name == "measurement_date":
-            return [dp.measurement_date and dp.measurement_date.isoformat() for dp in datapoints]
+            return [dp.measurement_date and dp.measurement_date.isoformat() for dp in points]
         if name in calibration:
-            return [calibration[name]] * len(datapoints)
-        return [getattr(dp, name) for dp in datapoints]
+            return [calibration[name]] * len(points)
+        return [getattr(dp, name) for dp in points]
 
-    return [column(name) for name in columns]
+    for _, group in groupby(datapoints, attrgetter("quarter")):
+        points = list(group)
+        yield [column(name, points) for name in columns]
 
 
 #: decline_events.csv cells of the outcome codes -1, 0 and 1, at code + 1.
@@ -380,37 +359,30 @@ def _report_params(cfg: RunConfig) -> dict[str, object]:
 
 # Report records and the calibration are written field by field, in the
 # order their dataclass declares them, which is the order of the columns.
-def _range_columns(cfg: RunConfig, v: Values) -> tuple[list, ...]:
-    keys = sorted(v["reports"].range_reports)
-    reports = [v["reports"].range_reports[key] for key in keys]
-    sizes = [len(report.rows) for report in reports]
-    return (
-        _repeat([kind for kind, _ in keys], sizes),
-        _repeat([threshold for _, threshold in keys], sizes),
-        *_fields([row for report in reports for row in report.rows], bt.RangeStat),
-        _repeat([report.n_subset for report in reports], sizes),
-        _repeat([report.n_benchmark for report in reports], sizes),
-    )
+def _range_columns(cfg: RunConfig, v: Values) -> Iterator[tuple[list, ...]]:
+    """One block per (kind, threshold) subset."""
+    reports = v["reports"].range_reports
+    for kind, threshold in sorted(reports):
+        report = reports[(kind, threshold)]
+        n = len(report.rows)
+        yield ([kind] * n, [threshold] * n, *_fields(report.rows, bt.RangeStat),
+               [report.n_subset] * n, [report.n_benchmark] * n)
 
 
-def _comparison_columns(cfg: RunConfig, v: Values) -> tuple[list, ...]:
+def _comparison_columns(cfg: RunConfig, v: Values) -> list[tuple[list, ...]]:
     report = v["reports"].comparison
     rows = report.rows if report else ()
     thresholds = [report.threshold] * len(rows) if report else []
-    return (thresholds, *_fields(rows, bt.ComparisonRow))
+    return [(thresholds, *_fields(rows, bt.ComparisonRow))]
 
 
-def _daily_columns(cfg: RunConfig, v: Values) -> tuple[list, ...]:
+def _daily_columns(cfg: RunConfig, v: Values) -> Iterator[tuple[Sequence, ...]]:
+    """One block per (kind, threshold) subset, a row per delay."""
     study, reports = v["study"], v["reports"]
-    keys = sorted(reports.range_reports)
     n = len(study.delays)
-    return (
-        _repeat([kind for kind, _ in keys], repeat(n)),
-        _repeat([threshold for _, threshold in keys], repeat(n)),
-        list(study.delays) * len(keys),
-        list(chain.from_iterable(reports.subset_daily[key].tolist() for key in keys)),
-        reports.benchmark_daily.tolist() * len(keys),
-    )
+    for kind, threshold in sorted(reports.range_reports):
+        daily = reports.subset_daily[(kind, threshold)]
+        yield [kind] * n, [threshold] * n, study.delays, daily, reports.benchmark_daily
 
 
 def _ranges_text(cfg: RunConfig, v: Values) -> str:
@@ -432,12 +404,12 @@ OCCURRENCES = Artifact(
 NETWORK_EDGES = Artifact(
     "network_edges.csv",
     ("quarter", "polarity", "i", "j", "weight"),
-    lambda cfg, v: _network_rows(v, 2, lambda n: (n.edge_index, n.edge_weights)),
+    lambda cfg, v: _network_rows(v, lambda n: (n.edge_index, n.edge_weights)),
 )
 NETWORK_NODES = Artifact(
     "network_nodes.csv",
     ("quarter", "polarity", "canonical_id", "s"),
-    lambda cfg, v: _network_rows(v, 1, _held_nodes),
+    lambda cfg, v: _network_rows(v, _held_nodes),
 )
 NETWORK_STATS = Artifact(
     "network_stats.csv",
@@ -455,11 +427,8 @@ AVERAGE_RANK = Artifact(
     ("polarity", "mode", "canonical_id", "average_rank", "quarters_scored"),
     _average_rank_columns,
 )
-TIMESERIES = Artifact(
-    "centrality_timeseries.csv", ("mode", "quarter", "canonical_id", "score"), _series_columns
-)
 SELECTED = Artifact(
-    "selected_universe.csv", ("canonical_id",), lambda cfg, v: (list(v["selected"]),)
+    "selected_universe.csv", ("canonical_id",), lambda cfg, v: [(v["selected"],)]
 )
 RISK = Artifact(
     "risk.csv",
@@ -497,12 +466,12 @@ BEST_DELAY = Artifact(
     "best_delay.csv",
     ("kind", "threshold", "delay", "subset_rate", "benchmark_rate", "diff", "stderr",
      "n_subset_defined", "n_benchmark_defined"),
-    lambda cfg, v: _fields(v["reports"].best_delays, bt.BestDelay),
+    lambda cfg, v: [_fields(v["reports"].best_delays, bt.BestDelay)],
 )
 HISTOGRAM = Artifact(
     "risk_histogram.csv",
     ("risk_at_least", "n_aggregated", "pct_aggregated", "n_individual", "pct_individual"),
-    lambda cfg, v: _fields(v["reports"].histogram, bt.HistogramRow),
+    lambda cfg, v: [_fields(v["reports"].histogram, bt.HistogramRow)],
 )
 
 
@@ -839,7 +808,7 @@ PIPELINE: tuple[Stage, ...] = (
     Stage(
         "rank", "score and rank companies by network centrality",
         inputs=("universe", "marketcaps"), reads=("networks",), compute=_rank,
-        writes=(CENTRALITY, AVERAGE_RANK, TIMESERIES),
+        writes=(CENTRALITY, AVERAGE_RANK),
         params=lambda cfg, v: {"alpha": cfg.alpha, "top_k": cfg.top_k},
     ),
     Stage(

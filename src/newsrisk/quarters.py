@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from datetime import date, datetime, timezone
 from functools import cache
 
-_LABEL_RE = re.compile(r"^(\d{4})Q([1-4])$")
+_LABEL_RE = re.compile(r"([0-9]{4})Q([1-4])")
 
 _QUARTER_END = {1: (3, 31), 2: (6, 30), 3: (9, 30), 4: (12, 31)}
 
@@ -46,9 +46,10 @@ class Quarter:
 
 
 def parse_quarter(label: str) -> Quarter:
-    """Parse a YYYYQN label such as '2016Q2'."""
-    match = _LABEL_RE.match(label.strip())
-    if match is None:
+    """Parse a YYYYQN label such as '2016Q2': ASCII digits, and a year of
+    the calendar (0001 to 9999)."""
+    match = _LABEL_RE.fullmatch(label.strip())
+    if match is None or match.group(1) == "0000":
         raise ValueError(f"bad quarter label {label!r}, expected YYYYQN")
     return Quarter(int(match.group(1)), int(match.group(2)))
 

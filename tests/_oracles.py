@@ -34,7 +34,7 @@ from dataclasses import dataclass, fields, replace
 from datetime import date, timedelta
 from itertools import combinations
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -570,9 +570,8 @@ def traced_peak(call, *args):
 
 def encoded_columns(artifact, cfg: RunConfig, values: Mapping) -> list[list]:
     """An artifact's encoded columns whole, its encoder's blocks joined."""
-    encoded = artifact.encode(cfg, values)
     columns: list[list] = [[] for _ in artifact.columns]
-    for block in encoded if isinstance(encoded, Iterator) else [encoded]:
+    for block in artifact.encode(cfg, values):
         for column, cells in zip(columns, block):
             column.extend(cells)
     return columns

@@ -267,6 +267,29 @@ def test_range_stat_edge_cases():
     assert stat.benchmark_rate == 3.0
 
 
+@pytest.mark.parametrize("delay_lo", [10, 50])
+def test_range_stat_reads_only_the_delays_of_the_window(delay_lo):
+    """A range that starts before the configured delays is summarized over
+    those of its delays the window holds, and one that ends before them is
+    left out: no bound counts from the end of the daily rates."""
+    delays = np.arange(delay_lo, 91, dtype=float)  # a rate of d at delay d
+    bench = np.ones_like(delays)
+
+    def rate(lo: int, hi: int) -> float | None:
+        stat = bt.range_stat(f"{lo} to {hi}", lo, hi, delays, bench, delay_lo)
+        return stat and stat.subset_rate
+
+    assert rate(3, 90) == (delay_lo + 90) / 2
+    assert rate(81, 90) == 85.5
+    if delay_lo == 10:
+        assert rate(3, 10) == 10.0
+        assert rate(3, 45) == 27.5
+    else:
+        assert rate(3, 10) is None
+        assert rate(41, 50) == 50.0
+        assert rate(51, 60) == 55.5
+
+
 def test_average_row():
     rows = [
         bt.RangeStat("a", 10.0, 8.0, 2.0, 25.0, 1.0, 2.0),

@@ -72,6 +72,7 @@ def test_quarter_labels_and_dates():
     assert q.end_date == date(2013, 12, 31)
     assert q.next() == Quarter(2014, 1)
     assert parse_quarter(" 2013Q4 ") == q
+    assert parse_quarter("0001Q1") == Quarter(1, 1)
     assert str(q) == "2013Q4"
 
 
@@ -85,6 +86,15 @@ def test_quarter_ordering_and_range():
         Quarter(2011, 5)
     with pytest.raises(ValueError):
         parse_quarter("2011-Q1")
+
+
+@pytest.mark.parametrize(
+    "label", ["0000Q4", "\u0662\u0660\u0661\u0661Q1", "2011Q\u0661", "12011Q1"]
+)
+def test_a_quarter_label_needs_a_calendar_year_of_ascii_digits(label):
+    """Year 0000 has no dates, and a date cell holds only ASCII digits."""
+    with pytest.raises(ValueError, match=r"^bad quarter label .*, expected YYYYQN$"):
+        parse_quarter(label)
 
 
 def test_quarter_of_boundaries():
@@ -1059,6 +1069,10 @@ def test_marketcaps_with_a_byte_order_mark_load(tmp_path, rows, message):
         # blank lines and the lines of a quoted cell count
         ("A,2011Q1,5\n\nB,2011Q1,-1\n", ":4: non-positive market cap -1.0 for B"),
         ('"A\nB",2011Q1,5\nC,2011T1,1\n', ":4: bad quarter label '2011T1', expected YYYYQN"),
+        ("A,0000Q4,5\n", ":2: bad quarter label '0000Q4', expected YYYYQN"),
+        # a quarter's digits are ASCII
+        ("A,\u0662\u0660\u0661\u0661Q1,5\n",
+         ":2: bad quarter label '\u0662\u0660\u0661\u0661Q1', expected YYYYQN"),
         # two faults: the one on the earlier line is reported
         ("A,2011Q1,0\nB,2011Q1\n", ":2: non-positive market cap 0.0 for A"),
         ("A,2011Q1,5\nB,2011Q1,x\nC,2011Q1,-1\n", ":3: bad market cap 'x'"),

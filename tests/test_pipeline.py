@@ -186,6 +186,22 @@ def test_an_infinite_alpha_is_refused_before_any_stage_runs(small_fixture_dir, t
     assert not (tmp_path / "out").exists()
 
 
+def test_a_quarter_window_of_year_0000_is_refused(small_fixture_dir, tmp_path, capsys):
+    """A year the calendar lacks ends in a `newsrisk:` message and exit 1,
+    not a traceback."""
+    config_path = tmp_path / "run.json"
+    config_path.write_text(
+        json.dumps({
+            **{key: str(small_fixture_dir / name) for key, name in BASE_MAPPING.items()},
+            "output": str(tmp_path / "out"),
+        })
+    )
+    argv = ["parse", "--config", str(config_path), "--quarters", "0000Q4..2011Q1"]
+    assert main(argv) == 1
+    assert "newsrisk: bad quarter label '0000Q4', expected YYYYQN" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_a_repeated_threshold_is_refused(small_fixture_dir, tmp_path):
     """A repeated threshold would render its table twice in the text report
     and once in the CSV, and change the fingerprint."""
@@ -348,7 +364,7 @@ def test_stage_commands_write_the_bytes_run_writes(small_fixture_dir, tmp_path, 
         STAGES[stage](make_config(small_fixture_dir, tmp_path / "staged", **window))
     run = {p.name: p.read_bytes() for p in (tmp_path / "run").iterdir()}
     staged = {p.name: p.read_bytes() for p in (tmp_path / "staged").iterdir()}
-    assert len(run) == 24
+    assert len(run) == 23
     assert run.keys() == staged.keys()
     for name in run:
         assert staged[name] == run[name], name
@@ -653,6 +669,22 @@ def test_writing_a_table_holds_a_few_slices_whatever_its_size(tmp_path):
     assert size > 3_000_000
     one_slice = size / n * corpus._JOIN_ROWS
     assert peak <= 12 * one_slice, peak / one_slice
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["occurrences.csv", "network_edges.csv", "network_nodes.csv", "risk.csv",
+     "valid_datapoints.csv", "backtest_ranges.csv", "backtest_daily.csv"],
+)
+def test_rendering_an_artifact_holds_one_group_at_a_time(default_values, name):
+    """An artifact whose rows grow with the input is encoded a quarter, a
+    network or a report subset at a time, so rendering it allocates at most
+    a small multiple of its text, not every row's cells at once."""
+    cfg, values = default_values
+    artifact = next(a for stage in PIPELINE for a in stage.writes if a.name == name)
+    size, peak = traced_peak(lambda: sum(map(len, render(artifact, cfg, values))))
+    assert size > 20_000
+    assert peak <= 3 * size, peak / size
 
 
 def test_a_failed_write_leaves_the_earlier_artifacts(copied_run):
