@@ -12,7 +12,9 @@ File formats:
 
 Every CSV file the package reads, input or artifact, is read by
 `read_table`, whose cell grammar the README's "Input formats" states; the
-loaders ignore whitespace around a cell. Every CSV file it writes, artifact
+loaders ignore whitespace around a cell. A plain `prices.csv`, as the
+fixtures write it, is read as bytes by `pricerows.plain_columns` instead,
+and any other price file by `read_table`. Every CSV file it writes, artifact
 or fixture, is formatted by `format_table` and written a slice of rows at a
 time, so a write holds one slice whatever the size of the file. A file that
 is not UTF-8 is refused with the line that holds its first undecodable
@@ -41,6 +43,7 @@ from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 import numpy as np
 
 from .errors import ValidationError
+from .pricerows import Refused, Tickers, plain_columns
 from .quarters import Quarter, parse_quarter
 
 log = logging.getLogger(__name__)
@@ -285,22 +288,30 @@ def _read_articles(path: Path, lines: Iterable[str], window: tuple[date, date]) 
 
 # ---------------------------------------------------------------------------
 # The CSV reader. Every CSV input and every artifact a stage reads back goes
-# through `read_table`; its caller checks the values and words the errors.
+# through `read_table`, but a plain price file; its caller checks the values
+# and words the errors.
 # ---------------------------------------------------------------------------
 
 #: Rows that one `np.loadtxt` call parses. Each cell of a chunk is a `str`
 #: until the chunk is copied into the columns, and the allocator keeps the
 #: pages they took, so the chunk is the one slice of the file the reader
 #: holds besides its result. On a 2-vCPU VM, loading the 203 000-row
-#: wide-universe price file for the 23 companies its backtest reads (75 KB
-#: of series) raised peak RSS by 0.24 MB with 512-row chunks, 0.30 MB with
-#: 1 024, 0.41 MB with 2 048 and 0.66 MB with 4 096; keeping every row
-#: (3.25 MB of series), by 4.54, 4.55, 4.67 and 4.92 MB. Larger chunks
-#: parse faster, and the per-chunk checks of `load_prices` cost less per
-#: row.
+#: wide-universe price file by `read_table` for the 23 companies its
+#: backtest reads (75 KB of series) raised peak RSS by 0.24 MB with 512-row
+#: chunks, 0.30 MB with 1 024, 0.41 MB with 2 048 and 0.66 MB with 4 096;
+#: keeping every row (3.25 MB of series), by 4.54, 4.55, 4.67 and 4.92 MB.
+#: Larger chunks parse faster, and the per-chunk checks of `load_prices`
+#: cost less per row. The byte route that reads a plain `prices.csv` checks
+#: `_PLAIN_CHUNKS` chunks of rows at a time.
 _CHUNK = 1024
-#: Bytes the row count reads at a time.
-_BLOCK = 1 << 16
+#: Bytes the row count and the byte route of `prices.csv` read at a time.
+_BLOCK = 1 << 15
+#: Chunks of rows the byte route checks at a time. On a 2-vCPU VM, the
+#: wide-universe price file loaded for its backtest's 23 companies in 72 ms
+#: with one chunk, 55 ms with two and 48 ms with four; loading a file of
+#: 100 000 rows for 10 of its 200 tickers held 0.27, 0.44 and 0.78 MB besides
+#: the columns (tracemalloc), and more memory is more peak RSS.
+_PLAIN_CHUNKS = 2
 
 
 @dataclass(frozen=True)
@@ -396,7 +407,8 @@ def _row_bound(path: Path) -> int:
     with path.open("rb") as fh:
         while block := fh.read(_BLOCK):
             octets = np.frombuffer(block, np.uint8)
-            ends += int(np.count_nonzero((octets == ord("\n")) | (octets == ord("\r"))))
+            ends += int(np.count_nonzero(octets == ord("\n")))
+            ends += int(np.count_nonzero(octets == ord("\r")))
     return ends
 
 
@@ -693,64 +705,15 @@ _DAY = Kind(_epoch_day, "bad date {cell!r}", np.int64)
 _CLOSE = Kind(float_cell, "bad price {cell!r}", np.float64)
 
 
-#: Keys `code * _SPAN + day` order rows by ticker code, then by day: the
-#: days since 1970 of the years 1 to 9999 lie less than `_SPAN` apart.
-_SPAN = np.int64(1 << 32)
-
-
-class _Refused(Exception):
-    """A chunk of a price file failed a check; the whole file is checked."""
-
-
-class _Tickers(dict):
-    """The code of each ticker read, in the order first read, and for each
-    code whether its rows are kept and the key of its last row read."""
-
-    def __init__(self, universe: EntityUniverse | None):
-        super().__init__()
-        self.known = None if universe is None else universe.ticker_to_id
-        self.kept = np.zeros(0, dtype=bool)
-        self.last = np.zeros(0, dtype=np.int64)
-
-    def code(self, cell: str) -> int:
-        """The ticker column's `parse`, which runs once per distinct cell:
-        the code of the cell's ticker, the next one for a new ticker."""
-        ticker = cell.strip()
-        code = self.get(ticker)
-        if code is None:
-            code = self[ticker] = len(self)
-            if code == len(self.kept):  # double the room of the per-code arrays
-                self.kept = np.concatenate((self.kept, np.zeros(code + 1, dtype=bool)))
-                self.last = np.concatenate((self.last, np.full(code + 1, np.iinfo(np.int64).min)))
-            self.kept[code] = self.known is None or ticker in self.known
-        return code
-
-    def keep(self, cells: dict[str, np.ndarray]) -> np.ndarray | None:
-        """The rows of a chunk whose ticker is kept (None: every row), once
-        every row of it is checked as `_price_columns` checks a whole file;
-        `_Refused` on a fault. Each ticker's dates are checked against its
-        last row read, so tickers may interleave; only a chunk whose codes
-        decrease is sorted."""
-        codes, days, closes = (cells[name] for name in PRICE_COLUMNS)
-        if not closes.min() > 0 or closes.max() == math.inf:  # a NaN fails the first
-            raise _Refused
-        codes = codes.astype(np.intp)  # numpy indexes by intp without a cast
-        key = codes * _SPAN + days
-        if not self._ordered(codes, key):  # interleaved tickers, or a fault
-            order = np.argsort(codes, kind="stable")
-            if not self._ordered(codes[order], key[order]):
-                raise _Refused
-        np.maximum.at(self.last, codes, key)
-        picked = self.kept[codes].nonzero()[0]
-        return None if len(picked) == len(codes) else picked
-
-    def _ordered(self, codes: np.ndarray, key: np.ndarray) -> bool:
-        """Whether the key of each row is above the key of the row before it
-        and of its ticker's last row read before: so the codes never
-        decrease, and each ticker's days increase strictly."""
-        bound = self.last[codes]
-        np.maximum(bound[1:], key[:-1], out=bound[1:])
-        return bool((key > bound).all())
+def _plain_price_columns(
+    path: Path, universe: EntityUniverse | None
+) -> tuple[list[str], np.ndarray, np.ndarray, np.ndarray] | None:
+    """`_price_columns` of a plain price file, read as bytes by
+    `pricerows.plain_columns`; None if any row is not plain."""
+    tickers = Tickers(universe)
+    columns = plain_columns(path, tickers, PRICE_COLUMNS, _CHUNK * _PLAIN_CHUNKS, _BLOCK,
+                            _row_bound(path))
+    return None if columns is None else (list(tickers), *columns)
 
 
 def _price_columns(
@@ -760,18 +723,32 @@ def _price_columns(
     ticker is kept, grouped by ticker: without a universe every ticker is
     kept, with one each ticker it lists.
 
-    Each chunk is checked as it is read, and only its kept rows are held.
-    When a chunk fails a check, or a row cannot be read, every row of the
-    file is read and the whole columns are checked here, so the first
-    faulty line is named. Each ticker is coded in the order it first
-    appears, so the codes of a file whose tickers are already grouped never
-    decrease, and its kept rows are returned as read. Only the kept rows of
-    a file that interleaves tickers are grouped, by one stable sort."""
-    tickers = _Tickers(universe)
+    A plain file is read as bytes by `pricerows.plain_columns`; any other
+    file, and any file with a fault, by `read_table`. Each ticker is coded in the
+    order it first appears, so the codes of a file whose tickers are already
+    grouped never decrease, and its kept rows are returned as read. Only the
+    kept rows of a file that interleaves tickers are grouped, by one stable
+    sort."""
+    names, codes, days, closes = (_plain_price_columns(path, universe)
+                                  or _read_price_columns(path, universe))
+    if np.any(codes[1:] < codes[:-1]):
+        order = np.argsort(codes, kind="stable")
+        codes, days, closes = codes[order], days[order], closes[order]
+    return names, codes, days, closes
+
+
+def _read_price_columns(
+    path: Path, universe: EntityUniverse | None
+) -> tuple[list[str], np.ndarray, np.ndarray, np.ndarray]:
+    """`_price_columns` by `read_table`. Each chunk is checked as it is
+    read, and only its kept rows are held. When a chunk fails a check, or a
+    row cannot be read, every row of the file is read and the whole columns
+    are checked here, so the first faulty line is named."""
+    tickers = Tickers(universe)
     kinds = dict(zip(PRICE_COLUMNS, (Kind(tickers.code, dtype=np.int32), _DAY, _CLOSE)))
     try:
         table = read_table(path, kinds, INPUT, tickers.keep)
-    except _Refused:  # the traceback holds the rows read so far until this block ends
+    except Refused:  # the traceback holds the rows read so far until this block ends
         table = None
     whole = table is None or table.ends is not None  # else only the kept rows were read
     if table is None:
@@ -791,9 +768,6 @@ def _price_columns(
         )
         held = np.flatnonzero(tickers.kept[codes])
         codes, days, closes = codes[held], days[held], closes[held]
-    if np.any(codes[1:] < codes[:-1]):
-        order = np.argsort(codes, kind="stable")
-        codes, days, closes = codes[order], days[order], closes[order]
     return names, codes, days, closes
 
 
@@ -806,13 +780,15 @@ def load_prices(path: str | Path, universe: EntityUniverse | None = None) -> Pri
     share-class series the primary ticker's series wins. Missing companies
     are permitted (the backtest disqualifies them later).
 
-    The file is read and checked a chunk at a time, and only the rows of
-    kept tickers are held, in columns reserved once at the file's row
-    bound, whose untouched pages take no memory. The series of a file
-    grouped by ticker are views of those columns, whose days since 1970 are
-    viewed as dates, so the loader holds little more than its result and
-    one chunk. A malformed file raises ValidationError naming its first
-    faulty line.
+    The file is read and checked a block of rows at a time, and only the
+    rows of kept tickers are held, in columns reserved once at the file's
+    row bound, whose untouched pages take no memory. A plain file, as the
+    fixtures write it, is read as bytes by `pricerows.plain_columns`, which
+    parses the closes of kept rows only; any other file by `read_table`.
+    The series of a file grouped by ticker are views of those columns,
+    whose days since 1970 are viewed as dates, so the loader holds little
+    more than its result and one block. A malformed file raises
+    ValidationError naming its first faulty line.
     """
     path = Path(path)
     tickers, codes, days, closes = _price_columns(path, universe)

@@ -20,6 +20,8 @@ class Quarter:
     index: int
 
     def __post_init__(self) -> None:
+        if not 1 <= self.year <= 9999:  # the years of `date`
+            raise ValueError(f"quarter year must be 1..9999, got {self.year}")
         if not 1 <= self.index <= 4:
             raise ValueError(f"quarter index must be 1..4, got {self.index}")
 

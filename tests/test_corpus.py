@@ -36,6 +36,8 @@ from newsrisk.corpus import (
 )
 from newsrisk.entities import OccurrenceSet
 from newsrisk.errors import ValidationError
+from newsrisk.fixtures import FixtureSpec, generate_fixture, write_fixture
+from newsrisk.pipeline import RunConfig
 from newsrisk.quarters import Quarter, parse_quarter, quarter_of, quarter_range
 from newsrisk.riskrank import PlayerSet, RiskDatapoint
 
@@ -95,6 +97,19 @@ def test_a_quarter_label_needs_a_calendar_year_of_ascii_digits(label):
     """Year 0000 has no dates, and a date cell holds only ASCII digits."""
     with pytest.raises(ValueError, match=r"^bad quarter label .*, expected YYYYQN$"):
         parse_quarter(label)
+
+
+@pytest.mark.parametrize("year", [0, 10000])
+def test_a_quarter_year_outside_the_calendar_is_refused(tmp_path, year):
+    """A quarter has dates only in the years 1 to 9999, so a config cannot
+    hold one outside them and fail later in its window."""
+    with pytest.raises(ValueError, match=rf"^quarter year must be 1\.\.9999, got {year}$"):
+        Quarter(year, 1)
+    with pytest.raises(ValueError, match=rf"^quarter year must be 1\.\.9999, got {year}$"):
+        RunConfig(*(tmp_path / name for name in ("a", "u", "p", "m", "out")),
+                  first_quarter=Quarter(year, 4))
+    assert Quarter(1, 1).start_date == date(1, 1, 1)
+    assert Quarter(9999, 4).end_date == date(9999, 12, 31)
 
 
 def test_quarter_of_boundaries():
@@ -971,6 +986,138 @@ def test_planted_faults_in_rows_left_out_report_the_earliest_line(
         tmp_path / "prices.csv", source, universe, 17, 21
     )
     assert sum(ticker not in universe.ticker_to_id for ticker in earliest) >= 4
+
+
+def _outcome(path, universe=None):
+    """What `load_prices` gives for a file: each series by key, as scalars,
+    or the message of the error it raises."""
+    try:
+        loaded = _load_prices_strictly(path, universe)
+    except ValidationError as exc:
+        return str(exc)
+    return {key: scalar_series(series) for key, series in loaded.series.items()}
+
+
+def _assert_loads_as_the_reader_route(path, monkeypatch, plain, universe=None):
+    """`load_prices` gives the series or the error that the `read_table`
+    route gives, and the byte route reads the file exactly when it is
+    `plain`. Returns the outcome."""
+    assert (corpus._plain_price_columns(path, universe) is not None) == plain
+    outcome = _outcome(path, universe)
+    with monkeypatch.context() as patched:
+        patched.setattr(corpus, "_plain_price_columns", lambda path, universe: None)
+        assert _outcome(path, universe) == outcome
+    return outcome
+
+
+#: Rows at the edges of what the byte route reads: whether it reads them, and
+#: the error they raise, if any.
+BYTE_ROUTE_EDGES = {
+    "leap-days": ("X,2000-02-29,1\nX,2012-02-28,1\nX,2012-02-29,2\nX,2012-03-01,3\n", True, None),
+    "not-leap-2011": ("X,2011-02-28,1\nX,2011-02-29,2\n", False, ":3: bad date '2011-02-29'"),
+    "not-leap-1900": ("X,1900-02-28,1\nX,1900-02-29,2\n", False, ":3: bad date '1900-02-29'"),
+    "calendar-ends": ("X,0001-01-01,1\nX,9999-12-31,2\n", True, None),
+    "year-0": ("X,0000-01-01,1\n", False, ":2: bad date '0000-01-01'"),
+    "close-forms": ("X,2011-01-03,1.\nX,2011-01-04,.5\nX,2011-01-05,00012.50\n", True, None),
+    "zero-close": ("X,2011-01-03,1\nX,2011-01-04,0.000\n", False,
+                   ":3: non-positive price 0.0 for X"),
+    "300-byte-closes": (f"X,2011-01-03,{'9' * 300}\nX,2011-01-04,0.{'0' * 297}1\n", True, None),
+    "301-byte-close": (f"X,2011-01-03,{'9' * 301}\n", False, None),
+    "exponent": ("X,2011-01-03,1e3\n", False, None),
+    "crlf": ("X,2011-01-03,1.5\r\nY,2011-01-03,2\r\nX,2011-01-04,3\r\n", True, None),
+    "no-final-newline": ("X,2011-01-03,1.5\nX,2011-01-04,2", True, None),
+    "interleaved": ("X,2011-01-03,1\nY,2011-01-03,2\nX,2011-01-04,3\nY,2011-01-04,4\n", True, None),
+    "quoted-ticker": ('"X",2011-01-03,1\nX,2011-01-04,2\n', False, None),
+    "non-utf8-ticker": ("X,2011-01-03,1\nX\udcff,2011-01-04,2\n", False,
+                        ":3: has byte 0xff, which is not UTF-8 (invalid start byte)"),
+    "31-byte-ticker": (f"{'T' * 31},2011-01-03,1\n{'T' * 31},2011-01-04,2\n", True, None),
+    "32-byte-ticker": (f"X,2011-01-03,1\n{'T' * 32},2011-01-04,2\n", False, None),
+}
+
+
+@pytest.mark.parametrize("mark", [False, True], ids=["plain", "bom"])
+@pytest.mark.parametrize("rows, plain, message", BYTE_ROUTE_EDGES.values(), ids=BYTE_ROUTE_EDGES)
+def test_rows_at_the_edges_of_the_byte_route_load_as_the_reader_route(
+    tmp_path, monkeypatch, rows, plain, message, mark
+):
+    """Leap days, the calendar's first and last days, closes without a
+    leading or trailing digit and of 300 bytes load by the byte route, with
+    a byte-order mark or without, CR LF row ends and a last row without
+    one; what it does not read loads, or names its line, as before."""
+    path = tmp_path / "prices.csv"
+    path.write_text("ticker,date,adjusted_close\n" + rows, errors="surrogateescape",
+                    encoding="utf-8-sig" if mark else "utf-8", newline="")
+    outcome = _assert_loads_as_the_reader_route(path, monkeypatch, plain)
+    if message is not None:
+        assert outcome == f"prices.csv{message}"
+    elif not mark:  # the row loader reads no byte-order mark
+        expected = load_prices_by_row(path)
+        assert list(outcome.items()) == list(expected.items())
+    assert outcome != {}
+
+
+@pytest.mark.parametrize("read", [61, 1 << 16])
+@pytest.mark.parametrize("chunk", [1, 512])
+@pytest.mark.parametrize("layout", ["grouped", "interleaved"])
+def test_rows_across_block_edges_load_as_the_reader_route(
+    tmp_path, monkeypatch, layout, chunk, read
+):
+    """The byte route checks a fixed multiple of `_CHUNK` rows at a time,
+    read `_BLOCK` bytes at a time: rows of one ticker, of a ticker longer
+    than a word and with closes of 1 to 19 bytes straddle both edges; two
+    tickers differ past their first word only. A
+    fault planted on either side of a block edge is named at its line."""
+    monkeypatch.setattr(corpus, "_CHUNK", chunk)
+    monkeypatch.setattr(corpus, "_BLOCK", read)
+    rng = np.random.default_rng(26)
+    rows = [
+        [ticker, (date(2011, 1, 3) + timedelta(days=day)).isoformat(),
+         f"{1 + rng.lognormal(3.0, 1.0):.{int(rng.integers(0, 16))}f}"]
+        for ticker in ["A", "BB", "LONG.TICKER-1", "LONG.TICKER-2"] for day in range(280)
+    ]
+    if layout == "interleaved":
+        rows.sort(key=lambda row: row[1::-1])
+    path = tmp_path / "prices.csv"
+    header = "ticker,date,adjusted_close\n"
+    path.write_text(header + "".join(",".join(row) + "\n" for row in rows), encoding="utf-8")
+    universe = _listing(["BB", "LONG.TICKER-2"])
+    for listed in (None, universe):
+        outcome = _assert_loads_as_the_reader_route(path, monkeypatch, True, listed)
+        assert list(outcome.items()) == list(load_prices_by_row(path, listed).items())
+
+    edge = corpus._PLAIN_CHUNKS * chunk  # the index of the second block's first row
+    before = {}  # the index of each row's ticker's row before it
+    for index, (ticker, _, _) in enumerate(rows):
+        before[index], before[ticker] = before.get(ticker), index
+    again = next(i for i in range(edge, len(rows)) if before[i] is not None)
+    for row, cell, value in ((edge, 1, "2011-02-30"), (edge - 1, 2, "-1"),
+                             (again, 1, rows[before[again]][1])):
+        faulty = [list(r) for r in rows]
+        faulty[row][cell] = value
+        path.write_text(header + "".join(",".join(r) + "\n" for r in faulty), encoding="utf-8")
+        for listed in (None, universe):
+            message = _assert_loads_as_the_reader_route(path, monkeypatch, False, listed)
+            assert message.startswith(f"prices.csv:{row + 2}: "), message
+
+
+def test_fixture_prices_take_the_byte_route(tmp_path, monkeypatch):
+    """The price files of the default fixture and of the wide-universe
+    benchmark's shape load with the `read_table` route refused: a fixture
+    row the byte route stopped reading fails here, not only the benchmark."""
+
+    def refused(path, universe):
+        raise AssertionError(f"{path} was read by read_table")
+
+    monkeypatch.setattr(corpus, "_read_price_columns", refused)
+    wide = dict(n_companies=1000, n_quarters=2, n_articles=44, clusters_per_quarter=2,
+                cluster_size=2, cluster_articles=3, anchor_positive_articles=6,
+                anchor_negative_articles=4)
+    for spec in (FixtureSpec(), FixtureSpec(seed=1, **wide)):
+        out = tmp_path / f"fixture-{spec.n_companies}"
+        write_fixture(generate_fixture(spec), out)
+        companies = list(load_universe(out / "universe.csv"))
+        for universe in (None, EntityUniverse(companies[::20])):
+            assert len(load_prices(out / "prices.csv", universe)) >= len(companies[::20])
 
 
 # -- market caps ------------------------------------------------------------

@@ -25,6 +25,9 @@ EXEMPT = {
     ("corpus.py", "_input_error"): "the error of a faulty input file",
     ("pipeline.py", "_artifact_error"): "the error of a faulty handoff artifact",
     ("corpus.py", "float_cell"): "parses number cells in the row scan of a faulty file",
+    ("corpus.py", "_read_price_columns"): "reads a price file the byte route does not accept",
+    ("pricerows.py", "keep"): "checks the chunks of a price file the byte route does not accept",
+    ("corpus.py", "_epoch_day"): "parses the dates of a price file the byte route does not accept",
     ("corpus.py", "_text"): "formats a column that mixes None or floats with other types",
 }
 
