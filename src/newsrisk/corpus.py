@@ -43,7 +43,7 @@ from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .pricerows import Refused, Tickers, plain_columns
+from .pricerows import PRICE_COLUMNS, Refused, Tickers, plain_columns
 from .quarters import Quarter, parse_quarter
 
 log = logging.getLogger(__name__)
@@ -63,7 +63,6 @@ UNIVERSE_COLUMNS = (
     "name_variants",
     "merged_tickers",
 )
-PRICE_COLUMNS = ("ticker", "date", "adjusted_close")
 MARKETCAP_COLUMNS = ("canonical_id", "quarter", "market_cap_usd_billions")
 
 
@@ -301,17 +300,14 @@ def _read_articles(path: Path, lines: Iterable[str], window: tuple[date, date]) 
 #: chunks, 0.30 MB with 1 024, 0.41 MB with 2 048 and 0.66 MB with 4 096;
 #: keeping every row (3.25 MB of series), by 4.54, 4.55, 4.67 and 4.92 MB.
 #: Larger chunks parse faster, and the per-chunk checks of `load_prices`
-#: cost less per row. The byte route that reads a plain `prices.csv` checks
-#: `_PLAIN_CHUNKS` chunks of rows at a time.
+#: cost less per row. The byte route that reads a plain `prices.csv`
+#: checks a chunk of rows at a time too. Checking two chunks at a time, it
+#: loaded the wide-universe prices for the 23 companies in 52 ms against
+#: 62 ms, but loading 100 000 rows for 10 of their 200 tickers grew peak RSS
+#: by 0.56 to 0.62 MB against 0.46 MB, with the package's bytecode cached.
 _CHUNK = 1024
-#: Bytes the row count and the byte route of `prices.csv` read at a time.
+#: Bytes the row count reads at a time.
 _BLOCK = 1 << 15
-#: Chunks of rows the byte route checks at a time. On a 2-vCPU VM, the
-#: wide-universe price file loaded for its backtest's 23 companies in 72 ms
-#: with one chunk, 55 ms with two and 48 ms with four; loading a file of
-#: 100 000 rows for 10 of its 200 tickers held 0.27, 0.44 and 0.78 MB besides
-#: the columns (tracemalloc), and more memory is more peak RSS.
-_PLAIN_CHUNKS = 2
 
 
 @dataclass(frozen=True)
@@ -705,17 +701,6 @@ _DAY = Kind(_epoch_day, "bad date {cell!r}", np.int64)
 _CLOSE = Kind(float_cell, "bad price {cell!r}", np.float64)
 
 
-def _plain_price_columns(
-    path: Path, universe: EntityUniverse | None
-) -> tuple[list[str], np.ndarray, np.ndarray, np.ndarray] | None:
-    """`_price_columns` of a plain price file, read as bytes by
-    `pricerows.plain_columns`; None if any row is not plain."""
-    tickers = Tickers(universe)
-    columns = plain_columns(path, tickers, PRICE_COLUMNS, _CHUNK * _PLAIN_CHUNKS, _BLOCK,
-                            _row_bound(path))
-    return None if columns is None else (list(tickers), *columns)
-
-
 def _price_columns(
     path: Path, universe: EntityUniverse | None
 ) -> tuple[list[str], np.ndarray, np.ndarray, np.ndarray]:
@@ -723,28 +708,32 @@ def _price_columns(
     ticker is kept, grouped by ticker: without a universe every ticker is
     kept, with one each ticker it lists.
 
-    A plain file is read as bytes by `pricerows.plain_columns`; any other
-    file, and any file with a fault, by `read_table`. Each ticker is coded in the
-    order it first appears, so the codes of a file whose tickers are already
-    grouped never decrease, and its kept rows are returned as read. Only the
-    kept rows of a file that interleaves tickers are grouped, by one stable
-    sort."""
-    names, codes, days, closes = (_plain_price_columns(path, universe)
-                                  or _read_price_columns(path, universe))
+    A plain file is read as bytes by `pricerows.plain_columns`, a chunk of
+    rows at a time; any other file, and any file with a fault, by
+    `read_table`. Each ticker is coded in the order it first appears, so the
+    codes of a file whose tickers are already grouped never decrease, and
+    its kept rows are returned as read. Only the kept rows of a file that
+    interleaves tickers are grouped, by one stable sort."""
+    known = None if universe is None else universe.ticker_to_id
+    tickers = Tickers(known)
+    columns = plain_columns(path, tickers, _CHUNK, _row_bound(path))
+    if columns is None:
+        tickers = Tickers(known)
+        columns = _read_price_columns(path, tickers)
+    codes, days, closes = columns
     if np.any(codes[1:] < codes[:-1]):
         order = np.argsort(codes, kind="stable")
         codes, days, closes = codes[order], days[order], closes[order]
-    return names, codes, days, closes
+    return list(tickers), codes, days, closes
 
 
-def _read_price_columns(
-    path: Path, universe: EntityUniverse | None
-) -> tuple[list[str], np.ndarray, np.ndarray, np.ndarray]:
-    """`_price_columns` by `read_table`. Each chunk is checked as it is
-    read, and only its kept rows are held. When a chunk fails a check, or a
-    row cannot be read, every row of the file is read and the whole columns
-    are checked here, so the first faulty line is named."""
-    tickers = Tickers(universe)
+def _read_price_columns(path: Path, tickers: Tickers) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The code, day since 1970 and close of each row of `path` whose
+    ticker `tickers` keeps, in file order, by `read_table`. Each chunk is
+    checked as it is read, and only its kept rows are held. When a chunk
+    fails a check, or a row cannot be read, every row of the file is read
+    and the whole columns are checked here, so the first faulty line is
+    named."""
     kinds = dict(zip(PRICE_COLUMNS, (Kind(tickers.code, dtype=np.int32), _DAY, _CLOSE)))
     try:
         table = read_table(path, kinds, INPUT, tickers.keep)
@@ -768,7 +757,7 @@ def _read_price_columns(
         )
         held = np.flatnonzero(tickers.kept[codes])
         codes, days, closes = codes[held], days[held], closes[held]
-    return names, codes, days, closes
+    return codes, days, closes
 
 
 def load_prices(path: str | Path, universe: EntityUniverse | None = None) -> PriceTable:
@@ -780,14 +769,14 @@ def load_prices(path: str | Path, universe: EntityUniverse | None = None) -> Pri
     share-class series the primary ticker's series wins. Missing companies
     are permitted (the backtest disqualifies them later).
 
-    The file is read and checked a block of rows at a time, and only the
-    rows of kept tickers are held, in columns reserved once at the file's
-    row bound, whose untouched pages take no memory. A plain file, as the
+    The file is read and checked a chunk at a time, and only the rows of
+    kept tickers are held, in columns reserved once at the file's row
+    bound, whose untouched pages take no memory. A plain file, as the
     fixtures write it, is read as bytes by `pricerows.plain_columns`, which
     parses the closes of kept rows only; any other file by `read_table`.
     The series of a file grouped by ticker are views of those columns,
     whose days since 1970 are viewed as dates, so the loader holds little
-    more than its result and one block. A malformed file raises
+    more than its result and one chunk. A malformed file raises
     ValidationError naming its first faulty line.
     """
     path = Path(path)

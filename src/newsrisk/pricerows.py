@@ -1,12 +1,11 @@
-"""Price rows: the code of each ticker, the order of each ticker's days,
-and the byte route that reads a plain `prices.csv` without parsing it.
+"""Price rows: the columns of `prices.csv`, the code of each ticker and the
+order of each ticker's days, and the byte route that reads a plain price
+file without parsing it.
 
 `corpus.load_prices` reads a plain price file, as the fixtures write it, by
-`plain_columns`, and any other price file by `corpus.read_table`; both code
-tickers and check the order of their days through `Tickers`. This module is
-apart from `corpus` so that neither is large to compile: compiled together,
-they peaked at 3.5 MB, more than any other module of the package, and a
-process that compiles the package from source keeps the pages of that peak.
+`plain_columns`, a chunk of rows at a time, and any other price file by
+`corpus.read_table`; both routes code tickers and check the order of their
+days through `Tickers`.
 """
 
 from __future__ import annotations
@@ -14,14 +13,12 @@ from __future__ import annotations
 import codecs
 import math
 from pathlib import Path
-from typing import TYPE_CHECKING, BinaryIO, Iterator, Sequence
+from typing import BinaryIO, Container, Iterator
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
-if TYPE_CHECKING:
-    from .corpus import EntityUniverse
-
+#: The columns of `prices.csv`, in order.
+PRICE_COLUMNS = ("ticker", "date", "adjusted_close")
 #: Keys `code * _SPAN + day` order rows by ticker code, then by day: the
 #: days since 1970 of the years 1 to 9999 lie less than `_SPAN` apart.
 _SPAN = np.int64(1 << 32)
@@ -35,9 +32,9 @@ class Tickers(dict):
     """The code of each ticker read, in the order first read, and for each
     code whether its rows are kept and the key of its last row read."""
 
-    def __init__(self, universe: EntityUniverse | None):
+    def __init__(self, known: Container[str] | None):
         super().__init__()
-        self.known = None if universe is None else universe.ticker_to_id
+        self.known = known  # the tickers kept; None keeps every ticker
         self.kept = np.zeros(0, dtype=bool)
         self.last = np.zeros(0, dtype=np.int64)
 
@@ -56,9 +53,9 @@ class Tickers(dict):
 
     def keep(self, cells: dict[str, np.ndarray]) -> np.ndarray | None:
         """The rows of a chunk whose ticker is kept (None: every row), once
-        every row of it is checked as `corpus._price_columns` checks a whole
-        file; `Refused` on a fault. `cells` holds the chunk's codes, days and
-        closes, in that order."""
+        every row of it is checked as `corpus._read_price_columns` checks a
+        whole file; `Refused` on a fault. `cells` holds the chunk's codes,
+        days and closes, in that order."""
         codes, days, closes = cells.values()
         if not closes.min() > 0 or closes.max() == math.inf:  # a NaN fails the first
             raise Refused
@@ -92,24 +89,41 @@ class Tickers(dict):
 #: and one `.`, with a nonzero digit, make a number above 1e-300 and below
 #: 1e300: finite and positive, so such a close is checked without a parse.
 _CLOSE_BYTES = 300
+#: Bytes the byte route reads at a time.
+_READ = 1 << 15
 #: Zero bytes after the bytes the byte route reads, so that every window of
 #: close bytes and every word it reads lies in them.
 _PADDING = bytes(_CLOSE_BYTES + 8)
 _LF, _CR, _COMMA, _DOT = b"\n\r,."
+_HEADER = ",".join(PRICE_COLUMNS).encode()
 #: The bytes a ticker of a plain row is made of: ASCII letters, digits and
 #: punctuation but `"`, which the CSV reader would read as a quote.
 _TICKER_BYTES = bytes(range(0x21, 0x7F)).replace(b'"', b"")
 #: The longest ticker of a plain row. Rows are told apart by the words of
 #: their ticker and comma, at most four.
 _TICKER_LENGTH = 31
-#: A date's first and last eight bytes, `YYYY-MM-` and `YY-MM-DD`, as the
-#: little-endian words of their form, and the bytes of their dashes.
-_DATE_HEAD, _DATE_TAIL = (int.from_bytes(form, "little") for form in (b"0000-00-", b"00-00-00"))
-_HEAD_DASHES, _TAIL_DASHES = 0xFF0000FF00000000, 0x0000FF0000FF0000
-#: Added to bytes of at most 9, these leave every byte's top bit clear.
-_NINES, _TOPS = 0x7676767676767676, 0x8080808080808080
 #: The masks of a word's first 0 to 8 bytes.
 _WORD_HEADS = np.array([(1 << 8 * k) - 1 for k in range(9)], dtype=np.uint64)
+#: Bytes 0xFF, then as many zeros: the k bytes 0xFF before the zeros, and
+#: the zeros, mask the first k bytes of a row.
+_FILL = np.repeat(np.array([0xFF, 0], dtype=np.uint8), _CLOSE_BYTES + 8)
+#: Where a date's two words start after the comma before it, the words of
+#: their form, `YYYY-MM-` and `YY-MM-DD`, and the bytes of their dashes.
+_DATE_WORDS = np.array([[1], [3]])
+_DATE_FORMS = np.array([[int.from_bytes(form, "little")] for form in (b"0000-00-", b"00-00-00")],
+                       dtype=np.uint64)
+_DATE_DASHES = np.array([[0xFF0000FF00000000], [0x0000FF0000FF0000]], dtype=np.uint64)
+#: Added to bytes of at most 9, these leave every byte's top bit clear.
+_NINES, _TOPS = np.uint64(0x7676767676767676), np.uint64(0x8080808080808080)
+#: The days of each month of a year that is not leap, by its number; 0 for
+#: numbers that are no month.
+_MONTH_DAYS = np.zeros(100, dtype=np.int64)
+_MONTH_DAYS[1:13] = 31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31
+#: The days of a year that starts on 1 March before the first of each month.
+_MARCH_DAYS = np.array([0, 306, 337, 0, 31, 61, 92, 122, 153, 184, 214, 245, 275])
+#: The days from 1 March of year 0 to 1 January 1970, and one more, as the
+#: days of a month count from 1.
+_EPOCH = 719469
 
 
 def _words(octets: np.ndarray) -> np.ndarray:
@@ -117,60 +131,68 @@ def _words(octets: np.ndarray) -> np.ndarray:
     return np.ndarray((len(octets) - 7,), "<u8", octets, strides=(1,))
 
 
-def _line_blocks(fh: BinaryIO, rows: int, read: int
-                 ) -> Iterator[tuple[np.ndarray, int, np.ndarray]]:
-    """The rest of `fh`, read `read` bytes at a time, `rows` lines at a time
-    and fewer at its end: for each block, the bytes read so far, padded by
-    `_PADDING`, the offset of its first line and the line feed that ends
-    each of its lines. A last line without a line feed is given one."""
-    # The bytes after the last block, and the line feeds in them.
-    rest, feeds = b"", np.zeros(0, dtype=np.intp)
+def _line_blocks(fh: BinaryIO, rows: int) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The lines of the rest of `fh`, read `_READ` bytes at a time, `rows`
+    lines at a time and fewer at its end, with blank lines left out, as
+    `read_table` leaves them out: for each block, the bytes read so far,
+    padded by `_PADDING`, the first byte of each of its lines, and the end
+    of each, at its LF or at the CR of its CR LF. A last line without a
+    line feed is given one."""
+    rest = b""
+    # The lines in `rest` not yet given, and the first byte of its unended line.
+    starts = stops = np.zeros(0, dtype=np.intp)
+    head = 0
     while True:
-        data = fh.read(read)
+        data = fh.read(_READ)
         end = not data
-        if end and not rest:
-            return
         if end and not rest.endswith(b"\n"):
             data = b"\n"
-        new = np.flatnonzero(np.frombuffer(data, np.uint8) == _LF) + len(rest)
-        feeds = np.concatenate((feeds, new))
+        lo, hi = len(rest), len(rest) + len(data)
         octets = np.frombuffer(b"".join((rest, data, _PADDING)), np.uint8)
-        del rest, data, new
-        full = len(feeds) - len(feeds) % rows
-        lo = 0
+        del rest, data
+        feeds = np.flatnonzero(octets[lo:hi] == _LF)
+        feeds += lo
+        firsts = np.empty_like(feeds)
+        if len(feeds):
+            firsts[0], firsts[1:] = head, feeds[:-1] + 1
+            head = int(feeds[-1]) + 1
+        feeds -= octets[feeds - 1] == _CR  # a blank line's LF is its first byte
+        filled = feeds > firsts
+        starts = np.concatenate((starts, firsts[filled]))
+        stops = np.concatenate((stops, feeds[filled]))
+        del feeds, firsts, filled
+        full = len(starts) - len(starts) % rows
         for row in range(0, full, rows):
-            yield octets, lo, feeds[row:row + rows]
-            lo = int(feeds[row + rows - 1]) + 1
+            yield octets, starts[row:row + rows], stops[row:row + rows]
         if end:
-            if full < len(feeds):
-                yield octets, lo, feeds[full:]
+            if full < len(starts):
+                yield octets, starts[full:], stops[full:]
             return
-        rest, feeds = octets[lo:len(octets) - len(_PADDING)].tobytes(), feeds[full:] - lo
+        lo = int(starts[full]) if full < len(starts) else head
+        rest = octets[lo:len(octets) - len(_PADDING)].tobytes()
+        starts, stops, head = starts[full:] - lo, stops[full:] - lo, head - lo
         del octets  # so that the next read is made with it freed
 
 
-def _plain_rows(octets: np.ndarray, lo: int, ends: np.ndarray, tickers: Tickers,
+def _plain_rows(octets: np.ndarray, starts: np.ndarray, stops: np.ndarray, tickers: Tickers,
                 known: dict, columns: tuple[np.ndarray, ...], held: int) -> int | None:
     """Check one block of `_line_blocks` and write the code, day since 1970
     and close of each of its kept rows to `columns` from row `held` on; the
     rows held then, or None if a row of the block is not plain."""
-    n = len(ends)
-    commas = np.flatnonzero(octets[lo:ends[-1]] == _COMMA)
-    if len(commas) != 2 * n:
+    lo = int(starts[0])
+    commas = np.flatnonzero(octets[lo:stops[-1]] == _COMMA)
+    if len(commas) != 2 * len(starts):
         return None
     commas += lo
     first, second = commas[0::2], commas[1::2]
-    starts = np.empty_like(ends)
-    starts[0], starts[1:] = lo, ends[:-1] + 1
-    widths = ends - second - 1
-    widths -= octets[ends - 1] == _CR
-    # With two commas a line in all, each line's first comma lies after the
-    # line before it and its second before its end: two in each line.
-    if not ((first > starts).all() and (second - first == 11).all() and (widths > 0).all()
+    widths = stops - second
+    widths -= 1
+    # With two commas a line in all, each line's first comma lies after its
+    # first byte and its second before its end: two in each line.
+    if not ((first > starts).all() and (second - first == 11).all() and widths.min() > 0
             and widths.max() <= _CLOSE_BYTES):
         return None
     codes = _plain_codes(octets, starts, first, tickers, known)
-    del starts  # so that the checks below run with it freed
     days = None if codes is None else _plain_days(octets, first)
     closes = None if days is None else _plain_closes(octets, second, widths)
     if closes is None:
@@ -196,7 +218,8 @@ def _plain_codes(octets: np.ndarray, starts: np.ndarray, first: np.ndarray,
     `known`, which holds the code of each key read so far. A ticker first
     read is checked and coded by `tickers`."""
     words = _words(octets)
-    keyed = first + 1 - starts
+    keyed = first - starts
+    keyed += 1
     longest = int(keyed.max())
     if longest > _TICKER_LENGTH + 1:
         return None
@@ -207,7 +230,7 @@ def _plain_codes(octets: np.ndarray, starts: np.ndarray, first: np.ndarray,
     new[0], new[1:] = True, False
     for key in keys:
         new[1:] |= key[1:] != key[:-1]
-    runs = np.flatnonzero(new)
+    runs = new.nonzero()[0]
     run_keys = (keys[0][runs].tolist() if len(keys) == 1
                 else list(zip(*(key[runs].tolist() for key in keys))))
     codes = list(map(known.get, run_keys))
@@ -217,46 +240,50 @@ def _plain_codes(octets: np.ndarray, starts: np.ndarray, first: np.ndarray,
             if cell.translate(None, _TICKER_BYTES):
                 return None
             codes[i] = known[run_keys[i]] = tickers.code(cell.decode())
-    return np.repeat(np.array(codes, dtype=np.intp), np.diff(runs, append=len(starts)))
+    lengths = np.empty_like(runs)
+    lengths[:-1], lengths[-1] = runs[1:] - runs[:-1], len(starts) - runs[-1]
+    return np.repeat(np.array(codes, dtype=np.intp), lengths)
 
 
 def _plain_days(octets: np.ndarray, first: np.ndarray) -> np.ndarray | None:
     """The days since 1970 of each row's `YYYY-MM-DD` date, or None if one
     is not a date of the years 1 to 9999."""
-    fields = _date_fields(octets, first)
-    if fields is None:
+    # XOR the bytes of the form, a date's digits are their values and its
+    # dashes zero; then each byte k holds digits k and k + 1 as a number.
+    dates = _words(octets)[first + _DATE_WORDS]
+    dates ^= _DATE_FORMS
+    bad = dates + _NINES
+    bad |= dates
+    bad &= _TOPS
+    bad |= dates & _DATE_DASHES
+    if bad.any():
         return None
-    year, month, day = fields
-    if not ((year > 0).all() and (month > 0).all() and (month <= 12).all() and (day > 0).all()):
-        return None
-    months = (year - 1970) * 12 + month - 1
-    start = months.view("datetime64[M]").astype("datetime64[D]").view(np.int64)
-    months += 1
-    lengths = months.view("datetime64[M]").astype("datetime64[D]").view(np.int64) - start
-    if not (day <= lengths).all():
-        return None
-    return start + day - 1
-
-
-def _date_fields(octets: np.ndarray, first: np.ndarray) -> tuple[np.ndarray, ...] | None:
-    """The year, month and day numbers of each row's date, or None if its
-    bytes are not ASCII digits and dashes in the form `YYYY-MM-DD`."""
-    # XOR the bytes of the form, a date's digits are their values and its dashes zero.
-    words = _words(octets)
-    head, tail = words[first + 1], words[first + 3]
-    head ^= _DATE_HEAD
-    tail ^= _DATE_TAIL
-    for word, dashes in ((head, _HEAD_DASHES), (tail, _TAIL_DASHES)):
-        bad = word + _NINES
-        bad |= word
-        bad &= _TOPS
-        if bad.any() or (word & dashes).any():
-            return None
-        after = word >> 8  # byte k: digits k and k + 1 as a number
-        word *= 10
-        word += after
-    return tuple(field.view(np.int64) for field in (
+    del bad
+    pairs = dates >> 8
+    dates *= 10
+    dates += pairs
+    del pairs
+    head, tail = dates
+    year, month, day = (field.view(np.int64) for field in (
         (head & 0xFF) * 100 + (tail & 0xFF), tail >> 24 & 0xFF, tail >> 48 & 0xFF))
+    if not (year.all() and day.all()):
+        return None
+    inside = day <= _MONTH_DAYS[month]  # so the month is one too
+    if not inside.all():  # the dates outside must be 29 February of leap years
+        out = (~inside).nonzero()[0]
+        for y, m, d in zip(year[out].tolist(), month[out].tolist(), day[out].tolist()):
+            if (m, d) != (2, 29) or y % 4 or (y % 100 == 0 and y % 400):
+                return None
+    # Count years from 1 March, so that a leap day ends the year it is in.
+    year -= month < 3
+    days = year * 365
+    days += year >> 2
+    days -= year // 100
+    days += year // 400
+    days += _MARCH_DAYS[month]
+    days += day
+    days -= _EPOCH
+    return days
 
 
 def _plain_closes(octets: np.ndarray, second: np.ndarray, widths: np.ndarray) -> np.ndarray | None:
@@ -264,50 +291,56 @@ def _plain_closes(octets: np.ndarray, second: np.ndarray, widths: np.ndarray) ->
     wide; None if a close is not ASCII digits and at most one dot with a
     nonzero digit."""
     width = -(-int(widths.max()) // 8) * 8
-    # The mask of the first k bytes of a row, at row k: 0xFF for each.
-    heads = (np.arange(width) < np.arange(width + 1)[:, None]).view(np.uint64) * 0xFF
-    closes = sliding_window_view(octets, width)[second + 1]
-    for k, word in enumerate(closes.view(np.uint64).T):
-        word &= heads[widths, k]
+    windows = np.ndarray((len(octets) - width + 1,), f"V{width}", octets, strides=(1,))
+    closes = windows[second + 1].view(np.uint8).reshape(len(second), width)
+    # Zero each row past its close: row k of `heads` is k bytes 0xFF, then zeros.
+    heads = np.ndarray((width + 1,), f"V{width}", _FILL, len(_FILL) // 2, (-1,))
+    close_words = closes.view(np.uint64)
+    close_words &= heads[widths].view(np.uint64).reshape(close_words.shape)
+    # Count the zeros, the other digits and the dots, and the rows that hold
+    # a digit that is not zero and a dot.
     zeros = np.count_nonzero(closes == ord("0"))
-    nonzero = closes >= ord("1")
-    nonzero &= closes <= ord("9")
-    dots = closes == _DOT
-    if zeros + np.count_nonzero(nonzero) + np.count_nonzero(dots) != widths.sum():
-        return None  # a byte of a close that is neither a digit nor a dot
-    nonzero, dotted = nonzero.view(np.uint64), dots.view(np.uint64)
-    any_nonzero, any_dot = nonzero[:, 0].copy(), dotted[:, 0].copy()
-    for k in range(1, width // 8):  # or each row's words together
-        any_nonzero |= nonzero[:, k]
-        any_dot |= dotted[:, k]
-    if not any_nonzero.all() or np.count_nonzero(any_dot) != np.count_nonzero(dots):
-        return None  # a close without a nonzero digit, or with two dots
+    counts, rows = [], []
+    for low, high in ((ord("1"), ord("9")), (_DOT, _DOT)):
+        marks = closes >= low
+        marks &= closes <= high
+        counts.append(np.count_nonzero(marks))
+        words = marks.view(np.uint64)
+        rows.append(words[:, 0].copy())
+        for k in range(1, width // 8):  # or each row's words together
+            rows[-1] |= words[:, k]
+        del marks, words
+    (digits, dots), (nonzero, dotted) = counts, rows
+    if zeros + digits + dots != widths.sum():
+        return None  # a byte that is neither a digit nor a dot
+    if not nonzero.all() or np.count_nonzero(dotted) != dots:
+        return None  # a close without a digit that is not zero, or with two dots
     return closes
 
 
-def plain_columns(path: Path, tickers: Tickers, header: Sequence[str], rows: int, read: int,
+def plain_columns(path: Path, tickers: Tickers, rows: int,
                   bound: int) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
     """The code, day since 1970 and close of each row of the plain price
     file at `path` whose ticker `tickers` keeps, in file order; None if any
     row is not plain.
 
-    A plain file is the `header` line, after a byte-order mark or not, then
-    rows of a ticker of at most `_TICKER_LENGTH` of `_TICKER_BYTES`, a
-    `YYYY-MM-DD` date of the years 1 to 9999 and a close of at most
-    `_CLOSE_BYTES` ASCII digits and one `.` with a nonzero digit, each row
-    ended by LF or CR LF, and the last by the end of the file, and each
-    ticker's days increasing. The file is read `read` bytes at a time, and
-    numpy checks `rows` rows at a time; the closes of the rows whose ticker
-    is kept are parsed, and no other. The columns are reserved at `bound`
-    rows, at least the file's."""
+    A plain file is the `PRICE_COLUMNS` header line, after a byte-order mark
+    or not, then rows of a ticker of at most `_TICKER_LENGTH` of
+    `_TICKER_BYTES`, a `YYYY-MM-DD` date of the years 1 to 9999 and a close
+    of at most `_CLOSE_BYTES` ASCII digits and one `.` with a nonzero digit,
+    each row ended by LF or CR LF, and the last by the end of the file, and
+    each ticker's days increasing; blank lines are left out. numpy checks
+    `rows` rows at a time; the closes of the rows whose ticker is kept are
+    parsed, and no other. The columns are reserved at `bound` rows, at least
+    the file's."""
     known: dict = {}
     columns = tuple(np.empty(bound, dtype) for dtype in (np.int32, np.int64, np.float64))
     held = 0
     with path.open("rb") as fh:
         first_line = fh.readline(64).removeprefix(codecs.BOM_UTF8)
-        if first_line.rstrip(b"\n").removesuffix(b"\r") != ",".join(header).encode():
+        if first_line.rstrip(b"\n").removesuffix(b"\r") != _HEADER:
             return None
-        for block in _line_blocks(fh, rows, read):
+        for block in _line_blocks(fh, rows):
             held = _plain_rows(*block, tickers, known, columns, held)
             del block  # so that the next block is read with this one freed
             if held is None:

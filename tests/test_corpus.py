@@ -12,7 +12,7 @@ from datetime import date, datetime, timedelta, timezone
 import numpy as np
 import pytest
 
-from newsrisk import corpus
+from newsrisk import corpus, pricerows
 from newsrisk.centrality import RankEntry
 from newsrisk.corpus import (
     _CHUNK,
@@ -38,6 +38,7 @@ from newsrisk.entities import OccurrenceSet
 from newsrisk.errors import ValidationError
 from newsrisk.fixtures import FixtureSpec, generate_fixture, write_fixture
 from newsrisk.pipeline import RunConfig
+from newsrisk.pricerows import Tickers, plain_columns
 from newsrisk.quarters import Quarter, parse_quarter, quarter_of, quarter_range
 from newsrisk.riskrank import PlayerSet, RiskDatapoint
 
@@ -1002,10 +1003,12 @@ def _assert_loads_as_the_reader_route(path, monkeypatch, plain, universe=None):
     """`load_prices` gives the series or the error that the `read_table`
     route gives, and the byte route reads the file exactly when it is
     `plain`. Returns the outcome."""
-    assert (corpus._plain_price_columns(path, universe) is not None) == plain
+    known = None if universe is None else universe.ticker_to_id
+    read = plain_columns(path, Tickers(known), corpus._CHUNK, corpus._row_bound(path))
+    assert (read is not None) == plain
     outcome = _outcome(path, universe)
     with monkeypatch.context() as patched:
-        patched.setattr(corpus, "_plain_price_columns", lambda path, universe: None)
+        patched.setattr(corpus, "plain_columns", lambda *args: None)
         assert _outcome(path, universe) == outcome
     return outcome
 
@@ -1026,6 +1029,9 @@ BYTE_ROUTE_EDGES = {
     "exponent": ("X,2011-01-03,1e3\n", False, None),
     "crlf": ("X,2011-01-03,1.5\r\nY,2011-01-03,2\r\nX,2011-01-04,3\r\n", True, None),
     "no-final-newline": ("X,2011-01-03,1.5\nX,2011-01-04,2", True, None),
+    "blank-lines": ("\nX,2011-01-03,1.5\n\r\nX,2011-01-04,2\r\n\n\n", True, None),
+    "spaces-line": ("X,2011-01-03,1.5\n \nX,2011-01-04,2\n", False,
+                    ":3: expected 3 fields, got 1"),
     "interleaved": ("X,2011-01-03,1\nY,2011-01-03,2\nX,2011-01-04,3\nY,2011-01-04,4\n", True, None),
     "quoted-ticker": ('"X",2011-01-03,1\nX,2011-01-04,2\n', False, None),
     "non-utf8-ticker": ("X,2011-01-03,1\nX\udcff,2011-01-04,2\n", False,
@@ -1042,8 +1048,9 @@ def test_rows_at_the_edges_of_the_byte_route_load_as_the_reader_route(
 ):
     """Leap days, the calendar's first and last days, closes without a
     leading or trailing digit and of 300 bytes load by the byte route, with
-    a byte-order mark or without, CR LF row ends and a last row without
-    one; what it does not read loads, or names its line, as before."""
+    a byte-order mark or without, CR LF row ends, blank lines and a last row
+    without an end; what it does not read loads, or names its line, as
+    before."""
     path = tmp_path / "prices.csv"
     path.write_text("ticker,date,adjusted_close\n" + rows, errors="surrogateescape",
                     encoding="utf-8-sig" if mark else "utf-8", newline="")
@@ -1062,13 +1069,13 @@ def test_rows_at_the_edges_of_the_byte_route_load_as_the_reader_route(
 def test_rows_across_block_edges_load_as_the_reader_route(
     tmp_path, monkeypatch, layout, chunk, read
 ):
-    """The byte route checks a fixed multiple of `_CHUNK` rows at a time,
-    read `_BLOCK` bytes at a time: rows of one ticker, of a ticker longer
-    than a word and with closes of 1 to 19 bytes straddle both edges; two
-    tickers differ past their first word only. A
-    fault planted on either side of a block edge is named at its line."""
+    """The byte route checks `_CHUNK` rows at a time, read `_READ` bytes at
+    a time: rows of one ticker, of a ticker longer than a word and with
+    closes of 1 to 19 bytes straddle both edges; two tickers differ past
+    their first word only. A fault planted on either side of a chunk edge
+    is named at its line."""
     monkeypatch.setattr(corpus, "_CHUNK", chunk)
-    monkeypatch.setattr(corpus, "_BLOCK", read)
+    monkeypatch.setattr(pricerows, "_READ", read)
     rng = np.random.default_rng(26)
     rows = [
         [ticker, (date(2011, 1, 3) + timedelta(days=day)).isoformat(),
@@ -1085,7 +1092,7 @@ def test_rows_across_block_edges_load_as_the_reader_route(
         outcome = _assert_loads_as_the_reader_route(path, monkeypatch, True, listed)
         assert list(outcome.items()) == list(load_prices_by_row(path, listed).items())
 
-    edge = corpus._PLAIN_CHUNKS * chunk  # the index of the second block's first row
+    edge = chunk  # the index of the second chunk's first row
     before = {}  # the index of each row's ticker's row before it
     for index, (ticker, _, _) in enumerate(rows):
         before[index], before[ticker] = before.get(ticker), index
@@ -1100,12 +1107,35 @@ def test_rows_across_block_edges_load_as_the_reader_route(
             assert message.startswith(f"prices.csv:{row + 2}: "), message
 
 
+@pytest.mark.parametrize("read", [61, 1 << 16])
+@pytest.mark.parametrize("chunk", [1, 2, 512])
+def test_blank_lines_are_left_out_by_the_byte_route_at_any_edge(
+    tmp_path, monkeypatch, chunk, read
+):
+    """Blank lines, LF or CR LF, before the first row, between rows and
+    after the last, load by the byte route as the row loader reads them,
+    wherever a chunk or a read ends."""
+    monkeypatch.setattr(corpus, "_CHUNK", chunk)
+    monkeypatch.setattr(pricerows, "_READ", read)
+    ends = ["\n", "\n\n", "\r\n", "\r\n\r\n", "\n\r\n"]
+    body = "".join(
+        f"{ticker},{date(2011, 1, 3) + timedelta(days=day)},{1 + day / 8}{ends[day % 5]}"
+        for ticker in ["A", "BB"] for day in range(40)
+    )
+    path = tmp_path / "prices.csv"
+    path.write_text("ticker,date,adjusted_close\n\n" + body + "\n\r\n", encoding="utf-8",
+                    newline="")
+    for listed in (None, _listing(["BB"])):
+        outcome = _assert_loads_as_the_reader_route(path, monkeypatch, True, listed)
+        assert list(outcome.items()) == list(load_prices_by_row(path, listed).items())
+
+
 def test_fixture_prices_take_the_byte_route(tmp_path, monkeypatch):
     """The price files of the default fixture and of the wide-universe
     benchmark's shape load with the `read_table` route refused: a fixture
     row the byte route stopped reading fails here, not only the benchmark."""
 
-    def refused(path, universe):
+    def refused(path, tickers):
         raise AssertionError(f"{path} was read by read_table")
 
     monkeypatch.setattr(corpus, "_read_price_columns", refused)
