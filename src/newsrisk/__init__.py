@@ -22,10 +22,8 @@ from .corpus import (
     Article,
     EntityUniverse,
     MarketCapTable,
-    PriceTable,
     load_articles,
     load_marketcaps,
-    load_prices,
     load_universe,
 )
 from .entities import MatcherSet, OccurrenceSet, parse_corpus
@@ -38,6 +36,7 @@ from .errors import (
 )
 from .networks import MIXED, NEGATIVE, POSITIVE, QuarterNetwork, build_networks, smooth
 from .pipeline import RunConfig, StudyResult, config_from_file, run_all, run_study
+from .pricerows import PriceTable, load_prices
 from .quarters import Quarter, parse_quarter, quarter_of, quarter_range
 from .riskrank import (
     RiskCalibration,

@@ -23,7 +23,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .corpus import PriceTable
+from .pricerows import PriceTable
 from .errors import ValidationError
 from .riskrank import RiskDatapoint
 

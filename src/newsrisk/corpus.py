@@ -1,4 +1,5 @@
-"""Loading and validation of articles, the entity universe, market caps, and prices.
+"""The CSV reader and formatter, and the loaders of articles, the entity
+universe and market caps. `pricerows` reads prices with this reader.
 
 File formats:
   articles    JSON lines with fields id, published_at (ISO-8601), author_id,
@@ -6,19 +7,17 @@ File formats:
   universe    CSV: canonical_id, display_name, primary_ticker, exchange,
               name_variants (pipe-separated), merged_tickers (pipe-separated);
               share classes appear as extra rows with the same canonical_id
-  prices      CSV: ticker, date, adjusted_close. Dates are exactly
-              YYYY-MM-DD and strictly increasing per ticker.
   marketcaps  CSV: canonical_id, quarter (YYYYQN), market_cap_usd_billions
 
 Every CSV file the package reads, input or artifact, is read by
 `read_table`, whose cell grammar the README's "Input formats" states; the
-loaders ignore whitespace around a cell. A plain `prices.csv`, as the
-fixtures write it, is read as bytes by `pricerows.plain_columns` instead,
-and any other price file by `read_table`. Every CSV file it writes, artifact
-or fixture, is formatted by `format_table` and written a slice of rows at a
-time, so a write holds one slice whatever the size of the file. A file that
-is not UTF-8 is refused with the line that holds its first undecodable
-byte. A UTF-8 byte-order mark at the start of a CSV file is skipped.
+loaders ignore whitespace around a cell. `prices.csv` is the one exception:
+`pricerows` reads a plain one as bytes, and any other by `read_table`.
+Every CSV file the package writes, artifact or fixture, is formatted by
+`format_table` and written a slice of rows at a time, so a write holds one
+slice whatever the size of the file. A file that is not UTF-8 is refused
+with the line that holds its first undecodable byte. A UTF-8 byte-order
+mark at the start of a CSV file is skipped.
 
 Everything returned by the loaders is immutable by convention and safe for
 unrestricted concurrent reads.
@@ -30,7 +29,6 @@ import csv
 import json
 import logging
 import math
-import re
 import warnings
 from array import array
 from dataclasses import dataclass
@@ -43,7 +41,6 @@ from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .pricerows import PRICE_COLUMNS, Refused, Tickers, plain_columns
 from .quarters import Quarter, parse_quarter
 
 log = logging.getLogger(__name__)
@@ -128,43 +125,6 @@ class EntityUniverse:
 
     def ids(self) -> tuple[str, ...]:
         return tuple(self.records)
-
-
-@dataclass(frozen=True, eq=False)
-class PriceSeries:
-    """Adjusted closes for one company, as two read-only arrays.
-
-    `dates` is datetime64[D], strictly increasing; `closes` is float64. Any
-    sequences given are converted (a sequence of `date` works for `dates`).
-    """
-
-    key: str
-    dates: np.ndarray
-    closes: np.ndarray
-
-    def __post_init__(self) -> None:
-        for name, dtype in (("dates", "datetime64[D]"), ("closes", np.float64)):
-            values = np.asarray(getattr(self, name), dtype=dtype).view()
-            values.flags.writeable = False
-            object.__setattr__(self, name, values)
-
-
-class PriceTable:
-    """Price series by key: `load_prices` keys them by canonical_id when
-    given a universe, holding only the tickers it lists, and by ticker
-    without one. The backtest passes the universe of its datapoints'
-    companies, so its table holds the series it reads and no other."""
-
-    def __init__(self, series: Iterable[PriceSeries]):
-        self.series: dict[str, PriceSeries] = {
-            s.key: s for s in sorted(series, key=lambda s: s.key)
-        }
-
-    def __len__(self) -> int:
-        return len(self.series)
-
-    def get(self, key: str) -> PriceSeries | None:
-        return self.series.get(key)
 
 
 class MarketCapTable:
@@ -299,14 +259,15 @@ def _read_articles(path: Path, lines: Iterable[str], window: tuple[date, date]) 
 #: backtest reads (75 KB of series) raised peak RSS by 0.24 MB with 512-row
 #: chunks, 0.30 MB with 1 024, 0.41 MB with 2 048 and 0.66 MB with 4 096;
 #: keeping every row (3.25 MB of series), by 4.54, 4.55, 4.67 and 4.92 MB.
-#: Larger chunks parse faster, and the per-chunk checks of `load_prices`
-#: cost less per row. The byte route that reads a plain `prices.csv`
-#: checks a chunk of rows at a time too. Checking two chunks at a time, it
+#: Larger chunks parse faster, and the per-chunk checks of
+#: `pricerows.load_prices` cost less per row. Its byte route, which reads a
+#: plain `prices.csv`, checks a chunk of rows at a time too. Checking two chunks at a time, it
 #: loaded the wide-universe prices for the 23 companies in 52 ms against
 #: 62 ms, but loading 100 000 rows for 10 of their 200 tickers grew peak RSS
 #: by 0.56 to 0.62 MB against 0.46 MB, with the package's bytecode cached.
 _CHUNK = 1024
-#: Bytes the row count reads at a time.
+#: Bytes a binary read takes at a time: the row count here, the byte route
+#: of `pricerows` and the hash of each file the pipeline reads or writes.
 _BLOCK = 1 << 15
 
 
@@ -634,21 +595,6 @@ def _split_cell(cell: str) -> tuple[str, ...]:
     return tuple(part.strip() for part in cell.split("|") if part.strip())
 
 
-_ISO_DAY = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
-
-
-#: `date.toordinal()` of 1970-01-01, day 0 of datetime64[D].
-_EPOCH_ORDINAL = date(1970, 1, 1).toordinal()
-
-
-def _epoch_day(cell: str) -> int:
-    """Days from 1970-01-01 to a `YYYY-MM-DD` cell; ValueError on any other form."""
-    text = cell.strip()
-    if not _ISO_DAY.fullmatch(text):
-        raise ValueError(f"not a YYYY-MM-DD date: {cell!r}")
-    return date.fromisoformat(text).toordinal() - _EPOCH_ORDINAL
-
-
 def float_cell(cell: str) -> float:
     """A float64 cell as `np.loadtxt` reads it: `float()` syntax, but ASCII
     only and without `_` digit separators."""
@@ -695,112 +641,6 @@ def load_universe(path: str | Path) -> EntityUniverse:
     )
     log.info("loaded universe file=%s companies=%d", path.name, len(universe))
     return universe
-
-
-_DAY = Kind(_epoch_day, "bad date {cell!r}", np.int64)
-_CLOSE = Kind(float_cell, "bad price {cell!r}", np.float64)
-
-
-def _price_columns(
-    path: Path, universe: EntityUniverse | None
-) -> tuple[list[str], np.ndarray, np.ndarray, np.ndarray]:
-    """Tickers, and the code, day since 1970 and close of each row whose
-    ticker is kept, grouped by ticker: without a universe every ticker is
-    kept, with one each ticker it lists.
-
-    A plain file is read as bytes by `pricerows.plain_columns`, a chunk of
-    rows at a time; any other file, and any file with a fault, by
-    `read_table`. Each ticker is coded in the order it first appears, so the
-    codes of a file whose tickers are already grouped never decrease, and
-    its kept rows are returned as read. Only the kept rows of a file that
-    interleaves tickers are grouped, by one stable sort."""
-    known = None if universe is None else universe.ticker_to_id
-    tickers = Tickers(known)
-    columns = plain_columns(path, tickers, _CHUNK, _row_bound(path))
-    if columns is None:
-        tickers = Tickers(known)
-        columns = _read_price_columns(path, tickers)
-    codes, days, closes = columns
-    if np.any(codes[1:] < codes[:-1]):
-        order = np.argsort(codes, kind="stable")
-        codes, days, closes = codes[order], days[order], closes[order]
-    return list(tickers), codes, days, closes
-
-
-def _read_price_columns(path: Path, tickers: Tickers) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The code, day since 1970 and close of each row of `path` whose
-    ticker `tickers` keeps, in file order, by `read_table`. Each chunk is
-    checked as it is read, and only its kept rows are held. When a chunk
-    fails a check, or a row cannot be read, every row of the file is read
-    and the whole columns are checked here, so the first faulty line is
-    named."""
-    kinds = dict(zip(PRICE_COLUMNS, (Kind(tickers.code, dtype=np.int32), _DAY, _CLOSE)))
-    try:
-        table = read_table(path, kinds, INPUT, tickers.keep)
-    except Refused:  # the traceback holds the rows read so far until this block ends
-        table = None
-    whole = table is None or table.ends is not None  # else only the kept rows were read
-    if table is None:
-        table = read_table(path, kinds, INPUT)
-    codes, days, closes = (table[name] for name in PRICE_COLUMNS)
-    names = list(tickers)
-    if whole:
-        order = np.argsort(codes, kind="stable") if np.any(codes[1:] < codes[:-1]) else None
-        by_code, by_day = (codes, days) if order is None else (codes[order], days[order])
-        late = 1 + np.flatnonzero((by_code[1:] == by_code[:-1]) & (by_day[1:] <= by_day[:-1]))
-        unordered = np.zeros(len(codes), dtype=bool)
-        unordered[late if order is None else order[late]] = True
-        table.raise_first(
-            (~np.isfinite(closes), lambda r: f"bad price {float(closes[r])} for {names[codes[r]]}"),
-            (closes <= 0, lambda r: f"non-positive price {float(closes[r])} for {names[codes[r]]}"),
-            (unordered, lambda r: f"dates for {names[codes[r]]} not strictly increasing"),
-        )
-        held = np.flatnonzero(tickers.kept[codes])
-        codes, days, closes = codes[held], days[held], closes[held]
-    return codes, days, closes
-
-
-def load_prices(path: str | Path, universe: EntityUniverse | None = None) -> PriceTable:
-    """Load daily adjusted closes.
-
-    When a universe is given, series are keyed by the canonical_id their
-    ticker resolves to, and the rows of a ticker the universe does not list
-    are checked and then left out, never held; for a company with several
-    share-class series the primary ticker's series wins. Missing companies
-    are permitted (the backtest disqualifies them later).
-
-    The file is read and checked a chunk at a time, and only the rows of
-    kept tickers are held, in columns reserved once at the file's row
-    bound, whose untouched pages take no memory. A plain file, as the
-    fixtures write it, is read as bytes by `pricerows.plain_columns`, which
-    parses the closes of kept rows only; any other file by `read_table`.
-    The series of a file grouped by ticker are views of those columns,
-    whose days since 1970 are viewed as dates, so the loader holds little
-    more than its result and one chunk. A malformed file raises
-    ValidationError naming its first faulty line.
-    """
-    path = Path(path)
-    tickers, codes, days, closes = _price_columns(path, universe)
-    dates = days.view("datetime64[D]")
-    cuts = (np.flatnonzero(codes[1:] != codes[:-1]) + 1).tolist()
-    per_ticker = {
-        tickers[codes[lo]]: (dates[lo:hi], closes[lo:hi])
-        for lo, hi in zip([0, *cuts], [*cuts, len(codes)])
-        if lo < hi  # a file without rows has no series
-    }
-
-    chosen: dict[str, PriceSeries] = {}
-    for ticker in sorted(per_ticker):
-        dates, values = per_ticker[ticker]
-        key = ticker
-        if universe is not None:  # which lists every ticker held
-            key = universe.ticker_to_id[ticker]
-            if key in chosen and ticker != universe.records[key].primary_ticker:
-                continue  # keep the earlier (or primary) series
-        chosen[key] = PriceSeries(key=key, dates=dates, closes=values)
-    prices = PriceTable(chosen.values())
-    log.info("loaded prices file=%s series=%d", path.name, len(prices))
-    return prices
 
 
 _CAP = Kind(float_cell, "bad market cap {cell!r}", np.float64)

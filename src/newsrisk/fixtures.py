@@ -70,12 +70,12 @@ import numpy as np
 from .corpus import (
     _JOIN_ROWS,
     MARKETCAP_COLUMNS,
-    PRICE_COLUMNS,
     UNIVERSE_COLUMNS,
     Article,
     format_table,
     write_articles,
 )
+from .pricerows import PRICE_COLUMNS
 from .errors import ValidationError
 from .quarters import Quarter, quarter_range
 

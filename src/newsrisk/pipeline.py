@@ -53,11 +53,12 @@ from .centrality import (
 )
 from .corpus import (
     _BLOCK, _JOIN_ROWS, POLARITIES, Dialect, EntityUniverse, Kind, Table, float_cell, format_table,
-    load_articles, load_marketcaps, load_prices, load_universe, read_table,
+    load_articles, load_marketcaps, load_universe, read_table,
 )
 from .entities import MatcherSet, OccurrenceSet, parse_corpus
 from .errors import DependencyError, ValidationError
 from .networks import MIXED, NETWORK_KINDS, QuarterNetwork, build_networks, network_stats, smooth
+from .pricerows import load_prices
 from .quarters import Quarter, parse_quarter
 from .riskrank import RiskCalibration, RiskDatapoint, riskrank_quarter, select_universe
 
@@ -999,6 +1000,11 @@ STAGES: dict[str, Callable[..., list[Path]]] = {
 }
 
 
+def _used_after(i: int) -> set[str]:
+    """The inputs and values the stages after `PIPELINE[i]` load or read."""
+    return {name for later in PIPELINE[i + 1 :] for name in (*later.inputs, *later.reads)}
+
+
 def run_all(cfg: RunConfig) -> list[Path]:
     """Every stage in order; returns all artifact paths.
 
@@ -1013,7 +1019,7 @@ def run_all(cfg: RunConfig) -> list[Path]:
         artifacts = STAGES[stage.name](cfg, loaded, entries)
         log.info("stage=%s artifacts=%d", stage.name, len(artifacts))
         written.extend(artifacts)
-        needed = {name for later in PIPELINE[i + 1 :] for name in (*later.inputs, *later.reads)}
+        needed = _used_after(i)
         loaded = {name: value for name, value in loaded.items() if name in needed}
     return written
 
@@ -1035,12 +1041,14 @@ class StudyResult:
 
 
 def run_study(cfg: RunConfig) -> StudyResult:
-    """Run every stage with in-memory handoff (no artifacts written)."""
+    """Run every stage with in-memory handoff (no artifacts written), holding
+    a value only while a later stage loads or reads it or the result does."""
     cfg.validate()
+    names = [f.name for f in fields(StudyResult) if f.name != "config"]
     values: dict[str, Any] = {}
-    for stage in PIPELINE:
+    for i, stage in enumerate(PIPELINE):
         current = _Values(cfg, stage, values)
         current.update(stage.compute(cfg, current))
-        values.update(current)
-    names = [f.name for f in fields(StudyResult) if f.name != "config"]
+        needed = _used_after(i).union(names)
+        values = {name: value for name, value in {**values, **current}.items() if name in needed}
     return StudyResult(config=cfg, **{name: values[name] for name in names})

@@ -1,27 +1,170 @@
-"""Price rows: the columns of `prices.csv`, the code of each ticker and the
-order of each ticker's days, and the byte route that reads a plain price
-file without parsing it.
+"""The one reader of `prices.csv` (ticker, date, adjusted_close): `load_prices`,
+the tables it returns, its two routes and the checks of its rows.
 
-`corpus.load_prices` reads a plain price file, as the fixtures write it, by
-`plain_columns`, a chunk of rows at a time, and any other price file by
-`corpus.read_table`; both routes code tickers and check the order of their
-days through `Tickers`.
+A plain price file, as the fixtures write it, is read as bytes by
+`plain_columns` without a parse; any other price file, and any file with a
+fault, by `corpus.read_table`, which names the first faulty line. Both
+routes read a chunk of rows at a time, and code tickers and check the
+order of their days through `Tickers`.
 """
 
 from __future__ import annotations
 
 import codecs
 import math
+import re
+from dataclasses import dataclass
+from datetime import date
 from pathlib import Path
-from typing import BinaryIO, Container, Iterator
+from typing import BinaryIO, Container, Iterable, Iterator
 
 import numpy as np
+
+from . import corpus  # whose _CHUNK and _BLOCK both routes read at call time
+from .corpus import INPUT, EntityUniverse, Kind, float_cell, read_table
 
 #: The columns of `prices.csv`, in order.
 PRICE_COLUMNS = ("ticker", "date", "adjusted_close")
 #: Keys `code * _SPAN + day` order rows by ticker code, then by day: the
 #: days since 1970 of the years 1 to 9999 lie less than `_SPAN` apart.
 _SPAN = np.int64(1 << 32)
+#: The key of a ticker's last row before any is read.
+_UNREAD = np.iinfo(np.int64).min
+
+
+@dataclass(frozen=True, eq=False)
+class PriceSeries:
+    """Adjusted closes for one company, as two read-only arrays.
+
+    `dates` is datetime64[D], strictly increasing; `closes` is float64. Any
+    sequences given are converted (a sequence of `date` works for `dates`).
+    """
+
+    key: str
+    dates: np.ndarray
+    closes: np.ndarray
+
+    def __post_init__(self) -> None:
+        for name, dtype in (("dates", "datetime64[D]"), ("closes", np.float64)):
+            values = np.asarray(getattr(self, name), dtype=dtype).view()
+            values.flags.writeable = False
+            object.__setattr__(self, name, values)
+
+
+class PriceTable:
+    """Price series by key: `load_prices` keys them by canonical_id when
+    given a universe, holding only the tickers it lists, and by ticker
+    without one. The backtest passes the universe of its datapoints'
+    companies, so its table holds the series it reads and no other."""
+
+    def __init__(self, series: Iterable[PriceSeries]):
+        self.series: dict[str, PriceSeries] = {
+            s.key: s for s in sorted(series, key=lambda s: s.key)
+        }
+
+    def __len__(self) -> int:
+        return len(self.series)
+
+    def get(self, key: str) -> PriceSeries | None:
+        return self.series.get(key)
+
+
+def load_prices(path: str | Path, universe: EntityUniverse | None = None) -> PriceTable:
+    """Load daily adjusted closes.
+
+    When a universe is given, series are keyed by the canonical_id their
+    ticker resolves to, and the rows of a ticker the universe does not list
+    are checked and then left out, never held; for a company with several
+    share-class series the primary ticker's series wins. Missing companies
+    are permitted (the backtest disqualifies them later).
+
+    Only the rows of kept tickers are held, in columns reserved once at
+    the file's row bound, whose untouched pages take no memory. Tickers are
+    coded in the order they first appear, so the series of a file grouped
+    by ticker are views of those columns, days since 1970 viewed as dates;
+    the kept rows of a file that interleaves tickers are grouped by one
+    stable sort. A malformed file raises ValidationError naming its first
+    faulty line.
+    """
+    path = Path(path)
+    known = None if universe is None else universe.ticker_to_id
+    tickers = Tickers(known)
+    columns = plain_columns(path, tickers)
+    if columns is None:
+        tickers = Tickers(known)
+        columns = _read_price_columns(path, tickers)
+    codes, days, closes = columns
+    if np.any(codes[1:] < codes[:-1]):
+        order = np.argsort(codes, kind="stable")
+        codes, days, closes = codes[order], days[order], closes[order]
+    names = list(tickers)
+    dates = days.view("datetime64[D]")
+    cuts = (np.flatnonzero(codes[1:] != codes[:-1]) + 1).tolist()
+    per_ticker = {
+        names[codes[lo]]: (dates[lo:hi], closes[lo:hi])
+        for lo, hi in zip([0, *cuts], [*cuts, len(codes)])
+        if lo < hi  # a file without rows has no series
+    }
+
+    chosen: dict[str, PriceSeries] = {}
+    for ticker in sorted(per_ticker):
+        dates, values = per_ticker[ticker]
+        key = ticker
+        if universe is not None:  # which lists every ticker held
+            key = universe.ticker_to_id[ticker]
+            if key in chosen and ticker != universe.records[key].primary_ticker:
+                continue  # keep the earlier (or primary) series
+        chosen[key] = PriceSeries(key=key, dates=dates, closes=values)
+    prices = PriceTable(chosen.values())
+    corpus.log.info("loaded prices file=%s series=%d", path.name, len(prices))
+    return prices
+
+
+_ISO_DAY = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
+#: `date.toordinal()` of 1970-01-01, day 0 of datetime64[D].
+_EPOCH_ORDINAL = date(1970, 1, 1).toordinal()
+
+
+def _epoch_day(cell: str) -> int:
+    """Days from 1970-01-01 to a `YYYY-MM-DD` cell; ValueError on any other form."""
+    text = cell.strip()
+    if not _ISO_DAY.fullmatch(text):
+        raise ValueError(f"not a YYYY-MM-DD date: {cell!r}")
+    return date.fromisoformat(text).toordinal() - _EPOCH_ORDINAL
+
+
+_DAY = Kind(_epoch_day, "bad date {cell!r}", np.int64)
+_CLOSE = Kind(float_cell, "bad price {cell!r}", np.float64)
+
+
+def _read_price_columns(path: Path, tickers: Tickers) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The code, day since 1970 and close of each row of `path` whose
+    ticker `tickers` keeps, in file order, by `read_table`. Each chunk is
+    checked as it is read, and only its kept rows are held. When a chunk
+    fails a check, or a row cannot be read, every row of the file is read
+    and the whole columns are checked here, so the first faulty line is
+    named."""
+    kinds = dict(zip(PRICE_COLUMNS, (Kind(tickers.code, dtype=np.int32), _DAY, _CLOSE)))
+    try:
+        table = read_table(path, kinds, INPUT, tickers.keep)
+    except Refused:  # the traceback holds the rows read so far until this block ends
+        table = None
+    whole = table is None or table.ends is not None  # else only the kept rows were read
+    if table is None:
+        table = read_table(path, kinds, INPUT)
+    codes, days, closes = (table[name] for name in PRICE_COLUMNS)
+    if whole:
+        names = list(tickers)
+        tickers.last.fill(_UNREAD)  # the rows the chunks checked are read again
+        table.raise_first(
+            (~np.isfinite(closes), lambda r: f"bad price {float(closes[r])} for {names[codes[r]]}"),
+            (closes <= 0, lambda r: f"non-positive price {float(closes[r])} for {names[codes[r]]}"),
+            (tickers.late(codes, days),
+             lambda r: f"dates for {names[codes[r]]} not strictly increasing"),
+        )
+        kept = tickers.kept[codes]
+        codes, days, closes = codes[kept], days[kept], closes[kept]
+    return codes, days, closes
 
 
 class Refused(Exception):
@@ -47,50 +190,52 @@ class Tickers(dict):
             code = self[ticker] = len(self)
             if code == len(self.kept):  # double the room of the per-code arrays
                 self.kept = np.concatenate((self.kept, np.zeros(code + 1, dtype=bool)))
-                self.last = np.concatenate((self.last, np.full(code + 1, np.iinfo(np.int64).min)))
+                self.last = np.concatenate((self.last, np.full(code + 1, _UNREAD)))
             self.kept[code] = self.known is None or ticker in self.known
         return code
 
     def keep(self, cells: dict[str, np.ndarray]) -> np.ndarray | None:
         """The rows of a chunk whose ticker is kept (None: every row), once
-        every row of it is checked as `corpus._read_price_columns` checks a
-        whole file; `Refused` on a fault. `cells` holds the chunk's codes,
-        days and closes, in that order."""
+        every row of it is checked as `_read_price_columns` checks a whole
+        file; `Refused` on a fault. `cells` holds the chunk's codes, days
+        and closes, in that order."""
         codes, days, closes = cells.values()
         if not closes.min() > 0 or closes.max() == math.inf:  # a NaN fails the first
             raise Refused
         return self.pick(codes.astype(np.intp), days)  # numpy indexes by intp without a cast
 
     def pick(self, codes: np.ndarray, days: np.ndarray) -> np.ndarray | None:
-        """The rows whose ticker is kept (None: every row), once each
-        ticker's days are checked to increase strictly; `Refused` if they
-        do not. Each ticker's days are checked against its last row read,
-        so tickers may interleave; only rows whose codes decrease are
-        sorted."""
-        key = codes * _SPAN + days
-        if not self._ordered(codes, key):  # interleaved tickers, or a fault
-            order = np.argsort(codes, kind="stable")
-            if not self._ordered(codes[order], key[order]):
-                raise Refused
-        np.maximum.at(self.last, codes, key)
+        """The rows whose ticker is kept (None: every row), once no row is
+        `late`; `Refused` if one is."""
+        if np.count_nonzero(self.late(codes, days)):
+            raise Refused
         picked = self.kept[codes].nonzero()[0]
         return None if len(picked) == len(codes) else picked
 
-    def _ordered(self, codes: np.ndarray, key: np.ndarray) -> bool:
-        """Whether the key of each row is above the key of the row before it
-        and of its ticker's last row read before: so the codes never
-        decrease, and each ticker's days increase strictly."""
+    def late(self, codes: np.ndarray, days: np.ndarray) -> np.ndarray:
+        """Whether each row's day is at most that of its ticker's row before
+        it, or of its ticker's last row read; the rows are then the last
+        read. Tickers may interleave: the rows are sorted by code if need be."""
+        key = codes * _SPAN + days
+        late = self._late(codes, key)
+        if np.count_nonzero(late):  # interleaved tickers, or a fault
+            order = np.argsort(codes, kind="stable")
+            late[order] = self._late(codes[order], key[order])
+        np.maximum.at(self.last, codes, key)
+        return late
+
+    def _late(self, codes: np.ndarray, key: np.ndarray) -> np.ndarray:
+        """Whether each row's key is at most that of the row before it or of
+        its ticker's last row read before."""
         bound = self.last[codes]
         np.maximum(bound[1:], key[:-1], out=bound[1:])
-        return bool((key > bound).all())
+        return key <= bound
 
 
 #: The longest close the byte route reads. At most this many ASCII digits
 #: and one `.`, with a nonzero digit, make a number above 1e-300 and below
 #: 1e300: finite and positive, so such a close is checked without a parse.
 _CLOSE_BYTES = 300
-#: Bytes the byte route reads at a time.
-_READ = 1 << 15
 #: Zero bytes after the bytes the byte route reads, so that every window of
 #: close bytes and every word it reads lies in them.
 _PADDING = bytes(_CLOSE_BYTES + 8)
@@ -132,9 +277,9 @@ def _words(octets: np.ndarray) -> np.ndarray:
 
 
 def _line_blocks(fh: BinaryIO, rows: int) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """The lines of the rest of `fh`, read `_READ` bytes at a time, `rows`
-    lines at a time and fewer at its end, with blank lines left out, as
-    `read_table` leaves them out: for each block, the bytes read so far,
+    """The lines of the rest of `fh`, read `corpus._BLOCK` bytes at a time,
+    `rows` lines at a time and fewer at its end, with blank lines left out,
+    as `read_table` leaves them out: for each block, the bytes read so far,
     padded by `_PADDING`, the first byte of each of its lines, and the end
     of each, at its LF or at the CR of its CR LF. A last line without a
     line feed is given one."""
@@ -143,7 +288,7 @@ def _line_blocks(fh: BinaryIO, rows: int) -> Iterator[tuple[np.ndarray, np.ndarr
     starts = stops = np.zeros(0, dtype=np.intp)
     head = 0
     while True:
-        data = fh.read(_READ)
+        data = fh.read(corpus._BLOCK)
         end = not data
         if end and not rest.endswith(b"\n"):
             data = b"\n"
@@ -247,7 +392,14 @@ def _plain_codes(octets: np.ndarray, starts: np.ndarray, first: np.ndarray,
 
 def _plain_days(octets: np.ndarray, first: np.ndarray) -> np.ndarray | None:
     """The days since 1970 of each row's `YYYY-MM-DD` date, or None if one
-    is not a date of the years 1 to 9999."""
+    is not a date of the years 1 to 9999.
+
+    numpy's `S10` to `datetime64[D]` cast would check months, days and leap
+    years in less than half the time, but it is not this check: it also
+    reads `today`, `NaT`, `0000-01-01` and `20110101`. And on numpy 2.4.6,
+    one process that casts arrays of 1, 2, 8, 16, 100 and 1 000 cells that
+    each hold `2011-02-30`, each cast refused, ends in a segmentation fault
+    at the last."""
     # XOR the bytes of the form, a date's digits are their values and its
     # dashes zero; then each byte k holds digits k and k + 1 as a number.
     dates = _words(octets)[first + _DATE_WORDS]
@@ -318,8 +470,7 @@ def _plain_closes(octets: np.ndarray, second: np.ndarray, widths: np.ndarray) ->
     return closes
 
 
-def plain_columns(path: Path, tickers: Tickers, rows: int,
-                  bound: int) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+def plain_columns(path: Path, tickers: Tickers) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
     """The code, day since 1970 and close of each row of the plain price
     file at `path` whose ticker `tickers` keeps, in file order; None if any
     row is not plain.
@@ -330,20 +481,20 @@ def plain_columns(path: Path, tickers: Tickers, rows: int,
     of at most `_CLOSE_BYTES` ASCII digits and one `.` with a nonzero digit,
     each row ended by LF or CR LF, and the last by the end of the file, and
     each ticker's days increasing; blank lines are left out. numpy checks
-    `rows` rows at a time; the closes of the rows whose ticker is kept are
-    parsed, and no other. The columns are reserved at `bound` rows, at least
-    the file's."""
+    `corpus._CHUNK` rows at a time, as `read_table` parses them; the closes
+    of the rows whose ticker is kept are parsed, and no other. The columns
+    are reserved once, at `read_table`'s bound on the file's rows."""
     known: dict = {}
-    columns = tuple(np.empty(bound, dtype) for dtype in (np.int32, np.int64, np.float64))
     held = 0
     with path.open("rb") as fh:
         first_line = fh.readline(64).removeprefix(codecs.BOM_UTF8)
         if first_line.rstrip(b"\n").removesuffix(b"\r") != _HEADER:
             return None
-        for block in _line_blocks(fh, rows):
+        bound = corpus._row_bound(path)
+        columns = tuple(np.empty(bound, dtype) for dtype in (np.int32, np.int64, np.float64))
+        for block in _line_blocks(fh, corpus._CHUNK):
             held = _plain_rows(*block, tickers, known, columns, held)
             del block  # so that the next block is read with this one freed
             if held is None:
                 return None
-    codes, days, closes = (column[:held] for column in columns)
-    return codes, days, closes
+    return tuple(column[:held] for column in columns)

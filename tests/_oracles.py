@@ -40,20 +40,18 @@ import numpy as np
 
 from newsrisk.corpus import (
     MARKETCAP_COLUMNS,
-    PRICE_COLUMNS,
     UNIVERSE_COLUMNS,
     Article,
     EntityRecord,
     EntityUniverse,
     MarketCapTable,
-    PriceSeries,
-    PriceTable,
 )
 from newsrisk.entities import MatcherSet, OccurrenceSet, Scanner
 from newsrisk.errors import ValidationError
 from newsrisk.centrality import information_centrality
 from newsrisk.networks import QuarterNetwork, build_networks, smooth
 from newsrisk.pipeline import PIPELINE, RunConfig
+from newsrisk.pricerows import PRICE_COLUMNS, PriceSeries, PriceTable
 from newsrisk.quarters import Quarter, parse_quarter, quarter_of
 from newsrisk.riskrank import PlayerSet, RiskCalibration, RiskDatapoint
 from newsrisk import backtest as bt

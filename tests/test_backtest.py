@@ -8,9 +8,10 @@ import numpy as np
 import pytest
 
 import newsrisk.backtest as bt
-from newsrisk.corpus import PriceSeries, PriceTable, load_prices, load_universe
+from newsrisk.corpus import load_universe
 from newsrisk.errors import ValidationError
 from newsrisk.fixtures import FixtureSpec, generate_fixture, write_fixture
+from newsrisk.pricerows import PriceSeries, PriceTable, load_prices
 from newsrisk.quarters import Quarter, quarter_range
 from newsrisk.riskrank import RiskDatapoint
 

@@ -17,19 +17,15 @@ from newsrisk.centrality import RankEntry
 from newsrisk.corpus import (
     _CHUNK,
     INPUT,
-    PRICE_COLUMNS,
     Article,
     EntityRecord,
     EntityUniverse,
     Kind,
     MarketCapTable,
-    PriceSeries,
-    PriceTable,
     float_cell,
     format_table,
     load_articles,
     load_marketcaps,
-    load_prices,
     load_universe,
     read_table,
     write_articles,
@@ -38,7 +34,14 @@ from newsrisk.entities import OccurrenceSet
 from newsrisk.errors import ValidationError
 from newsrisk.fixtures import FixtureSpec, generate_fixture, write_fixture
 from newsrisk.pipeline import RunConfig
-from newsrisk.pricerows import Tickers, plain_columns
+from newsrisk.pricerows import (
+    PRICE_COLUMNS,
+    PriceSeries,
+    PriceTable,
+    Tickers,
+    load_prices,
+    plain_columns,
+)
 from newsrisk.quarters import Quarter, parse_quarter, quarter_of, quarter_range
 from newsrisk.riskrank import PlayerSet, RiskDatapoint
 
@@ -782,7 +785,8 @@ def _listing(tickers):
 #: earlier peak hides any of it.
 _RSS_PROBE = """
 import sys
-from newsrisk.corpus import EntityRecord, EntityUniverse, load_prices
+from newsrisk.corpus import EntityRecord, EntityUniverse
+from newsrisk.pricerows import load_prices
 def kib(field):
     with open("/proc/self/status") as status:
         return next(int(line.split()[1]) for line in status if line.startswith(field))
@@ -1004,11 +1008,11 @@ def _assert_loads_as_the_reader_route(path, monkeypatch, plain, universe=None):
     route gives, and the byte route reads the file exactly when it is
     `plain`. Returns the outcome."""
     known = None if universe is None else universe.ticker_to_id
-    read = plain_columns(path, Tickers(known), corpus._CHUNK, corpus._row_bound(path))
+    read = plain_columns(path, Tickers(known))
     assert (read is not None) == plain
     outcome = _outcome(path, universe)
     with monkeypatch.context() as patched:
-        patched.setattr(corpus, "plain_columns", lambda *args: None)
+        patched.setattr(pricerows, "plain_columns", lambda *args: None)
         assert _outcome(path, universe) == outcome
     return outcome
 
@@ -1069,13 +1073,13 @@ def test_rows_at_the_edges_of_the_byte_route_load_as_the_reader_route(
 def test_rows_across_block_edges_load_as_the_reader_route(
     tmp_path, monkeypatch, layout, chunk, read
 ):
-    """The byte route checks `_CHUNK` rows at a time, read `_READ` bytes at
+    """The byte route checks `_CHUNK` rows at a time, read `_BLOCK` bytes at
     a time: rows of one ticker, of a ticker longer than a word and with
     closes of 1 to 19 bytes straddle both edges; two tickers differ past
     their first word only. A fault planted on either side of a chunk edge
     is named at its line."""
     monkeypatch.setattr(corpus, "_CHUNK", chunk)
-    monkeypatch.setattr(pricerows, "_READ", read)
+    monkeypatch.setattr(corpus, "_BLOCK", read)
     rng = np.random.default_rng(26)
     rows = [
         [ticker, (date(2011, 1, 3) + timedelta(days=day)).isoformat(),
@@ -1116,7 +1120,7 @@ def test_blank_lines_are_left_out_by_the_byte_route_at_any_edge(
     after the last, load by the byte route as the row loader reads them,
     wherever a chunk or a read ends."""
     monkeypatch.setattr(corpus, "_CHUNK", chunk)
-    monkeypatch.setattr(pricerows, "_READ", read)
+    monkeypatch.setattr(corpus, "_BLOCK", read)
     ends = ["\n", "\n\n", "\r\n", "\r\n\r\n", "\n\r\n"]
     body = "".join(
         f"{ticker},{date(2011, 1, 3) + timedelta(days=day)},{1 + day / 8}{ends[day % 5]}"
@@ -1138,7 +1142,7 @@ def test_fixture_prices_take_the_byte_route(tmp_path, monkeypatch):
     def refused(path, tickers):
         raise AssertionError(f"{path} was read by read_table")
 
-    monkeypatch.setattr(corpus, "_read_price_columns", refused)
+    monkeypatch.setattr(pricerows, "_read_price_columns", refused)
     wide = dict(n_companies=1000, n_quarters=2, n_articles=44, clusters_per_quarter=2,
                 cluster_size=2, cluster_articles=3, anchor_positive_articles=6,
                 anchor_negative_articles=4)

@@ -13,11 +13,8 @@ import pytest
 from newsrisk.corpus import (
     UNIVERSE_COLUMNS,
     MarketCapTable,
-    PriceSeries,
-    PriceTable,
     load_articles,
     load_marketcaps,
-    load_prices,
     load_universe,
 )
 from newsrisk.entities import MatcherSet, article_text
@@ -30,6 +27,7 @@ from newsrisk.fixtures import (
     generate_fixture,
     write_fixture,
 )
+from newsrisk.pricerows import PriceSeries, PriceTable, load_prices
 from newsrisk.quarters import Quarter, parse_quarter, quarter_of
 
 from conftest import SMALL_SPEC

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from newsrisk import corpus, pipeline
+from newsrisk import corpus, pipeline, pricerows
 from newsrisk.cli import main
 from newsrisk.errors import DependencyError, ValidationError
 from newsrisk.pipeline import (
@@ -488,6 +488,34 @@ def test_run_all_loads_each_input_once(small_fixture_dir, tmp_path, monkeypatch)
         assert (cfg.output / name).read_bytes() == (one_by_one.output / name).read_bytes(), name
 
 
+def test_run_study_holds_a_value_while_a_later_stage_or_the_result_needs_it(
+    small_fixture_dir, tmp_path, monkeypatch
+):
+    """run_study drops each value after the last stage that loads or reads
+    it, as run_all does, unless the result holds it: the articles go after
+    parse, the market caps after rank, the universe and prices after the
+    backtest."""
+    held: dict[str, list[str]] = {}  # the values run_study holds as each stage starts
+
+    class Recording(pipeline._Values):
+        def __init__(self, cfg, stage, values):
+            held[stage.name] = sorted(values)
+            super().__init__(cfg, stage, values)
+
+    monkeypatch.setattr(pipeline, "_Values", Recording)
+    result = run_study(make_config(small_fixture_dir, tmp_path / "unused"))
+    computed = ["occurrences", "networks", "rank_lists", "tables", "datapoints", "selected"]
+    assert held == {
+        "parse": [],
+        "networks": ["occurrences", "universe"],
+        "rank": sorted(["universe", *computed[:2]]),
+        "risk": sorted(["universe", *computed[:4]]),
+        "backtest": sorted(["universe", *computed]),
+        "report": sorted(["study", *computed]),
+    }
+    assert result.reports.range_reports
+
+
 def test_the_backtest_loads_only_the_series_of_its_datapoints(
     small_fixture_dir, tmp_path, monkeypatch
 ):
@@ -497,7 +525,7 @@ def test_the_backtest_loads_only_the_series_of_its_datapoints(
     loads = []
 
     def recording(path, universe=None):
-        prices = corpus.load_prices(path, universe)
+        prices = pricerows.load_prices(path, universe)
         loads.append((set(universe.ids()), set(prices.series)))
         return prices
 
@@ -660,7 +688,7 @@ def test_writing_a_table_holds_a_few_slices_whatever_its_size(tmp_path):
 
     def write():
         with pipeline._atomic(path) as fh:
-            slices = corpus.format_table(corpus.PRICE_COLUMNS, [columns])
+            slices = corpus.format_table(pricerows.PRICE_COLUMNS, [columns])
             return pipeline._file_entry(path, pipeline._written(fh, slices))
 
     entry, peak = traced_peak(write)
@@ -1314,7 +1342,7 @@ def test_an_undecodable_byte_does_not_hide_an_earlier_faulty_row(
     path = tmp_path / "prices.csv"
     path.write_bytes(_with_byte(lines, byte_line))
     with pytest.raises(ValidationError, match=f"^{message}$"):
-        corpus.load_prices(path)
+        pricerows.load_prices(path)
 
 
 def test_an_earlier_faulty_record_or_artifact_row_wins_over_a_byte(
